@@ -34,17 +34,28 @@ def _floats(text: str) -> list:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _grids(text: str, source: str) -> tuple:
+    """The (coarse, fine) refinement pair: exactly two integer grid sizes >= 3."""
+    try:
+        grids = tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        grids = ()
+    if len(grids) != 2 or min(grids) < 3:
+        raise ValueError(f"{source} needs exactly two integer grid sizes >= 3, got {text!r}")
+    return grids
+
+
 def _suite_options(cfg, args) -> dict:
     options = {}
     if cfg.has_section("forms"):
         if cfg.has_option("forms", "grids"):
-            options["grids"] = tuple(int(v) for v in _floats(cfg.get("forms", "grids")))
+            options["grids"] = _grids(cfg.get("forms", "grids"), "[forms] grids")
     if cfg.has_section("worldline"):
         for key, cast in (("steps", int), ("dtau", float)):
             if cfg.has_option("worldline", key):
                 options[key] = cast(cfg.get("worldline", key))
-    if args.grid:
-        options["grids"] = tuple(int(v) for v in args.grid.split(","))
+    if args.grid is not None:
+        options["grids"] = _grids(args.grid, "--grid")
     if args.steps is not None:
         options["steps"] = args.steps
     if args.dtau is not None:
@@ -63,7 +74,11 @@ def _print_report(report: suites.SuiteReport, stream=sys.stdout):
 
 def _run_suites(args) -> int:
     cfg = _load_config(args.config)
-    options = _suite_options(cfg, args)
+    try:
+        options = _suite_options(cfg, args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         reports = suites.run_suite(args.suite, seed=args.seed, options=options)
     except KeyError as exc:
@@ -156,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trajectory output path for simulations")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized property checks (default 0)")
-    parser.add_argument("--grid", metavar="N[,N...]", default=None,
-                        help="override refinement grid sizes")
+    parser.add_argument("--grid", metavar="N,N", default=None,
+                        help="override the coarse and fine refinement grid sizes (each >= 3)")
     parser.add_argument("--steps", type=int, default=None, help="integrator steps")
     parser.add_argument("--dtau", type=float, default=None, help="integrator step size")
     return parser

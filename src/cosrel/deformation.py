@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FormField, Lattice, _read_arrays, _read_header, _write_array, ext_d, wedge
-from .minkowski import ETA
+from .minkowski import lorentz_adjoint, lorentz_defect
 
 
 @dataclass
@@ -52,7 +52,7 @@ class GroupField:
         L = np.asarray(L, dtype=float)
         if a.shape != lattice.shape + (4,) or L.shape != lattice.shape + (4, 4):
             raise ValueError("field arrays do not match the lattice")
-        defect = np.abs(np.einsum("...ji,jk,...kl->...il", L, ETA, L) - ETA).max()
+        defect = lorentz_defect(L)
         if defect > tol:
             raise ValueError(f"L field is not Lorentz everywhere: defect {defect:.3e}")
         self.lattice = lattice
@@ -62,32 +62,20 @@ class GroupField:
     @classmethod
     def from_function(cls, lattice: Lattice, fn, tol: float = 1e-8) -> "GroupField":
         """Sample fn(point) -> (a 4-vector, L 4x4) on the lattice."""
-        a = np.zeros(lattice.shape + (4,))
-        L = np.zeros(lattice.shape + (4, 4))
-        for idx in np.ndindex(*lattice.shape):
-            point = np.array([lattice.origin[c] + lattice.spacing[c] * idx[c]
-                              for c in range(lattice.p)])
-            a[idx], L[idx] = fn(point)
+        a, L = lattice.sample(fn, [(4,), (4, 4)])
         return cls(lattice, a, L, tol)
-
-
-def _adjoint_field(L: np.ndarray) -> np.ndarray:
-    """Pointwise eta L^T eta (the Lorentz inverse)."""
-    return np.einsum("ij,...kj,kl->...il", ETA, L, ETA)
 
 
 def nabla_group(g: GroupField) -> AlgebraForm:
     """Eulerian deformation E = (xi, w): w_a = (d_a L) L~, xi_a = d_a a - w_a a."""
     lat = g.lattice
-    Linv = _adjoint_field(g.L)
+    Linv = lorentz_adjoint(g.L)
     xi = np.zeros(lat.shape + (lat.p, 4))
     om = np.zeros(lat.shape + (lat.p, 4, 4))
     for a in range(lat.p):
-        dL = lat.gradient(g.L, a)
-        da = lat.gradient(g.a, a)
-        om_a = np.einsum("...ij,...jk->...ik", dL, Linv)
+        om_a = lat.gradient(g.L, a) @ Linv
         om[..., a, :, :] = om_a
-        xi[..., a, :] = da - np.einsum("...ij,...j->...i", om_a, g.a)
+        xi[..., a, :] = lat.gradient(g.a, a) - (om_a @ g.a[..., None])[..., 0]
     # 1-form component axis == material axis
     return AlgebraForm(FormField(lat, 1, xi), FormField(lat, 1, om))
 

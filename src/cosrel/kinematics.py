@@ -10,28 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import Lattice, _read_arrays, _read_header, _write_array
-from .minkowski import ETA
+from .minkowski import ETA, lorentz_adjoint, lorentz_defect
 
 
 def _check_lorentz_field(e: np.ndarray, tol: float, what: str):
-    defect = np.abs(np.einsum("...ji,jk,...kl->...il", e, ETA, e) - ETA).max()
+    defect = lorentz_defect(e)
     if defect > tol:
         raise ValueError(f"{what} is not Lorentz everywhere: defect {defect:.3e}")
-
-
-def _adjoint_field(L: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,...kj,kl->...il", ETA, L, ETA)
-
-
-def _sample(lattice: Lattice, fn, shapes):
-    outs = [np.zeros(lattice.shape + s) for s in shapes]
-    for idx in np.ndindex(*lattice.shape):
-        point = np.array([lattice.origin[c] + lattice.spacing[c] * idx[c]
-                          for c in range(lattice.p)])
-        vals = fn(point)
-        for o, v in zip(outs, vals):
-            o[idx] = v
-    return outs
 
 
 def _jets_of(lattice: Lattice, arr: np.ndarray) -> np.ndarray:
@@ -92,7 +77,7 @@ class EulerianDisplacement:
 
 def prolong(lattice: Lattice, fn, tol: float = 1e-8) -> KinematicalState:
     """Build a state from an analytic object fn(point) -> (x, e); jets by stencils."""
-    x, e = _sample(lattice, fn, [(4,), (4, 4)])
+    x, e = lattice.sample(fn, [(4,), (4, 4)])
     return KinematicalState(lattice, x, e, _jets_of(lattice, x), _jets_of(lattice, e), tol=tol)
 
 
@@ -122,11 +107,11 @@ def constant_displacement(lattice: Lattice, a, L) -> DisplacementField:
 
 def displacement_from_function(lattice: Lattice, fn, jets_fn=None, tol: float = 1e-8) -> DisplacementField:
     """Sample fn(point) -> (a, L); jets from jets_fn(point) -> (a_a, L_a) or stencils."""
-    a, L = _sample(lattice, fn, [(4,), (4, 4)])
+    a, L = lattice.sample(fn, [(4,), (4, 4)])
     if jets_fn is None:
         aj, Lj = _jets_of(lattice, a), _jets_of(lattice, L)
     else:
-        aj, Lj = _sample(lattice, jets_fn, [(lattice.p, 4), (lattice.p, 4, 4)])
+        aj, Lj = lattice.sample(jets_fn, [(lattice.p, 4), (lattice.p, 4, 4)])
     return DisplacementField(lattice, a, L, aj, Lj, tol=tol)
 
 
@@ -159,7 +144,7 @@ def compose_displacements(c2: DisplacementField, c1: DisplacementField,
 
 def eulerian_of(chi: DisplacementField) -> EulerianDisplacement:
     """(xi_a, w_a) = dg g^-1 slots built from the stored jets: w_a = L_a L~, xi_a = a_a - w_a a."""
-    Linv = _adjoint_field(chi.L)
+    Linv = lorentz_adjoint(chi.L)
     omega = np.einsum("...aij,...jk->...aik", chi.Lj, Linv)
     xi = chi.aj - np.einsum("...aij,...j->...ai", omega, chi.a)
     return EulerianDisplacement(chi.lattice, xi, omega)

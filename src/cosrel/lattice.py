@@ -36,6 +36,8 @@ class Lattice:
             raise ValueError("shape, spacing and origin must have equal length")
         if any(n < 3 for n in shape):
             raise ValueError("each grid size must be at least 3 (stencil support)")
+        if not np.all(np.isfinite(spacing + origin)):
+            raise ValueError("spacing and origin must be finite")
         if any(h <= 0 for h in spacing):
             raise ValueError("spacings must be positive")
         object.__setattr__(self, "shape", shape)
@@ -52,6 +54,15 @@ class Lattice:
     def coords(self) -> list[np.ndarray]:
         """Meshgrid point coordinates, one (shape,) array per material direction."""
         return list(np.meshgrid(*[self.axis_coords(a) for a in range(self.p)], indexing="ij"))
+
+    def sample(self, fn, shapes) -> list[np.ndarray]:
+        """Sample fn(point) -> one value per entry of shapes; one (*shape, *s) array each."""
+        outs = [np.zeros(self.shape + tuple(s)) for s in shapes]
+        for idx in np.ndindex(*self.shape):
+            point = np.array([self.origin[a] + self.spacing[a] * idx[a] for a in range(self.p)])
+            for out, value in zip(outs, fn(point)):
+                out[idx] = value
+        return outs
 
     def interior(self) -> tuple:
         """Slice tuple selecting interior points (one layer stripped per axis)."""
@@ -96,17 +107,6 @@ class FormField:
     def zeros(cls, lattice: Lattice, degree: int, value_shape=()) -> "FormField":
         n = len(multi_indices(lattice.p, degree))
         return cls(lattice, degree, np.zeros(lattice.shape + (n,) + tuple(value_shape)))
-
-    @classmethod
-    def from_function(cls, lattice: Lattice, degree: int, fn, value_shape=()) -> "FormField":
-        """Sample an analytic closure fn(point) -> (n_components, *value_shape)."""
-        n = len(multi_indices(lattice.p, degree))
-        out = np.zeros(lattice.shape + (n,) + tuple(value_shape))
-        for idx in np.ndindex(*lattice.shape):
-            point = np.array([lattice.origin[a] + lattice.spacing[a] * idx[a]
-                              for a in range(lattice.p)])
-            out[idx] = fn(point)
-        return cls(lattice, degree, out)
 
     def component(self, multi_idx) -> np.ndarray:
         """View of one antisymmetric component by its increasing multi-index."""
@@ -167,9 +167,9 @@ def _pair_values(u: np.ndarray, us, v: np.ndarray, vs) -> tuple[np.ndarray, tupl
     if us == (4,) and vs == (4,):
         return u * v, (4,)  # componentwise scalar pairing
     if us == (4, 4) and vs == (4, 4):
-        return np.einsum("...ij,...jk->...ik", u, v), (4, 4)
+        return u @ v, (4, 4)
     if us == (4, 4) and vs == (4,):
-        return np.einsum("...ij,...j->...i", u, v), (4,)
+        return (u @ v[..., None])[..., 0], (4,)
     raise ValueError(f"no value pairing for shapes {us} x {vs}")
 
 

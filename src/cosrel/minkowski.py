@@ -57,15 +57,15 @@ def classify(v, tol: float = DEFAULT_TOL) -> CausalClass:
 
 
 def lorentz_adjoint(L) -> np.ndarray:
-    """eta L^T eta; equals L^-1 when L is Lorentz. Defined for any 4x4 matrix."""
+    """eta L^T eta; equals L^-1 when L is Lorentz. Defined for any (..., 4, 4) stack."""
     L = np.asarray(L, dtype=float)
-    return ETA @ L.T @ ETA
+    return ETA @ np.swapaxes(L, -1, -2) @ ETA
 
 
 def lorentz_defect(L) -> float:
-    """Max-norm of L^T eta L - eta (zero iff L is Lorentz)."""
+    """Max-norm of L^T eta L - eta over a (..., 4, 4) stack (zero iff every L is Lorentz)."""
     L = np.asarray(L, dtype=float)
-    return float(np.abs(L.T @ ETA @ L - ETA).max())
+    return float(np.abs(np.swapaxes(L, -1, -2) @ ETA @ L - ETA).max())
 
 
 def is_lorentz(L, tol: float = DEFAULT_TOL) -> bool:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cosrel.cli import main
 
 
@@ -112,3 +114,19 @@ def test_grid_flag_parses(tmp_path):
     payload = json.loads(out.read_text())
     checks = {c["id"]: c for c in payload["reports"][0]["checks"]}
     assert checks["forms.03-dislocation-order-p2"]["extra"]["grid"] == [9, 17]
+
+
+@pytest.mark.parametrize("grid", ["17", "a,b", "2,5", "9,17,33", "17.5,33"])
+def test_bad_grid_flag_is_usage_error(grid, capsys):
+    assert main(["--suite", "forms", "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grids", ["17", "x 33", "2, 5", "9, 17, 33"])
+def test_bad_config_grids_are_usage_error(tmp_path, grids, capsys):
+    cfg = tmp_path / "suite.ini"
+    cfg.write_text(f"[forms]\ngrids = {grids}\n")
+    assert main(["--suite", "forms", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [forms] grids") and err.count("\n") == 1

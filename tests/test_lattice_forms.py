@@ -14,9 +14,21 @@ def test_lattice_validation():
         Lattice((5, 5), (0.1, -0.1))
     with pytest.raises(ValueError):
         Lattice((5,) * 5, (0.1,) * 5)
+    for spacing, origin in (((np.nan, 1.0), None), ((np.inf, 1.0), None),
+                            ((0.1, 0.1), (0.0, np.nan)), ((0.1, 0.1), (-np.inf, 0.0))):
+        with pytest.raises(ValueError, match="finite"):
+            Lattice((3, 3), spacing, origin)
     lat = Lattice((5, 7), (0.25, 0.125), (1.0, -1.0))
     assert lat.p == 2
     assert lat.axis_coords(1)[0] == -1.0
+
+
+def test_sample_calls_fn_at_every_point():
+    lat = Lattice((3, 4), (0.5, 0.25), (1.0, -1.0))
+    points, square = lat.sample(lambda x: (x, x @ x), [(2,), ()])
+    coords = lat.coords()
+    assert np.array_equal(points, np.stack(coords, axis=-1))
+    assert np.allclose(square, coords[0] ** 2 + coords[1] ** 2, rtol=0, atol=1e-15)
 
 
 def test_component_count_matches_binomial():

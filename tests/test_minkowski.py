@@ -3,8 +3,8 @@ import pytest
 
 from conftest import series_exp
 from cosrel.minkowski import (CausalClass, ETA, classify, four_vector, is_lorentz,
-                              is_proper_isochronous, lorentz_adjoint, lorentz_matrix,
-                              minkowski_inner)
+                              is_proper_isochronous, lorentz_adjoint, lorentz_defect,
+                              lorentz_matrix, minkowski_inner)
 from cosrel.algebra import boost_matrix_generator, rotation_matrix_generator
 
 
@@ -73,6 +73,13 @@ def test_adjoint_inverts_boost():
 def test_adjoint_is_involution(rng):
     A = rng.standard_normal((4, 4))
     assert np.array_equal(lorentz_adjoint(lorentz_adjoint(A)), A)
+    # a (..., 4, 4) stack is mapped slice by slice
+    stack = rng.standard_normal((3, 2, 4, 4))
+    adj = lorentz_adjoint(stack)
+    assert adj.shape == stack.shape
+    for idx in np.ndindex(3, 2):
+        assert np.array_equal(adj[idx], lorentz_adjoint(stack[idx]))
+    assert np.array_equal(lorentz_adjoint(adj), stack)
 
 
 def _random_lorentz(rng, scale=1.0):
@@ -99,10 +106,16 @@ def test_classify_invariant_under_isochronous(rng):
         assert classify(L @ v, tol=1e-7) is classify(v, tol=1e-7)
 
 
-def test_lorentz_matrix_rejects_non_lorentz():
+def test_lorentz_matrix_rejects_non_lorentz(rng):
     with pytest.raises(ValueError):
         lorentz_matrix(np.diag([2.0, 1.0, 1.0, 1.0]))
     assert not is_lorentz(np.diag([2.0, 1.0, 1.0, 1.0]))
+    # on a stack the defect is the worst slice's
+    stack = np.stack([_random_lorentz(rng) for _ in range(5)])
+    assert is_lorentz(stack)
+    stack[3] = np.diag([2.0, 1.0, 1.0, 1.0])
+    assert lorentz_defect(stack) == lorentz_defect(stack[3]) == 3.0
+    assert not is_lorentz(stack)
 
 
 def test_proper_isochronous_examples():

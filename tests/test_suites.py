@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from cosrel.suites import SUITE_NAMES, run_suite
+from cosrel import algebra, deformation
+from cosrel.suites import SUITE_NAMES, _lattice, _smooth_group_field, run_suite
+from test_acceptance import _displacement_closure
 
 
 def test_unknown_suite_raises():
@@ -29,6 +32,9 @@ def test_all_runs_every_suite():
                                                 "subgroup_samples": 20, "dirac_samples": 5})
     assert [r.suite for r in reports] == list(SUITE_NAMES)
     assert all(r.passed for r in reports)
+    for r in reports:
+        for c in r.checks:
+            assert c.runtime_ms > 0, c.check_id
 
 
 def test_seeded_determinism_of_report_values():
@@ -46,3 +52,16 @@ def test_refinement_checks_carry_report_schema():
     for c in refine:
         assert "order_estimate" in c.extra
         assert "grid" in c.extra or "coarse" in c.extra
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_smooth_group_field_matches_per_point_sampling(p, which):
+    lat = _lattice(p, 5)
+    fn = _displacement_closure(which, algebra.rotation_matrix_generator(3),
+                               algebra.boost_matrix_generator(1),
+                               algebra.rotation_matrix_generator(1))
+    want = deformation.GroupField.from_function(lat, fn)
+    got = _smooth_group_field(lat, which)
+    assert np.allclose(got.a, want.a, rtol=0, atol=1e-14)
+    assert np.allclose(got.L, want.L, rtol=0, atol=1e-14)
