@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FormField, Lattice, _read_arrays, _read_header, _write_array, ext_d, wedge
+from .lattice import FormField, Lattice, ext_d, read_grid, wedge, write_grid
 from .minkowski import lorentz_adjoint, lorentz_defect
 
 
@@ -53,7 +53,7 @@ class GroupField:
         if a.shape != lattice.shape + (4,) or L.shape != lattice.shape + (4, 4):
             raise ValueError("field arrays do not match the lattice")
         defect = lorentz_defect(L)
-        if defect > tol:
+        if not defect <= tol:
             raise ValueError(f"L field is not Lorentz everywhere: defect {defect:.3e}")
         self.lattice = lattice
         self.a = a
@@ -117,39 +117,19 @@ def closedness_residual(E: AlgebraForm) -> float:
 
 
 def write_algebra_form(path, E: AlgebraForm):
-    with open(path, "w") as fh:
-        fh.write("cosrel-grid 1 algebra-form\n")
-        fh.write(f"p {E.lattice.p}\n")
-        fh.write(f"shape {' '.join(map(str, E.lattice.shape))}\n")
-        fh.write(f"spacing {' '.join(repr(h) for h in E.lattice.spacing)}\n")
-        fh.write(f"origin {' '.join(repr(o) for o in E.lattice.origin)}\n")
-        fh.write(f"degree {E.degree}\n")
-        _write_array(fh, "translation", E.tra.data)
-        _write_array(fh, "lorentz", E.lor.data)
+    write_grid(path, "algebra-form", E.lattice, {"degree": E.degree},
+               {"translation": E.tra.data, "lorentz": E.lor.data})
 
 
 def read_algebra_form(path) -> AlgebraForm:
-    with open(path, "r") as fh:
-        lat, meta = _read_header(fh, "algebra-form")
-        arrays = _read_arrays(fh)
-    degree = int(meta["degree"][0])
-    return AlgebraForm(FormField(lat, degree, arrays["translation"]),
-                       FormField(lat, degree, arrays["lorentz"]))
+    lat, meta, (tra, lor) = read_grid(path, "algebra-form", ["translation", "lorentz"])
+    return AlgebraForm(FormField(lat, meta["degree"], tra), FormField(lat, meta["degree"], lor))
 
 
 def write_group_field(path, g: GroupField):
-    with open(path, "w") as fh:
-        fh.write("cosrel-grid 1 group\n")
-        fh.write(f"p {g.lattice.p}\n")
-        fh.write(f"shape {' '.join(map(str, g.lattice.shape))}\n")
-        fh.write(f"spacing {' '.join(repr(h) for h in g.lattice.spacing)}\n")
-        fh.write(f"origin {' '.join(repr(o) for o in g.lattice.origin)}\n")
-        _write_array(fh, "a", g.a)
-        _write_array(fh, "L", g.L)
+    write_grid(path, "group", g.lattice, {}, {"a": g.a, "L": g.L})
 
 
 def read_group_field(path) -> GroupField:
-    with open(path, "r") as fh:
-        lat, _ = _read_header(fh, "group")
-        arrays = _read_arrays(fh)
-    return GroupField(lat, arrays["a"], arrays["L"])
+    lat, _, (a, L) = read_grid(path, "group", ["a", "L"])
+    return GroupField(lat, a, L)

@@ -124,18 +124,9 @@ def virtual_work_density(phi: DynamicalState, s: KinematicalState, var) -> np.nd
     raise TypeError("variation must be LagrangianVariation or EulerianVariation")
 
 
-def _integrate(lattice: Lattice, values: np.ndarray) -> float:
-    """Trapezoidal quadrature of a scalar field over the whole lattice."""
+def _integrate(lattice: Lattice, values: np.ndarray, axes) -> float:
+    """Trapezoidal quadrature over the lattice axes `axes`, one per axis of values."""
     acc = values
-    for axis in reversed(range(lattice.p)):
-        acc = _trapz(acc, dx=lattice.spacing[axis], axis=axis)
-    return float(acc)
-
-
-def _integrate_face(lattice: Lattice, values: np.ndarray, skip_axis: int) -> float:
-    """Trapezoidal quadrature over a boundary face (values already sliced)."""
-    acc = values
-    axes = [a for a in range(lattice.p) if a != skip_axis]
     for pos in reversed(range(len(axes))):
         acc = _trapz(acc, dx=lattice.spacing[axes[pos]], axis=pos)
     return float(acc)
@@ -151,9 +142,7 @@ def _divergence(lattice: Lattice, jet_array: np.ndarray) -> np.ndarray:
 
 def jet_variation(lattice: Lattice, dxi0: np.ndarray, dI0: np.ndarray) -> EulerianVariation:
     """Integrable variation: jets are stencil derivatives of the point variation."""
-    dxij = np.stack([lattice.gradient(dxi0, a) for a in range(lattice.p)], axis=lattice.p)
-    dIj = np.stack([lattice.gradient(dI0, a) for a in range(lattice.p)], axis=lattice.p)
-    return EulerianVariation(dxi0, dI0, dxij, dIj)
+    return EulerianVariation(dxi0, dI0, lattice.jets(dxi0), lattice.jets(dI0))
 
 
 def total_virtual_work(phi: DynamicalState, s: KinematicalState,
@@ -173,7 +162,7 @@ def total_virtual_work(phi: DynamicalState, s: KinematicalState,
     div_mubar = _divergence(lat, mubar)
     bulk_density = (np.einsum("...i,...i->...", phi.F - div_sigma, var.dxi)
                     + np.einsum("...ij,...ij->...", Mbar - div_mubar, dI_up))
-    bulk = _integrate(lat, bulk_density)
+    bulk = _integrate(lat, bulk_density, range(lat.p))
 
     flux = (np.einsum("...ai,...i->...a", phi.sigma, var.dxi)
             + np.einsum("...aij,...ij->...a", mubar, dI_up))
@@ -181,8 +170,9 @@ def total_virtual_work(phi: DynamicalState, s: KinematicalState,
     for a in range(lat.p):
         hi = tuple(slice(None) if c != a else -1 for c in range(lat.p))
         lo = tuple(slice(None) if c != a else 0 for c in range(lat.p))
-        boundary += _integrate_face(lat, flux[hi + (a,)], a)
-        boundary -= _integrate_face(lat, flux[lo + (a,)], a)
+        face = [c for c in range(lat.p) if c != a]
+        boundary += _integrate(lat, flux[hi + (a,)], face)
+        boundary -= _integrate(lat, flux[lo + (a,)], face)
     return bulk, boundary
 
 
@@ -190,7 +180,7 @@ def direct_virtual_work(phi: DynamicalState, s: KinematicalState,
                         dxi0: np.ndarray, dI0: np.ndarray) -> float:
     """Integral of the pointwise pairing with the prolonged variation (cross-check route)."""
     var = jet_variation(phi.lattice, dxi0, dI0)
-    return _integrate(phi.lattice, virtual_work_density(phi, s, var))
+    return _integrate(phi.lattice, virtual_work_density(phi, s, var), range(phi.lattice.p))
 
 
 def poincare_invariance_residual(phi: DynamicalState, s: KinematicalState) -> tuple[float, float]:

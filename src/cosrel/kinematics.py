@@ -9,19 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Lattice, _read_arrays, _read_header, _write_array
+from .lattice import Lattice, read_grid, write_grid
 from .minkowski import ETA, lorentz_adjoint, lorentz_defect
 
 
 def _check_lorentz_field(e: np.ndarray, tol: float, what: str):
     defect = lorentz_defect(e)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"{what} is not Lorentz everywhere: defect {defect:.3e}")
-
-
-def _jets_of(lattice: Lattice, arr: np.ndarray) -> np.ndarray:
-    """Stencil derivatives along every material axis, stacked on a leading jet axis."""
-    return np.stack([lattice.gradient(arr, a) for a in range(lattice.p)], axis=lattice.p)
 
 
 class KinematicalState:
@@ -78,13 +73,13 @@ class EulerianDisplacement:
 def prolong(lattice: Lattice, fn, tol: float = 1e-8) -> KinematicalState:
     """Build a state from an analytic object fn(point) -> (x, e); jets by stencils."""
     x, e = lattice.sample(fn, [(4,), (4, 4)])
-    return KinematicalState(lattice, x, e, _jets_of(lattice, x), _jets_of(lattice, e), tol=tol)
+    return KinematicalState(lattice, x, e, lattice.jets(x), lattice.jets(e), tol=tol)
 
 
 def is_integrable(s: KinematicalState, tol: float = 1e-6) -> tuple[bool, float]:
     """Compare stored jets with stencil derivatives of the point coordinates."""
-    res_x = np.abs(s.xj - _jets_of(s.lattice, s.x)).max()
-    res_e = np.abs(s.ej - _jets_of(s.lattice, s.e)).max()
+    res_x = np.abs(s.xj - s.lattice.jets(s.x)).max()
+    res_e = np.abs(s.ej - s.lattice.jets(s.e)).max()
     residual = float(max(res_x, res_e))
     return residual <= tol, residual
 
@@ -109,7 +104,7 @@ def displacement_from_function(lattice: Lattice, fn, jets_fn=None, tol: float = 
     """Sample fn(point) -> (a, L); jets from jets_fn(point) -> (a_a, L_a) or stencils."""
     a, L = lattice.sample(fn, [(4,), (4, 4)])
     if jets_fn is None:
-        aj, Lj = _jets_of(lattice, a), _jets_of(lattice, L)
+        aj, Lj = lattice.jets(a), lattice.jets(L)
     else:
         aj, Lj = lattice.sample(jets_fn, [(lattice.p, 4), (lattice.p, 4, 4)])
     return DisplacementField(lattice, a, L, aj, Lj, tol=tol)
@@ -165,19 +160,13 @@ def eulerian_deform(chi: DisplacementField, s0: KinematicalState,
     return KinematicalState(s0.lattice, x, e, xj, ej, tol=tol)
 
 
+_STATE_ARRAYS = ("x", "e", "xj", "ej")
+
+
 def write_state(path, s: KinematicalState):
-    with open(path, "w") as fh:
-        fh.write("cosrel-grid 1 state\n")
-        fh.write(f"p {s.lattice.p}\n")
-        fh.write(f"shape {' '.join(map(str, s.lattice.shape))}\n")
-        fh.write(f"spacing {' '.join(repr(h) for h in s.lattice.spacing)}\n")
-        fh.write(f"origin {' '.join(repr(o) for o in s.lattice.origin)}\n")
-        for name, arr in (("x", s.x), ("e", s.e), ("xj", s.xj), ("ej", s.ej)):
-            _write_array(fh, name, arr)
+    write_grid(path, "state", s.lattice, {}, {name: getattr(s, name) for name in _STATE_ARRAYS})
 
 
 def read_state(path) -> KinematicalState:
-    with open(path, "r") as fh:
-        lat, _ = _read_header(fh, "state")
-        arrays = _read_arrays(fh)
-    return KinematicalState(lat, arrays["x"], arrays["e"], arrays["xj"], arrays["ej"])
+    lat, _, arrays = read_grid(path, "state", _STATE_ARRAYS)
+    return KinematicalState(lat, *arrays)

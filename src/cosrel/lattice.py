@@ -10,6 +10,7 @@ edge_order=2); identity checks are asserted on interior points only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,10 @@ class Lattice:
     def gradient(self, data: np.ndarray, axis: int) -> np.ndarray:
         """Partial derivative along material axis of data shaped (*shape, ...)."""
         return np.gradient(data, self.spacing[axis], axis=axis, edge_order=2)
+
+    def jets(self, data: np.ndarray) -> np.ndarray:
+        """Derivatives along every material axis, stacked on a jet axis after the grid axes."""
+        return np.stack([self.gradient(data, a) for a in range(self.p)], axis=self.p)
 
 
 def multi_indices(p: int, k: int) -> tuple:
@@ -206,73 +211,103 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
 
 # --- flat grid-file format -------------------------------------------------
 #
-# Text layout (whitespace separated):
-#   line 1:  "cosrel-grid 1 <kind>"        kind: form | group | state | displacement
+# Text layout (whitespace separated, blank lines ignored):
+#   line 1:  "cosrel-grid 1 <kind>"        kind: form | algebra-form | group | state
 #   header:  "p", "shape", "spacing", "origin", then kind-specific keys
-#   "data" line, then one block of floats per named array, row-major.
+#   arrays:  "array <name> <dims...>" followed by one line of row-major floats
 
-def _write_array(fh, name: str, arr: np.ndarray):
-    fh.write(f"array {name} {' '.join(str(n) for n in arr.shape)}\n")
-    flat = np.asarray(arr, dtype=float).reshape(-1)
-    fh.write(" ".join(repr(float(x)) for x in flat))
-    fh.write("\n")
-
-
-def _read_header(fh, kind_expected: str) -> tuple[Lattice, dict]:
-    magic = fh.readline().split()
-    if len(magic) != 3 or magic[0] != "cosrel-grid" or magic[1] != "1":
-        raise ValueError("not a cosrel grid file")
-    if magic[2] != kind_expected:
-        raise ValueError(f"expected kind {kind_expected!r}, found {magic[2]!r}")
-    meta = {}
-    while True:
-        pos = fh.tell()
-        line = fh.readline()
-        if not line:
-            raise ValueError("truncated grid file")
-        parts = line.split()
-        if parts[0] == "array":
-            fh.seek(pos)
-            break
-        meta[parts[0]] = parts[1:]
-    lat = Lattice(tuple(int(n) for n in meta["shape"]),
-                  tuple(float(h) for h in meta["spacing"]),
-                  tuple(float(o) for o in meta["origin"]))
-    return lat, meta
+_MAGIC = ("cosrel-grid", "1")
+#: integer header keys each kind must carry, besides the lattice keys
+_KIND_KEYS = {"form": ("degree",), "algebra-form": ("degree",), "group": (), "state": ()}
+#: floats formatted per write call; bounds the memory of the text body
+_CHUNK = 65536
 
 
-def _read_arrays(fh) -> dict:
-    arrays = {}
-    while True:
-        line = fh.readline()
-        if not line:
-            break
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] != "array":
-            raise ValueError(f"unexpected line in grid file: {line!r}")
-        name = parts[1]
-        shape = tuple(int(n) for n in parts[2:])
-        flat = np.array(fh.readline().split(), dtype=float)
-        arrays[name] = flat.reshape(shape)
-    return arrays
+def write_grid(path, kind: str, lattice: Lattice, meta: dict, arrays: dict):
+    """Write a grid file: lattice header, `key value` meta lines, then named arrays."""
+    with open(path, "w") as fh:
+        fh.write(f"{' '.join(_MAGIC)} {kind}\np {lattice.p}\n")
+        for key in ("shape", "spacing", "origin"):
+            fh.write(f"{key} {' '.join(map(str, getattr(lattice, key)))}\n")
+        for key, value in meta.items():
+            fh.write(f"{key} {value}\n")
+        for name, arr in arrays.items():
+            arr = np.asarray(arr, dtype=float)
+            fh.write(f"array {name} {' '.join(map(str, arr.shape))}\n")
+            flat = arr.reshape(-1)
+            for start in range(0, flat.size, _CHUNK):
+                if start:
+                    fh.write(" ")
+                fh.write(" ".join(map(repr, flat[start:start + _CHUNK].tolist())))
+            fh.write("\n")
+
+
+def _numbers(tokens, cast, what: str) -> list:
+    try:
+        return [cast(t) for t in tokens]
+    except ValueError:
+        raise ValueError(f"non-numeric {what} in grid file: {' '.join(tokens)!r}") from None
+
+
+def _integer(header: dict, key: str) -> int:
+    values = _numbers(header[key], int, key)
+    if len(values) != 1:
+        raise ValueError(f"header {key} needs one integer, got {' '.join(header[key])!r}")
+    return values[0]
+
+
+def read_grid(path, kind: str, names) -> tuple[Lattice, dict, list]:
+    """Read a grid file of the given kind: (lattice, integer meta, arrays in names order).
+
+    Any malformed file is refused with a one-line ValueError.
+    """
+    header, arrays = {}, {}
+    with open(path, "r") as fh:
+        lines = (parts for parts in map(str.split, fh) if parts)
+        magic = next(lines, [])
+        if len(magic) != 3 or tuple(magic[:2]) != _MAGIC:
+            raise ValueError("not a cosrel grid file (version 1)")
+        if magic[2] != kind:
+            raise ValueError(f"expected kind {kind!r}, found {magic[2]!r}")
+        for parts in lines:
+            if parts[0] != "array":
+                if arrays:
+                    raise ValueError(f"header key {parts[0]!r} after the first array")
+                header[parts[0]] = parts[1:]
+                continue
+            if len(parts) < 2:
+                raise ValueError("array line without a name")
+            name = parts[1]
+            dims = _numbers(parts[2:], int, f"dimension of array {name!r}")
+            if any(n < 0 for n in dims):
+                raise ValueError(f"negative dimension of array {name!r}")
+            try:
+                flat = np.array(next(lines, []), dtype=float)
+            except ValueError:
+                raise ValueError(f"non-numeric data in array {name!r}") from None
+            if flat.size != math.prod(dims):
+                raise ValueError(f"array {name!r} holds {flat.size} values, "
+                                 f"its shape {tuple(dims)} needs {math.prod(dims)}")
+            arrays[name] = flat.reshape(dims)
+    for key in ("p", "shape", "spacing", "origin") + _KIND_KEYS[kind]:
+        if key not in header:
+            raise ValueError(f"grid file header has no {key!r} line")
+    shape = _numbers(header["shape"], int, "shape")
+    if _integer(header, "p") != len(shape):
+        raise ValueError(f"header p does not match shape {tuple(shape)}")
+    lattice = Lattice(shape, _numbers(header["spacing"], float, "spacing"),
+                      _numbers(header["origin"], float, "origin"))
+    for name in names:
+        if name not in arrays:
+            raise ValueError(f"grid file has no array {name!r}")
+    return lattice, {key: _integer(header, key) for key in _KIND_KEYS[kind]}, [arrays[n] for n in names]
 
 
 def write_form(path, f: FormField):
-    with open(path, "w") as fh:
-        fh.write("cosrel-grid 1 form\n")
-        fh.write(f"p {f.lattice.p}\n")
-        fh.write(f"shape {' '.join(map(str, f.lattice.shape))}\n")
-        fh.write(f"spacing {' '.join(repr(h) for h in f.lattice.spacing)}\n")
-        fh.write(f"origin {' '.join(repr(o) for o in f.lattice.origin)}\n")
-        fh.write(f"degree {f.degree}\n")
-        fh.write(f"value {f.value_kind}\n")
-        _write_array(fh, "coefficients", f.data)
+    write_grid(path, "form", f.lattice, {"degree": f.degree, "value": f.value_kind},
+               {"coefficients": f.data})
 
 
 def read_form(path) -> FormField:
-    with open(path, "r") as fh:
-        lat, meta = _read_header(fh, "form")
-        arrays = _read_arrays(fh)
-    return FormField(lat, int(meta["degree"][0]), arrays["coefficients"])
+    lat, meta, (coefficients,) = read_grid(path, "form", ["coefficients"])
+    return FormField(lat, meta["degree"], coefficients)

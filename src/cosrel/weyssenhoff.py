@@ -61,8 +61,11 @@ class WeyssenhoffElement:
         }
 
     def validate(self, tol: float = 1e-9):
+        state = np.concatenate([self.x, self.u, self.g, self.s.ravel(), [self.tau, self.c]])
+        if not np.all(np.isfinite(state)):
+            raise ValueError("element state has non-finite entries")
         defects = self.invariant_defects()
-        bad = {k: v for k, v in defects.items() if v > tol}
+        bad = {k: v for k, v in defects.items() if not v <= tol}
         if bad:
             raise ValueError(f"element violates invariants: {bad}")
 
@@ -108,6 +111,19 @@ def stress_tensors(element: WeyssenhoffElement) -> StressTensors:
                          float(g @ u))
 
 
+def _central_jacobian(fn, x, step: float) -> np.ndarray:
+    """Central differences of fn at x, derivative index last; h = step * max(1, |x_sig|)."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for sig in range(4):
+        h = step * max(1.0, abs(x[sig]))
+        xp, xm = x.copy(), x.copy()
+        xp[sig] += h
+        xm[sig] -= h
+        cols.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 class FlowField:
     """Analytic flow closures u(x), g(x), s(x) with optional analytic Jacobians.
 
@@ -122,17 +138,6 @@ class FlowField:
         self.fd_step = fd_step
         self.c = c
 
-    def _fd(self, fn, x):
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for sig in range(4):
-            h = self.fd_step * max(1.0, abs(x[sig]))
-            xp, xm = x.copy(), x.copy()
-            xp[sig] += h
-            xm[sig] -= h
-            cols.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2 * h))
-        return np.stack(cols, axis=-1)
-
     def u_at(self, x):
         return np.asarray(self.u(x), dtype=float)
 
@@ -143,13 +148,13 @@ class FlowField:
         return np.asarray(self.s(x), dtype=float)
 
     def du_at(self, x):
-        return np.asarray(self._du(x), dtype=float) if self._du else self._fd(self.u, x)
+        return np.asarray(self._du(x), dtype=float) if self._du else _central_jacobian(self.u, x, self.fd_step)
 
     def dg_at(self, x):
-        return np.asarray(self._dg(x), dtype=float) if self._dg else self._fd(self.g, x)
+        return np.asarray(self._dg(x), dtype=float) if self._dg else _central_jacobian(self.g, x, self.fd_step)
 
     def ds_at(self, x):
-        return np.asarray(self._ds(x), dtype=float) if self._ds else self._fd(self.s, x)
+        return np.asarray(self._ds(x), dtype=float) if self._ds else _central_jacobian(self.s, x, self.fd_step)
 
     def element_at(self, x, tol: float = None) -> "WeyssenhoffElement":
         """Sample the flow as a fluid element; validates the pointwise invariants."""
@@ -193,24 +198,8 @@ def density_derivative(f, flow: FlowField, x, grad_f=None, fd_step: float = 1e-6
     def product(y):
         return f(y) * np.asarray(flow.u(y), dtype=float)
 
-    div_form = 0.0
-    for sig in range(4):
-        h = fd_step * max(1.0, abs(x[sig]))
-        xp, xm = x.copy(), x.copy()
-        xp[sig] += h
-        xm[sig] -= h
-        div_form += (product(xp)[sig] - product(xm)[sig]) / (2 * h)
-
-    if grad_f is None:
-        df = np.zeros(4)
-        for sig in range(4):
-            h = fd_step * max(1.0, abs(x[sig]))
-            xp, xm = x.copy(), x.copy()
-            xp[sig] += h
-            xm[sig] -= h
-            df[sig] = (f(xp) - f(xm)) / (2 * h)
-    else:
-        df = np.asarray(grad_f(x), dtype=float)
+    div_form = sum(np.diagonal(_central_jacobian(product, x, fd_step)))  # trace, summed in axis order
+    df = _central_jacobian(f, x, fd_step) if grad_f is None else np.asarray(grad_f(x), dtype=float)
     u = flow.u_at(x)
     chi_k = float(np.trace(flow.du_at(x)))
     comoving_form = float(u @ df) + chi_k * f(x)

@@ -96,6 +96,15 @@ def test_invariant_violating_initial_data_refused(tmp_path, capsys):
     assert "refused" in err and "residuals" in err
 
 
+def test_nan_initial_data_refused(tmp_path, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = nan 0 0 0\nsteps = 5\ndtau = 0.01\n")
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(tmp_path / "t.csv")]) == 2
+    assert "refused:" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_env_var_overrides_config_path(tmp_path):
     good = tmp_path / "good.ini"
     good.write_text("[worldline]\nu = 1 0 0 0\nrho0 = 1.0\nsteps = 8\ndtau = 0.01\n")

@@ -1,0 +1,175 @@
+"""The grid-file codec: exact text, refusal of malformed files, round trips."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cosrel.deformation import (AlgebraForm, GroupField, read_algebra_form, read_group_field,
+                                write_algebra_form, write_group_field)
+from cosrel.kinematics import KinematicalState, read_state, write_state
+from cosrel.lattice import FormField, Lattice, read_form, write_form
+
+_IDENTITY = "1.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 1.0"
+_A_VALUES = "nan -inf 1e-200 -0.0 " + " ".join(repr(v / 8.0) for v in range(4, 36))
+_GROUP_TEXT = ("cosrel-grid 1 group\np 2\nshape 3 3\nspacing 0.5 0.25\norigin -1.0 0.0\n"
+               f"array a 3 3 4\n{_A_VALUES}\n"
+               f"array L 3 3 4 4\n{' '.join([_IDENTITY] * 9)}\n")
+_FORM_TEXT = ("cosrel-grid 1 form\np 1\nshape 3\nspacing 0.1\norigin 0.0\ndegree 1\nvalue scalar\n"
+              "array coefficients 3 1\n1.0 -2.5 0.3333333333333333\n")
+
+
+def _pinned_group() -> GroupField:
+    a = np.arange(36.0).reshape(3, 3, 4) / 8.0
+    a[0, 0] = [np.nan, -np.inf, 1e-200, -0.0]
+    return GroupField(Lattice((3, 3), (0.5, 0.25), (-1.0, 0.0)), a,
+                      np.broadcast_to(np.eye(4), (3, 3, 4, 4)))
+
+
+def test_group_field_text_is_pinned(tmp_path):
+    path = tmp_path / "g.txt"
+    write_group_field(path, _pinned_group())
+    assert path.read_text() == _GROUP_TEXT
+
+
+def test_scalar_form_text_is_pinned(tmp_path):
+    path = tmp_path / "f.txt"
+    write_form(path, FormField(Lattice((3,), (0.1,)), 1, np.array([[1.0], [-2.5], [1 / 3]])))
+    assert path.read_text() == _FORM_TEXT
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("\n" + _GROUP_TEXT.replace("\n", "\n\n"))
+    back = read_group_field(path)
+    want = _pinned_group()
+    assert back.lattice == want.lattice
+    np.testing.assert_array_equal(back.a, want.a)
+    np.testing.assert_array_equal(back.L, want.L)
+
+
+def _edit(old, new, text=_GROUP_TEXT):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+_A_BLOCK = f"array a 3 3 4\n{_A_VALUES}\n"
+_REFUSED = {
+    "empty-file": "",
+    "bad-magic": _edit("cosrel-grid", "cosrel-grd"),
+    "bad-version": _edit("cosrel-grid 1", "cosrel-grid 2"),
+    "bad-kind": _edit("group", "state"),
+    "magic-extra-token": _edit("group\n", "group extra\n"),
+    "blank-header": "cosrel-grid 1 group\n\n",
+    "no-shape": "cosrel-grid 1 group\narray a 4\n0 0 0 0\n",
+    "no-p": _edit("p 2\n", ""),
+    "no-spacing": _edit("spacing 0.5 0.25\n", ""),
+    "no-origin": _edit("origin -1.0 0.0\n", ""),
+    "p-not-len-shape": _edit("p 2", "p 3"),
+    "p-two-values": _edit("p 2", "p 2 2"),
+    "non-numeric-p": _edit("p 2", "p two"),
+    "non-numeric-shape": _edit("shape 3 3", "shape 3 x"),
+    "non-integer-shape": _edit("shape 3 3", "shape 3 3.0"),
+    "non-numeric-spacing": _edit("spacing 0.5 0.25", "spacing 0.5 h"),
+    "non-numeric-origin": _edit("origin -1.0 0.0", "origin -1.0 o"),
+    "array-without-name": _edit("array a", "array\narray a"),
+    "non-integer-dimension": _edit("array a 3 3 4", "array a 3 3 4.0"),
+    "non-numeric-dimension": _edit("array a 3 3 4", "array a 3 three 4"),
+    "negative-dimension": _edit("array a 3 3 4", "array a -3 -3 4"),
+    "short-data-line": _edit(" 4.375\n", "\n"),
+    "long-data-line": _edit(" 4.375\n", " 4.375 4.5\n"),
+    "non-numeric-data": _edit(" 4.375\n", " four\n"),
+    "missing-data-line": _edit(_A_BLOCK, "") + "array a 3 3 4\n",
+    "missing-array": _edit(_A_BLOCK, ""),
+    "header-after-array": _edit(_A_BLOCK, _A_BLOCK + "degree 1\n"),
+    "array-shape-off-lattice": _edit(_A_BLOCK, _A_BLOCK.replace("3 3 4", "9 4")),
+    "nan-lorentz-entry": _edit("4 4\n1.0", "4 4\nnan"),
+}
+
+
+@pytest.mark.parametrize("text", _REFUSED.values(), ids=_REFUSED.keys())
+def test_malformed_group_file_refused(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_group_field(path)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("old,new", [("degree 1\n", ""), ("degree 1", "degree one"),
+                                     ("degree 1", "degree 1 2")],
+                         ids=["no-degree", "non-integer-degree", "two-degrees"])
+def test_malformed_form_header_refused(tmp_path, old, new):
+    path = tmp_path / "bad.txt"
+    path.write_text(_edit(old, new, _FORM_TEXT))
+    with pytest.raises(ValueError):
+        read_form(path)
+
+
+def test_nan_frame_state_refused(tmp_path):
+    path = tmp_path / "s.txt"
+    e = np.broadcast_to(np.eye(4), (3, 4, 4))
+    write_state(path, KinematicalState(Lattice((3,), (1.0,)), np.zeros((3, 4)), e,
+                                       np.zeros((3, 1, 4)), np.zeros((3, 1, 4, 4))))
+    path.write_text(_edit("array e 3 4 4\n1.0", "array e 3 4 4\nnan", path.read_text()))
+    with pytest.raises(ValueError, match="not Lorentz"):
+        read_state(path)
+
+
+_VALUES = st.floats(width=64)  # NaN, +-inf and subnormals included
+
+
+_CODECS = {"form": (write_form, read_form, lambda f: [f.data]),
+           "algebra-form": (write_algebra_form, read_algebra_form, lambda E: [E.tra.data, E.lor.data]),
+           "group": (write_group_field, read_group_field, lambda g: [g.a, g.L]),
+           "state": (write_state, read_state, lambda s: [s.x, s.e, s.xj, s.ej])}
+
+
+@st.composite
+def _fields(draw):
+    """(kind, field) with arbitrary floats wherever the kind allows them; Lorentz slots are 1."""
+    kind = draw(st.sampled_from(sorted(_CODECS)))
+    p = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(3, 4), min_size=p, max_size=p)))
+    spacing = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                            min_size=p, max_size=p))
+    origin = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=p, max_size=p))
+    lat = Lattice(shape, spacing, origin)
+
+    def free(*tail):
+        return draw(arrays(np.float64, shape + tail, elements=_VALUES))
+
+    lorentz = np.broadcast_to(np.eye(4), shape + (4, 4))
+    degree = draw(st.integers(0, p))
+    n = len(FormField.zeros(lat, degree).indices)
+    if kind == "form":
+        return kind, FormField(lat, degree, free(n, *draw(st.sampled_from([(), (4,), (4, 4)]))))
+    if kind == "algebra-form":
+        return kind, AlgebraForm(FormField(lat, degree, free(n, 4)), FormField(lat, degree, free(n, 4, 4)))
+    if kind == "group":
+        return kind, GroupField(lat, free(4), lorentz)
+    return kind, KinematicalState(lat, free(4), lorentz, free(p, 4), free(p, 4, 4))
+
+
+def _bits(arr):
+    """Raw bytes with every NaN made canonical (the text format writes all NaNs as 'nan')."""
+    return np.where(np.isnan(arr), np.nan, arr).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fields())
+def test_round_trip_is_exact(tmp_path_factory, field):
+    kind, obj = field
+    write, read, arrays_of = _CODECS[kind]
+    original = arrays_of(obj)
+    path = tmp_path_factory.mktemp("grid") / "f.txt"
+    write(path, obj)
+    text = path.read_text()
+    back = read(path)
+    assert back.lattice == obj.lattice
+    got = arrays_of(back)
+    assert [a.shape for a in got] == [a.shape for a in original]
+    assert [_bits(a) for a in got] == [_bits(a) for a in original]
+    write(path, back)
+    assert path.read_text() == text

@@ -53,6 +53,25 @@ def test_element_invariants():
         bad.validate(1e-9)
 
 
+@pytest.mark.parametrize("slot", ["x", "u", "g", "s"])
+def test_non_finite_element_refused(slot):
+    el = _rest_element()
+    getattr(el, slot).flat[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        el.validate(1e-9)
+
+
+def test_nan_invariant_defect_refused():
+    # finite state whose Frenkel residual overflows to inf - inf = NaN
+    u = np.array([math.cosh(3.0), math.sinh(3.0), 0.0, 0.0])
+    s = spin_matrix_from_components([0.0, -1e308, 0.0, 1e308, 0.0, 0.0])
+    el = WeyssenhoffElement(np.zeros(4), u, ETA @ u, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(el.invariant_defects()["frenkel"])
+        with pytest.raises(ValueError, match="frenkel"):
+            el.validate(1e-9)
+
+
 def test_split_collinear_momentum():
     el = _rest_element(rho0=2.0, s12=0.0)
     sp = split_momentum(el.g, el.u, el.c)
