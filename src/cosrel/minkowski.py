@@ -89,6 +89,6 @@ def is_proper_isochronous(L, tol: float = DEFAULT_TOL) -> bool:
     """True iff det L is 1 within tol and L^0_0 > 0. Raises on non-Lorentz input."""
     L = np.asarray(L, dtype=float)
     defect = lorentz_defect(L)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"not a Lorentz matrix: defect {defect:.3e}")
     return bool(abs(np.linalg.det(L) - 1.0) <= tol and L[0, 0] > 0.0)

@@ -248,39 +248,138 @@ class ClosureError(RuntimeError):
         self.residual = residual
 
 
-def _acceleration(u, s, g, c, solver_tol, check: bool = True):
-    """Least-squares a with s a = -c^2 pi, taken in the column space of s.
+#: Relative size below which a pivot or singular value of the spin matrix counts as zero.
+_RANK_TOL = 1e-12
 
-    Solutions differ by the spin kernel (which contains u); the column-space
-    representative is the unique one the flow propagates consistently, it is
-    metric-orthogonal to u whenever the Frenkel constraint holds, and it
-    reduces to the plain minimum-norm solution in the rest frame.  For a
-    vanishing transverse momentum it is exactly zero.  Runge-Kutta stages sit
-    off the constraint manifold by the local truncation error, so the
-    solvability gate applies to accepted states only.
-    """
-    rho0 = float(g @ u) / c ** 2
-    pi_low = g - rho0 * (ETA @ u)
-    pi = ETA @ pi_low
-    rhs = -c ** 2 * pi
+
+def _svd_lstsq(s, rhs) -> list:
+    """Least-squares a in the column space of s, for any numerical rank, through its SVD."""
+    s = np.reshape(s, (4, 4))
     U, sv, _ = np.linalg.svd(s)
-    cols = sv > 1e-12 * max(sv[0], 1e-300)
+    cols = sv > _RANK_TOL * max(sv[0], 1e-300)
     if not np.any(cols):
-        a = np.zeros(4)
-    else:
-        R = U[:, cols]
-        alpha, *_ = np.linalg.lstsq(s @ R, rhs, rcond=None)
-        a = R @ alpha
+        return [0.0, 0.0, 0.0, 0.0]
+    R = U[:, cols]
+    alpha, *_ = np.linalg.lstsq(s @ R, rhs, rcond=None)
+    return (R @ alpha).tolist()
+
+
+def _closure(s, rhs) -> list:
+    """Least-squares a with s a = rhs, taken in the column space of s (16 floats, row-major).
+
+    The lowered spin is antisymmetric, so s has even rank, and it is 2 on the
+    constraint manifold and at the Runge-Kutta stages near it.  Two pivoted
+    columns then span the column space: r1, the largest column, and r2, the
+    column with the largest part orthogonal to r1.  a = [r1 r2] alpha, where
+    alpha minimises |B alpha - rhs| for B = s [r1 r2], through the
+    Gram-Schmidt QR of B (the normal equations would square its conditioning
+    for a boosted u).  s = 0 gives a = 0.  A state that is not numerically
+    rank 2 (third pivot above _RANK_TOL relative), or whose column space meets
+    its kernel, goes through the SVD.
+    """
+    cols = (s[0::4], s[1::4], s[2::4], s[3::4])
+    norms = [a * a + b * b + c * c + d * d for a, b, c, d in cols]
+    j1 = max(range(4), key=norms.__getitem__)
+    n1 = norms[j1]
+    if n1 == 0.0:
+        return [0.0, 0.0, 0.0, 0.0]
+    cut = _RANK_TOL ** 2 * n1
+    r = math.sqrt(n1)
+    q0, q1, q2, q3 = [v / r for v in cols[j1]]
+    rest = []                                   # (|w|^2, j, w): column j minus its part along r1
+    for j in range(4):
+        if j != j1:
+            a, b, c, e = cols[j]
+            d = q0 * a + q1 * b + q2 * c + q3 * e
+            w0, w1, w2, w3 = a - d * q0, b - d * q1, c - d * q2, e - d * q3
+            rest.append((w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3, j, (w0, w1, w2, w3)))
+    rest.sort()
+    n2, j2, w = rest.pop()
+    if not n2 > cut:
+        return _svd_lstsq(s, rhs)
+    r = math.sqrt(n2)
+    q0, q1, q2, q3 = [v / r for v in w]
+    for _, _, (a, b, c, e) in rest:             # third pivot: what r2 leaves of the other two
+        d = q0 * a + q1 * b + q2 * c + q3 * e
+        w0, w1, w2, w3 = a - d * q0, b - d * q1, c - d * q2, e - d * q3
+        if w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3 > cut:
+            return _svd_lstsq(s, rhs)
+    p0, p1, p2, p3 = r1 = cols[j1]
+    t0, t1, t2, t3 = r2 = cols[j2]
+    rows = (s[0:4], s[4:8], s[8:12], s[12:16])
+    b1 = [a * p0 + b * p1 + c * p2 + d * p3 for a, b, c, d in rows]
+    b2 = [a * t0 + b * t1 + c * t2 + d * t3 for a, b, c, d in rows]
+    r11 = math.sqrt(b1[0] * b1[0] + b1[1] * b1[1] + b1[2] * b1[2] + b1[3] * b1[3])
+    if not r11 > 0.0:
+        return _svd_lstsq(s, rhs)
+    e0, e1, e2, e3 = [v / r11 for v in b1]
+    r12 = e0 * b2[0] + e1 * b2[1] + e2 * b2[2] + e3 * b2[3]
+    w0, w1, w2, w3 = b2[0] - r12 * e0, b2[1] - r12 * e1, b2[2] - r12 * e2, b2[3] - r12 * e3
+    r22 = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
+    if not r22 > _RANK_TOL * r11:
+        return _svd_lstsq(s, rhs)
+    h0, h1, h2, h3 = rhs
+    alpha2 = (w0 * h0 + w1 * h1 + w2 * h2 + w3 * h3) / (r22 * r22)
+    alpha1 = (e0 * h0 + e1 * h1 + e2 * h2 + e3 * h3 - r12 * alpha2) / r11
+    return [alpha1 * v + alpha2 * w for v, w in zip(r1, r2)]
+
+
+def _rate(y, g, c, solver_tol, check):
+    """Right-hand side of the worldline equations on the flat state y (24 floats).
+
+    y holds x^mu, u^mu and s^mu_nu (row-major); the rate is (u, a, s-dot), where
+    a solves the spin closure s a = -c^2 pi in the column space of s (see
+    `_closure`) and s-dot = pi (x) u_low - u (x) pi_low.  Solutions differ by the
+    spin kernel (which contains u); the column-space representative is the
+    unique one the flow propagates consistently, it is metric-orthogonal to u
+    whenever the Frenkel constraint holds, and it reduces to the plain
+    minimum-norm solution in the rest frame.  For a vanishing transverse
+    momentum it is exactly zero.  Returns (rate, residual): with `check`, the
+    residual max|s a + c^2 pi| is measured and raises ClosureError above
+    solver_tol * max(1, max|c^2 pi|); otherwise it is None.  Runge-Kutta stages
+    sit off the constraint manifold by the local truncation error, so the
+    integrator checks accepted states only.
+    """
+    u0, u1, u2, u3 = u = y[4:8]
+    s = y[8:24]
+    g0, g1, g2, g3 = g
+    c2 = c ** 2
+    rho0 = (g0 * u0 + g1 * u1 + g2 * u2 + g3 * u3) / c2
+    u_low = (u0, -u1, -u2, -u3)
+    pi_low = (g0 - rho0 * u0, g1 + rho0 * u1, g2 + rho0 * u2, g3 + rho0 * u3)
+    pi = (pi_low[0], -pi_low[1], -pi_low[2], -pi_low[3])
+    rhs = [-c2 * p for p in pi]
+    a0, a1, a2, a3 = a = _closure(s, rhs)
+    residual = None
     if check:
-        residual = float(np.abs(s @ a - rhs).max())
-        if residual > solver_tol * max(1.0, float(np.abs(rhs).max())):
+        residual = max(abs(p * a0 + q * a1 + r * a2 + t * a3 - h)
+                       for (p, q, r, t), h in zip((s[0:4], s[4:8], s[8:12], s[12:16]), rhs))
+        if not residual <= solver_tol * max(1.0, max(map(abs, rhs))):
             raise ClosureError(residual)
-    return a, pi, pi_low
+    sdot = [pm * un - um * pn for pm, um in zip(pi, u) for un, pn in zip(u_low, pi_low)]
+    return u + a + sdot, residual
+
+
+def _acceleration(u, s, g, c, solver_tol, check: bool = True):
+    """(a, pi, pi_low) of one state: an array adapter over `_rate`."""
+    u = np.asarray(u, dtype=float)
+    y = [0.0] * 4 + u.tolist() + np.asarray(s, dtype=float).ravel().tolist()
+    rate, _ = _rate(y, np.asarray(g, dtype=float).tolist(), c, solver_tol, check)
+    pi_low = split_momentum(g, u, c).pi_low
+    return np.array(rate[4:8]), ETA @ pi_low, pi_low
 
 
 def _sdot(pi, pi_low, u):
     u_low = ETA @ u
     return np.outer(pi, u_low) - np.outer(u, pi_low)
+
+
+def _diagnostics(u, s, c) -> dict:
+    """Unit-speed defect, Frenkel residual and spin invariant s_mn s^mn of stacked states."""
+    s_low = ETA @ s
+    return {"u_norm": np.einsum("im,mn,in->i", u, ETA, u) - c ** 2,
+            "frenkel": np.abs(s @ u[:, :, None]).max(axis=(1, 2)),
+            "spin_invariant": np.einsum("imn,imn->i", s_low, ETA @ s_low @ ETA)}
 
 
 @dataclass
@@ -292,9 +391,17 @@ class Trajectory:
     g: np.ndarray            # constant covariant momentum density
     c: float
     diagnostics: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)   # steps, dtau, project, solver_tol
 
     def drift_summary(self) -> dict:
         return {k: float(np.abs(v).max()) for k, v in self.diagnostics.items()}
+
+    def _table(self) -> list:
+        """One row per record: tau, x, u, the six lowered spin components, the drift columns."""
+        m, n = np.array(SPIN_COMPONENTS).T
+        d = self.diagnostics
+        return np.column_stack([self.tau, self.x, self.u, (ETA @ self.s)[:, m, n],
+                                d["u_norm"], d["frenkel"], d["spin_invariant"]]).tolist()
 
     def write_csv(self, path):
         names = [f"s{m}{n}" for m, n in SPIN_COMPONENTS]
@@ -302,28 +409,15 @@ class Trajectory:
             writer = csv.writer(fh)
             writer.writerow(["tau"] + [f"x{m}" for m in range(4)] + [f"u{m}" for m in range(4)]
                             + names + ["drift_u2", "drift_frenkel", "spin_invariant"])
-            for i in range(len(self.tau)):
-                row = [float(self.tau[i]), *map(float, self.x[i]), *map(float, self.u[i]),
-                       *spin_components(self.s[i]),
-                       float(self.diagnostics["u_norm"][i]),
-                       float(self.diagnostics["frenkel"][i]),
-                       float(self.diagnostics["spin_invariant"][i])]
-                writer.writerow([repr(v) for v in row])
+            writer.writerows(self._table())    # str(float) is repr(float)
 
     def write_json(self, path):
-        records = []
-        for i in range(len(self.tau)):
-            records.append({
-                "tau": float(self.tau[i]),
-                "x": self.x[i].tolist(),
-                "u": self.u[i].tolist(),
-                "s": spin_components(self.s[i]),
-                "drift_u2": float(self.diagnostics["u_norm"][i]),
-                "drift_frenkel": float(self.diagnostics["frenkel"][i]),
-                "spin_invariant": float(self.diagnostics["spin_invariant"][i]),
-            })
+        records = [{"tau": r[0], "x": r[1:5], "u": r[5:9], "s": r[9:15], "drift_u2": r[15],
+                    "drift_frenkel": r[16], "spin_invariant": r[17]} for r in self._table()]
+        sp = split_momentum(self.g, self.u[0], self.c)
         payload = {"g": self.g.tolist(), "c": self.c, "records": records,
-                   "drift_summary": self.drift_summary()}
+                   "drift_summary": self.drift_summary(), "run": self.params,
+                   "regime": {"mu0_defined": sp.mu0_defined, "g_square": sp.g_square}}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -338,52 +432,51 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     vanishing kinematic compressibility); u and s evolve through the spin
     closure: acceleration solves -(1/c^2) s a = pi with minimum norm, the spin
     rate is the transverse-momentum bivector.  Constraint drift is recorded and
-    not corrected unless `project` is set.
+    not corrected unless `project` is set.  The state is stepped as one flat
+    list of floats (see `_rate`); the diagnostics are computed once on the
+    stacked trajectory, and `drift_max` is checked on them in step order, also
+    when a later step fails.
     """
     initial.validate(invariant_tol)
     c = initial.c
     g = initial.g.copy()
+    gl = g.tolist()
     n = int(steps)
     tau = initial.tau + dtau * np.arange(n + 1)
-    xs = np.zeros((n + 1, 4))
-    us = np.zeros((n + 1, 4))
-    ss = np.zeros((n + 1, 4, 4))
-    xs[0], us[0], ss[0] = initial.x, initial.u, initial.s
-
-    def rhs(y, check=False):
-        x, u, s = y
-        a, pi, pi_low = _acceleration(u, s, g, c, solver_tol, check=check)
-        return u.copy(), a, _sdot(pi, pi_low, u)
-
-    diag = {k: np.zeros(n + 1) for k in ("u_norm", "frenkel", "spin_invariant")}
-
-    def record(i, u, s):
-        s_low = ETA @ s
-        diag["u_norm"][i] = float(u @ ETA @ u) - c ** 2
-        diag["frenkel"][i] = float(np.abs(s @ u).max())
-        diag["spin_invariant"][i] = float(np.einsum("mn,mn->", s_low, ETA @ s_low @ ETA))
-
-    record(0, us[0], ss[0])
-    ref_spin = diag["spin_invariant"][0]
-    for i in range(n):
-        y = (xs[i], us[i], ss[i])
-        k1 = rhs(y, check=True)
-        k2 = rhs(tuple(y[j] + 0.5 * dtau * k1[j] for j in range(3)))
-        k3 = rhs(tuple(y[j] + 0.5 * dtau * k2[j] for j in range(3)))
-        k4 = rhs(tuple(y[j] + dtau * k3[j] for j in range(3)))
-        xs[i + 1], us[i + 1], ss[i + 1] = (
-            y[j] + dtau / 6.0 * (k1[j] + 2 * k2[j] + 2 * k3[j] + k4[j]) for j in range(3))
-        if project:
-            u = us[i + 1]
-            us[i + 1] = u * (c / math.sqrt(float(u @ ETA @ u)))
-            P = frenkel_projector(us[i + 1], c)
-            ss[i + 1] = P @ ss[i + 1] @ P
-        record(i + 1, us[i + 1], ss[i + 1])
+    states = np.empty((n + 1, 24))
+    closure = np.empty(n + 1)
+    y = np.concatenate([initial.x, initial.u, initial.s.ravel()]).tolist()
+    states[0] = y
+    half, sixth = 0.5 * dtau, dtau / 6.0
+    done = 1
+    try:
+        for i in range(n):
+            k1, closure[i] = _rate(y, gl, c, solver_tol, True)
+            k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, c, solver_tol, False)
+            k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, c, solver_tol, False)
+            k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, c, solver_tol, False)
+            y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
+            if project:
+                u = np.array(y[4:8])
+                u *= c / math.sqrt(float(u @ ETA @ u))
+                P = frenkel_projector(u, c)
+                y[4:] = u.tolist() + (P @ np.reshape(y[8:], (4, 4)) @ P).ravel().tolist()
+            states[i + 1] = y
+            done = i + 2
+    finally:
+        us, ss = states[:done, 4:8], states[:done, 8:].reshape(done, 4, 4)
+        diag = _diagnostics(us, ss, c)
+        diag["spin_invariant"] -= diag["spin_invariant"][0]
         if drift_max is not None:
-            worst = max(abs(diag["u_norm"][i + 1]), diag["frenkel"][i + 1],
-                        abs(diag["spin_invariant"][i + 1] - ref_spin))
-            if worst > drift_max:
-                raise RuntimeError(f"constraint drift {worst:.3e} exceeded {drift_max:.3e} "
-                                   f"at step {i + 1}")
-    diag["spin_invariant"] = diag["spin_invariant"] - ref_spin
-    return Trajectory(tau, xs, us, ss, g, c, diag)
+            worst = np.max(np.abs([diag["u_norm"], diag["frenkel"], diag["spin_invariant"]]),
+                           axis=0)[1:]
+            over = np.flatnonzero(worst > drift_max)
+            if over.size:
+                raise RuntimeError(f"constraint drift {worst[over[0]]:.3e} exceeded "
+                                   f"{drift_max:.3e} at step {over[0] + 1}")
+    # the last state is measured, never stepped from, so it is not gated
+    _, closure[n] = _rate(y, gl, c, math.inf, True)
+    diag["closure_residual"] = closure
+    params = {"steps": n, "dtau": float(dtau), "project": bool(project),
+              "solver_tol": float(solver_tol)}
+    return Trajectory(tau, states[:, :4], us, ss, g, c, diag, params)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,13 @@ def test_proper_isochronous_examples():
 def test_proper_isochronous_rejects_non_lorentz_input():
     with pytest.raises(ValueError):
         is_proper_isochronous(np.ones((4, 4)))
+
+
+def test_proper_isochronous_rejects_nan_input():
+    # a NaN defect used to pass `defect > tol` and reach det, which warned and returned False
+    L = np.eye(4)
+    L[1, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not a Lorentz matrix"):
+            is_proper_isochronous(L)

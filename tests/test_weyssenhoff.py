@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cosrel import weyssenhoff
 from cosrel.minkowski import ETA
 from cosrel.weyssenhoff import (ClosureError, FlowField,
                                 WeyssenhoffElement, density_derivative, frenkel_projector,
@@ -475,3 +479,188 @@ def test_flow_field_element_sampling():
     bad = FlowField(u=lambda x: np.array([1.0, 0.9, 0, 0]), g=g)
     with pytest.raises(ValueError):
         bad.element_at(np.zeros(4), tol=1e-9)
+
+
+# --------------------------------------------------------------------------
+# the scalar RK4 kernel against the SVD + lstsq closure it replaced
+
+
+def _oracle_acceleration(u, s, g, c):
+    """Column-space least squares through the SVD of s: the reference closure."""
+    rho0 = float(g @ u) / c ** 2
+    rhs = -c ** 2 * (ETA @ (g - rho0 * (ETA @ u)))
+    U, sv, _ = np.linalg.svd(s)
+    cols = sv > 1e-12 * max(sv[0], 1e-300)
+    if not np.any(cols):
+        return np.zeros(4)
+    R = U[:, cols]
+    alpha, *_ = np.linalg.lstsq(s @ R, rhs, rcond=None)
+    return R @ alpha
+
+
+def _oracle_rhs(y, g, c):
+    x, u, s = y
+    a = _oracle_acceleration(u, s, g, c)
+    rho0 = float(g @ u) / c ** 2
+    pi_low = g - rho0 * (ETA @ u)
+    return u.copy(), a, np.outer(ETA @ pi_low, ETA @ u) - np.outer(u, pi_low)
+
+
+def _oracle_worldline(el, steps, dtau, drift_max=None):
+    """Plain tuple RK4 over the oracle closure; returns (x, u, s) stacks and the drift gate's step."""
+    def spin_invariant(s):
+        s_low = ETA @ s
+        return float(np.einsum("mn,mn->", s_low, ETA @ s_low @ ETA))
+
+    y = (el.x.copy(), el.u.copy(), el.s.copy())
+    ys = [y]
+    ref = spin_invariant(el.s)
+    for i in range(steps):
+        k1 = _oracle_rhs(y, el.g, el.c)
+        k2 = _oracle_rhs(tuple(y[j] + 0.5 * dtau * k1[j] for j in range(3)), el.g, el.c)
+        k3 = _oracle_rhs(tuple(y[j] + 0.5 * dtau * k2[j] for j in range(3)), el.g, el.c)
+        k4 = _oracle_rhs(tuple(y[j] + dtau * k3[j] for j in range(3)), el.g, el.c)
+        y = tuple(y[j] + dtau / 6.0 * (k1[j] + 2 * k2[j] + 2 * k3[j] + k4[j]) for j in range(3))
+        ys.append(y)
+        if drift_max is not None:
+            u, s = y[1], y[2]
+            worst = max(abs(float(u @ ETA @ u) - el.c ** 2), float(np.abs(s @ u).max()),
+                        abs(spin_invariant(s) - ref))
+            if worst > drift_max:
+                return None, i + 1
+    return tuple(np.array([y[j] for y in ys]) for j in range(3)), None
+
+
+def _bounded_element(rng, c=1.0):
+    """Boosted spinning element with timelike momentum density, |pi| = 0.3 rho0 c."""
+    v = rng.uniform(-0.4, 0.4, 3)
+    u = np.array([c, *v]) / math.sqrt(1.0 - float(v @ v) / c ** 2)
+    P = frenkel_projector(u, c)
+    raw = rng.standard_normal((4, 4))
+    s = P @ (ETA @ (0.5 * (raw - raw.T))) @ P
+    rho0 = rng.uniform(0.5, 2.0)
+    pi = -(s @ (P @ rng.standard_normal(4))) / c ** 2
+    pi *= 0.3 * rho0 * c / math.sqrt(-float(pi @ ETA @ pi))
+    return WeyssenhoffElement(np.zeros(4), u, rho0 * (ETA @ u) + ETA @ pi, s, c=c)
+
+
+def _fallback_calls():
+    return mock.patch.object(weyssenhoff, "_svd_lstsq", wraps=weyssenhoff._svd_lstsq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([1.0, 2.0]),
+       kind=st.sampled_from(["on-manifold", "stage", "rank-4"]), size=st.floats(0.05, 1.0))
+def test_closure_matches_svd_oracle(seed, c, kind, size):
+    rng = np.random.default_rng(seed)
+    el = _bounded_element(rng, c)
+    u, s = el.u, el.s
+    if kind == "stage":
+        # a Runge-Kutta stage: off the Frenkel constraint, still of rank 2
+        a, pi, pi_low = weyssenhoff._acceleration(u, s, el.g, c, 1e-3, check=False)
+        h = 0.1 * size
+        u, s = u + h * a, s + h * weyssenhoff._sdot(pi, pi_low, u)
+    elif kind == "rank-4":
+        raw = rng.standard_normal((4, 4))
+        s = s + size * (ETA @ (raw - raw.T))
+    with _fallback_calls() as fallback:
+        a = weyssenhoff._acceleration(u, s, el.g, c, 1e-3, check=False)[0]
+    oracle = _oracle_acceleration(u, s, el.g, c)
+    assert np.abs(a - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert fallback.called == (kind == "rank-4")
+
+
+def test_closure_zero_spin():
+    u = np.array([1.0, 0, 0, 0])
+    a, pi, _ = weyssenhoff._acceleration(u, np.zeros((4, 4)), 1.3 * (ETA @ u), 1.0, 1e-3)
+    assert np.abs(pi).max() == 0.0
+    assert np.array_equal(a, np.zeros(4))
+    with pytest.raises(ClosureError):
+        weyssenhoff._acceleration(u, np.zeros((4, 4)), np.array([1.3, 0.2, 0, 0]), 1.0, 1e-3)
+
+
+def test_closure_rank_four_takes_fallback(rng):
+    el = _bounded_element(rng)
+    raw = rng.standard_normal((4, 4))
+    s = ETA @ (raw - raw.T)                     # generic antisymmetric: Pfaffian != 0
+    assert np.linalg.svd(s, compute_uv=False)[3] > 1e-3
+    with _fallback_calls() as fallback:
+        a = weyssenhoff._acceleration(el.u, s, el.g, el.c, 1e-3)[0]
+    assert fallback.call_count == 1
+    oracle = _oracle_acceleration(el.u, s, el.g, el.c)
+    assert np.abs(a - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_worldline_matches_oracle_rk4(rng):
+    el = _bounded_element(rng)
+    traj = integrate_worldline(el, 400, 0.01)
+    (xs, us, ss), _ = _oracle_worldline(el, 400, 0.01)
+    assert np.abs(traj.x - xs).max() <= 1e-12
+    assert np.abs(traj.u - us).max() <= 1e-12
+    assert np.abs(traj.s - ss).max() <= 1e-12
+    assert traj.diagnostics["closure_residual"].shape == (401,)
+    # off the constraint manifold the closure is solvable only up to the drift
+    assert traj.drift_summary()["closure_residual"] <= 1e-9
+
+
+def test_drift_gate_step_matches_oracle(rng):
+    el = _bounded_element(rng)
+    _, step = _oracle_worldline(el, 400, 0.05, drift_max=1e-7)
+    assert step is not None and step > 100
+    with pytest.raises(RuntimeError, match=f"at step {step}$"):
+        integrate_worldline(el, 400, 0.05, drift_max=1e-7)
+
+
+def test_drift_gate_precedes_a_later_closure_failure(rng):
+    el = _bounded_element(rng)
+    real = weyssenhoff._closure
+    calls = []
+
+    def failing(s, rhs):      # four closure solves per step: fail inside step 200
+        calls.append(None)
+        if len(calls) > 4 * 200:
+            raise ClosureError(1.0)
+        return real(s, rhs)
+
+    with mock.patch.object(weyssenhoff, "_closure", failing):
+        with pytest.raises(RuntimeError, match="at step 1$") as info:
+            integrate_worldline(el, 400, 0.05, drift_max=1e-14)
+        assert isinstance(info.value.__context__, ClosureError)
+        calls.clear()
+        with pytest.raises(ClosureError):
+            integrate_worldline(el, 400, 0.05, drift_max=1.0)
+
+
+def _rows_reference(traj):
+    """The per-record writer rows of the original implementation."""
+    for i in range(len(traj.tau)):
+        yield [float(traj.tau[i]), *map(float, traj.x[i]), *map(float, traj.u[i]),
+               *spin_components(traj.s[i]), float(traj.diagnostics["u_norm"][i]),
+               float(traj.diagnostics["frenkel"][i]),
+               float(traj.diagnostics["spin_invariant"][i])]
+
+
+def test_writers_match_per_record_reference(tmp_path, rng):
+    traj = integrate_worldline(_bounded_element(rng), 30, 0.01)
+    traj.s[1] = -0.0
+    traj.s[2, 1, 2] = np.nan
+    traj.write_csv(tmp_path / "t.csv")
+    traj.write_json(tmp_path / "t.json")
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(repr(v) for v in row) for row in _rows_reference(traj)]
+    payload = json.loads((tmp_path / "t.json").read_text())
+    records = [{"tau": r[0], "x": r[1:5], "u": r[5:9], "s": r[9:15], "drift_u2": r[15],
+                "drift_frenkel": r[16], "spin_invariant": r[17]} for r in _rows_reference(traj)]
+    assert json.dumps(payload["records"], sort_keys=True) == json.dumps(records, sort_keys=True)
+
+
+def test_json_summary_reports_run_and_regime(tmp_path, rng):
+    el = _bounded_element(rng)
+    traj = integrate_worldline(el, 20, 0.01, project=True, solver_tol=1e-4)
+    traj.write_json(tmp_path / "t.json")
+    payload = json.loads((tmp_path / "t.json").read_text())
+    assert payload["run"] == {"steps": 20, "dtau": 0.01, "project": True, "solver_tol": 1e-4}
+    sp = split_momentum(el.g, el.u, el.c)
+    assert payload["regime"] == {"mu0_defined": True, "g_square": sp.g_square}
+    assert set(payload["drift_summary"]) == {"u_norm", "frenkel", "spin_invariant",
+                                             "closure_residual"}
