@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .minkowski import ETA, four_vector
+from .minkowski import four_vector, lowered_antisymmetry_defect
 from .poincare import AffineFrame, PoincareElement
 
 
@@ -27,8 +27,7 @@ class AlgebraElement:
 
     def lorentz_defect(self) -> float:
         """Max-norm antisymmetry defect of the index-lowered w (zero on so(1,3))."""
-        low = ETA @ self.w
-        return float(np.abs(low + low.T).max())
+        return lowered_antisymmetry_defect(self.w)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.v + other.v, self.w + other.w)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 
@@ -45,22 +46,39 @@ def _grids(text: str, source: str) -> tuple:
     return grids
 
 
+def _steps(value, source: str) -> int:
+    if int(value) < 0:
+        raise ValueError(f"{source} needs a step count >= 0, got {value}")
+    return int(value)
+
+
+def _dtau(value, source: str) -> float:
+    if not math.isfinite(float(value)):
+        raise ValueError(f"{source} needs a finite step size, got {value}")
+    return float(value)
+
+
+def _step_overrides(args, options: dict) -> dict:
+    """Apply --steps and --dtau over the config values."""
+    if args.steps is not None:
+        options["steps"] = _steps(args.steps, "--steps")
+    if args.dtau is not None:
+        options["dtau"] = _dtau(args.dtau, "--dtau")
+    return options
+
+
 def _suite_options(cfg, args) -> dict:
     options = {}
     if cfg.has_section("forms"):
         if cfg.has_option("forms", "grids"):
             options["grids"] = _grids(cfg.get("forms", "grids"), "[forms] grids")
     if cfg.has_section("worldline"):
-        for key, cast in (("steps", int), ("dtau", float)):
+        for key, cast in (("steps", _steps), ("dtau", _dtau)):
             if cfg.has_option("worldline", key):
-                options[key] = cast(cfg.get("worldline", key))
+                options[key] = cast(cfg.get("worldline", key), f"[worldline] {key}")
     if args.grid is not None:
         options["grids"] = _grids(args.grid, "--grid")
-    if args.steps is not None:
-        options["steps"] = args.steps
-    if args.dtau is not None:
-        options["dtau"] = args.dtau
-    return options
+    return _step_overrides(args, options)
 
 
 def _print_report(report: suites.SuiteReport, stream=sys.stdout):
@@ -111,8 +129,8 @@ def _element_from_config(cfg) -> tuple:
         g = rho0 * (ETA @ u)
     element = weyssenhoff.WeyssenhoffElement(x, u, g, s, c=c)
     params = {
-        "steps": int(sec.get("steps", "1000")),
-        "dtau": float(sec.get("dtau", "0.01")),
+        "steps": _steps(sec.get("steps", "1000"), "[worldline] steps"),
+        "dtau": _dtau(sec.get("dtau", "0.01"), "[worldline] dtau"),
         "project": sec.get("projection", "off").lower() in ("on", "true", "1", "yes"),
         "solver_tol": float(sec.get("solver_tol", "1e-3")),
         "invariant_tol": float(sec.get("invariant_tol", "1e-9")),
@@ -133,10 +151,11 @@ def _run_simulation(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: bad worldline config: {exc}", file=sys.stderr)
         return 2
-    if args.steps is not None:
-        params["steps"] = args.steps
-    if args.dtau is not None:
-        params["dtau"] = args.dtau
+    try:
+        _step_overrides(args, params)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         element.validate(params["invariant_tol"])
     except ValueError as exc:

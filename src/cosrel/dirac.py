@@ -80,7 +80,7 @@ EPS_UP.setflags(write=False)
 def slash(p) -> np.ndarray:
     """gamma^mu p_mu for a contravariant 4-vector p."""
     p_low = ETA @ np.asarray(p, dtype=float)
-    return np.einsum("m,mab->ab", p_low, GAMMA_UP.astype(_C))
+    return np.einsum("m,mab->ab", p_low, GAMMA_UP)
 
 
 @dataclass(frozen=True)
@@ -214,10 +214,10 @@ def dirac_residual(state, x) -> float:
     """Norm of i gamma^mu d_mu psi - kappa psi, and of the conjugate equation."""
     psi = state.psi(x)
     dpsi = state.dpsi(x)
-    lhs = 1j * np.einsum("mab,bm->a", GAMMA_UP.astype(_C), dpsi) - state.kappa * psi
+    lhs = 1j * np.einsum("mab,bm->a", GAMMA_UP, dpsi) - state.kappa * psi
     psibar = _psibar(state, x)
     dpsibar = _dpsibar(state, x)
-    lhs_bar = 1j * np.einsum("ma,mab->b", dpsibar, GAMMA_UP.astype(_C)) + state.kappa * psibar
+    lhs_bar = 1j * np.einsum("ma,mab->b", dpsibar, GAMMA_UP) + state.kappa * psibar
     return float(max(np.linalg.norm(lhs), np.linalg.norm(lhs_bar)))
 
 
@@ -233,7 +233,7 @@ def current_j(state, x, tol: float = 1e-13) -> np.ndarray:
     """Probability/number current hbar c psibar gamma^mu psi (real four-vector)."""
     psibar = _psibar(state, x)
     psi = state.psi(x)
-    j = state.hbar * state.c * np.einsum("a,mab,b->m", psibar, GAMMA_UP.astype(_C), psi)
+    j = state.hbar * state.c * np.einsum("a,mab,b->m", psibar, GAMMA_UP, psi)
     return _real_checked(j, tol, "vector current")
 
 
@@ -241,8 +241,8 @@ def dcurrent_j(state, x) -> np.ndarray:
     """Analytic d_sigma j^mu, laid out [sigma, mu]."""
     psibar, psi = _psibar(state, x), state.psi(x)
     dpsi, dpsibar = state.dpsi(x), _dpsibar(state, x)
-    dj = state.hbar * state.c * (np.einsum("sa,mab,b->sm", dpsibar, GAMMA_UP.astype(_C), psi)
-                                 + np.einsum("a,mab,bs->sm", psibar, GAMMA_UP.astype(_C), dpsi))
+    dj = state.hbar * state.c * (np.einsum("sa,mab,b->sm", dpsibar, GAMMA_UP, psi)
+                                 + np.einsum("a,mab,bs->sm", psibar, GAMMA_UP, dpsi))
     return dj.real
 
 
@@ -261,8 +261,8 @@ def energy_momentum(state, x, tol: float = 1e-12) -> np.ndarray:
     psibar, psi = _psibar(state, x), state.psi(x)
     dpsi, dpsibar = state.dpsi(x), _dpsibar(state, x)
     T = 0.5j * state.hbar * state.c * (
-        np.einsum("a,mab,bn->mn", psibar, GAMMA_UP.astype(_C), dpsi)
-        - np.einsum("na,mab,b->mn", dpsibar, GAMMA_UP.astype(_C), psi))
+        np.einsum("a,mab,bn->mn", psibar, GAMMA_UP, dpsi)
+        - np.einsum("na,mab,b->mn", dpsibar, GAMMA_UP, psi))
     return _real_checked(T, tol, "energy-momentum tensor")
 
 
@@ -272,12 +272,11 @@ def denergy_momentum(state, x) -> np.ndarray:
     dpsi, dpsibar = state.dpsi(x), _dpsibar(state, x)
     d2 = state.d2psi(x)
     d2bar = np.einsum("anm,ab->nmb", d2.conj(), GAMMA_UP[0])
-    G = GAMMA_UP.astype(_C)
     dT = 0.5j * state.hbar * state.c * (
-        np.einsum("sa,mab,bn->smn", dpsibar, G, dpsi)
-        + np.einsum("a,mab,bns->smn", psibar, G, d2)
-        - np.einsum("nsa,mab,b->smn", d2bar, G, psi)
-        - np.einsum("na,mab,bs->smn", dpsibar, G, dpsi))
+        np.einsum("sa,mab,bn->smn", dpsibar, GAMMA_UP, dpsi)
+        + np.einsum("a,mab,bns->smn", psibar, GAMMA_UP, d2)
+        - np.einsum("nsa,mab,b->smn", d2bar, GAMMA_UP, psi)
+        - np.einsum("na,mab,bs->smn", dpsibar, GAMMA_UP, dpsi))
     return dT.real
 
 
@@ -308,8 +307,7 @@ def spin_tensor(state, x, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
         "a,lmnab,b->lmn", psibar, _SPIN_KERNEL, psi)
     S3 = _real_checked(S3, tol, "spin tensor")
     reduced = -0.25j * state.hbar * state.c * np.einsum(
-        "a,mab,lbc,ncd,d->lmn", psibar, GAMMA_UP.astype(_C), GAMMA_UP.astype(_C),
-        GAMMA_DN.astype(_C), psi)
+        "a,mab,lbc,ncd,d->lmn", psibar, GAMMA_UP, GAMMA_UP, GAMMA_DN, psi)
     scale = max(1.0, float(np.abs(S3).max()))
     mismatch = float(np.abs(reduced.real - S3).max())
     if mismatch > tol * scale:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import KinematicalState, is_integrable
-from .lattice import Lattice
-from .minkowski import ETA
+from .kinematics import KinematicalState, is_integrable, jet_action, jet_slot_shapes, jet_slots
+from .lattice import Lattice, central_difference
+from .minkowski import ETA, lowered_antisymmetry_defect
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -29,14 +29,7 @@ class DynamicalState:
     """Fundamental 1-form components (body force, couple, stress, couple-stress)."""
 
     def __init__(self, lattice: Lattice, F, M, sigma, mu):
-        p = lattice.p
-        F = np.asarray(F, dtype=float)
-        M = np.asarray(M, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        if F.shape != lattice.shape + (4,) or M.shape != lattice.shape + (4, 4) \
-                or sigma.shape != lattice.shape + (p, 4) or mu.shape != lattice.shape + (p, 4, 4):
-            raise ValueError("dynamical state arrays do not match the lattice")
+        F, M, sigma, mu = jet_slots(lattice, F, M, sigma, mu, "dynamical state")
         for name, arr in (("F", F), ("M", M), ("sigma", sigma), ("mu", mu)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
@@ -45,9 +38,7 @@ class DynamicalState:
 
     @classmethod
     def zeros(cls, lattice: Lattice) -> "DynamicalState":
-        p = lattice.p
-        return cls(lattice, np.zeros(lattice.shape + (4,)), np.zeros(lattice.shape + (4, 4)),
-                   np.zeros(lattice.shape + (p, 4)), np.zeros(lattice.shape + (p, 4, 4)))
+        return cls(lattice, *map(np.zeros, jet_slot_shapes(lattice)))
 
 
 @dataclass
@@ -70,10 +61,7 @@ class EulerianVariation:
     dIj: np.ndarray
 
     def antisymmetry_defect(self) -> float:
-        low = np.einsum("ij,...jk->...ik", ETA, self.dI)
-        d = np.abs(low + np.swapaxes(low, -1, -2)).max()
-        lowj = np.einsum("ij,...ajk->...aik", ETA, self.dIj)
-        return float(max(d, np.abs(lowj + np.swapaxes(lowj, -1, -2)).max()))
+        return max(lowered_antisymmetry_defect(self.dI), lowered_antisymmetry_defect(self.dIj))
 
 
 def barred_moments(phi: DynamicalState, s: KinematicalState) -> tuple[np.ndarray, np.ndarray]:
@@ -97,13 +85,8 @@ def barred_moments(phi: DynamicalState, s: KinematicalState) -> tuple[np.ndarray
 
 def lagrangian_of(var: EulerianVariation, s: KinematicalState) -> LagrangianVariation:
     """Natural-slot variation generated by a co-moving variation on the state s."""
-    dx = var.dxi + np.einsum("...ij,...j->...i", var.dI, s.x)
-    de = np.einsum("...ij,...jk->...ik", var.dI, s.e)
-    dxj = var.dxij + np.einsum("...aij,...j->...ai", var.dIj, s.x) \
-        + np.einsum("...ij,...aj->...ai", var.dI, s.xj)
-    dej = np.einsum("...aij,...jk->...aik", var.dIj, s.e) \
-        + np.einsum("...ij,...ajk->...aik", var.dI, s.ej)
-    return LagrangianVariation(dx, de, dxj, dej)
+    return LagrangianVariation(*jet_action((var.dxi, var.dI, var.dxij, var.dIj),
+                                           (s.x, s.e, s.xj, s.ej)))
 
 
 def virtual_work_density(phi: DynamicalState, s: KinematicalState, var) -> np.ndarray:
@@ -259,24 +242,8 @@ def phi_from_lagrangian(lagrangian, s: KinematicalState, rel_step: float = 1e-6)
     `lagrangian(x, e, xj, ej)` must be vectorized over the grid and return a
     scalar field; partials use central differences with a relative step.
     """
-    lat = s.lattice
-
-    def diff(arrs, which, tail_index):
-        plus = [a.copy() if i == which else a for i, a in enumerate(arrs)]
-        minus = [a.copy() if i == which else a for i, a in enumerate(arrs)]
-        sel = (Ellipsis,) + tail_index
-        h = rel_step * np.maximum(1.0, np.abs(arrs[which][sel]))
-        plus[which][sel] += h
-        minus[which][sel] -= h
-        return (lagrangian(*plus) - lagrangian(*minus)) / (2.0 * h)
-
-    arrs = [s.x, s.e, s.xj, s.ej]
-    F = np.stack([diff(arrs, 0, (m,)) for m in range(4)], axis=-1)
-    M = np.stack([np.stack([diff(arrs, 1, (m, n)) for n in range(4)], axis=-1)
-                  for m in range(4)], axis=-2)
-    sigma = np.stack([np.stack([diff(arrs, 2, (a, m)) for m in range(4)], axis=-1)
-                      for a in range(lat.p)], axis=-2)
-    mu = np.stack([np.stack([np.stack([diff(arrs, 3, (a, m, n)) for n in range(4)], axis=-1)
-                             for m in range(4)], axis=-2)
-                   for a in range(lat.p)], axis=-3)
-    return DynamicalState(lat, F, M, sigma, mu)
+    slots = [s.x, s.e, s.xj, s.ej]
+    return DynamicalState(s.lattice, *(
+        central_difference(lambda y, i=i: lagrangian(*slots[:i], y, *slots[i + 1:]),
+                           slots[i], slots[i].ndim - s.lattice.p, rel_step)
+        for i in range(4)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import Lattice, read_grid, write_grid
-from .minkowski import ETA, lorentz_adjoint, lorentz_defect
+from .minkowski import lorentz_adjoint, lorentz_defect, lowered_antisymmetry_defect
 
 
 def _check_lorentz_field(e: np.ndarray, tol: float, what: str):
@@ -19,39 +19,45 @@ def _check_lorentz_field(e: np.ndarray, tol: float, what: str):
         raise ValueError(f"{what} is not Lorentz everywhere: defect {defect:.3e}")
 
 
+def jet_slot_shapes(lattice: Lattice) -> tuple:
+    """Shapes of the four 1-jet slot arrays: lattice axes, then (4,), (4, 4), (p, 4), (p, 4, 4)."""
+    p = lattice.p
+    return tuple(lattice.shape + tail for tail in ((4,), (4, 4), (p, 4), (p, 4, 4)))
+
+
+def jet_slots(lattice: Lattice, x, e, xj, ej, what: str) -> tuple:
+    """The four 1-jet slots as float arrays; any wrong shape is refused."""
+    slots = tuple(np.asarray(arr, dtype=float) for arr in (x, e, xj, ej))
+    if any(arr.shape != shape for arr, shape in zip(slots, jet_slot_shapes(lattice))):
+        raise ValueError(f"{what} arrays do not match the lattice")
+    return slots
+
+
+def jet_action(g: tuple, s: tuple) -> tuple:
+    """(a, L, a_a, L_a) . (x, e, x_a, e_a): the left action, jets by the Leibniz rule."""
+    a, L, aj, Lj = g
+    x, e, xj, ej = s
+    return (a + np.einsum("...ij,...j->...i", L, x),
+            np.einsum("...ij,...jk->...ik", L, e),
+            aj + np.einsum("...aij,...j->...ai", Lj, x) + np.einsum("...ij,...aj->...ai", L, xj),
+            np.einsum("...aij,...jk->...aik", Lj, e) + np.einsum("...ij,...ajk->...aik", L, ej))
+
+
 class KinematicalState:
     """1-jet section (x, e, x_a, e_a) over the body lattice."""
 
     def __init__(self, lattice: Lattice, x, e, xj, ej, tol: float = 1e-8):
-        p = lattice.p
-        x = np.asarray(x, dtype=float)
-        e = np.asarray(e, dtype=float)
-        xj = np.asarray(xj, dtype=float)
-        ej = np.asarray(ej, dtype=float)
-        if x.shape != lattice.shape + (4,) or e.shape != lattice.shape + (4, 4) \
-                or xj.shape != lattice.shape + (p, 4) or ej.shape != lattice.shape + (p, 4, 4):
-            raise ValueError("state arrays do not match the lattice")
+        x, e, xj, ej = jet_slots(lattice, x, e, xj, ej, "state")
         _check_lorentz_field(e, tol, "frame field")
         self.lattice = lattice
         self.x, self.e, self.xj, self.ej = x, e, xj, ej
-
-    def copy(self) -> "KinematicalState":
-        return KinematicalState(self.lattice, self.x.copy(), self.e.copy(),
-                                self.xj.copy(), self.ej.copy())
 
 
 class DisplacementField:
     """Jet-valued Poincare displacement section (a, L, a_a, L_a)."""
 
     def __init__(self, lattice: Lattice, a, L, aj, Lj, tol: float = 1e-8):
-        p = lattice.p
-        a = np.asarray(a, dtype=float)
-        L = np.asarray(L, dtype=float)
-        aj = np.asarray(aj, dtype=float)
-        Lj = np.asarray(Lj, dtype=float)
-        if a.shape != lattice.shape + (4,) or L.shape != lattice.shape + (4, 4) \
-                or aj.shape != lattice.shape + (p, 4) or Lj.shape != lattice.shape + (p, 4, 4):
-            raise ValueError("displacement arrays do not match the lattice")
+        a, L, aj, Lj = jet_slots(lattice, a, L, aj, Lj, "displacement")
         _check_lorentz_field(L, tol, "displacement Lorentz field")
         self.lattice = lattice
         self.a, self.L, self.aj, self.Lj = a, L, aj, Lj
@@ -66,8 +72,7 @@ class EulerianDisplacement:
         self.omega = np.asarray(omega, dtype=float)
 
     def antisymmetry_defect(self) -> float:
-        low = np.einsum("ij,...ajk->...aik", ETA, self.omega)
-        return float(np.abs(low + np.swapaxes(low, -1, -2)).max())
+        return lowered_antisymmetry_defect(self.omega)
 
 
 def prolong(lattice: Lattice, fn, tol: float = 1e-8) -> KinematicalState:
@@ -85,19 +90,15 @@ def is_integrable(s: KinematicalState, tol: float = 1e-6) -> tuple[bool, float]:
 
 
 def identity_displacement(lattice: Lattice) -> DisplacementField:
-    p = lattice.p
-    L = np.broadcast_to(np.eye(4), lattice.shape + (4, 4)).copy()
-    return DisplacementField(lattice, np.zeros(lattice.shape + (4,)), L,
-                             np.zeros(lattice.shape + (p, 4)), np.zeros(lattice.shape + (p, 4, 4)))
+    return constant_displacement(lattice, np.zeros(4), np.eye(4))
 
 
 def constant_displacement(lattice: Lattice, a, L) -> DisplacementField:
     """Rigid displacement: one Poincare element applied at every point, zero jets."""
-    p = lattice.p
-    af = np.broadcast_to(np.asarray(a, dtype=float), lattice.shape + (4,)).copy()
-    Lf = np.broadcast_to(np.asarray(L, dtype=float), lattice.shape + (4, 4)).copy()
-    return DisplacementField(lattice, af, Lf,
-                             np.zeros(lattice.shape + (p, 4)), np.zeros(lattice.shape + (p, 4, 4)))
+    shapes = jet_slot_shapes(lattice)
+    af = np.broadcast_to(np.asarray(a, dtype=float), shapes[0]).copy()
+    Lf = np.broadcast_to(np.asarray(L, dtype=float), shapes[1]).copy()
+    return DisplacementField(lattice, af, Lf, np.zeros(shapes[2]), np.zeros(shapes[3]))
 
 
 def displacement_from_function(lattice: Lattice, fn, jets_fn=None, tol: float = 1e-8) -> DisplacementField:
@@ -114,13 +115,8 @@ def deform(chi: DisplacementField, s0: KinematicalState, tol: float = 1e-8) -> K
     """Left action of the displacement on the state, jets by the differentiated action."""
     if chi.lattice != s0.lattice:
         raise ValueError("displacement and state live on different lattices")
-    x = chi.a + np.einsum("...ij,...j->...i", chi.L, s0.x)
-    e = np.einsum("...ij,...jk->...ik", chi.L, s0.e)
-    xj = chi.aj + np.einsum("...aij,...j->...ai", chi.Lj, s0.x) \
-        + np.einsum("...ij,...aj->...ai", chi.L, s0.xj)
-    ej = np.einsum("...aij,...jk->...aik", chi.Lj, s0.e) \
-        + np.einsum("...ij,...ajk->...aik", chi.L, s0.ej)
-    return KinematicalState(s0.lattice, x, e, xj, ej, tol=tol)
+    return KinematicalState(s0.lattice, *jet_action((chi.a, chi.L, chi.aj, chi.Lj),
+                                                    (s0.x, s0.e, s0.xj, s0.ej)), tol=tol)
 
 
 def compose_displacements(c2: DisplacementField, c1: DisplacementField,
@@ -128,13 +124,8 @@ def compose_displacements(c2: DisplacementField, c1: DisplacementField,
     """Pointwise jet-group product: the displacement acting like c2 after c1."""
     if c2.lattice != c1.lattice:
         raise ValueError("displacements live on different lattices")
-    a = c2.a + np.einsum("...ij,...j->...i", c2.L, c1.a)
-    L = np.einsum("...ij,...jk->...ik", c2.L, c1.L)
-    aj = c2.aj + np.einsum("...aij,...j->...ai", c2.Lj, c1.a) \
-        + np.einsum("...ij,...aj->...ai", c2.L, c1.aj)
-    Lj = np.einsum("...aij,...jk->...aik", c2.Lj, c1.L) \
-        + np.einsum("...ij,...ajk->...aik", c2.L, c1.Lj)
-    return DisplacementField(c2.lattice, a, L, aj, Lj, tol=tol)
+    return DisplacementField(c2.lattice, *jet_action((c2.a, c2.L, c2.aj, c2.Lj),
+                                                     (c1.a, c1.L, c1.aj, c1.Lj)), tol=tol)
 
 
 def eulerian_of(chi: DisplacementField) -> EulerianDisplacement:

@@ -5,6 +5,8 @@ lattice holds C(p,k) independent components per point, each with scalar, 4-vecto
 or 4x4-matrix values.  Derivatives use second-order central stencils on the
 interior and second-order one-sided stencils on the boundary (np.gradient with
 edge_order=2); identity checks are asserted on interior points only.
+Derivatives of closures are taken by `central_difference`, the one
+finite-difference rule of the package.
 """
 
 from __future__ import annotations
@@ -78,6 +80,26 @@ class Lattice:
         return np.stack([self.gradient(data, a) for a in range(self.p)], axis=self.p)
 
 
+def central_difference(fn, x, ndim: int, step: float) -> np.ndarray:
+    """Central differences of fn in the last ndim axes of x, stacked after fn's value axes.
+
+    Each entry x_i is moved by h = step * max(1, |x_i|), separately at every
+    index of the leading axes of x, which fn's value must broadcast against.
+    """
+    x = np.asarray(x, dtype=float)
+    tail = x.shape[x.ndim - ndim:]
+    cols = []
+    for idx in np.ndindex(*tail):
+        sel = (Ellipsis,) + idx
+        h = step * np.maximum(1.0, np.abs(x[sel]))
+        xp, xm = x.copy(), x.copy()
+        xp[sel] += h
+        xm[sel] -= h
+        cols.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2.0 * h))
+    out = np.stack(cols, axis=-1)
+    return out.reshape(out.shape[:-1] + tail)
+
+
 def multi_indices(p: int, k: int) -> tuple:
     """Strictly increasing k-multi-indices over axes 0..p-1, lexicographic."""
     return tuple(itertools.combinations(range(p), k))
@@ -123,9 +145,6 @@ class FormField:
 
     def max_norm(self) -> float:
         return float(np.abs(self.data).max())
-
-    def copy(self) -> "FormField":
-        return FormField(self.lattice, self.degree, self.data.copy())
 
     def __add__(self, other: "FormField") -> "FormField":
         self._check_compatible(other)

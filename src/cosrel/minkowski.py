@@ -68,6 +68,12 @@ def lorentz_defect(L) -> float:
     return float(np.abs(np.swapaxes(L, -1, -2) @ ETA @ L - ETA).max())
 
 
+def lowered_antisymmetry_defect(w) -> float:
+    """Max-norm of eta w + (eta w)^T over a (..., 4, 4) stack (zero iff every w is in so(1,3))."""
+    low = ETA @ np.asarray(w, dtype=float)
+    return float(np.abs(low + np.swapaxes(low, -1, -2)).max())
+
+
 def is_lorentz(L, tol: float = DEFAULT_TOL) -> bool:
     return lorentz_defect(L) <= tol
 

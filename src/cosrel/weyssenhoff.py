@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .minkowski import ETA
+from .lattice import central_difference
+from .minkowski import ETA, lowered_antisymmetry_defect
 
 #: row-major upper-triangle order of the six independent lowered spin components
 SPIN_COMPONENTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -53,11 +54,10 @@ class WeyssenhoffElement:
         self.s = np.asarray(self.s, dtype=float).reshape(4, 4)
 
     def invariant_defects(self) -> dict:
-        s_low = ETA @ self.s
         return {
             "u_norm": abs(float(self.u @ ETA @ self.u) - self.c ** 2),
             "frenkel": float(np.abs(self.s @ self.u).max()),
-            "spin_antisymmetry": float(np.abs(s_low + s_low.T).max()),
+            "spin_antisymmetry": lowered_antisymmetry_defect(self.s),
         }
 
     def validate(self, tol: float = 1e-9):
@@ -111,19 +111,6 @@ def stress_tensors(element: WeyssenhoffElement) -> StressTensors:
                          float(g @ u))
 
 
-def _central_jacobian(fn, x, step: float) -> np.ndarray:
-    """Central differences of fn at x, derivative index last; h = step * max(1, |x_sig|)."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for sig in range(4):
-        h = step * max(1.0, abs(x[sig]))
-        xp, xm = x.copy(), x.copy()
-        xp[sig] += h
-        xm[sig] -= h
-        cols.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2 * h))
-    return np.stack(cols, axis=-1)
-
-
 class FlowField:
     """Analytic flow closures u(x), g(x), s(x) with optional analytic Jacobians.
 
@@ -148,13 +135,13 @@ class FlowField:
         return np.asarray(self.s(x), dtype=float)
 
     def du_at(self, x):
-        return np.asarray(self._du(x), dtype=float) if self._du else _central_jacobian(self.u, x, self.fd_step)
+        return np.asarray(self._du(x), dtype=float) if self._du else central_difference(self.u, x, 1, self.fd_step)
 
     def dg_at(self, x):
-        return np.asarray(self._dg(x), dtype=float) if self._dg else _central_jacobian(self.g, x, self.fd_step)
+        return np.asarray(self._dg(x), dtype=float) if self._dg else central_difference(self.g, x, 1, self.fd_step)
 
     def ds_at(self, x):
-        return np.asarray(self._ds(x), dtype=float) if self._ds else _central_jacobian(self.s, x, self.fd_step)
+        return np.asarray(self._ds(x), dtype=float) if self._ds else central_difference(self.s, x, 1, self.fd_step)
 
     def element_at(self, x, tol: float = None) -> "WeyssenhoffElement":
         """Sample the flow as a fluid element; validates the pointwise invariants."""
@@ -198,8 +185,8 @@ def density_derivative(f, flow: FlowField, x, grad_f=None, fd_step: float = 1e-6
     def product(y):
         return f(y) * np.asarray(flow.u(y), dtype=float)
 
-    div_form = sum(np.diagonal(_central_jacobian(product, x, fd_step)))  # trace, summed in axis order
-    df = _central_jacobian(f, x, fd_step) if grad_f is None else np.asarray(grad_f(x), dtype=float)
+    div_form = sum(np.diagonal(central_difference(product, x, 1, fd_step)))  # trace, summed in axis order
+    df = central_difference(f, x, 1, fd_step) if grad_f is None else np.asarray(grad_f(x), dtype=float)
     u = flow.u_at(x)
     chi_k = float(np.trace(flow.du_at(x)))
     comoving_form = float(u @ df) + chi_k * f(x)

@@ -16,3 +16,9 @@ def series_exp(A, terms=30):
         term = term @ A / k
         out = out + term
     return out
+
+
+def same_bits(got, want) -> bool:
+    """Equal shape, dtype and bytes: a bit-for-bit comparison that tells -0.0 from 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import cosrel
 from cosrel.cli import main
 
 
@@ -12,6 +13,9 @@ def _run(args, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    # the child imports the same cosrel as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cosrel.__file__))
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full_env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "cosrel.cli", *args],
                           capture_output=True, text=True, env=full_env)
 
@@ -139,3 +143,31 @@ def test_bad_config_grids_are_usage_error(tmp_path, grids, capsys):
     assert main(["--suite", "forms", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [forms] grids") and err.count("\n") == 1
+
+
+_STEP_MODES = [["--suite", "weyssenhoff"], ["--simulate", "weyssenhoff-worldline"]]
+
+
+@pytest.mark.parametrize("mode", _STEP_MODES)
+@pytest.mark.parametrize("flag", ["--steps=-1", "--steps=-3", "--dtau=nan", "--dtau=inf", "--dtau=-inf"])
+def test_bad_step_flag_is_usage_error(tmp_path, mode, flag, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\n")
+    out = tmp_path / "t.csv"
+    assert main([*mode, "--config", str(cfg), "--output", str(out), flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag.split('=')[0]} needs") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", _STEP_MODES)
+@pytest.mark.parametrize("line", ["steps = -1", "dtau = nan", "dtau = -inf"])
+def test_bad_config_step_is_usage_error(tmp_path, mode, line, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(f"[worldline]\nu = 1 0 0 0\n{line}\n")
+    out = tmp_path / "t.csv"
+    assert main([*mode, "--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"[worldline] {line.split()[0]} needs" in err
+    assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import series_exp
+from conftest import same_bits, series_exp
 from cosrel.algebra import boost_matrix_generator, rotation_matrix_generator
 from cosrel.dynamics import (DynamicalState, EulerianVariation, barred_moments,
                              cosserat_residual, direct_virtual_work, dressed_couple_stress,
@@ -502,3 +502,58 @@ def _bump_state_1d(lat):
         x = np.array([point[0], 0.2 * np.sin(point[0]), 0, 0.1 * point[0]])
         return x, series_exp(0.3 * np.sin(point[0]) * J3)
     return prolong(lat, fn)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lagrangian_of_pinned_to_inline_formulas(p):
+    lat = _unit_lattice(p, 4)
+    rng = np.random.default_rng(50 + p)
+    s = _bump_state(lat)
+    var = _random_variation(lat, rng)
+    got = lagrangian_of(var, s)
+    dx = var.dxi + np.einsum("...ij,...j->...i", var.dI, s.x)
+    de = np.einsum("...ij,...jk->...ik", var.dI, s.e)
+    dxj = var.dxij + np.einsum("...aij,...j->...ai", var.dIj, s.x) \
+        + np.einsum("...ij,...aj->...ai", var.dI, s.xj)
+    dej = np.einsum("...aij,...jk->...aik", var.dIj, s.e) \
+        + np.einsum("...ij,...ajk->...aik", var.dI, s.ej)
+    assert all(same_bits(g, w) for g, w in zip((got.dx, got.de, got.dxj, got.dej),
+                                                (dx, de, dxj, dej)))
+
+
+def _reference_phi(lagrangian, s, rel_step=1e-6):
+    """The central-difference closure phi_from_lagrangian() used before the shared helper."""
+    def diff(arrs, which, tail_index):
+        plus = [a.copy() if i == which else a for i, a in enumerate(arrs)]
+        minus = [a.copy() if i == which else a for i, a in enumerate(arrs)]
+        sel = (Ellipsis,) + tail_index
+        h = rel_step * np.maximum(1.0, np.abs(arrs[which][sel]))
+        plus[which][sel] += h
+        minus[which][sel] -= h
+        return (lagrangian(*plus) - lagrangian(*minus)) / (2.0 * h)
+
+    p = s.lattice.p
+    arrs = [s.x, s.e, s.xj, s.ej]
+    F = np.stack([diff(arrs, 0, (m,)) for m in range(4)], axis=-1)
+    M = np.stack([np.stack([diff(arrs, 1, (m, n)) for n in range(4)], axis=-1)
+                  for m in range(4)], axis=-2)
+    sigma = np.stack([np.stack([diff(arrs, 2, (a, m)) for m in range(4)], axis=-1)
+                      for a in range(p)], axis=-2)
+    mu = np.stack([np.stack([np.stack([diff(arrs, 3, (a, m, n)) for n in range(4)], axis=-1)
+                             for m in range(4)], axis=-2)
+                   for a in range(p)], axis=-3)
+    return F, M, sigma, mu
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_phi_from_lagrangian_pinned_to_inline_differences(p):
+    lat = Lattice((4,) * p, (0.7,) * p, (-1.5,) * p)  # coordinates on both sides of |x| = 1
+    s = _bump_state(lat)
+
+    def L(x, e, xj, ej):
+        return (np.sin(x).sum(-1) + (e ** 2).sum((-1, -2)) * np.cos(xj).sum((-1, -2))
+                + (ej ** 3).sum((-1, -2, -3)))
+
+    got = phi_from_lagrangian(L, s)
+    want = _reference_phi(L, s)
+    assert all(same_bits(g, w) for g, w in zip((got.F, got.M, got.sigma, got.mu), want))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import series_exp
+from conftest import same_bits, series_exp
 from cosrel.algebra import boost_matrix_generator, rotation_matrix_generator
 from cosrel.deformation import GroupField, nabla_group
+from cosrel.dynamics import DynamicalState
 from cosrel.kinematics import (DisplacementField, KinematicalState, compose_displacements,
                                constant_displacement, deform, displacement_from_function,
                                eulerian_deform, eulerian_of, identity_displacement,
@@ -268,3 +269,51 @@ def test_state_io_roundtrip(tmp_path):
     assert np.array_equal(back.e, s.e)
     assert np.array_equal(back.xj, s.xj)
     assert np.array_equal(back.ej, s.ej)
+
+
+def _reference_action(a, L, aj, Lj, x, e, xj, ej):
+    """The inline 1-jet action formulas deform() and compose_displacements() replaced."""
+    x2 = a + np.einsum("...ij,...j->...i", L, x)
+    e2 = np.einsum("...ij,...jk->...ik", L, e)
+    xj2 = aj + np.einsum("...aij,...j->...ai", Lj, x) \
+        + np.einsum("...ij,...aj->...ai", L, xj)
+    ej2 = np.einsum("...aij,...jk->...aik", Lj, e) \
+        + np.einsum("...ij,...ajk->...aik", L, ej)
+    return x2, e2, xj2, ej2
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_deform_and_compose_pinned_to_inline_formulas(p):
+    lat = _unit_lattice(p, 4)
+    rng = np.random.default_rng(40 + p)
+    s0 = _random_state(lat, rng)
+    c1, c2 = _random_displacement(lat, rng), _random_displacement(lat, rng)
+    s1 = deform(c1, s0, tol=1e-6)
+    want = _reference_action(c1.a, c1.L, c1.aj, c1.Lj, s0.x, s0.e, s0.xj, s0.ej)
+    assert all(same_bits(g, w) for g, w in zip((s1.x, s1.e, s1.xj, s1.ej), want))
+    c21 = compose_displacements(c2, c1, tol=1e-6)
+    want = _reference_action(c2.a, c2.L, c2.aj, c2.Lj, c1.a, c1.L, c1.aj, c1.Lj)
+    assert all(same_bits(g, w) for g, w in zip((c21.a, c21.L, c21.aj, c21.Lj), want))
+
+
+def test_identity_displacement_pinned():
+    lat = _unit_lattice(2, 4)
+    chi = identity_displacement(lat)
+    want = (np.zeros(lat.shape + (4,)), np.broadcast_to(np.eye(4), lat.shape + (4, 4)),
+            np.zeros(lat.shape + (2, 4)), np.zeros(lat.shape + (2, 4, 4)))
+    assert all(same_bits(g, w) for g, w in zip((chi.a, chi.L, chi.aj, chi.Lj), want))
+
+
+@pytest.mark.parametrize("section, what", [(KinematicalState, "state"),
+                                           (DisplacementField, "displacement"),
+                                           (DynamicalState, "dynamical state")])
+@pytest.mark.parametrize("slot", [0, 1, 2, 3])
+@pytest.mark.parametrize("wrong", ["grid-axes", "value-axis"])
+def test_slot_shape_mismatch_refused(section, what, slot, wrong):
+    lat = Lattice((3, 4), (0.5, 0.5))
+    slots = [np.zeros(lat.shape + (4,)), np.broadcast_to(np.eye(4), lat.shape + (4, 4)),
+             np.zeros(lat.shape + (2, 4)), np.zeros(lat.shape + (2, 4, 4))]
+    section(lat, *slots)
+    slots[slot] = np.swapaxes(slots[slot], 0, 1) if wrong == "grid-axes" else slots[slot][..., :3]
+    with pytest.raises(ValueError, match=f"^{what} arrays do not match the lattice$"):
+        section(lat, *slots)
