@@ -153,6 +153,7 @@ def _run_simulation(args) -> int:
         return 2
     try:
         _step_overrides(args, params)
+        weyssenhoff.tau_grid(element.tau, params["steps"], params["dtau"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

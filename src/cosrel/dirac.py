@@ -102,9 +102,6 @@ class PlaneWaveState:
     def waves(self):
         return (self,)
 
-    def on_shell_defect(self) -> float:
-        return abs(float(self.p @ ETA @ self.p) - self.kappa ** 2)
-
     def psi(self, x) -> np.ndarray:
         phase = np.exp(-1j * self.sign * float((ETA @ self.p) @ np.asarray(x, dtype=float)))
         return self.amplitude * phase

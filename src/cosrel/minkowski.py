@@ -31,7 +31,7 @@ def four_vector(components) -> np.ndarray:
     v = np.array(components, dtype=float)
     if v.shape != (4,):
         raise ValueError(f"expected 4 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("four-vector components must be finite")
     return v
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .minkowski import DEFAULT_TOL, four_vector, is_proper_isochronous, lorentz_defect
+from .minkowski import four_vector, lorentz_defect
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,9 @@ class PoincareElement:
     def __post_init__(self):
         object.__setattr__(self, "a", four_vector(self.a))
         L = np.array(self.L, dtype=float)
-        if L.shape != (4, 4) or not np.all(np.isfinite(L)):
+        if L.shape != (4, 4) or not np.isfinite(L).all():
             raise ValueError("L must be a finite 4x4 matrix")
         object.__setattr__(self, "L", L)
-
-    def is_isochronous(self, tol: float = DEFAULT_TOL) -> bool:
-        return is_proper_isochronous(self.L, tol)
 
     def to_record(self) -> dict:
         """Flat serialization {a: 4 reals, L: 16 reals row-major}."""
@@ -43,9 +40,15 @@ def identity() -> PoincareElement:
     return PoincareElement(np.zeros(4), np.eye(4))
 
 
+def compose_batch(g: tuple, h: tuple) -> tuple:
+    """(a, L)(b, M) = (a + L b, L M) over (..., 4) and (..., 4, 4) stacks of (a, L) pairs."""
+    (a, L), (b, M) = g, h
+    return a + (L @ b[..., None])[..., 0], L @ M
+
+
 def compose(g: PoincareElement, h: PoincareElement) -> PoincareElement:
     """(a, L)(b, M) = (a + L b, L M)."""
-    return PoincareElement(g.a + g.L @ h.a, g.L @ h.L)
+    return PoincareElement(*compose_batch((g.a, g.L), (h.a, h.L)))
 
 
 def inverse(g: PoincareElement) -> PoincareElement:
@@ -54,13 +57,18 @@ def inverse(g: PoincareElement) -> PoincareElement:
     return PoincareElement(-Linv @ g.a, Linv)
 
 
+def homogeneous_batch(a, L) -> np.ndarray:
+    """5x5 block matrices [[1, 0], [a, L]] over (..., 4) and (..., 4, 4) stacks."""
+    H = np.zeros(np.shape(L)[:-2] + (5, 5))
+    H[..., 0, 0] = 1.0
+    H[..., 1:, 0] = a
+    H[..., 1:, 1:] = L
+    return H
+
+
 def to_homogeneous(g: PoincareElement) -> np.ndarray:
     """5x5 block matrix [[1, 0], [a, L]]; a homomorphism for compose."""
-    H = np.zeros((5, 5))
-    H[0, 0] = 1.0
-    H[1:, 0] = g.a
-    H[1:, 1:] = g.L
-    return H
+    return homogeneous_batch(g.a, g.L)
 
 
 def from_homogeneous(H) -> PoincareElement:

@@ -15,7 +15,7 @@ import numpy as np
 from . import algebra, deformation, dirac, dynamics, kinematics, weyssenhoff
 from .lattice import FormField, Lattice, ext_d, wedge
 from .minkowski import ETA, lorentz_adjoint
-from .poincare import compose, to_homogeneous
+from .poincare import compose_batch, homogeneous_batch
 
 SUITE_NAMES = ("algebra", "forms", "cosserat", "dirac", "weyssenhoff")
 
@@ -79,9 +79,13 @@ _BASIS_V = np.array([g.v for g in algebra.basis()])
 _BASIS_W = np.array([g.w for g in algebra.basis()])
 
 
-def _random_algebra(rng, scale=1.0) -> algebra.AlgebraElement:
-    coeffs = rng.uniform(-scale, scale, size=10)
-    return algebra.AlgebraElement(coeffs @ _BASIS_V, np.tensordot(coeffs, _BASIS_W, 1))
+def _algebra_stack(coeffs) -> tuple:
+    """(v, w) stacks of the elements with basis coefficients coeffs (..., 10)."""
+    return coeffs @ _BASIS_V, np.tensordot(coeffs, _BASIS_W, 1)
+
+
+def _random_algebra(rng) -> algebra.AlgebraElement:
+    return algebra.AlgebraElement(*_algebra_stack(rng.uniform(-1.0, 1.0, size=10)))
 
 
 def _expected_bracket_table() -> dict:
@@ -139,33 +143,31 @@ def _suite_algebra(rec: _Recorder, rng, options):
     rec.add("algebra.01-bracket-table", "basis-commutators", worst, 0,
             {"pairs": len(table)}, t0)
 
+    # Samples are drawn as one (N, ..., 10) coefficient block, in the order a
+    # per-sample loop would draw them, and checked on stacks.
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(options.get("jacobi_samples", 1000)):
-        x, y, z = (_random_algebra(rng) for _ in range(3))
-        total = (algebra.bracket(algebra.bracket(x, y), z)
-                 + algebra.bracket(algebra.bracket(y, z), x)
-                 + algebra.bracket(algebra.bracket(z, x), y))
-        worst = max(worst, np.abs(total.v).max(), np.abs(total.w).max())
+    n = options.get("jacobi_samples", 1000)
+    x, y, z = (_algebra_stack(c) for c in np.moveaxis(rng.uniform(-1, 1, size=(n, 3, 10)), 1, 0))
+    br = algebra.bracket_batch
+    total = [sum(parts) for parts in zip(br(br(x, y), z), br(br(y, z), x), br(br(z, x), y))]
+    worst = max(np.abs(total[0]).max(initial=0.0), np.abs(total[1]).max(initial=0.0))
     rec.add("algebra.02-jacobi", "jacobi-identity", worst, 1e-12, None, t0)
 
     t0 = time.perf_counter()
-    worst_orth, worst_det = 0.0, 0.0
-    for _ in range(options.get("exp_samples", 1000)):
-        g = algebra.exp(_random_algebra(rng))
-        worst_orth = max(worst_orth, np.abs(g.L.T @ ETA @ g.L - ETA).max())
-        worst_det = max(worst_det, abs(np.linalg.det(g.L) - 1.0))
+    n = options.get("exp_samples", 1000)
+    _, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(n, 10))))
+    worst_orth = np.abs(np.swapaxes(L, -1, -2) @ ETA @ L - ETA).max(initial=0.0)
+    worst_det = np.abs(np.linalg.det(L) - 1.0).max(initial=0.0)
     rec.add("algebra.03-exp-orthogonality", "exp-lands-in-lorentz-group", worst_orth, 1e-10, None, t0)
     rec.add("algebra.04-exp-determinant", "exp-lands-in-lorentz-group", worst_det, 1e-9, None, t0)
 
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(options.get("subgroup_samples", 200)):
-        x = _random_algebra(rng)
-        s, t = rng.uniform(-1, 1, size=2)
-        left = compose(algebra.exp(s * x), algebra.exp(t * x))
-        right = algebra.exp((s + t) * x)
-        worst = max(worst, np.abs(left.a - right.a).max(), np.abs(left.L - right.L).max())
+    draws = rng.uniform(-1, 1, size=(options.get("subgroup_samples", 200), 12))
+    v, w = _algebra_stack(draws[:, :10])
+    scales = np.stack([draws[:, 10], draws[:, 11], draws[:, 10] + draws[:, 11]])  # s, t, s + t
+    a, L = algebra.exp_batch(scales[..., None] * v, scales[..., None, None] * w)
+    left_a, left_L = compose_batch((a[0], L[0]), (a[1], L[1]))
+    worst = max(np.abs(left_a - a[2]).max(initial=0.0), np.abs(left_L - L[2]).max(initial=0.0))
     rec.add("algebra.05-subgroup-law", "one-parameter-subgroup", worst, 1e-9, None, t0)
 
     t0 = time.perf_counter()
@@ -179,14 +181,13 @@ def _suite_algebra(rec: _Recorder, rng, options):
     rec.add("algebra.06-polarize-projection", "rotation-boost-split", worst, 1e-14, None, t0)
 
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(100):
-        g = algebra.exp(_random_algebra(rng))
-        worst = max(worst, np.abs(lorentz_adjoint(lorentz_adjoint(g.L)) - g.L).max())
-        worst = max(worst, np.abs(g.L @ lorentz_adjoint(g.L) - np.eye(4)).max())
-        h = algebra.exp(_random_algebra(rng))
-        worst = max(worst, np.abs(to_homogeneous(compose(g, h))
-                                  - to_homogeneous(g) @ to_homogeneous(h)).max())
+    a, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(100, 2, 10))))
+    g, h = (a[:, 0], L[:, 0]), (a[:, 1], L[:, 1])
+    adj = lorentz_adjoint(L[:, 0])
+    worst = max(np.abs(lorentz_adjoint(adj) - L[:, 0]).max(),
+                np.abs(L[:, 0] @ adj - np.eye(4)).max(),
+                np.abs(homogeneous_batch(*compose_batch(g, h))
+                       - homogeneous_batch(*g) @ homogeneous_batch(*h)).max())
     rec.add("algebra.07-adjoint-homomorphism", "adjoint-inverse-and-matrix-view",
             worst, 1e-10, None, t0)
 
@@ -197,7 +198,6 @@ def _suite_algebra(rec: _Recorder, rng, options):
 
 def _smooth_group_field(lat: Lattice, which: int) -> deformation.GroupField:
     """Smooth Poincare field g = (a, exp W) number `which`, sampled on the whole lattice at once."""
-    import scipy.linalg
     J3 = algebra.rotation_matrix_generator(3)
     K1 = algebra.boost_matrix_generator(1)
     J1 = algebra.rotation_matrix_generator(1)
@@ -215,7 +215,7 @@ def _smooth_group_field(lat: Lattice, which: int) -> deformation.GroupField:
         a = [0.05 * np.sin(x[0]), 0.1 * r, 0.0, 0.2 * np.cos(r)]
     W = sum(c[..., None, None] * G for c, G in W)
     a = np.stack([np.broadcast_to(c, lat.shape) for c in a], axis=-1)
-    return deformation.GroupField(lat, a, scipy.linalg.expm(W))
+    return deformation.GroupField(lat, a, algebra.exp_batch(np.zeros(4), W)[1])
 
 
 def _lattice(p: int, n: int) -> Lattice:
@@ -316,20 +316,18 @@ def _suite_forms(rec: _Recorder, rng, options):
 
 
 def _bump_state(lat: Lattice) -> kinematics.KinematicalState:
-    import scipy.linalg
+    """Smooth frame-field state (x, exp W) sampled on the whole lattice at once; jets by stencils."""
     J3 = algebra.rotation_matrix_generator(3)
     K1 = algebra.boost_matrix_generator(1)
-
-    def fn(point):
-        r = np.sum(point)
-        x = np.zeros(4)
-        x[: lat.p] = point
-        x[0] += 0.1 * np.sin(r)
-        x[3] = 0.2 * np.cos(point[0])
-        e = scipy.linalg.expm(0.2 * np.sin(point[0]) * J3 + 0.1 * np.cos(r) * K1)
-        return x, e
-
-    return kinematics.prolong(lat, fn)
+    c = lat.coords()
+    r = sum(c)
+    x = np.zeros(lat.shape + (4,))
+    x[..., : lat.p] = np.stack(c, axis=-1)
+    x[..., 0] += 0.1 * np.sin(r)
+    x[..., 3] = 0.2 * np.cos(c[0])
+    W = (0.2 * np.sin(c[0]))[..., None, None] * J3 + (0.1 * np.cos(r))[..., None, None] * K1
+    e = algebra.exp_batch(np.zeros(4), W)[1]
+    return kinematics.KinematicalState(lat, x, e, lat.jets(x), lat.jets(e))
 
 
 def _random_phi(lat: Lattice, rng) -> dynamics.DynamicalState:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,16 +113,15 @@ def stress_tensors(element: WeyssenhoffElement) -> StressTensors:
 
 
 class FlowField:
-    """Analytic flow closures u(x), g(x), s(x) with optional analytic Jacobians.
+    """Analytic flow closures u(x), g(x), s(x) with optional analytic Jacobians of u and g.
 
     Jacobians are laid out with the derivative index last: du[mu][sig] = d_sig u^mu.
     Missing Jacobians fall back to central differences with `fd_step`.
     """
 
-    def __init__(self, u, g, s=None, du=None, dg=None, ds=None, fd_step: float = 1e-6,
-                 c: float = 1.0):
+    def __init__(self, u, g, s=None, du=None, dg=None, fd_step: float = 1e-6, c: float = 1.0):
         self.u, self.g, self.s = u, g, s
-        self._du, self._dg, self._ds = du, dg, ds
+        self._du, self._dg = du, dg
         self.fd_step = fd_step
         self.c = c
 
@@ -139,9 +139,6 @@ class FlowField:
 
     def dg_at(self, x):
         return np.asarray(self._dg(x), dtype=float) if self._dg else central_difference(self.g, x, 1, self.fd_step)
-
-    def ds_at(self, x):
-        return np.asarray(self._ds(x), dtype=float) if self._ds else central_difference(self.s, x, 1, self.fd_step)
 
     def element_at(self, x, tol: float = None) -> "WeyssenhoffElement":
         """Sample the flow as a fluid element; validates the pointwise invariants."""
@@ -410,6 +407,23 @@ class Trajectory:
             fh.write("\n")
 
 
+def tau_grid(tau0: float, steps, dtau) -> np.ndarray:
+    """The steps + 1 proper times tau0 + k dtau; a bad step count or step size is refused.
+
+    `steps` must be an integer >= 0 and `dtau` finite, and every grid time must
+    be finite (a finite dtau can still overflow, e.g. 1e308 over 3 steps).
+    """
+    if not isinstance(steps, numbers.Integral) or steps < 0:
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    if not math.isfinite(dtau):
+        raise ValueError(f"dtau must be finite, got {dtau!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = tau0 + dtau * np.arange(int(steps) + 1)
+    if not np.all(np.isfinite(tau)):
+        raise ValueError(f"tau grid overflows: {steps} steps of dtau {dtau!r} from tau {tau0!r}")
+    return tau
+
+
 def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
                         project: bool = False, solver_tol: float = 1e-3,
                         drift_max: float = None, invariant_tol: float = 1e-9) -> Trajectory:
@@ -422,14 +436,14 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     not corrected unless `project` is set.  The state is stepped as one flat
     list of floats (see `_rate`); the diagnostics are computed once on the
     stacked trajectory, and `drift_max` is checked on them in step order, also
-    when a later step fails.
+    when a later step fails.  Bad `steps` or `dtau` raise ValueError (see tau_grid).
     """
     initial.validate(invariant_tol)
+    tau = tau_grid(initial.tau, steps, dtau)
     c = initial.c
     g = initial.g.copy()
     gl = g.tolist()
     n = int(steps)
-    tau = initial.tau + dtau * np.arange(n + 1)
     states = np.empty((n + 1, 24))
     closure = np.empty(n + 1)
     y = np.concatenate([initial.x, initial.u, initial.s.ravel()]).tolist()

@@ -1,10 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import series_exp
-from cosrel.algebra import (AlgebraElement, basis, boost_generator, bracket, exp,
-                            fundamental_vector, polarize, rotation_generator,
-                            translation_generator)
+from cosrel.algebra import (AlgebraElement, basis, boost_generator, bracket, bracket_batch,
+                            embed_homogeneous, exp, exp_batch, fundamental_vector, polarize,
+                            rotation_generator, translation_generator)
 from cosrel.minkowski import ETA
 from cosrel.poincare import AffineFrame, act_on_frame, canonical_frame
 
@@ -184,3 +188,145 @@ def test_fundamental_vector_is_frame_components_of_derivative(rng):
     dv, dw = _action_derivative(x, frame)
     assert np.abs(np.linalg.solve(frame.axes, dv) - v).max() <= 1e-8
     assert np.abs(np.linalg.solve(frame.axes, dw) - w).max() <= 1e-8
+
+
+def _so13(E, B) -> np.ndarray:
+    """w = eta A for the lowered antisymmetric A with A_0i = E_i and A_jk = eps_ijk B_i."""
+    E, B = np.asarray(E, dtype=float), np.asarray(B, dtype=float)
+    A = np.zeros((4, 4))
+    A[0, 1:], A[1:, 0] = E, -E
+    A[2, 3], A[3, 1], A[1, 2] = B
+    A[3, 2], A[1, 3], A[2, 1] = -B
+    return ETA @ A
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_unit = st.lists(st.floats(-1, 1, **_finite), min_size=3, max_size=3).map(np.array).filter(
+    lambda e: np.linalg.norm(e) > 0.1).map(lambda e: e / np.linalg.norm(e))
+
+
+def _perpendicular(n1, n2):
+    """A unit vector perpendicular to the unit vector n1, in the plane of n1 and n2 if any."""
+    p = np.cross(n1, n2)
+    if np.linalg.norm(p) < 0.1:
+        p = np.cross(n1, np.eye(3)[np.argmin(np.abs(n1))])
+    return p / np.linalg.norm(p)
+
+
+def _case(kind, n1, n2, size, eps, base="zero"):
+    """w of one kind: a pure rotation or boost of magnitude size, a null element
+    (E perp B, |E| = |B| = size), a degenerate base moved by eps, or a general
+    element scaled down to size."""
+    perp = _perpendicular(n1, n2)
+    if kind == "rotation":
+        return _so13(np.zeros(3), size * n1)
+    if kind == "boost":
+        return _so13(size * n1, np.zeros(3))
+    if kind == "null":
+        return _so13(size * n1, size * perp)
+    if kind == "near":
+        E = {"zero": 0 * n1, "rotation": 0 * n1, "boost": size * n1, "null": size * n1}[base]
+        B = {"zero": 0 * n1, "rotation": size * n1, "boost": 0 * n1, "null": size * perp}[base]
+        return _so13(E + eps * n2, B + eps * perp)
+    return size * _so13(2 * n1, 1.5 * n2)
+
+
+@st.composite
+def _iso_element(draw):
+    v = np.array(draw(st.lists(st.floats(-3, 3, **_finite), min_size=4, max_size=4)))
+    kind = draw(st.sampled_from(["rotation", "boost", "null", "near", "scaled"]))
+    size = {"rotation": st.floats(0, 12), "boost": st.floats(0, 20), "null": st.floats(1e-3, 10),
+            "near": st.floats(1e-3, 10), "scaled": st.floats(1e-8, 1)}[kind]
+    return v, _case(kind, draw(_unit), draw(_unit), draw(size), 10.0 ** draw(st.floats(-12, -1)),
+                    draw(st.sampled_from(["zero", "rotation", "boost", "null"])))
+
+
+def _assert_close(a, L, want_a, want_L, tol):
+    scale = max(1.0, np.abs(want_a).max(), np.abs(want_L).max())
+    assert np.abs(a - want_a).max() <= tol * scale
+    assert np.abs(L - want_L).max() <= tol * scale
+
+
+#: scipy's expm is itself off by up to 3.2e-12 relative on boosts of rapidity 5-20
+#: (measured against 50-digit mpmath, where the closed form is within 3e-15), so
+#: the comparison with it allows 5e-12; test_exp_matches_high_precision_reference
+#: holds the kernel to 1e-14.
+_EXPM_TOL = 5e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_iso_element(), min_size=1, max_size=4))
+def test_exp_matches_expm_on_the_homogeneous_embedding(elements):
+    # the stack mixes the series and the direct route; each entry must match on its own
+    v = np.array([e[0] for e in elements])
+    w = np.array([e[1] for e in elements])
+    a, L = exp_batch(v, w)
+    assert a.shape == v.shape and L.shape == w.shape
+    for k, (vk, wk) in enumerate(elements):
+        H = scipy.linalg.expm(embed_homogeneous(AlgebraElement(vk, wk)))
+        _assert_close(a[k], L[k], H[1:, 0], H[1:, 1:], _EXPM_TOL)
+        g = exp(AlgebraElement(vk, wk))
+        _assert_close(g.a, g.L, H[1:, 0], H[1:, 1:], _EXPM_TOL)
+
+
+_REFERENCE_CASES = ([("rotation", s, 0, "zero") for s in (0.5, 3.0, 10.0)]
+                    + [("boost", s, 0, "zero") for s in (0.5, 5.0, 12.0, 15.0, 20.0)]
+                    + [("null", s, 0, "zero") for s in (1e-3, 1.0, 10.0)]
+                    + [("near", s, e, b) for b in ("zero", "rotation", "boost", "null")
+                       for s, e in ((1.0, 1e-10), (5.0, 1e-4), (0.3, 1e-2))]
+                    + [("scaled", s, 0, "zero") for s in (1e-8, 1e-4, 0.3)])
+
+
+@pytest.mark.parametrize("kind,size,eps,base", _REFERENCE_CASES)
+def test_exp_matches_high_precision_reference(kind, size, eps, base):
+    rng = np.random.default_rng(len(_REFERENCE_CASES) + int(1e3 * size))
+    n1, n2 = (u / np.linalg.norm(u) for u in rng.standard_normal((2, 3)))
+    w = _case(kind, n1, n2, size, eps, base)
+    v = rng.uniform(-3, 3, 4)
+    with mpmath.workdps(40):
+        H = mpmath.expm(mpmath.matrix(embed_homogeneous(AlgebraElement(v, w)).tolist()))
+        H = np.array(H.tolist(), dtype=float)
+    a, L = exp_batch(v, w)
+    _assert_close(a, L, H[1:, 0], H[1:, 1:], 1e-14)
+    g = exp(AlgebraElement(v, w))
+    _assert_close(g.a, g.L, H[1:, 0], H[1:, 1:], 1e-14)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3, 7.0])
+def test_exp_of_null_element_is_quadratic(scale):
+    w = scale * _so13([1.0, 0, 0], [0, 1.0, 0])  # E perp B, |E| = |B|: w^3 = 0
+    v = np.array([0.5, -1.0, 2.0, 0.25])
+    assert np.abs(w @ w @ w).max() <= 1e-15 * scale ** 3
+    a, L = exp_batch(v, w)
+    assert np.allclose(L, np.eye(4) + w + w @ w / 2, rtol=0, atol=1e-14 * max(1.0, scale ** 2))
+    assert np.allclose(a, v + w @ v / 2 + w @ w @ v / 6, rtol=0, atol=1e-14 * max(1.0, scale ** 2))
+    if scale == 1.0:
+        assert np.array_equal(L, np.eye(4) + w + 0.5 * (w @ w))
+
+
+def test_exp_batch_broadcasts_over_stacks(rng):
+    w = np.stack([_so13(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(6)])
+    a, L = exp_batch(np.zeros(4), w.reshape(2, 3, 4, 4))
+    assert a.shape == (2, 3, 4) and L.shape == (2, 3, 4, 4)
+    assert np.abs(a).max() == 0.0
+    for k in range(6):
+        assert np.allclose(L.reshape(6, 4, 4)[k], exp(AlgebraElement(np.zeros(4), w[k])).L,
+                           rtol=0, atol=1e-14)
+    a0, L0 = exp_batch(np.ones(4), np.zeros((0, 4, 4)))
+    assert a0.shape == (0, 4) and L0.shape == (0, 4, 4)
+
+
+def test_exp_refuses_w_outside_so13():
+    with pytest.raises(ValueError, match="not in so\\(1,3\\)"):
+        exp(AlgebraElement(np.zeros(4), np.diag([1.0, 0, 0, 0])))
+
+
+def test_bracket_batch_matches_bracket(rng):
+    xs = [_random_element(rng) for _ in range(8)]
+    ys = [_random_element(rng) for _ in range(8)]
+    v, w = bracket_batch((np.array([x.v for x in xs]), np.array([x.w for x in xs])),
+                         (np.array([y.v for y in ys]), np.array([y.w for y in ys])))
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        want = bracket(x, y)
+        assert np.allclose(v[k], want.v, rtol=0, atol=1e-15)
+        assert np.allclose(w[k], want.w, rtol=0, atol=1e-15)

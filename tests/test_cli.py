@@ -8,7 +8,7 @@ import cosrel
 from cosrel.cli import main
 
 
-def _run(args, env=None):
+def _run_python(*args, env=None):
     import os
     full_env = dict(os.environ)
     if env:
@@ -16,8 +16,11 @@ def _run(args, env=None):
     # the child imports the same cosrel as this process, installed or not
     src = os.path.dirname(os.path.dirname(cosrel.__file__))
     full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full_env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "cosrel.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=full_env)
+
+
+def _run(args, env=None):
+    return _run_python("-m", "cosrel.cli", *args, env=env)
 
 
 def _strip_runtime(obj):
@@ -171,3 +174,23 @@ def test_bad_config_step_is_usage_error(tmp_path, mode, line, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"[worldline] {line.split()[0]} needs" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--dtau=1e308", "--steps=3"], ["--dtau=1e304", "--steps=100000"]])
+def test_overflowing_tau_grid_is_usage_error(tmp_path, args, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\n")
+    out = tmp_path / "t.csv"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau grid overflows") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, cosrel.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,7 +4,8 @@ import pytest
 from conftest import series_exp
 from cosrel.algebra import boost_matrix_generator, rotation_matrix_generator
 from cosrel.poincare import (AffineFrame, PoincareElement, act_on_frame, canonical_frame,
-                             compose, from_homogeneous, identity, inverse, to_homogeneous)
+                             compose, compose_batch, from_homogeneous, homogeneous_batch,
+                             identity, inverse, to_homogeneous)
 
 
 def _random_element(rng, scale=1.0):
@@ -47,6 +48,20 @@ def test_compose_matches_block_matrix_oracle(rng):
         H = _hom_product(g, h)
         gh = compose(g, h)
         assert np.allclose(to_homogeneous(gh), H, atol=1e-12)
+
+
+def test_batched_compose_and_view_match_per_element(rng):
+    gs = [_random_element(rng) for _ in range(6)]
+    hs = [_random_element(rng) for _ in range(6)]
+    stack = lambda els: (np.array([e.a for e in els]), np.array([e.L for e in els]))
+    a, L = compose_batch(stack(gs), stack(hs))
+    H = homogeneous_batch(*stack(gs))
+    assert H.shape == (6, 5, 5)
+    for k, (g, h) in enumerate(zip(gs, hs)):
+        gh = compose(g, h)
+        assert np.allclose(a[k], gh.a, rtol=0, atol=1e-15)
+        assert np.allclose(L[k], gh.L, rtol=0, atol=1e-15)
+        assert np.array_equal(H[k], to_homogeneous(g))
 
 
 def test_associativity(rng):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cosrel import algebra, deformation
-from cosrel.suites import SUITE_NAMES, _lattice, _smooth_group_field, run_suite
+from cosrel import algebra, deformation, kinematics
+from cosrel.suites import (SUITE_NAMES, _algebra_stack, _bump_state, _lattice, _random_algebra,
+                           _smooth_group_field, run_suite)
 from test_acceptance import _displacement_closure
 
 
@@ -65,3 +67,44 @@ def test_smooth_group_field_matches_per_point_sampling(p, which):
     got = _smooth_group_field(lat, which)
     assert np.allclose(got.a, want.a, rtol=0, atol=1e-14)
     assert np.allclose(got.L, want.L, rtol=0, atol=1e-14)
+
+
+def _bump_closure(p):
+    """The per-point state of the cosserat suite, with scipy's expm as the exponential."""
+    J3 = algebra.rotation_matrix_generator(3)
+    K1 = algebra.boost_matrix_generator(1)
+
+    def fn(point):
+        r = np.sum(point)
+        x = np.zeros(4)
+        x[:p] = point
+        x[0] += 0.1 * np.sin(r)
+        x[3] = 0.2 * np.cos(point[0])
+        return x, scipy.linalg.expm(0.2 * np.sin(point[0]) * J3 + 0.1 * np.cos(r) * K1)
+
+    return fn
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (2, 9), (3, 5)])
+def test_bump_state_matches_per_point_prolong(p, n):
+    lat = _lattice(p, n)
+    want = kinematics.prolong(lat, _bump_closure(p))
+    got = _bump_state(lat)
+    for name in ("x", "e", "xj", "ej"):
+        assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-14), name
+
+
+def test_algebra_blocks_follow_the_per_sample_stream():
+    # one (N, 3, 10) block and one (N, 12) block equal the per-sample draws they replace
+    blocked, looped = np.random.default_rng(3), np.random.default_rng(3)
+    x, y, z = (_algebra_stack(c) for c in np.moveaxis(blocked.uniform(-1, 1, (5, 3, 10)), 1, 0))
+    draws = blocked.uniform(-1, 1, (4, 12))
+    v, w = _algebra_stack(draws[:, :10])
+    for k in range(5):
+        for (vs, ws) in (x, y, z):
+            el = _random_algebra(looped)
+            assert np.array_equal(vs[k], el.v) and np.array_equal(ws[k], el.w)
+    for k in range(4):
+        el = _random_algebra(looped)
+        assert np.array_equal(v[k], el.v) and np.array_equal(w[k], el.w)
+        assert np.array_equal(draws[k, 10:], looped.uniform(-1, 1, size=2))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -350,6 +351,22 @@ def test_explicit_speed_of_light():
     traj = integrate_worldline(el_free, 50, 0.01)
     assert np.abs(traj.u - el_free.u).max() <= 1e-12
     assert traj.drift_summary()["u_norm"] <= 1e-12
+
+
+@pytest.mark.parametrize("steps,dtau", [(-1, 0.01), (2.5, 0.01), ("3", 0.01), (None, 0.01),
+                                        (3, math.nan), (3, math.inf), (3, -math.inf),
+                                        (3, 1e308), (10 ** 5, 1e304)])
+def test_bad_steps_or_dtau_refused(steps, dtau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            integrate_worldline(_rest_element(), steps, dtau)
+    assert "\n" not in str(info.value)
+
+
+def test_tau_grid_accepts_integer_steps():
+    assert np.array_equal(weyssenhoff.tau_grid(0.5, np.int64(3), 0.25), [0.5, 0.75, 1.0, 1.25])
+    assert np.array_equal(weyssenhoff.tau_grid(1.0, 0, -1e308), [1.0])
 
 
 def test_worldline_spinless_straight():
