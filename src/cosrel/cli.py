@@ -36,13 +36,14 @@ def _floats(text: str) -> list:
 
 
 def _grids(text: str, source: str) -> tuple:
-    """The (coarse, fine) refinement pair: exactly two integer grid sizes >= 3."""
+    """The (coarse, fine) refinement pair: two integer grid sizes >= 3, coarse below fine."""
     try:
         grids = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         grids = ()
-    if len(grids) != 2 or min(grids) < 3:
-        raise ValueError(f"{source} needs exactly two integer grid sizes >= 3, got {text!r}")
+    if len(grids) != 2 or not 3 <= grids[0] < grids[1]:
+        raise ValueError(f"{source} needs two integer grid sizes >= 3, coarse below fine, "
+                         f"got {text!r}")
     return grids
 
 
@@ -94,6 +95,9 @@ def _run_suites(args) -> int:
     cfg = _load_config(args.config)
     try:
         options = _suite_options(cfg, args)
+        # weyssenhoff.05's fine run (2n steps of dtau/2) ends where this grid ends
+        weyssenhoff.tau_grid(0.0, options.get("steps", suites.DEFAULT_STEPS),
+                             options.get("dtau", suites.DEFAULT_DTAU))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -192,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized property checks (default 0)")
     parser.add_argument("--grid", metavar="N,N", default=None,
-                        help="override the coarse and fine refinement grid sizes (each >= 3)")
+                        help="the forms suite's coarse and fine grid sizes "
+                             "(each >= 3, coarse below fine)")
     parser.add_argument("--steps", type=int, default=None, help="integrator steps")
     parser.add_argument("--dtau", type=float, default=None, help="integrator step size")
     return parser

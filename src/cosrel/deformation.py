@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FormField, Lattice, ext_d, read_grid, wedge, write_grid
-from .minkowski import lorentz_adjoint, lorentz_defect
+from .minkowski import lorentz_adjoint, require_lorentz
 
 
 @dataclass
@@ -37,7 +37,7 @@ class AlgebraForm:
         return self.tra.degree
 
     def interior_max(self) -> float:
-        return max(self.tra.interior_max(), self.lor.interior_max())
+        return float(np.maximum(self.tra.interior_max(), self.lor.interior_max()))
 
     @classmethod
     def zeros(cls, lattice: Lattice, degree: int) -> "AlgebraForm":
@@ -52,9 +52,7 @@ class GroupField:
         L = np.asarray(L, dtype=float)
         if a.shape != lattice.shape + (4,) or L.shape != lattice.shape + (4, 4):
             raise ValueError("field arrays do not match the lattice")
-        defect = lorentz_defect(L)
-        if not defect <= tol:
-            raise ValueError(f"L field is not Lorentz everywhere: defect {defect:.3e}")
+        require_lorentz(L, tol, "L field")
         self.lattice = lattice
         self.a = a
         self.L = L
@@ -113,7 +111,7 @@ def closedness_residual(E: AlgebraForm) -> float:
     """Interior max-norm of d^E; near zero iff E is closed (Lagrangian integrability)."""
     if E.lattice.p < 2:
         raise ValueError("closedness needs a 2-form, so p >= 2")
-    return max(ext_d(E.tra).interior_max(), ext_d(E.lor).interior_max())
+    return float(np.maximum(ext_d(E.tra).interior_max(), ext_d(E.lor).interior_max()))
 
 
 def write_algebra_form(path, E: AlgebraForm):

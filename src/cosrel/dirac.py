@@ -215,7 +215,7 @@ def dirac_residual(state, x) -> float:
     psibar = _psibar(state, x)
     dpsibar = _dpsibar(state, x)
     lhs_bar = 1j * np.einsum("ma,mab->b", dpsibar, GAMMA_UP) + state.kappa * psibar
-    return float(max(np.linalg.norm(lhs), np.linalg.norm(lhs_bar)))
+    return float(np.maximum(np.linalg.norm(lhs), np.linalg.norm(lhs_bar)))
 
 
 def _real_checked(arr: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -335,7 +335,7 @@ class ConservationReport:
     points: int = 0
 
     def max_residual(self) -> float:
-        return max(self.current, self.energy_momentum, self.angular_momentum)
+        return float(np.max([self.current, self.energy_momentum, self.angular_momentum]))
 
 
 def _sample_points():
@@ -351,23 +351,17 @@ def conservation_report(state, points=None) -> ConservationReport:
     """
     pts = _sample_points() if points is None else list(points)
     single = len(state.waves) == 1
-    r_cur = r_em = r_ang = 0.0
-    t_asym = 0.0
+    cur, em, ang, asyms = [], [], [], []  # per-point max residuals; NaN propagates to the max
     for x in pts:
-        dj = dcurrent_j(state, x)
-        r_cur = max(r_cur, abs(float(np.trace(dj))) / state.hbar)
-        dT = denergy_momentum(state, x)
-        r_em = max(r_em, float(np.abs(np.einsum("mmn->n", dT)).max()))
-        T = energy_momentum(state, x)
-        dS3 = dspin_tensor(state, x)
-        divS = np.einsum("mlmn->ln", dS3)
-        T_low = ETA @ T
+        cur.append(abs(float(np.trace(dcurrent_j(state, x)))) / state.hbar)
+        em.append(np.abs(np.einsum("mmn->n", denergy_momentum(state, x))).max())
+        divS = np.einsum("mlmn->ln", dspin_tensor(state, x))
+        T_low = ETA @ energy_momentum(state, x)
         asym = 0.5 * (T_low - T_low.T)
-        r_ang = max(r_ang, float(np.abs(ETA @ divS - asym).max()))
-        if single:
-            t_asym = max(t_asym, float(np.abs(asym).max()))
-    return ConservationReport(r_cur, r_em, r_ang,
-                              t_asym if single else None, len(pts))
+        ang.append(np.abs(ETA @ divS - asym).max())
+        asyms.append(np.abs(asym).max())
+    r_cur, r_em, r_ang, t_asym = (float(np.max(r, initial=0.0)) for r in (cur, em, ang, asyms))
+    return ConservationReport(r_cur, r_em, r_ang, t_asym if single else None, len(pts))
 
 
 @dataclass

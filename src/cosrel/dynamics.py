@@ -61,7 +61,8 @@ class EulerianVariation:
     dIj: np.ndarray
 
     def antisymmetry_defect(self) -> float:
-        return max(lowered_antisymmetry_defect(self.dI), lowered_antisymmetry_defect(self.dIj))
+        return float(np.maximum(lowered_antisymmetry_defect(self.dI),
+                                lowered_antisymmetry_defect(self.dIj)))
 
 
 def barred_moments(phi: DynamicalState, s: KinematicalState) -> tuple[np.ndarray, np.ndarray]:

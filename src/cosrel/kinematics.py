@@ -10,13 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import Lattice, read_grid, write_grid
-from .minkowski import lorentz_adjoint, lorentz_defect, lowered_antisymmetry_defect
-
-
-def _check_lorentz_field(e: np.ndarray, tol: float, what: str):
-    defect = lorentz_defect(e)
-    if not defect <= tol:
-        raise ValueError(f"{what} is not Lorentz everywhere: defect {defect:.3e}")
+from .minkowski import lorentz_adjoint, lowered_antisymmetry_defect, require_lorentz
 
 
 def jet_slot_shapes(lattice: Lattice) -> tuple:
@@ -48,7 +42,7 @@ class KinematicalState:
 
     def __init__(self, lattice: Lattice, x, e, xj, ej, tol: float = 1e-8):
         x, e, xj, ej = jet_slots(lattice, x, e, xj, ej, "state")
-        _check_lorentz_field(e, tol, "frame field")
+        require_lorentz(e, tol, "frame field")
         self.lattice = lattice
         self.x, self.e, self.xj, self.ej = x, e, xj, ej
 
@@ -58,7 +52,7 @@ class DisplacementField:
 
     def __init__(self, lattice: Lattice, a, L, aj, Lj, tol: float = 1e-8):
         a, L, aj, Lj = jet_slots(lattice, a, L, aj, Lj, "displacement")
-        _check_lorentz_field(L, tol, "displacement Lorentz field")
+        require_lorentz(L, tol, "displacement Lorentz field")
         self.lattice = lattice
         self.a, self.L, self.aj, self.Lj = a, L, aj, Lj
 
@@ -85,7 +79,7 @@ def is_integrable(s: KinematicalState, tol: float = 1e-6) -> tuple[bool, float]:
     """Compare stored jets with stencil derivatives of the point coordinates."""
     res_x = np.abs(s.xj - s.lattice.jets(s.x)).max()
     res_e = np.abs(s.ej - s.lattice.jets(s.e)).max()
-    residual = float(max(res_x, res_e))
+    residual = float(np.maximum(res_x, res_e))
     return residual <= tol, residual
 
 

@@ -211,10 +211,8 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
     k, l = alpha.degree, beta.degree
     if k + l > lat.p:
         raise ValueError(f"degree {k}+{l} exceeds lattice dimension {lat.p}")
-    sample, out_vs = _pair_values(alpha.data[(Ellipsis, 0) + (slice(None),) * len(alpha.value_shape)],
-                                  alpha.value_shape,
-                                  beta.data[(Ellipsis, 0) + (slice(None),) * len(beta.value_shape)],
-                                  beta.value_shape)
+    _, out_vs = _pair_values(np.zeros(alpha.value_shape), alpha.value_shape,
+                             np.zeros(beta.value_shape), beta.value_shape)
     out = FormField.zeros(lat, k + l, out_vs)
     for ci, C in enumerate(out.indices):
         acc = np.zeros(lat.shape + out_vs)

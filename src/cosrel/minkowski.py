@@ -78,6 +78,14 @@ def is_lorentz(L, tol: float = DEFAULT_TOL) -> bool:
     return lorentz_defect(L) <= tol
 
 
+def require_lorentz(L, tol: float = DEFAULT_TOL, what: str = "matrix"):
+    """Refuse a (..., 4, 4) stack unless every L is Lorentz within tol; a NaN defect is refused."""
+    defect = lorentz_defect(L)
+    if not defect <= tol:
+        raise ValueError(f"{what} is not Lorentz (not a Lorentz matrix): "
+                         f"|L^T eta L - eta| = {defect:.3e} > {tol:.3e}")
+
+
 def lorentz_matrix(entries, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Return a validated copy of a Lorentz matrix."""
     L = np.array(entries, dtype=float)
@@ -85,16 +93,12 @@ def lorentz_matrix(entries, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"expected a 4x4 matrix, got shape {L.shape}")
     if not np.all(np.isfinite(L)):
         raise ValueError("matrix entries must be finite")
-    defect = lorentz_defect(L)
-    if defect > tol:
-        raise ValueError(f"not a Lorentz matrix: |L^T eta L - eta| = {defect:.3e} > {tol:.3e}")
+    require_lorentz(L, tol)
     return L
 
 
 def is_proper_isochronous(L, tol: float = DEFAULT_TOL) -> bool:
     """True iff det L is 1 within tol and L^0_0 > 0. Raises on non-Lorentz input."""
     L = np.asarray(L, dtype=float)
-    defect = lorentz_defect(L)
-    if not defect <= tol:
-        raise ValueError(f"not a Lorentz matrix: defect {defect:.3e}")
+    require_lorentz(L, tol)
     return bool(abs(np.linalg.det(L) - 1.0) <= tol and L[0, 0] > 0.0)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .minkowski import four_vector, lorentz_defect
+from .minkowski import four_vector, require_lorentz
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,6 @@ class PoincareElement:
         if L.shape != (4, 4) or not np.isfinite(L).all():
             raise ValueError("L must be a finite 4x4 matrix")
         object.__setattr__(self, "L", L)
-
-    def to_record(self) -> dict:
-        """Flat serialization {a: 4 reals, L: 16 reals row-major}."""
-        return {"a": self.a.tolist(), "L": self.L.reshape(16).tolist()}
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "PoincareElement":
-        return cls(np.asarray(rec["a"], dtype=float),
-                   np.asarray(rec["L"], dtype=float).reshape(4, 4))
 
 
 def identity() -> PoincareElement:
@@ -89,9 +80,7 @@ class AffineFrame:
     def __post_init__(self):
         object.__setattr__(self, "origin", four_vector(self.origin))
         axes = np.array(self.axes, dtype=float)
-        defect = lorentz_defect(axes)
-        if defect > self.tol:
-            raise ValueError(f"frame axes not orthonormal: defect {defect:.3e}")
+        require_lorentz(axes, self.tol, "frame axes")
         object.__setattr__(self, "axes", axes)
 
 

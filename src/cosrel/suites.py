@@ -19,6 +19,10 @@ from .poincare import compose_batch, homogeneous_batch
 
 SUITE_NAMES = ("algebra", "forms", "cosserat", "dirac", "weyssenhoff")
 
+#: Worldline steps and step size of the weyssenhoff suite unless options set them.
+DEFAULT_STEPS = 400
+DEFAULT_DTAU = 0.01
+
 
 @dataclass
 class Check:
@@ -49,6 +53,11 @@ class SuiteReport:
     def as_dict(self) -> dict:
         return {"suite": self.suite, "seed": self.seed, "passed": self.passed,
                 "checks": [c.as_dict() for c in sorted(self.checks, key=lambda c: c.check_id)]}
+
+
+def _worst(*parts) -> float:
+    """Largest |entry| over all parts (arrays or numbers); NaN if any entry is NaN."""
+    return float(np.max([np.abs(part).max(initial=0.0) for part in parts]))
 
 
 class _Recorder:
@@ -134,60 +143,55 @@ def _suite_algebra(rec: _Recorder, rng, options):
     gens = {n: g for n, g in zip(algebra.BASIS_NAMES, algebra.basis())}
     table = _expected_bracket_table()
     t0 = time.perf_counter()
-    worst = 0
+    diffs = []
     for (a, b), coeffs in table.items():
         got = algebra.bracket(gens[a], gens[b])
-        want_v = sum((c * gens[n].v for n, c in coeffs.items()), np.zeros(4))
-        want_w = sum((c * gens[n].w for n, c in coeffs.items()), np.zeros((4, 4)))
-        worst = max(worst, int(np.abs(got.v - want_v).max()), int(np.abs(got.w - want_w).max()))
-    rec.add("algebra.01-bracket-table", "basis-commutators", worst, 0,
+        diffs.append(got.v - sum((c * gens[n].v for n, c in coeffs.items()), np.zeros(4)))
+        diffs.append(got.w - sum((c * gens[n].w for n, c in coeffs.items()), np.zeros((4, 4))))
+    rec.add("algebra.01-bracket-table", "basis-commutators", _worst(*diffs), 0,
             {"pairs": len(table)}, t0)
 
     # Samples are drawn as one (N, ..., 10) coefficient block, in the order a
     # per-sample loop would draw them, and checked on stacks.
     t0 = time.perf_counter()
-    n = options.get("jacobi_samples", 1000)
-    x, y, z = (_algebra_stack(c) for c in np.moveaxis(rng.uniform(-1, 1, size=(n, 3, 10)), 1, 0))
+    x, y, z = (_algebra_stack(c) for c in np.moveaxis(rng.uniform(-1, 1, size=(1000, 3, 10)), 1, 0))
     br = algebra.bracket_batch
     total = [sum(parts) for parts in zip(br(br(x, y), z), br(br(y, z), x), br(br(z, x), y))]
-    worst = max(np.abs(total[0]).max(initial=0.0), np.abs(total[1]).max(initial=0.0))
-    rec.add("algebra.02-jacobi", "jacobi-identity", worst, 1e-12, None, t0)
+    rec.add("algebra.02-jacobi", "jacobi-identity", _worst(*total), 1e-12, None, t0)
 
     t0 = time.perf_counter()
-    n = options.get("exp_samples", 1000)
-    _, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(n, 10))))
-    worst_orth = np.abs(np.swapaxes(L, -1, -2) @ ETA @ L - ETA).max(initial=0.0)
-    worst_det = np.abs(np.linalg.det(L) - 1.0).max(initial=0.0)
-    rec.add("algebra.03-exp-orthogonality", "exp-lands-in-lorentz-group", worst_orth, 1e-10, None, t0)
-    rec.add("algebra.04-exp-determinant", "exp-lands-in-lorentz-group", worst_det, 1e-9, None, t0)
+    _, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(1000, 10))))
+    rec.add("algebra.03-exp-orthogonality", "exp-lands-in-lorentz-group",
+            _worst(np.swapaxes(L, -1, -2) @ ETA @ L - ETA), 1e-10, None, t0)
+    rec.add("algebra.04-exp-determinant", "exp-lands-in-lorentz-group",
+            _worst(np.linalg.det(L) - 1.0), 1e-9, None, t0)
 
     t0 = time.perf_counter()
-    draws = rng.uniform(-1, 1, size=(options.get("subgroup_samples", 200), 12))
+    draws = rng.uniform(-1, 1, size=(200, 12))
     v, w = _algebra_stack(draws[:, :10])
     scales = np.stack([draws[:, 10], draws[:, 11], draws[:, 10] + draws[:, 11]])  # s, t, s + t
     a, L = algebra.exp_batch(scales[..., None] * v, scales[..., None, None] * w)
     left_a, left_L = compose_batch((a[0], L[0]), (a[1], L[1]))
-    worst = max(np.abs(left_a - a[2]).max(initial=0.0), np.abs(left_L - L[2]).max(initial=0.0))
-    rec.add("algebra.05-subgroup-law", "one-parameter-subgroup", worst, 1e-9, None, t0)
+    rec.add("algebra.05-subgroup-law", "one-parameter-subgroup",
+            _worst(left_a - a[2], left_L - L[2]), 1e-9, None, t0)
 
     t0 = time.perf_counter()
-    worst = 0.0
+    diffs = []
     for _ in range(100):
         x = _random_algebra(rng)
         rot, boo = algebra.polarize(x)
-        worst = max(worst, np.abs(rot.w + boo.w - x.w).max())
         rot2, boo2 = algebra.polarize(rot)
-        worst = max(worst, np.abs(rot2.w - rot.w).max(), np.abs(boo2.w).max())
-    rec.add("algebra.06-polarize-projection", "rotation-boost-split", worst, 1e-14, None, t0)
+        diffs += [rot.w + boo.w - x.w, rot2.w - rot.w, boo2.w]
+    rec.add("algebra.06-polarize-projection", "rotation-boost-split", _worst(*diffs), 1e-14,
+            None, t0)
 
     t0 = time.perf_counter()
     a, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(100, 2, 10))))
     g, h = (a[:, 0], L[:, 0]), (a[:, 1], L[:, 1])
     adj = lorentz_adjoint(L[:, 0])
-    worst = max(np.abs(lorentz_adjoint(adj) - L[:, 0]).max(),
-                np.abs(L[:, 0] @ adj - np.eye(4)).max(),
-                np.abs(homogeneous_batch(*compose_batch(g, h))
-                       - homogeneous_batch(*g) @ homogeneous_batch(*h)).max())
+    worst = _worst(lorentz_adjoint(adj) - L[:, 0], L[:, 0] @ adj - np.eye(4),
+                   homogeneous_batch(*compose_batch(g, h))
+                   - homogeneous_batch(*g) @ homogeneous_batch(*h))
     rec.add("algebra.07-adjoint-homomorphism", "adjoint-inverse-and-matrix-view",
             worst, 1e-10, None, t0)
 
@@ -267,19 +271,14 @@ def _suite_forms(rec: _Recorder, rng, options):
 
     for p in (2, 3):
         t0 = time.perf_counter()
-        worst_ratio_lo, worst_ratio_hi, worst_fine = np.inf, 0.0, 0.0
-        for which in range(3):
-            coarse = _dislocation_norm(p, n0, which)
-            fine = _dislocation_norm(p, n1, which)
-            ratio = coarse / fine
-            worst_ratio_lo = min(worst_ratio_lo, ratio)
-            worst_ratio_hi = max(worst_ratio_hi, ratio)
-            worst_fine = max(worst_fine, fine)
-        order = float(np.log2(worst_ratio_lo))
+        norms = np.array([[_dislocation_norm(p, n, which) for n in (n0, n1)] for which in range(3)])
+        ratio = norms[:, 0] / norms[:, 1]
+        lo, hi, worst_fine = float(ratio.min()), float(ratio.max()), _worst(norms[:, 1])
+        order = float(np.log2(lo))
         rec.bracket(f"forms.03-dislocation-order-p{p}", "nabla-squared-vanishes",
                     1.7, order, 2.3,
                     {"field": "dislocation", "grid": [n0, n1], "norm": worst_fine,
-                     "order_estimate": order, "ratio_range": [worst_ratio_lo, worst_ratio_hi]},
+                     "order_estimate": order, "ratio_range": [lo, hi]},
                     t0)
         rec.add(f"forms.04-dislocation-norm-p{p}", "nabla-squared-vanishes", worst_fine, 1e-3,
                 None, t0)
@@ -307,7 +306,7 @@ def _suite_forms(rec: _Recorder, rng, options):
     hand = np.zeros(lat2.shape + (1, 4))
     hand[..., 0, 1] = -1.0
     rec.add("forms.06-hand-dislocation", "torsion-of-a-linear-shear",
-            float(np.abs(Om.tra.data - hand).max()), 1e-10,
+            _worst(Om.tra.data - hand), 1e-10,
             {"residual_closedness": deformation.closedness_residual(E)}, t0)
 
 
@@ -402,7 +401,7 @@ def _suite_cosserat(rec: _Recorder, rng, options):
     phi_inv = _invariant_phi(lat, s, rng)
     rF, rM = dynamics.poincare_invariance_residual(phi_inv, s)
     rec.add("cosserat.01-invariant-construction", "rigid-motion-work-vanishes",
-            max(rF, rM), 1e-12, None, t0)
+            _worst(rF, rM), 1e-12, None, t0)
 
     t0 = time.perf_counter()
     phi = _random_phi(lat, rng)
@@ -410,12 +409,11 @@ def _suite_cosserat(rec: _Recorder, rng, options):
     var_l = dynamics.lagrangian_of(var_e, s)
     d1 = dynamics.virtual_work_density(phi, s, var_l)
     d2 = dynamics.virtual_work_density(phi, s, var_e)
-    scale = max(1.0, float(np.abs(d1).max()))
     rec.add("cosserat.02-picture-crosscheck", "work-density-picture-independence",
-            float(np.abs(d1 - d2).max()) / scale, 1e-12, None, t0)
+            _worst(d1 - d2) / _worst(1.0, d1), 1e-12, None, t0)
 
     t0 = time.perf_counter()
-    grids = options.get("cosserat_grids", options.get("grids", (9, 17)))
+    grids = (9, 17)
     norm, mism = {}, {}  # one build per grid serves cosserat.03 and .04, which share its time
     for n in grids:
         latn = _lattice(2, n)
@@ -424,7 +422,7 @@ def _suite_cosserat(rec: _Recorder, rng, options):
         phin = _phi_realizing(latn, sn, sigma_n, div_sigma_n, mubar_n, div_mubar_n)
         r1, r2 = dynamics.cosserat_residual(phin, sn)
         sel = latn.interior()
-        norm[n] = max(float(np.abs(r1[sel]).max()), float(np.abs(r2[sel]).max()))
+        norm[n] = _worst(r1[sel], r2[sel])
         coords = latn.coords()
         dxi0 = np.stack([np.sin(coords[0]), np.cos(0.7 * coords[1]),
                          coords[0] * coords[1], 0.5 * np.ones(latn.shape)], axis=-1)
@@ -444,7 +442,7 @@ def _suite_cosserat(rec: _Recorder, rng, options):
     t0 = time.perf_counter()
     _, r2 = dynamics.cosserat_residual(phi, s)
     rec.add("cosserat.05-couple-residual-antisymmetry", "couple-balance-antisymmetry",
-            float(np.abs(r2 + np.swapaxes(r2, -1, -2)).max()), 1e-12, None, t0)
+            _worst(r2 + np.swapaxes(r2, -1, -2)), 1e-12, None, t0)
 
 
 # --------------------------------------------------------------------------
@@ -465,24 +463,25 @@ def _suite_dirac(rec: _Recorder, rng, options):
             1e-14, None, t0)
 
     t0 = time.perf_counter()
-    worst_res, worst_u, worst_us, worst_eq = 0.0, 0.0, 0.0, 0.0
-    for _ in range(options.get("dirac_samples", 25)):
+    res, speed, frenkel, modulus = [], [], [], []
+    for _ in range(25):
         p = _boosted_momentum(rng)
         st = dirac.make_plane_wave(p, int(rng.integers(2)), 1 if rng.uniform() < 0.5 else -1)
         x = rng.uniform(-1, 1, size=4)
-        worst_res = max(worst_res, dirac.dirac_residual(st, x))
+        res.append(dirac.dirac_residual(st, x))
         j = dirac.current_j(st, x)
         rho, u = dirac.density_velocity(j, st.hbar, st.c)
-        worst_u = max(worst_u, abs(float(u @ ETA @ u) - st.c ** 2))
+        speed.append(float(u @ ETA @ u) - st.c ** 2)
         _, S2 = dirac.spin_tensor(st, x)
-        worst_us = max(worst_us, float(np.abs((ETA @ u) @ S2).max()))
+        frenkel.append((ETA @ u) @ S2)
         Om = float((st.psi(x).conj() @ dirac.GAMMA_UP[0] @ st.psi(x)).real)
         Omh = float((1j * st.psi(x).conj() @ dirac.GAMMA_UP[0] @ dirac.GAMMA5 @ st.psi(x)).real)
-        worst_eq = max(worst_eq, abs(Om ** 2 + Omh ** 2 - rho ** 2))
-    rec.add("dirac.03-planewave-residual", "free-wave-equation", worst_res, 1e-12, None, t0)
-    rec.add("dirac.04-velocity-normalization", "unit-speed-constraint", worst_u, 1e-10, None, t0)
-    rec.add("dirac.05-frenkel", "velocity-annihilates-spin", worst_us, 1e-10, None, t0)
-    rec.add("dirac.06-takabayasi-identity", "scalar-pseudoscalar-modulus", worst_eq, 1e-10,
+        modulus.append(Om ** 2 + Omh ** 2 - rho ** 2)
+    rec.add("dirac.03-planewave-residual", "free-wave-equation", _worst(*res), 1e-12, None, t0)
+    rec.add("dirac.04-velocity-normalization", "unit-speed-constraint", _worst(*speed), 1e-10,
+            None, t0)
+    rec.add("dirac.05-frenkel", "velocity-annihilates-spin", _worst(*frenkel), 1e-10, None, t0)
+    rec.add("dirac.06-takabayasi-identity", "scalar-pseudoscalar-modulus", _worst(*modulus), 1e-10,
             None, t0)
 
     t0 = time.perf_counter()
@@ -494,15 +493,14 @@ def _suite_dirac(rec: _Recorder, rng, options):
             1e-10, {"points": rep.points}, t0)
 
     t0 = time.perf_counter()
-    worst = 0.0
+    diffs = []
     for _ in range(10):
         st = dirac.make_plane_wave(_boosted_momentum(rng), int(rng.integers(2)))
         x = rng.uniform(-1, 1, size=4)
         tk = dirac.takabayasi(st, x)
         rho, u = dirac.density_velocity(dirac.current_j(st, x))
-        back = dirac.spin_form_from_dual(u, tk.S_hat, st.c)
-        worst = max(worst, float(np.abs(back - tk.S_form).max()))
-    rec.add("dirac.08-duality-roundtrip", "spin-axis-duality", worst, 1e-12, None, t0)
+        diffs.append(dirac.spin_form_from_dual(u, tk.S_hat, st.c) - tk.S_form)
+    rec.add("dirac.08-duality-roundtrip", "spin-axis-duality", _worst(*diffs), 1e-12, None, t0)
 
 
 # --------------------------------------------------------------------------
@@ -527,24 +525,23 @@ def _random_element(rng, c=1.0) -> weyssenhoff.WeyssenhoffElement:
 
 def _suite_weyssenhoff(rec: _Recorder, rng, options):
     t0 = time.perf_counter()
-    worst_tr, worst_split, worst_asym = 0.0, 0.0, 0.0
+    trace, asym, split = [], [], []
     for _ in range(50):
         el = _random_element(rng)
         st = weyssenhoff.stress_tensors(el)
         sp = weyssenhoff.split_momentum(el.g, el.u, el.c)
-        worst_tr = max(worst_tr, abs(st.trace - sp.rho0 * el.c ** 2))
+        trace.append(st.trace - sp.rho0 * el.c ** 2)
         u_low = ETA @ el.u
-        expect = 0.5 * (np.outer(sp.pi_low, u_low) - np.outer(u_low, sp.pi_low))
-        worst_asym = max(worst_asym, float(np.abs(st.T_asym - expect).max()))
+        asym.append(st.T_asym - 0.5 * (np.outer(sp.pi_low, u_low) - np.outer(u_low, sp.pi_low)))
         a, _, _ = weyssenhoff._acceleration(el.u, el.s, el.g, el.c, 1e-6)
         g2 = weyssenhoff.momentum_from_state(el, a, tol=1e-6)
         sp2 = weyssenhoff.split_momentum(g2, el.u, el.c)
-        worst_split = max(worst_split, abs(sp2.rho0 - sp.rho0),
-                          float(np.abs(sp2.pi_low - sp.pi_low).max()))
-    rec.add("weyssenhoff.01-trace-identity", "stress-trace-is-rest-energy", worst_tr, 1e-12, None, t0)
-    rec.add("weyssenhoff.02-antisymmetric-part", "transverse-momentum-bivector", worst_asym,
+        split += [sp2.rho0 - sp.rho0, sp2.pi_low - sp.pi_low]
+    rec.add("weyssenhoff.01-trace-identity", "stress-trace-is-rest-energy", _worst(*trace), 1e-12,
+            None, t0)
+    rec.add("weyssenhoff.02-antisymmetric-part", "transverse-momentum-bivector", _worst(*asym),
             1e-12, None, t0)
-    rec.add("weyssenhoff.03-split-rebuild", "momentum-split-roundtrip", worst_split, 1e-12,
+    rec.add("weyssenhoff.03-split-rebuild", "momentum-split-roundtrip", _worst(*split), 1e-12,
             None, t0)
 
     t0 = time.perf_counter()
@@ -552,20 +549,18 @@ def _suite_weyssenhoff(rec: _Recorder, rng, options):
     u0 = np.array([c, 0, 0, 0])
     el = weyssenhoff.WeyssenhoffElement(np.zeros(4), u0, ETA @ u0 * 1.3,
                                         weyssenhoff.spin_matrix_from_components([0, 0, 0, 0.5, 0, 0]))
-    traj = weyssenhoff.integrate_worldline(el, options.get("steps", 400), options.get("dtau", 0.01))
-    dev = max(float(np.abs(traj.u - u0).max()),
-              float(np.abs(traj.x - np.outer(traj.tau, u0)).max()))
+    n = options.get("steps", DEFAULT_STEPS)
+    dt = options.get("dtau", DEFAULT_DTAU)
+    traj = weyssenhoff.integrate_worldline(el, n, dt)
+    dev = _worst(traj.u - u0, traj.x - np.outer(traj.tau, u0))
     rec.add("weyssenhoff.04-aligned-momentum-is-inertial", "stationary-spin-solution",
             dev, 1e-10, None, t0)
 
     t0 = time.perf_counter()
     el = _random_element(np.random.default_rng(11))
-    n = options.get("steps", 400)
-    dt = options.get("dtau", 0.01)
     t1 = weyssenhoff.integrate_worldline(el, n, dt)
     t2 = weyssenhoff.integrate_worldline(el, 2 * n, dt / 2)
-    d1 = max(t1.drift_summary()["u_norm"], t1.drift_summary()["frenkel"])
-    d2 = max(t2.drift_summary()["u_norm"], t2.drift_summary()["frenkel"])
+    d1, d2 = (_worst(t.drift_summary()["u_norm"], t.drift_summary()["frenkel"]) for t in (t1, t2))
     order = float(np.log2(d1 / d2))
     rec.bracket("weyssenhoff.05-drift-order", "integrator-constraint-drift", 3.7, order, 100.0,
                 {"coarse": d1, "fine": d2, "order_estimate": order}, t0)

@@ -132,14 +132,14 @@ def test_grid_flag_parses(tmp_path):
     assert checks["forms.03-dislocation-order-p2"]["extra"]["grid"] == [9, 17]
 
 
-@pytest.mark.parametrize("grid", ["17", "a,b", "2,5", "9,17,33", "17.5,33"])
+@pytest.mark.parametrize("grid", ["17", "a,b", "2,5", "9,17,33", "17.5,33", "9,9", "17,9"])
 def test_bad_grid_flag_is_usage_error(grid, capsys):
     assert main(["--suite", "forms", "--grid", grid]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --grid") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("grids", ["17", "x 33", "2, 5", "9, 17, 33"])
+@pytest.mark.parametrize("grids", ["17", "x 33", "2, 5", "9, 17, 33", "17, 9"])
 def test_bad_config_grids_are_usage_error(tmp_path, grids, capsys):
     cfg = tmp_path / "suite.ini"
     cfg.write_text(f"[forms]\ngrids = {grids}\n")
@@ -181,11 +181,11 @@ def test_overflowing_tau_grid_is_usage_error(tmp_path, args, capsys):
     cfg = tmp_path / "wl.ini"
     cfg.write_text("[worldline]\nu = 1 0 0 0\n")
     out = tmp_path / "t.csv"
-    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
-                 "--output", str(out), *args]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: tau grid overflows") and err.count("\n") == 1
-    assert not out.exists()
+    for mode in _STEP_MODES:
+        assert main([*mode, "--config", str(cfg), "--output", str(out), *args]) == 2, mode
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau grid overflows") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_import_loads_no_scipy():

@@ -161,6 +161,15 @@ def test_closedness_residual_hand_value():
     assert closedness_residual(AlgebraForm.zeros(lat, 1)) == 0.0
 
 
+def test_nan_lorentz_part_is_not_dropped():
+    # a NaN Lorentz part must not hide behind the finite translation part
+    lat = _unit_lattice(2, 5)
+    E = AlgebraForm.zeros(lat, 1)
+    E.lor.data[2, 2, 0, 1, 0] = np.nan
+    assert np.isnan(E.interior_max())
+    assert np.isnan(closedness_residual(E))
+
+
 def test_group_field_rejects_non_lorentz():
     lat = _unit_lattice(2, 5)
     a = np.zeros(lat.shape + (4,))

@@ -106,13 +106,6 @@ def test_homogeneous_roundtrip(rng):
     assert np.array_equal(back.a, g.a) and np.array_equal(back.L, g.L)
 
 
-def test_serialization_roundtrip(rng):
-    g = _random_element(rng)
-    back = PoincareElement.from_record(g.to_record())
-    assert np.allclose(back.a, g.a, atol=1e-16)
-    assert np.allclose(back.L, g.L, atol=1e-16)
-
-
 def test_act_identity_leaves_frame():
     f = canonical_frame()
     f2 = act_on_frame(identity(), f)
@@ -148,5 +141,6 @@ def test_action_preserves_orthonormality(rng):
 
 
 def test_frame_rejects_bad_axes():
-    with pytest.raises(ValueError):
-        AffineFrame(np.zeros(4), 2 * np.eye(4))
+    for axes in (2 * np.eye(4), np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError):
+            AffineFrame(np.zeros(4), axes)

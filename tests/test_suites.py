@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cosrel import algebra, deformation, kinematics
+from cosrel import algebra, deformation, dirac, kinematics, suites, weyssenhoff
 from cosrel.suites import (SUITE_NAMES, _algebra_stack, _bump_state, _lattice, _random_algebra,
                            _smooth_group_field, run_suite)
 from test_acceptance import _displacement_closure
@@ -28,15 +30,37 @@ def test_single_suite_report_shape():
 
 
 def test_all_runs_every_suite():
-    reports = run_suite("all", seed=0, options={"grids": (9, 17), "cosserat_grids": (9, 17),
-                                                "steps": 150, "dtau": 0.02,
-                                                "jacobi_samples": 50, "exp_samples": 50,
-                                                "subgroup_samples": 20, "dirac_samples": 5})
+    reports = run_suite("all", seed=0, options={"grids": (9, 17), "steps": 150, "dtau": 0.02})
     assert [r.suite for r in reports] == list(SUITE_NAMES)
     assert all(r.passed for r in reports)
     for r in reports:
         for c in r.checks:
             assert c.runtime_ms > 0, c.check_id
+
+
+def _nan_on_second_call(fn, nan_of):
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        out = fn(*args)
+        return nan_of(out) if len(calls) == 2 else out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("suite,module,name,nan_of,check_id", [
+    ("dirac", dirac, "dirac_residual", lambda r: np.nan, "dirac.03-planewave-residual"),
+    ("weyssenhoff", weyssenhoff, "stress_tensors",
+     lambda st: dataclasses.replace(st, trace=np.nan), "weyssenhoff.01-trace-identity"),
+    ("forms", suites, "_dislocation_norm", lambda r: np.nan, "forms.03-dislocation-order-p2"),
+], ids=["dirac.03", "weyssenhoff.01", "forms.03"])
+def test_nan_sample_fails_its_check(monkeypatch, suite, module, name, nan_of, check_id):
+    # one NaN sample among finite ones must surface as the check's value, not be maxed away
+    monkeypatch.setattr(module, name, _nan_on_second_call(getattr(module, name), nan_of))
+    rep = run_suite(suite, options={"grids": (9, 17)})[0]
+    check = {c.check_id: c for c in rep.checks}[check_id]
+    assert np.isnan(check.value) and not check.passed and not rep.passed
 
 
 def test_seeded_determinism_of_report_values():
