@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import ETA
+from .minkowski import ETA, four_vector
 
 _C = np.complex128
 
@@ -41,32 +41,20 @@ for _g in (GAMMA_UP, GAMMA_DN, GAMMA5):
 
 def clifford_defect() -> float:
     """Max-norm defect of gamma_mu gamma_nu + gamma_nu gamma_mu = 2 eta_{mu nu}."""
-    worst = 0.0
-    for m in range(4):
-        for n in range(4):
-            acom = GAMMA_DN[m] @ GAMMA_DN[n] + GAMMA_DN[n] @ GAMMA_DN[m]
-            worst = max(worst, float(np.abs(acom - 2 * ETA[m, n] * np.eye(4)).max()))
-    return worst
+    acom = GAMMA_DN[:, None] @ GAMMA_DN[None] + GAMMA_DN[None] @ GAMMA_DN[:, None]
+    return float(np.abs(acom - 2 * ETA[:, :, None, None] * np.eye(4)).max())
 
 
 def hermiticity_defect() -> float:
     """gamma^0 Hermitian, the spatial three anti-Hermitian."""
-    worst = float(np.abs(GAMMA_UP[0] - GAMMA_UP[0].conj().T).max())
-    for i in (1, 2, 3):
-        worst = max(worst, float(np.abs(GAMMA_UP[i] + GAMMA_UP[i].conj().T).max()))
-    return worst
+    adjoint = np.diag(ETA)[:, None, None] * GAMMA_UP.conj().swapaxes(-1, -2)
+    return float(np.abs(GAMMA_UP - adjoint).max())
 
 
 def _levi_civita() -> np.ndarray:
     eps = np.zeros((4, 4, 4, 4))
     for perm in itertools.permutations(range(4)):
-        sign = 1
-        perm_list = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm_list[i] > perm_list[j]:
-                    sign = -sign
-        eps[perm] = sign
+        eps[perm] = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
     return eps
 
 
@@ -129,7 +117,7 @@ class WaveSuperposition:
             raise ValueError("empty superposition")
         k0, h0, c0 = waves[0].kappa, waves[0].hbar, waves[0].c
         for w in waves[1:]:
-            if abs(w.kappa - k0) > 1e-12 or w.hbar != h0 or w.c != c0:
+            if not abs(w.kappa - k0) <= 1e-12 or w.hbar != h0 or w.c != c0:
                 raise ValueError("superposed waves must share kappa, hbar and c")
         object.__setattr__(self, "waves", waves)
 
@@ -159,25 +147,29 @@ def superpose(*states) -> WaveSuperposition:
     return WaveSuperposition(tuple(states))
 
 
-def make_plane_wave(p, spin_index: int, sign: int = 1, hbar: float = 1.0, c: float = 1.0,
-                    tol: float = 1e-10) -> PlaneWaveState:
+#: Mass-shell tolerance: p.p < -_SHELL_TOL is spacelike, |p.p| <= _SHELL_TOL is null.
+_SHELL_TOL = 1e-10
+
+
+def make_plane_wave(p, spin_index: int, sign: int = 1, hbar: float = 1.0,
+                    c: float = 1.0) -> PlaneWaveState:
     """Plane-wave solution with unit amplitude norm.
 
     Timelike p: the amplitude is the boost of a rest-frame basis spinor.  Null p
     (massless limit): the amplitude is taken from the kernel of gamma.p.
     """
-    p = np.asarray(p, dtype=float).reshape(4)
+    p = four_vector(p)
     if spin_index not in (0, 1):
         raise ValueError("spin_index must be 0 or 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     psq = float(p @ ETA @ p)
-    if psq < -tol:
+    if psq < -_SHELL_TOL:
         raise ValueError(f"p is spacelike (p.p = {psq:.3e}); no mass shell")
     if sign == 1 and p[0] <= 0:
         raise ValueError("positive-frequency wave needs p^0 > 0")
     sl = slash(p)
-    if psq > tol:
+    if psq > _SHELL_TOL:
         kappa = float(np.sqrt(psq))
         rest = np.zeros(4, dtype=_C)
         rest[spin_index if sign == 1 else 2 + spin_index] = 1.0
@@ -198,75 +190,79 @@ def make_plane_wave(p, spin_index: int, sign: int = 1, hbar: float = 1.0, c: flo
     return PlaneWaveState(p, w, kappa, sign, hbar, c)
 
 
-def _psibar(state, x) -> np.ndarray:
-    return state.psi(x).conj() @ GAMMA_UP[0]
+def _jet(state, x) -> tuple:
+    """(psi, psibar, d_nu psi [component, nu], d_nu psibar [nu, component]) at x."""
+    psi, dpsi = state.psi(x), state.dpsi(x)
+    return psi, psi.conj() @ GAMMA_UP[0], dpsi, dpsi.conj().T @ GAMMA_UP[0]
 
 
-def _dpsibar(state, x) -> np.ndarray:
-    """[nu, component] row-vectors of d_nu psibar."""
-    return state.dpsi(x).conj().T @ GAMMA_UP[0]
+def _bilinear(jet, K) -> tuple[np.ndarray, np.ndarray]:
+    """psibar K psi for a kernel stack K (..., 4, 4), and its gradient laid out [sigma, ...]."""
+    psi, psibar, dpsi, dpsibar = jet
+    return (np.einsum("a,...ab,b->...", psibar, K, psi),
+            np.einsum("sa,...ab,b->s...", dpsibar, K, psi)
+            + np.einsum("a,...ab,bs->s...", psibar, K, dpsi))
 
 
 def dirac_residual(state, x) -> float:
     """Norm of i gamma^mu d_mu psi - kappa psi, and of the conjugate equation."""
-    psi = state.psi(x)
-    dpsi = state.dpsi(x)
+    psi, psibar, dpsi, dpsibar = _jet(state, x)
     lhs = 1j * np.einsum("mab,bm->a", GAMMA_UP, dpsi) - state.kappa * psi
-    psibar = _psibar(state, x)
-    dpsibar = _dpsibar(state, x)
     lhs_bar = 1j * np.einsum("ma,mab->b", dpsibar, GAMMA_UP) + state.kappa * psibar
     return float(np.maximum(np.linalg.norm(lhs), np.linalg.norm(lhs_bar)))
 
 
+#: Relative tolerance of the reality and reduced-form checks on the bilinears.
+_TOL = 1e-12
+
+
 def _real_checked(arr: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The real part of arr; an imaginary residue above tol (or NaN) is refused."""
     scale = max(1.0, float(np.abs(arr.real).max()))
     imag = float(np.abs(arr.imag).max())
-    if imag > tol * scale:
+    if not imag <= tol * scale:
         raise ValueError(f"{what} has imaginary residue {imag:.3e} (tolerance {tol:.1e})")
     return arr.real.copy()
 
 
-def current_j(state, x, tol: float = 1e-13) -> np.ndarray:
+def _current(state, jet) -> tuple[np.ndarray, np.ndarray]:
+    """j^mu = hbar c psibar gamma^mu psi and d_sigma j^mu [sigma, mu]."""
+    j, dj = _bilinear(jet, GAMMA_UP)
+    hc = state.hbar * state.c
+    return _real_checked(hc * j, 1e-13, "vector current"), (hc * dj).real
+
+
+def current_j(state, x) -> np.ndarray:
     """Probability/number current hbar c psibar gamma^mu psi (real four-vector)."""
-    psibar = _psibar(state, x)
-    psi = state.psi(x)
-    j = state.hbar * state.c * np.einsum("a,mab,b->m", psibar, GAMMA_UP, psi)
-    return _real_checked(j, tol, "vector current")
-
-
-def dcurrent_j(state, x) -> np.ndarray:
-    """Analytic d_sigma j^mu, laid out [sigma, mu]."""
-    psibar, psi = _psibar(state, x), state.psi(x)
-    dpsi, dpsibar = state.dpsi(x), _dpsibar(state, x)
-    dj = state.hbar * state.c * (np.einsum("sa,mab,b->sm", dpsibar, GAMMA_UP, psi)
-                                 + np.einsum("a,mab,bs->sm", psibar, GAMMA_UP, dpsi))
-    return dj.real
+    return _current(state, _jet(state, x))[0]
 
 
 def density_velocity(j, hbar: float = 1.0, c: float = 1.0) -> tuple[float, np.ndarray]:
     """Scalar density and unit-speed velocity: j/hbar = rho u with u.u = c^2."""
     j = np.asarray(j, dtype=float)
     jsq = float(j @ ETA @ j)
-    if jsq <= 0:
+    if not jsq > 0:
         raise ValueError(f"current is not timelike (j.j = {jsq:.3e})")
     rho = np.sqrt(jsq) / (hbar * c)
     return rho, j / (hbar * rho)
 
 
-def energy_momentum(state, x, tol: float = 1e-12) -> np.ndarray:
-    """Canonical T^mu_nu = (i hbar c / 2)(psibar g^mu d_nu psi - d_nu psibar g^mu psi)."""
-    psibar, psi = _psibar(state, x), state.psi(x)
-    dpsi, dpsibar = state.dpsi(x), _dpsibar(state, x)
+def _energy_momentum(state, jet) -> np.ndarray:
+    psi, psibar, dpsi, dpsibar = jet
     T = 0.5j * state.hbar * state.c * (
         np.einsum("a,mab,bn->mn", psibar, GAMMA_UP, dpsi)
         - np.einsum("na,mab,b->mn", dpsibar, GAMMA_UP, psi))
-    return _real_checked(T, tol, "energy-momentum tensor")
+    return _real_checked(T, _TOL, "energy-momentum tensor")
 
 
-def denergy_momentum(state, x) -> np.ndarray:
-    """Analytic d_sigma T^mu_nu, laid out [sigma, mu, nu]."""
-    psibar, psi = _psibar(state, x), state.psi(x)
-    dpsi, dpsibar = state.dpsi(x), _dpsibar(state, x)
+def energy_momentum(state, x) -> np.ndarray:
+    """Canonical T^mu_nu = (i hbar c / 2)(psibar g^mu d_nu psi - d_nu psibar g^mu psi)."""
+    return _energy_momentum(state, _jet(state, x))
+
+
+def _denergy_momentum(state, x, jet) -> np.ndarray:
+    """Analytic d_sigma T^mu_nu, laid out [sigma, mu, nu]; needs d2psi besides the jet."""
+    psi, psibar, dpsi, dpsibar = jet
     d2 = state.d2psi(x)
     d2bar = np.einsum("anm,ab->nmb", d2.conj(), GAMMA_UP[0])
     dT = 0.5j * state.hbar * state.c * (
@@ -279,49 +275,47 @@ def denergy_momentum(state, x) -> np.ndarray:
 
 def _spin_kernel() -> np.ndarray:
     """[lam, mu, nu, a, b] matrices g^mu g^lam g_nu - g_nu g^lam g^mu."""
-    K = np.zeros((4, 4, 4, 4, 4), dtype=_C)
-    for lam in range(4):
-        for mu in range(4):
-            for nu in range(4):
-                K[lam, mu, nu] = (GAMMA_UP[mu] @ GAMMA_UP[lam] @ GAMMA_DN[nu]
-                                  - GAMMA_DN[nu] @ GAMMA_UP[lam] @ GAMMA_UP[mu])
-    return K
+    return (np.einsum("mac,lcd,ndb->lmnab", GAMMA_UP, GAMMA_UP, GAMMA_DN)
+            - np.einsum("nac,lcd,mdb->lmnab", GAMMA_DN, GAMMA_UP, GAMMA_UP))
 
 
 _SPIN_KERNEL = _spin_kernel()
 _SPIN_KERNEL.setflags(write=False)
 
 
-def spin_tensor(state, x, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _spin_current(state, jet) -> tuple[np.ndarray, np.ndarray]:
+    """S^{lam mu}_nu = -(i hbar c / 8) psibar K psi, K = _SPIN_KERNEL, and its gradient.
+
+    The gradient is laid out [sigma, lam, mu, nu].
+    """
+    S3, dS3 = _bilinear(jet, _SPIN_KERNEL)
+    pre = -0.125j * state.hbar * state.c
+    return _real_checked(pre * S3, _TOL, "spin tensor"), (pre * dS3).real
+
+
+def _spin(state, jet, u) -> tuple[np.ndarray, np.ndarray]:
+    """S^{lam mu}_nu, checked against its reduced form, and S^mu_nu = u_lam S^{lam mu}_nu."""
+    psi, psibar = jet[:2]
+    S3, _ = _spin_current(state, jet)
+    reduced = -0.25j * state.hbar * state.c * np.einsum(
+        "a,mab,lbc,ncd,d->lmn", psibar, GAMMA_UP, GAMMA_UP, GAMMA_DN, psi)
+    scale = max(1.0, float(np.abs(S3).max()))
+    mismatch = float(np.abs(reduced.real - S3).max())
+    if mismatch > _TOL * scale:
+        raise ValueError(f"reduced spin form disagrees with Hermitian form: {mismatch:.3e}")
+    return S3, np.einsum("l,lmn->mn", ETA @ u, S3)
+
+
+def spin_tensor(state, x) -> tuple[np.ndarray, np.ndarray]:
     """Spin current S^{lam mu}_nu and the intrinsic tensor S^mu_nu = u_lam S^{lam mu}_nu.
 
     The conserved real tensor is the Hermitian combination
     -(i hbar c / 8) psibar (g^mu g^lam g_nu - g_nu g^lam g^mu) psi; the reduced
     single-product form agrees with it in the real part, which is verified here.
     """
-    psibar, psi = _psibar(state, x), state.psi(x)
-    S3 = -0.125j * state.hbar * state.c * np.einsum(
-        "a,lmnab,b->lmn", psibar, _SPIN_KERNEL, psi)
-    S3 = _real_checked(S3, tol, "spin tensor")
-    reduced = -0.25j * state.hbar * state.c * np.einsum(
-        "a,mab,lbc,ncd,d->lmn", psibar, GAMMA_UP, GAMMA_UP, GAMMA_DN, psi)
-    scale = max(1.0, float(np.abs(S3).max()))
-    mismatch = float(np.abs(reduced.real - S3).max())
-    if mismatch > tol * scale:
-        raise ValueError(f"reduced spin form disagrees with Hermitian form: {mismatch:.3e}")
-    _, u = density_velocity(current_j(state, x), state.hbar, state.c)
-    S2 = np.einsum("l,lmn->mn", ETA @ u, S3)
-    return S3, S2
-
-
-def dspin_tensor(state, x) -> np.ndarray:
-    """Analytic d_sigma S^{lam mu}_nu, laid out [sigma, lam, mu, nu]."""
-    psibar, psi = _psibar(state, x), state.psi(x)
-    dpsi, dpsibar = state.dpsi(x), _dpsibar(state, x)
-    dS3 = -0.125j * state.hbar * state.c * (
-        np.einsum("sa,lmnab,b->slmn", dpsibar, _SPIN_KERNEL, psi)
-        + np.einsum("a,lmnab,bs->slmn", psibar, _SPIN_KERNEL, dpsi))
-    return dS3.real
+    jet = _jet(state, x)
+    _, u = density_velocity(_current(state, jet)[0], state.hbar, state.c)
+    return _spin(state, jet, u)
 
 
 @dataclass
@@ -353,10 +347,11 @@ def conservation_report(state, points=None) -> ConservationReport:
     single = len(state.waves) == 1
     cur, em, ang, asyms = [], [], [], []  # per-point max residuals; NaN propagates to the max
     for x in pts:
-        cur.append(abs(float(np.trace(dcurrent_j(state, x)))) / state.hbar)
-        em.append(np.abs(np.einsum("mmn->n", denergy_momentum(state, x))).max())
-        divS = np.einsum("mlmn->ln", dspin_tensor(state, x))
-        T_low = ETA @ energy_momentum(state, x)
+        jet = _jet(state, x)
+        cur.append(abs(float(np.trace(_current(state, jet)[1]))) / state.hbar)
+        em.append(np.abs(np.einsum("mmn->n", _denergy_momentum(state, x, jet))).max())
+        divS = np.einsum("mlmn->ln", _spin_current(state, jet)[1])
+        T_low = ETA @ _energy_momentum(state, jet)
         asym = 0.5 * (T_low - T_low.T)
         ang.append(np.abs(ETA @ divS - asym).max())
         asyms.append(np.abs(asym).max())
@@ -378,29 +373,7 @@ class TakabayasiRecord:
     mu0: float
 
 
-@dataclass
-class CurrentBundle:
-    """All conserved-current data of a state at one spacetime point."""
-
-    j: np.ndarray
-    rho: float
-    u: np.ndarray
-    T: np.ndarray
-    spin_current: np.ndarray     # S^{lam mu}_nu
-    spin: np.ndarray             # S^mu_nu
-    takabayasi: "TakabayasiRecord"
-
-
-def current_bundle(state, x, m0: float = None) -> CurrentBundle:
-    """Evaluate every current and the phase-split record at one point."""
-    j = current_j(state, x)
-    rho, u = density_velocity(j, state.hbar, state.c)
-    T = energy_momentum(state, x)
-    S3, S2 = spin_tensor(state, x)
-    return CurrentBundle(j, rho, u, T, S3, S2, takabayasi(state, x, m0=m0))
-
-
-def spin_form_from_dual(u, S_hat, c: float = 1.0) -> np.ndarray:
+def spin_form_from_dual(u, S_hat) -> np.ndarray:
     """Lowered spin 2-form as the Poincare dual of u ^ S_hat."""
     return 0.5 * np.einsum("mnkl,k,l->mn", EPS_LOW, u, S_hat)
 
@@ -411,32 +384,26 @@ def dual_of_spin_form(u, S_low, c: float = 1.0) -> np.ndarray:
     return -np.einsum("abmn,a,mn->b", EPS_UP, u_low, S_low) / c ** 2
 
 
-def takabayasi(state, x, m0: float = None, tol: float = 1e-12) -> TakabayasiRecord:
+def takabayasi(state, x) -> TakabayasiRecord:
     """Scalar/pseudoscalar split, spin duality, heat current and internal stress."""
     hbar, c = state.hbar, state.c
-    psibar, psi = _psibar(state, x), state.psi(x)
-    dpsi, dpsibar = state.dpsi(x), _dpsibar(state, x)
-    Omega = float(_real_checked(np.array(psibar @ psi), tol, "scalar bilinear"))
-    Omega_hat = float(_real_checked(np.array(1j * psibar @ GAMMA5 @ psi), tol,
-                                    "pseudoscalar bilinear"))
-    j = current_j(state, x)
+    jet = _jet(state, x)
+    Omega, dOmega = _bilinear(jet, np.eye(4))
+    Omega_hat, dOmega_hat = _bilinear(jet, 1j * GAMMA5)
+    Omega = float(_real_checked(Omega, _TOL, "scalar bilinear"))
+    Omega_hat = float(_real_checked(Omega_hat, _TOL, "pseudoscalar bilinear"))
+    j, dj = _current(state, jet)                   # dj: [sigma, mu]
     rho, u = density_velocity(j, hbar, c)
     if rho <= 0:
         raise ValueError("vanishing density: the phase angle is undefined")
     angle = float(np.arctan2(Omega_hat, Omega))
+    dA = (Omega * dOmega_hat.real - Omega_hat * dOmega.real) / (Omega ** 2 + Omega_hat ** 2)
 
-    # analytic gradients of the bilinears
-    dOmega = (np.einsum("na,a->n", dpsibar, psi) + np.einsum("a,an->n", psibar, dpsi)).real
-    dOmega_hat = (1j * (np.einsum("na,ab,b->n", dpsibar, GAMMA5, psi)
-                        + np.einsum("a,ab,bn->n", psibar, GAMMA5, dpsi))).real
-    dA = (Omega * dOmega_hat - Omega_hat * dOmega) / (Omega ** 2 + Omega_hat ** 2)
-
-    dj = dcurrent_j(state, x)                      # [sigma, mu]
     j_low = ETA @ j
     drho = (dj @ j_low) / ((hbar * c) ** 2 * rho)  # [sigma]
     du = (dj / (hbar * rho) - np.einsum("m,s->sm", j, drho) / (hbar * rho ** 2))  # [sigma, mu]
 
-    _, S2 = spin_tensor(state, x)
+    _, S2 = _spin(state, jet, u)
     S_low = ETA @ S2
     S_low = 0.5 * (S_low - S_low.T)  # numerical antisymmetrization only
     S_hat = dual_of_spin_form(u, S_low, c)
@@ -450,8 +417,7 @@ def takabayasi(state, x, m0: float = None, tol: float = 1e-12) -> TakabayasiReco
              + (0.5 * hbar) * A_dot * np.einsum("m,n->mn", S_hat, u_lowv)
              + np.einsum("ml,l,n->mn", S2, u_dot, u_lowv) / c ** 2)
     pressure = float(np.trace(theta)) / 3.0
-    if m0 is None:
-        m0 = hbar * state.kappa / c
+    m0 = hbar * state.kappa / c
     mu0 = m0 * rho * np.cos(angle) + pressure / c ** 2
     return TakabayasiRecord(rho, Omega, Omega_hat, angle, S_hat, S_low,
                             heat, theta, pressure, float(mu0))

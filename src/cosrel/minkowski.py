@@ -44,8 +44,8 @@ def minkowski_inner(v, w) -> float:
 
 
 def classify(v, tol: float = DEFAULT_TOL) -> CausalClass:
-    """Causal class of a nonzero vector; the zero vector has no class."""
-    v = np.asarray(v, dtype=float)
+    """Causal class of a nonzero finite vector; the zero vector has no class."""
+    v = four_vector(v)
     if not np.any(v != 0.0):
         raise ValueError("causal class of the zero vector is undefined")
     q = minkowski_inner(v, v)

@@ -64,7 +64,8 @@ def to_homogeneous(g: PoincareElement) -> np.ndarray:
 
 def from_homogeneous(H) -> PoincareElement:
     H = np.asarray(H, dtype=float)
-    if H.shape != (5, 5) or abs(H[0, 0] - 1.0) > 1e-12 or np.abs(H[0, 1:]).max() > 1e-12:
+    if (H.shape != (5, 5) or not abs(H[0, 0] - 1.0) <= 1e-12
+            or not np.abs(H[0, 1:]).max() <= 1e-12):
         raise ValueError("not a homogeneous Poincare matrix")
     return PoincareElement(H[1:, 0].copy(), H[1:, 1:].copy())
 

@@ -499,7 +499,7 @@ def _suite_dirac(rec: _Recorder, rng, options):
         x = rng.uniform(-1, 1, size=4)
         tk = dirac.takabayasi(st, x)
         rho, u = dirac.density_velocity(dirac.current_j(st, x))
-        diffs.append(dirac.spin_form_from_dual(u, tk.S_hat, st.c) - tk.S_form)
+        diffs.append(dirac.spin_form_from_dual(u, tk.S_hat) - tk.S_form)
     rec.add("dirac.08-duality-roundtrip", "spin-axis-duality", _worst(*diffs), 1e-12, None, t0)
 
 

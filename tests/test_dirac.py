@@ -5,17 +5,23 @@ import pytest
 
 from conftest import series_exp
 from cosrel.algebra import rotation_matrix_generator
-from cosrel.dirac import (GAMMA5, GAMMA_DN, GAMMA_UP, PlaneWaveState, clifford_defect,
-                          conservation_report, current_j, density_velocity, dirac_residual,
-                          dual_of_spin_form, energy_momentum, hermiticity_defect,
-                          make_plane_wave, slash, spin_form_from_dual, spin_tensor,
-                          superpose, takabayasi)
+from cosrel.dirac import (GAMMA5, GAMMA_DN, GAMMA_UP, PlaneWaveState, _real_checked,
+                          clifford_defect, conservation_report, current_j, density_velocity,
+                          dirac_residual, dual_of_spin_form, energy_momentum,
+                          hermiticity_defect, make_plane_wave, slash, spin_form_from_dual,
+                          spin_tensor, superpose, takabayasi)
 from cosrel.minkowski import ETA
 
 
 def _boosted(rng, kappa=1.0):
     v = rng.uniform(-0.6, 0.6, 3)
     return np.array([np.sqrt(kappa ** 2 + v @ v), *v])
+
+
+def test_real_checked_refuses_nan_imaginary_residue():
+    with pytest.raises(ValueError, match="imaginary residue"):
+        _real_checked(np.array([1, complex(2, np.nan)]), 1e-12, "x")
+    assert np.array_equal(_real_checked(np.array([1, 2 + 1e-15j]), 1e-12, "x"), [1.0, 2.0])
 
 
 def test_clifford_relations_all_pairs():
@@ -51,10 +57,10 @@ def test_rest_frame_negative_wave_lower_components():
 
 
 def test_off_shell_momentum_rejected():
-    with pytest.raises(ValueError):
-        make_plane_wave(np.array([0.1, 1.0, 0, 0]), 0, 1)
-    with pytest.raises(ValueError):
-        make_plane_wave(np.array([-1.0, 0, 0, 0]), 0, 1)
+    for p, message in (([0.1, 1.0, 0, 0], "spacelike"), ([-1.0, 0, 0, 0], "p\\^0 > 0"),
+                       ([np.nan, 0, 0, 0], "finite"), ([np.inf, 0, 0, 0], "finite")):
+        with pytest.raises(ValueError, match=message):
+            make_plane_wave(np.array(p), 0, 1)
 
 
 def test_boosted_wave_residual(rng):
@@ -134,8 +140,9 @@ def test_density_velocity_examples():
     assert rho == pytest.approx(1.0) and np.abs(u - [1, 0, 0, 0]).max() <= 1e-14
     rho2, u2 = density_velocity(np.array([3.0, 0, 0, 0]))
     assert rho2 == pytest.approx(3.0) and np.abs(u2 - u).max() <= 1e-14
-    with pytest.raises(ValueError):
-        density_velocity(np.array([0.0, 1.0, 0, 0]))
+    for j in ([0.0, 1.0, 0, 0], [np.nan, 0, 0, 0]):
+        with pytest.raises(ValueError, match="not timelike"):
+            density_velocity(np.array(j))
 
 
 def test_velocity_parallel_to_momentum(rng):
@@ -322,23 +329,10 @@ def test_duality_roundtrip_with_epsilon_oracle(rng):
 def test_superposition_requires_matching_mass():
     a = make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1)
     b = make_plane_wave(np.array([2.0, 0, 0, 0]), 0, 1)
-    with pytest.raises(ValueError):
-        superpose(a, b)
-
-
-def test_current_bundle_consistency(rng):
-    st = make_plane_wave(_boosted(rng), 0, 1)
-    x = rng.uniform(-1, 1, 4)
-    from cosrel.dirac import current_bundle
-    cb = current_bundle(st, x)
-    assert np.array_equal(cb.j, current_j(st, x))
-    rho, u = density_velocity(cb.j)
-    assert cb.rho == rho and np.array_equal(cb.u, u)
-    assert np.array_equal(cb.T, energy_momentum(st, x))
-    S3, S2 = spin_tensor(st, x)
-    assert np.array_equal(cb.spin_current, S3)
-    assert np.array_equal(cb.spin, S2)
-    assert cb.takabayasi.rho == pytest.approx(rho, abs=1e-14)
+    nan_mass = PlaneWaveState(a.p, a.amplitude, np.nan, 1)
+    for pair in ((a, b), (a, nan_mass), (nan_mass, a)):
+        with pytest.raises(ValueError):
+            superpose(*pair)
 
 
 def test_takabayasi_derivative_terms_match_finite_differences(rng):

@@ -41,8 +41,9 @@ def test_classify_examples():
 
 
 def test_classify_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        classify([0.0, 0.0, 0.0, 0.0])
+    for v in ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [np.inf, np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            classify(v)
 
 
 def test_adjoint_identity():

@@ -106,6 +106,14 @@ def test_homogeneous_roundtrip(rng):
     assert np.array_equal(back.a, g.a) and np.array_equal(back.L, g.L)
 
 
+def test_from_homogeneous_rejects_bad_top_row():
+    for top in ([1, np.nan, 0, 0, 0], [np.nan, 0, 0, 0, 0], [1, 0, 0, 1e-9, 0]):
+        H = np.eye(5)
+        H[0] = top
+        with pytest.raises(ValueError):
+            from_homogeneous(H)
+
+
 def test_act_identity_leaves_frame():
     f = canonical_frame()
     f2 = act_on_frame(identity(), f)
