@@ -170,9 +170,8 @@ def _run_simulation(args) -> int:
     invariant_tol = params.pop("invariant_tol")
     traj = weyssenhoff.integrate_worldline(element, invariant_tol=invariant_tol, **params)
     out = args.output or "trajectory.csv"
-    traj.write_csv(out)
     summary_path = args.json or (out + ".json")
-    traj.write_json(summary_path)
+    traj.write(out, summary_path)
     print(f"wrote {len(traj.tau)} records to {out}; diagnostics in {summary_path}")
     print(f"drift summary: {traj.drift_summary()}")
     return 0

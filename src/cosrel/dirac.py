@@ -8,6 +8,7 @@ nothing here differentiates on a grid.  hbar and c are explicit state scalars
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,12 @@ def slash(p) -> np.ndarray:
     return np.einsum("m,mab->ab", p_low, GAMMA_UP)
 
 
+def _check_units(hbar, c):
+    for name, value in (("hbar", hbar), ("c", c)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PlaneWaveState:
     """psi(x) = w exp(-i s p.x) with s = +1/-1 and (gamma.p - s kappa) w = 0."""
@@ -83,8 +90,14 @@ class PlaneWaveState:
     c: float = 1.0
 
     def __post_init__(self):
+        _check_units(self.hbar, self.c)
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(4))
         object.__setattr__(self, "amplitude", np.asarray(self.amplitude, dtype=_C).reshape(4))
+        for name in ("p", "amplitude"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"plane wave {name} must be finite")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
 
     @property
     def waves(self):
@@ -158,6 +171,7 @@ def make_plane_wave(p, spin_index: int, sign: int = 1, hbar: float = 1.0,
     Timelike p: the amplitude is the boost of a rest-frame basis spinor.  Null p
     (massless limit): the amplitude is taken from the kernel of gamma.p.
     """
+    _check_units(hbar, c)
     p = four_vector(p)
     if spin_index not in (0, 1):
         raise ValueError("spin_index must be 0 or 1")

@@ -280,13 +280,14 @@ def read_grid(path, kind: str, names) -> tuple[Lattice, dict, list]:
     """
     header, arrays = {}, {}
     with open(path, "r") as fh:
-        lines = (parts for parts in map(str.split, fh) if parts)
-        magic = next(lines, [])
+        lines = (line for line in fh if not line.isspace())
+        magic = next(lines, "").split()
         if len(magic) != 3 or tuple(magic[:2]) != _MAGIC:
             raise ValueError("not a cosrel grid file (version 1)")
         if magic[2] != kind:
             raise ValueError(f"expected kind {kind!r}, found {magic[2]!r}")
-        for parts in lines:
+        for line in lines:
+            parts = line.split()
             if parts[0] != "array":
                 if arrays:
                     raise ValueError(f"header key {parts[0]!r} after the first array")
@@ -298,10 +299,13 @@ def read_grid(path, kind: str, names) -> tuple[Lattice, dict, list]:
             dims = _numbers(parts[2:], int, f"dimension of array {name!r}")
             if any(n < 0 for n in dims):
                 raise ValueError(f"negative dimension of array {name!r}")
-            try:
-                flat = np.array(next(lines, []), dtype=float)
+            line = next(lines, "")
+            try:    # blank lines are skipped: fromstring would read one as [-1.]
+                flat = np.fromstring(line, dtype=float, sep=" ")
             except ValueError:
-                raise ValueError(f"non-numeric data in array {name!r}") from None
+                flat = None
+            if flat is None or "(" in line:     # fromstring reads nan(...) as NaN
+                raise ValueError(f"non-numeric data in array {name!r}")
             if flat.size != math.prod(dims):
                 raise ValueError(f"array {name!r} holds {flat.size} values, "
                                  f"its shape {tuple(dims)} needs {math.prod(dims)}")

@@ -22,11 +22,13 @@ def _report(name, ok, detail=""):
     assert ok, f"{name} failed: {detail}"
 
 
+_BASIS = algebra.basis()
+
+
 def _random_algebra(rng, scale=1.0):
     coeffs = rng.uniform(-scale, scale, 10)
-    gens = algebra.basis()
-    return algebra.AlgebraElement(sum(c * g.v for c, g in zip(coeffs, gens)),
-                                  sum(c * g.w for c, g in zip(coeffs, gens)))
+    return algebra.AlgebraElement(sum(c * g.v for c, g in zip(coeffs, _BASIS)),
+                                  sum(c * g.w for c, g in zip(coeffs, _BASIS)))
 
 
 def test_criterion_1_bracket_tables_and_jacobi():

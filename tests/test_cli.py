@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 import cosrel
+from cosrel import weyssenhoff
 from cosrel.cli import main
 
 
@@ -77,6 +79,28 @@ def test_simulation_writes_trajectory_and_summary(tmp_path):
     summary = json.loads((tmp_path / "traj.csv.json").read_text())
     assert len(summary["records"]) == 41
     assert summary["drift_summary"]["u_norm"] <= 1e-12
+
+
+def test_simulation_files_equal_the_writer_adapters(tmp_path):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1.25 0 0 0.75\nrho0 = 1.5\ns = 0 0 0 0.5 0 0\n"
+                   "steps = 40\ndtau = 0.01\n")
+    out, summary = tmp_path / "traj.csv", tmp_path / "summary.json"
+    made = []
+    integrate = weyssenhoff.integrate_worldline
+
+    def keep(*args, **kwargs):
+        made.append(integrate(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(weyssenhoff, "integrate_worldline", keep):
+        assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                     "--output", str(out), "--json", str(summary)]) == 0
+    (traj,) = made
+    traj.write_csv(tmp_path / "a.csv")
+    traj.write_json(tmp_path / "a.json")
+    assert out.read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert summary.read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
 def test_simulation_flag_overrides_config(tmp_path):

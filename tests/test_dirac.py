@@ -329,10 +329,33 @@ def test_duality_roundtrip_with_epsilon_oracle(rng):
 def test_superposition_requires_matching_mass():
     a = make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1)
     b = make_plane_wave(np.array([2.0, 0, 0, 0]), 0, 1)
-    nan_mass = PlaneWaveState(a.p, a.amplitude, np.nan, 1)
-    for pair in ((a, b), (a, nan_mass), (nan_mass, a)):
+    for pair in ((a, b), (b, a)):
         with pytest.raises(ValueError):
             superpose(*pair)
+    with pytest.raises(ValueError, match="kappa"):   # a NaN mass never reaches superpose
+        PlaneWaveState(a.p, a.amplitude, np.nan, 1)
+
+
+_BAD_SCALARS = [("p", [np.nan, 0, 0, 0]), ("p", [np.inf, 0, 0, 0]),
+                ("amplitude", [1, 0, 0, np.nan]), ("amplitude", [1, 0, 1j * np.inf, 0]),
+                ("kappa", np.nan), ("kappa", np.inf), ("kappa", -1.0),
+                ("hbar", -1.0), ("hbar", 0.0), ("hbar", np.nan), ("hbar", np.inf),
+                ("c", np.nan), ("c", 0.0), ("c", -1.0), ("c", -np.inf)]
+
+
+@pytest.mark.parametrize("name,value", _BAD_SCALARS)
+def test_plane_wave_state_refuses_bad_scalars(name, value):
+    a = make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1)
+    fields = {"p": a.p, "amplitude": a.amplitude, "kappa": a.kappa, "sign": 1, "hbar": 1.0, "c": 1.0}
+    fields[name] = value
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        PlaneWaveState(**fields)
+
+
+@pytest.mark.parametrize("name,value", [(n, v) for n, v in _BAD_SCALARS if n in ("hbar", "c")])
+def test_make_plane_wave_names_bad_units(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
+        make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1, **{name: value})
 
 
 def test_takabayasi_derivative_terms_match_finite_differences(rng):

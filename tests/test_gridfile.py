@@ -80,6 +80,9 @@ _REFUSED = {
     "short-data-line": _edit(" 4.375\n", "\n"),
     "long-data-line": _edit(" 4.375\n", " 4.375 4.5\n"),
     "non-numeric-data": _edit(" 4.375\n", " four\n"),
+    "underscore-in-data": _edit(" 4.375\n", " 4_375\n"),
+    "comma-in-data": _edit(" 4.375\n", ",4.375\n"),
+    "nan-payload-in-data": _edit(" 4.375\n", " nan(4375)\n"),
     "missing-data-line": _edit(_A_BLOCK, "") + "array a 3 3 4\n",
     "missing-array": _edit(_A_BLOCK, ""),
     "header-after-array": _edit(_A_BLOCK, _A_BLOCK + "degree 1\n"),

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import warnings
@@ -669,6 +670,52 @@ def test_writers_match_per_record_reference(tmp_path, rng):
     records = [{"tau": r[0], "x": r[1:5], "u": r[5:9], "s": r[9:15], "drift_u2": r[15],
                 "drift_frenkel": r[16], "spin_invariant": r[17]} for r in _rows_reference(traj)]
     assert json.dumps(payload["records"], sort_keys=True) == json.dumps(records, sort_keys=True)
+
+
+_CSV_COLUMNS = ["tau", "x0", "x1", "x2", "x3", "u0", "u1", "u2", "u3",
+                "s01", "s02", "s03", "s12", "s13", "s23",
+                "drift_u2", "drift_frenkel", "spin_invariant"]
+
+
+def _reference_files(traj) -> tuple:
+    """(CSV bytes, JSON bytes) of csv.writer and json.dump over the per-record rows."""
+    rows = list(_rows_reference(traj))
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(_CSV_COLUMNS)
+    writer.writerows(rows)
+    records = [{"tau": r[0], "x": r[1:5], "u": r[5:9], "s": r[9:15], "drift_u2": r[15],
+                "drift_frenkel": r[16], "spin_invariant": r[17]} for r in rows]
+    sp = split_momentum(traj.g, traj.u[0], traj.c)
+    payload = {"g": traj.g.tolist(), "c": traj.c, "records": records,
+               "drift_summary": traj.drift_summary(), "run": traj.params,
+               "regime": {"mu0_defined": sp.mu0_defined, "g_square": sp.g_square}}
+    summary = io.StringIO()
+    json.dump(payload, summary, indent=1, sort_keys=True)
+    summary.write("\n")
+    return table.getvalue().encode(), summary.getvalue().encode(), rows
+
+
+@pytest.mark.parametrize("steps", [0, 1, weyssenhoff._WRITE_ROWS + 2])
+def test_writers_are_byte_identical_to_csv_and_json(tmp_path, rng, steps):
+    traj = integrate_worldline(_bounded_element(rng), steps, 0.01)
+    traj.x[0, 1], traj.x[steps, 2] = np.nan, -0.0
+    traj.u[0, 3], traj.u[steps, 1] = np.inf, 5e-324
+    traj.s[steps] = -0.0
+    traj.s[steps, 0, 1], traj.s[0, 0, 2] = -np.inf, 5e-324
+    traj.diagnostics["frenkel"][steps] = np.nan
+    with np.errstate(invalid="ignore"):     # 0 * inf in the spin lowering
+        want_csv, want_json, rows = _reference_files(traj)
+        traj.write_csv(tmp_path / "a.csv")
+        traj.write_json(tmp_path / "a.json")
+        traj.write(tmp_path / "b.csv", tmp_path / "b.json")
+    special = {repr(v) for row in rows for v in row[1:15]}
+    assert {"nan", "inf", "-inf", "-0.0", "5e-324"} <= special
+    assert math.isnan(traj.drift_summary()["frenkel"])
+    for name in ("a.csv", "b.csv"):
+        assert (tmp_path / name).read_bytes() == want_csv
+    for name in ("a.json", "b.json"):
+        assert (tmp_path / name).read_bytes() == want_json
 
 
 def test_json_summary_reports_run_and_regime(tmp_path, rng):
