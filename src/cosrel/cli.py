@@ -82,13 +82,13 @@ def _suite_options(cfg, args) -> dict:
     return _step_overrides(args, options)
 
 
-def _print_report(report: suites.SuiteReport, stream=sys.stdout):
+def _print_report(report: suites.SuiteReport):
     head = "PASS" if report.passed else "FAIL"
-    print(f"suite {report.suite}: {head} (seed {report.seed})", file=stream)
+    print(f"suite {report.suite}: {head} (seed {report.seed})")
     for c in sorted(report.checks, key=lambda c: c.check_id):
         mark = "ok  " if c.passed else "FAIL"
         print(f"  [{mark}] {c.check_id:44s} {c.law:36s} "
-              f"value={c.value:.3e} tol={c.tolerance:.3e}", file=stream)
+              f"value={c.value:.3e} tol={c.tolerance:.3e}")
 
 
 def _run_suites(args) -> int:

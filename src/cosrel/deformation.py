@@ -47,35 +47,36 @@ class AlgebraForm:
 class GroupField:
     """Poincare displacement field g(rho) = (a(rho), L(rho)) with Lorentz-valid L everywhere."""
 
-    def __init__(self, lattice: Lattice, a: np.ndarray, L: np.ndarray, tol: float = 1e-8):
+    def __init__(self, lattice: Lattice, a: np.ndarray, L: np.ndarray):
         a = np.asarray(a, dtype=float)
         L = np.asarray(L, dtype=float)
         if a.shape != lattice.shape + (4,) or L.shape != lattice.shape + (4, 4):
             raise ValueError("field arrays do not match the lattice")
-        require_lorentz(L, tol, "L field")
+        require_lorentz(L, 1e-8, "L field")
         self.lattice = lattice
         self.a = a
         self.L = L
 
     @classmethod
-    def from_function(cls, lattice: Lattice, fn, tol: float = 1e-8) -> "GroupField":
+    def from_function(cls, lattice: Lattice, fn) -> "GroupField":
         """Sample fn(point) -> (a 4-vector, L 4x4) on the lattice."""
         a, L = lattice.sample(fn, [(4,), (4, 4)])
-        return cls(lattice, a, L, tol)
+        return cls(lattice, a, L)
+
+
+def maurer_cartan(lattice: Lattice, a, L, aj, Lj) -> AlgebraForm:
+    """Eulerian deformation E = dg g^-1 of g = (a, L) with jets (a_b, L_b).
+
+    w_b = L_b L~ and xi_b = a_b - w_b a; the jet axis is the 1-form component axis.
+    """
+    om = Lj @ lorentz_adjoint(L)[..., None, :, :]
+    xi = aj - (om @ a[..., None, :, None])[..., 0]
+    return AlgebraForm(FormField(lattice, 1, xi), FormField(lattice, 1, om))
 
 
 def nabla_group(g: GroupField) -> AlgebraForm:
-    """Eulerian deformation E = (xi, w): w_a = (d_a L) L~, xi_a = d_a a - w_a a."""
-    lat = g.lattice
-    Linv = lorentz_adjoint(g.L)
-    xi = np.zeros(lat.shape + (lat.p, 4))
-    om = np.zeros(lat.shape + (lat.p, 4, 4))
-    for a in range(lat.p):
-        om_a = lat.gradient(g.L, a) @ Linv
-        om[..., a, :, :] = om_a
-        xi[..., a, :] = lat.gradient(g.a, a) - (om_a @ g.a[..., None])[..., 0]
-    # 1-form component axis == material axis
-    return AlgebraForm(FormField(lat, 1, xi), FormField(lat, 1, om))
+    """Eulerian deformation of a group field, jets by stencils."""
+    return maurer_cartan(g.lattice, g.a, g.L, g.lattice.jets(g.a), g.lattice.jets(g.L))
 
 
 def nabla(E: AlgebraForm) -> AlgebraForm:

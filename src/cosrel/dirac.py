@@ -346,18 +346,14 @@ class ConservationReport:
         return float(np.max([self.current, self.energy_momentum, self.angular_momentum]))
 
 
-def _sample_points():
-    return [np.array(q) for q in itertools.product((0.0, 0.7), repeat=4)]
-
-
-def conservation_report(state, points=None) -> ConservationReport:
+def conservation_report(state) -> ConservationReport:
     """Evaluate the divergence laws analytically on a fixed sample grid.
 
     Single plane waves have constant bilinears, so the derivative terms vanish
     identically and the antisymmetric part of T is also checked; superpositions
     exercise the full derivative structure.
     """
-    pts = _sample_points() if points is None else list(points)
+    pts = [np.array(q) for q in itertools.product((0.0, 0.7), repeat=4)]
     single = len(state.waves) == 1
     cur, em, ang, asyms = [], [], [], []  # per-point max residuals; NaN propagates to the max
     for x in pts:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import KinematicalState, is_integrable, jet_action, jet_slot_shapes, jet_slots
+from .kinematics import KinematicalState, jet_action, jet_slot_shapes, jet_slots, require_integrable
 from .lattice import Lattice, central_difference
 from .minkowski import ETA, lowered_antisymmetry_defect
 
@@ -185,17 +185,15 @@ def spin_source(phi: DynamicalState, s: KinematicalState) -> np.ndarray:
     return _asym(np.einsum("...ai,...aj->...ij", phi.sigma, xj_low))
 
 
-def cosserat_residual(phi: DynamicalState, s: KinematicalState, invariant: bool = False,
-                      integrability_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def cosserat_residual(phi: DynamicalState, s: KinematicalState,
+                      invariant: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Balance-law residual fields (r1 force-like, r2 couple-like, antisymmetric).
 
     Standard variant: r1 = F - div sigma, r2 = Mbar - div mubar.  The invariant
     variant replaces F, Mbar by zero and sources the couple balance with the
     stress moment: r1 = -div sigma, r2 = -(div mu_dressed + spin source).
     """
-    ok, res = is_integrable(s, integrability_tol)
-    if not ok:
-        raise ValueError(f"state is not integrable: residual {res:.3e} > {integrability_tol:.3e}")
+    require_integrable(s)
     lat = phi.lattice
     if invariant:
         r1 = -_divergence(lat, phi.sigma)
@@ -207,18 +205,15 @@ def cosserat_residual(phi: DynamicalState, s: KinematicalState, invariant: bool 
     return r1, r2
 
 
-def spatialize(phi: DynamicalState, s: KinematicalState, cond_max: float = 1e8,
-               integrability_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def spatialize(phi: DynamicalState, s: KinematicalState) -> tuple[np.ndarray, np.ndarray]:
     """Balance residuals pushed to the deformed coordinates (body dimension 4 only)."""
     lat = phi.lattice
     if lat.p != 4:
         raise ValueError("spatialize requires a four-dimensional body")
-    ok, res = is_integrable(s, integrability_tol)
-    if not ok:
-        raise ValueError(f"state is not integrable: residual {res:.3e}")
+    require_integrable(s)
     J = np.swapaxes(s.xj, -1, -2)  # J[..., mu, a] = x^mu_a
     cond = np.linalg.cond(J)
-    if not np.all(np.isfinite(cond)) or cond.max() > cond_max:
+    if not np.all(np.isfinite(cond)) or cond.max() > 1e8:
         raise ValueError(f"deformation Jacobian ill-conditioned: max cond {cond.max():.3e}")
     Jinv = np.linalg.inv(J)  # [..., a, mu]
 
@@ -237,7 +232,7 @@ def spatialize(phi: DynamicalState, s: KinematicalState, cond_max: float = 1e8,
     return r1, r2
 
 
-def phi_from_lagrangian(lagrangian, s: KinematicalState, rel_step: float = 1e-6) -> DynamicalState:
+def phi_from_lagrangian(lagrangian, s: KinematicalState) -> DynamicalState:
     """Fundamental form as the jet-space gradient of a scalar density.
 
     `lagrangian(x, e, xj, ej)` must be vectorized over the grid and return a
@@ -246,5 +241,5 @@ def phi_from_lagrangian(lagrangian, s: KinematicalState, rel_step: float = 1e-6)
     slots = [s.x, s.e, s.xj, s.ej]
     return DynamicalState(s.lattice, *(
         central_difference(lambda y, i=i: lagrangian(*slots[:i], y, *slots[i + 1:]),
-                           slots[i], slots[i].ndim - s.lattice.p, rel_step)
+                           slots[i], slots[i].ndim - s.lattice.p)
         for i in range(4)))

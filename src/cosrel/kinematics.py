@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .deformation import AlgebraForm, maurer_cartan
 from .lattice import Lattice, read_grid, write_grid
-from .minkowski import lorentz_adjoint, lowered_antisymmetry_defect, require_lorentz
+from .minkowski import require_lorentz
 
 
 def jet_slot_shapes(lattice: Lattice) -> tuple:
@@ -57,22 +58,10 @@ class DisplacementField:
         self.a, self.L, self.aj, self.Lj = a, L, aj, Lj
 
 
-class EulerianDisplacement:
-    """Per point and material direction: (xi^mu_a, w^mu_{nu a}) in iso(1,3)."""
-
-    def __init__(self, lattice: Lattice, xi: np.ndarray, omega: np.ndarray):
-        self.lattice = lattice
-        self.xi = np.asarray(xi, dtype=float)
-        self.omega = np.asarray(omega, dtype=float)
-
-    def antisymmetry_defect(self) -> float:
-        return lowered_antisymmetry_defect(self.omega)
-
-
-def prolong(lattice: Lattice, fn, tol: float = 1e-8) -> KinematicalState:
+def prolong(lattice: Lattice, fn) -> KinematicalState:
     """Build a state from an analytic object fn(point) -> (x, e); jets by stencils."""
     x, e = lattice.sample(fn, [(4,), (4, 4)])
-    return KinematicalState(lattice, x, e, lattice.jets(x), lattice.jets(e), tol=tol)
+    return KinematicalState(lattice, x, e, lattice.jets(x), lattice.jets(e))
 
 
 def is_integrable(s: KinematicalState, tol: float = 1e-6) -> tuple[bool, float]:
@@ -81,6 +70,13 @@ def is_integrable(s: KinematicalState, tol: float = 1e-6) -> tuple[bool, float]:
     res_e = np.abs(s.ej - s.lattice.jets(s.e)).max()
     residual = float(np.maximum(res_x, res_e))
     return residual <= tol, residual
+
+
+def require_integrable(s: KinematicalState):
+    """Refuse a state whose stored jets differ from the stencil jets of its points by over 1e-6."""
+    ok, res = is_integrable(s, 1e-6)
+    if not ok:
+        raise ValueError(f"state is not integrable: residual {res:.3e} > 1.000e-06")
 
 
 def identity_displacement(lattice: Lattice) -> DisplacementField:
@@ -95,14 +91,14 @@ def constant_displacement(lattice: Lattice, a, L) -> DisplacementField:
     return DisplacementField(lattice, af, Lf, np.zeros(shapes[2]), np.zeros(shapes[3]))
 
 
-def displacement_from_function(lattice: Lattice, fn, jets_fn=None, tol: float = 1e-8) -> DisplacementField:
+def displacement_from_function(lattice: Lattice, fn, jets_fn=None) -> DisplacementField:
     """Sample fn(point) -> (a, L); jets from jets_fn(point) -> (a_a, L_a) or stencils."""
     a, L = lattice.sample(fn, [(4,), (4, 4)])
     if jets_fn is None:
         aj, Lj = lattice.jets(a), lattice.jets(L)
     else:
         aj, Lj = lattice.sample(jets_fn, [(lattice.p, 4), (lattice.p, 4, 4)])
-    return DisplacementField(lattice, a, L, aj, Lj, tol=tol)
+    return DisplacementField(lattice, a, L, aj, Lj)
 
 
 def deform(chi: DisplacementField, s0: KinematicalState, tol: float = 1e-8) -> KinematicalState:
@@ -122,12 +118,9 @@ def compose_displacements(c2: DisplacementField, c1: DisplacementField,
                                                      (c1.a, c1.L, c1.aj, c1.Lj)), tol=tol)
 
 
-def eulerian_of(chi: DisplacementField) -> EulerianDisplacement:
-    """(xi_a, w_a) = dg g^-1 slots built from the stored jets: w_a = L_a L~, xi_a = a_a - w_a a."""
-    Linv = lorentz_adjoint(chi.L)
-    omega = np.einsum("...aij,...jk->...aik", chi.Lj, Linv)
-    xi = chi.aj - np.einsum("...aij,...j->...ai", omega, chi.a)
-    return EulerianDisplacement(chi.lattice, xi, omega)
+def eulerian_of(chi: DisplacementField) -> AlgebraForm:
+    """Eulerian deformation dg g^-1 of the displacement, built from its stored jets."""
+    return maurer_cartan(chi.lattice, chi.a, chi.L, chi.aj, chi.Lj)
 
 
 def eulerian_deform(chi: DisplacementField, s0: KinematicalState,
@@ -135,12 +128,13 @@ def eulerian_deform(chi: DisplacementField, s0: KinematicalState,
     """Deformed state computed in the co-deformed frame; algebraically equal to deform()."""
     if chi.lattice != s0.lattice:
         raise ValueError("displacement and state live on different lattices")
-    eu = eulerian_of(chi)
+    E = eulerian_of(chi)
+    xi, omega = E.tra.data, E.lor.data
     x = chi.a + np.einsum("...ij,...j->...i", chi.L, s0.x)
     e = np.einsum("...ij,...jk->...ik", chi.L, s0.e)
-    xj = eu.xi + np.einsum("...aij,...j->...ai", eu.omega, x) \
+    xj = xi + np.einsum("...aij,...j->...ai", omega, x) \
         + np.einsum("...ij,...aj->...ai", chi.L, s0.xj)
-    ej = np.einsum("...aij,...jk->...aik", eu.omega, e) \
+    ej = np.einsum("...aij,...jk->...aik", omega, e) \
         + np.einsum("...ij,...ajk->...aik", chi.L, s0.ej)
     return KinematicalState(s0.lattice, x, e, xj, ej, tol=tol)
 

@@ -61,9 +61,9 @@ class Lattice:
     def sample(self, fn, shapes) -> list[np.ndarray]:
         """Sample fn(point) -> one value per entry of shapes; one (*shape, *s) array each."""
         outs = [np.zeros(self.shape + tuple(s)) for s in shapes]
+        points = np.stack(self.coords(), axis=-1)
         for idx in np.ndindex(*self.shape):
-            point = np.array([self.origin[a] + self.spacing[a] * idx[a] for a in range(self.p)])
-            for out, value in zip(outs, fn(point)):
+            for out, value in zip(outs, fn(points[idx])):
                 out[idx] = value
         return outs
 
@@ -80,10 +80,14 @@ class Lattice:
         return np.stack([self.gradient(data, a) for a in range(self.p)], axis=self.p)
 
 
-def central_difference(fn, x, ndim: int, step: float) -> np.ndarray:
+#: Relative step of `central_difference`.
+_FD_STEP = 1e-6
+
+
+def central_difference(fn, x, ndim: int) -> np.ndarray:
     """Central differences of fn in the last ndim axes of x, stacked after fn's value axes.
 
-    Each entry x_i is moved by h = step * max(1, |x_i|), separately at every
+    Each entry x_i is moved by h = _FD_STEP * max(1, |x_i|), separately at every
     index of the leading axes of x, which fn's value must broadcast against.
     """
     x = np.asarray(x, dtype=float)
@@ -91,7 +95,7 @@ def central_difference(fn, x, ndim: int, step: float) -> np.ndarray:
     cols = []
     for idx in np.ndindex(*tail):
         sel = (Ellipsis,) + idx
-        h = step * np.maximum(1.0, np.abs(x[sel]))
+        h = _FD_STEP * np.maximum(1.0, np.abs(x[sel]))
         xp, xm = x.copy(), x.copy()
         xp[sel] += h
         xm[sel] -= h
@@ -153,9 +157,6 @@ class FormField:
     def __sub__(self, other: "FormField") -> "FormField":
         self._check_compatible(other)
         return FormField(self.lattice, self.degree, self.data - other.data)
-
-    def __neg__(self) -> "FormField":
-        return FormField(self.lattice, self.degree, -self.data)
 
     def __rmul__(self, t: float) -> "FormField":
         return FormField(self.lattice, self.degree, t * self.data)

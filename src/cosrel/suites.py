@@ -449,9 +449,9 @@ def _suite_cosserat(rec: _Recorder, rng, options):
 # dirac suite
 
 
-def _boosted_momentum(rng, kappa=1.0):
+def _boosted_momentum(rng):
     v = rng.uniform(-0.5, 0.5, size=3)
-    return np.array([np.sqrt(kappa ** 2 + v @ v), *v])
+    return np.array([np.sqrt(1.0 + v @ v), *v])
 
 
 def _suite_dirac(rec: _Recorder, rng, options):

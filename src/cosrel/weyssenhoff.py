@@ -116,13 +116,12 @@ class FlowField:
     """Analytic flow closures u(x), g(x), s(x) with optional analytic Jacobians of u and g.
 
     Jacobians are laid out with the derivative index last: du[mu][sig] = d_sig u^mu.
-    Missing Jacobians fall back to central differences with `fd_step`.
+    Missing Jacobians fall back to `lattice.central_difference`.
     """
 
-    def __init__(self, u, g, s=None, du=None, dg=None, fd_step: float = 1e-6, c: float = 1.0):
+    def __init__(self, u, g, s=None, du=None, dg=None, c: float = 1.0):
         self.u, self.g, self.s = u, g, s
         self._du, self._dg = du, dg
-        self.fd_step = fd_step
         self.c = c
 
     def u_at(self, x):
@@ -135,10 +134,10 @@ class FlowField:
         return np.asarray(self.s(x), dtype=float)
 
     def du_at(self, x):
-        return np.asarray(self._du(x), dtype=float) if self._du else central_difference(self.u, x, 1, self.fd_step)
+        return np.asarray(self._du(x), dtype=float) if self._du else central_difference(self.u, x, 1)
 
     def dg_at(self, x):
-        return np.asarray(self._dg(x), dtype=float) if self._dg else central_difference(self.g, x, 1, self.fd_step)
+        return np.asarray(self._dg(x), dtype=float) if self._dg else central_difference(self.g, x, 1)
 
     def element_at(self, x, tol: float = None) -> "WeyssenhoffElement":
         """Sample the flow as a fluid element; validates the pointwise invariants."""
@@ -171,7 +170,7 @@ def vorticity_compressibility(flow: FlowField, x) -> VorticityReport:
     return VorticityReport(om_k, chi_k, om_d, g_up_div)
 
 
-def density_derivative(f, flow: FlowField, x, grad_f=None, fd_step: float = 1e-6) -> tuple[float, float]:
+def density_derivative(f, flow: FlowField, x) -> tuple[float, float]:
     """Both evaluations of d_tau f = div(f u) = df/dtau + chi_k f.
 
     The first value uses an independent finite-difference divergence of the
@@ -182,8 +181,8 @@ def density_derivative(f, flow: FlowField, x, grad_f=None, fd_step: float = 1e-6
     def product(y):
         return f(y) * np.asarray(flow.u(y), dtype=float)
 
-    div_form = sum(np.diagonal(central_difference(product, x, 1, fd_step)))  # trace, summed in axis order
-    df = central_difference(f, x, 1, fd_step) if grad_f is None else np.asarray(grad_f(x), dtype=float)
+    div_form = sum(np.diagonal(central_difference(product, x, 1)))  # trace, summed in axis order
+    df = central_difference(f, x, 1)
     u = flow.u_at(x)
     chi_k = float(np.trace(flow.du_at(x)))
     comoving_form = float(u @ df) + chi_k * f(x)
@@ -227,8 +226,8 @@ def frenkel_projector(u, c: float = 1.0) -> np.ndarray:
 class ClosureError(RuntimeError):
     """Raised when the transverse momentum is outside the range of the spin matrix."""
 
-    def __init__(self, residual: float, message: str = None):
-        super().__init__(message or f"spin closure unsolvable: residual {residual:.3e}")
+    def __init__(self, residual: float):
+        super().__init__(f"spin closure unsolvable: residual {residual:.3e}")
         self.residual = residual
 
 

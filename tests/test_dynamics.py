@@ -432,6 +432,19 @@ def test_spatialize_linear_embedding_chain_rule_oracle():
     assert np.abs(r2s - (divmu + siglow)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("balance", [cosserat_residual, spatialize])
+def test_non_integrable_state_is_refused(balance):
+    lat = _unit_lattice(4, 3)
+    s = _canonical_state(lat)
+    s.xj[:] += 1.0
+    _, res = is_integrable(s)
+    with pytest.raises(ValueError) as info:
+        balance(DynamicalState.zeros(lat), s)
+    message = str(info.value)
+    assert "state is not integrable" in message
+    assert f"residual {res:.3e}" in message and "> 1.000e-06" in message
+
+
 def test_spatialize_requires_p4_and_invertibility():
     lat = _unit_lattice(2, 5)
     s = _canonical_state(lat)

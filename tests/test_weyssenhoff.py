@@ -172,7 +172,7 @@ def test_dynamical_compressibility_three_term_identity():
     def g_low(x):
         return rho0(x) * (ETA @ u(x))
 
-    flow = FlowField(u=u, g=g_low, fd_step=1e-6)
+    flow = FlowField(u=u, g=g_low)
     x0 = np.array([0.1, 0.4, -0.3, 0.2])
     rep = vorticity_compressibility(flow, x0)
     h = 1e-6
@@ -326,7 +326,7 @@ def test_orbital_divergence_identity_on_stationary_flow():
     def g_low(x):
         return np.array([1.1 + 0.2 * math.sin(x[1]), 0.3 * math.cos(x[2]), -0.2, 0.1 * x[1]])
 
-    flow = FlowField(u=u, g=g_low, fd_step=1e-6)
+    flow = FlowField(u=u, g=g_low)
     for x0 in (np.array([0.0, 0.3, -0.5, 0.2]), np.array([1.0, -0.2, 0.4, 0.0])):
         D = orbital_divergence(flow, x0)
         g_up = ETA @ g_low(x0)
