@@ -137,7 +137,6 @@ def _element_from_config(cfg) -> tuple:
         "dtau": _dtau(sec.get("dtau", "0.01"), "[worldline] dtau"),
         "project": sec.get("projection", "off").lower() in ("on", "true", "1", "yes"),
         "solver_tol": float(sec.get("solver_tol", "1e-3")),
-        "invariant_tol": float(sec.get("invariant_tol", "1e-9")),
     }
     if sec.get("drift_max", "").strip():
         params["drift_max"] = float(sec["drift_max"])
@@ -162,13 +161,12 @@ def _run_simulation(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        element.validate(params["invariant_tol"])
+        element.validate()
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         print(f"residuals: {element.invariant_defects()}", file=sys.stderr)
         return 2
-    invariant_tol = params.pop("invariant_tol")
-    traj = weyssenhoff.integrate_worldline(element, invariant_tol=invariant_tol, **params)
+    traj = weyssenhoff.integrate_worldline(element, **params)
     out = args.output or "trajectory.csv"
     summary_path = args.json or (out + ".json")
     traj.write(out, summary_path)

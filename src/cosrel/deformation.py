@@ -79,19 +79,14 @@ def nabla_group(g: GroupField) -> AlgebraForm:
     return maurer_cartan(g.lattice, g.a, g.L, g.lattice.jets(g.a), g.lattice.jets(g.L))
 
 
-def nabla(E: AlgebraForm) -> AlgebraForm:
-    """The ladder operator on a deformation 1-form: (d xi - w ^ xi, d w - w ^ w)."""
+def dislocation(E: AlgebraForm) -> AlgebraForm:
+    """Dislocation (d xi - w ^ xi, d w - w ^ w) of E = (xi, w); it vanishes if E = nabla g."""
+    if E.lattice.p < 2:
+        raise ValueError("dislocation requires a body of dimension >= 2")
     if E.degree != 1:
         raise ValueError("nabla on forms is defined here for the degree-1 deformation")
     return AlgebraForm(ext_d(E.tra) - wedge(E.lor, E.tra),
                        ext_d(E.lor) - wedge(E.lor, E.lor))
-
-
-def dislocation(E: AlgebraForm) -> AlgebraForm:
-    """Dislocation 2-form of a deformation; vanishing is necessary for E = nabla g."""
-    if E.lattice.p < 2:
-        raise ValueError("dislocation requires a body of dimension >= 2")
-    return nabla(E)
 
 
 def incompatibility(Om: AlgebraForm, E: AlgebraForm) -> AlgebraForm:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .kinematics import KinematicalState, jet_action, jet_slot_shapes, jet_slots, require_integrable
 from .lattice import Lattice, central_difference
-from .minkowski import ETA, lowered_antisymmetry_defect
+from .minkowski import ETA
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -59,10 +59,6 @@ class EulerianVariation:
     dI: np.ndarray
     dxij: np.ndarray
     dIj: np.ndarray
-
-    def antisymmetry_defect(self) -> float:
-        return float(np.maximum(lowered_antisymmetry_defect(self.dI),
-                                lowered_antisymmetry_defect(self.dIj)))
 
 
 def barred_moments(phi: DynamicalState, s: KinematicalState) -> tuple[np.ndarray, np.ndarray]:

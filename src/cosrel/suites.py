@@ -61,21 +61,31 @@ def _worst(*parts) -> float:
 
 
 class _Recorder:
+    """Collects a suite's checks and times them by lap.
+
+    Each check's runtime_ms is the time since the previous check was recorded
+    (the first one's, since the recorder was made), so a suite's runtimes sum to
+    its run time and work shared by several checks counts once, in the first.
+    """
+
     def __init__(self):
         self.checks = []
+        self._lap = time.perf_counter()
 
-    def add(self, check_id, law, value, tol, extra, started):
-        ms = (time.perf_counter() - started) * 1000.0
+    def _ms(self) -> float:
+        now = time.perf_counter()
+        ms, self._lap = (now - self._lap) * 1000.0, now
+        return ms
+
+    def add(self, check_id, law, value, tol, extra=None):
         self.checks.append(Check(check_id, law, float(value), float(tol),
-                                 bool(value <= tol), ms, extra or {}))
+                                 bool(value <= tol), self._ms(), extra or {}))
 
-    def bracket(self, check_id, law, lo, value, hi, extra, started):
-        """Pass iff value falls in [lo, hi]; reported value is the midpoint distance."""
-        ms = (time.perf_counter() - started) * 1000.0
-        ok = lo <= value <= hi
-        data = {"low": lo, "high": hi, "estimate": float(value)}
-        data.update(extra or {})
-        self.checks.append(Check(check_id, law, float(value), float(hi), ok, ms, data))
+    def bracket(self, check_id, law, lo, value, hi, extra):
+        """Pass iff the order estimate `value` falls in [lo, hi]; tolerance is hi."""
+        data = {"low": lo, "high": hi, "order_estimate": float(value), **extra}
+        self.checks.append(Check(check_id, law, float(value), float(hi), lo <= value <= hi,
+                                 self._ms(), data))
 
 
 # --------------------------------------------------------------------------
@@ -142,50 +152,43 @@ def _expected_bracket_table() -> dict:
 def _suite_algebra(rec: _Recorder, rng, options):
     gens = {n: g for n, g in zip(algebra.BASIS_NAMES, algebra.basis())}
     table = _expected_bracket_table()
-    t0 = time.perf_counter()
     diffs = []
     for (a, b), coeffs in table.items():
         got = algebra.bracket(gens[a], gens[b])
         diffs.append(got.v - sum((c * gens[n].v for n, c in coeffs.items()), np.zeros(4)))
         diffs.append(got.w - sum((c * gens[n].w for n, c in coeffs.items()), np.zeros((4, 4))))
     rec.add("algebra.01-bracket-table", "basis-commutators", _worst(*diffs), 0,
-            {"pairs": len(table)}, t0)
+            {"pairs": len(table)})
 
     # Samples are drawn as one (N, ..., 10) coefficient block, in the order a
     # per-sample loop would draw them, and checked on stacks.
-    t0 = time.perf_counter()
     x, y, z = (_algebra_stack(c) for c in np.moveaxis(rng.uniform(-1, 1, size=(1000, 3, 10)), 1, 0))
     br = algebra.bracket_batch
     total = [sum(parts) for parts in zip(br(br(x, y), z), br(br(y, z), x), br(br(z, x), y))]
-    rec.add("algebra.02-jacobi", "jacobi-identity", _worst(*total), 1e-12, None, t0)
+    rec.add("algebra.02-jacobi", "jacobi-identity", _worst(*total), 1e-12)
 
-    t0 = time.perf_counter()
     _, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(1000, 10))))
     rec.add("algebra.03-exp-orthogonality", "exp-lands-in-lorentz-group",
-            _worst(np.swapaxes(L, -1, -2) @ ETA @ L - ETA), 1e-10, None, t0)
+            _worst(np.swapaxes(L, -1, -2) @ ETA @ L - ETA), 1e-10)
     rec.add("algebra.04-exp-determinant", "exp-lands-in-lorentz-group",
-            _worst(np.linalg.det(L) - 1.0), 1e-9, None, t0)
+            _worst(np.linalg.det(L) - 1.0), 1e-9)
 
-    t0 = time.perf_counter()
     draws = rng.uniform(-1, 1, size=(200, 12))
     v, w = _algebra_stack(draws[:, :10])
     scales = np.stack([draws[:, 10], draws[:, 11], draws[:, 10] + draws[:, 11]])  # s, t, s + t
     a, L = algebra.exp_batch(scales[..., None] * v, scales[..., None, None] * w)
     left_a, left_L = compose_batch((a[0], L[0]), (a[1], L[1]))
     rec.add("algebra.05-subgroup-law", "one-parameter-subgroup",
-            _worst(left_a - a[2], left_L - L[2]), 1e-9, None, t0)
+            _worst(left_a - a[2], left_L - L[2]), 1e-9)
 
-    t0 = time.perf_counter()
     diffs = []
     for _ in range(100):
         x = _random_algebra(rng)
         rot, boo = algebra.polarize(x)
         rot2, boo2 = algebra.polarize(rot)
         diffs += [rot.w + boo.w - x.w, rot2.w - rot.w, boo2.w]
-    rec.add("algebra.06-polarize-projection", "rotation-boost-split", _worst(*diffs), 1e-14,
-            None, t0)
+    rec.add("algebra.06-polarize-projection", "rotation-boost-split", _worst(*diffs), 1e-14)
 
-    t0 = time.perf_counter()
     a, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(100, 2, 10))))
     g, h = (a[:, 0], L[:, 0]), (a[:, 1], L[:, 1])
     adj = lorentz_adjoint(L[:, 0])
@@ -193,7 +196,7 @@ def _suite_algebra(rec: _Recorder, rng, options):
                    homogeneous_batch(*compose_batch(g, h))
                    - homogeneous_batch(*g) @ homogeneous_batch(*h))
     rec.add("algebra.07-adjoint-homomorphism", "adjoint-inverse-and-matrix-view",
-            worst, 1e-10, None, t0)
+            worst, 1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -255,35 +258,27 @@ def _random_algebra_form(lat: Lattice, rng) -> deformation.AlgebraForm:
 def _suite_forms(rec: _Recorder, rng, options):
     n0, n1 = options.get("grids", (17, 33))
 
-    t0 = time.perf_counter()
     lat = _lattice(2, 15)
     data = rng.standard_normal(lat.shape + (1,))
     f = FormField(lat, 0, data)
     rec.add("forms.01-dd-zero", "nilpotent-exterior-derivative",
-            ext_d(ext_d(f)).interior_max(), 1e-12, None, t0)
+            ext_d(ext_d(f)).interior_max(), 1e-12)
 
-    t0 = time.perf_counter()
     a = FormField(lat, 1, rng.standard_normal(lat.shape + (2,)))
     b = FormField(lat, 1, rng.standard_normal(lat.shape + (2,)))
     asym = wedge(a, b) + wedge(b, a)
-    rec.add("forms.02-wedge-antisymmetry", "graded-antisymmetry",
-            asym.max_norm(), 1e-12, None, t0)
+    rec.add("forms.02-wedge-antisymmetry", "graded-antisymmetry", asym.max_norm(), 1e-12)
 
     for p in (2, 3):
-        t0 = time.perf_counter()
         norms = np.array([[_dislocation_norm(p, n, which) for n in (n0, n1)] for which in range(3)])
         ratio = norms[:, 0] / norms[:, 1]
         lo, hi, worst_fine = float(ratio.min()), float(ratio.max()), _worst(norms[:, 1])
         order = float(np.log2(lo))
-        rec.bracket(f"forms.03-dislocation-order-p{p}", "nabla-squared-vanishes",
-                    1.7, order, 2.3,
+        rec.bracket(f"forms.03-dislocation-order-p{p}", "nabla-squared-vanishes", 1.7, order, 2.3,
                     {"field": "dislocation", "grid": [n0, n1], "norm": worst_fine,
-                     "order_estimate": order, "ratio_range": [lo, hi]},
-                    t0)
-        rec.add(f"forms.04-dislocation-norm-p{p}", "nabla-squared-vanishes", worst_fine, 1e-3,
-                None, t0)
+                     "ratio_range": [lo, hi]})
+        rec.add(f"forms.04-dislocation-norm-p{p}", "nabla-squared-vanishes", worst_fine, 1e-3)
 
-    t0 = time.perf_counter()
     latc, latf = _lattice(3, n0), _lattice(3, n1)
     # same analytic modes on both grids: identical seed, identical draw sequence
     Ec = _random_algebra_form(latc, np.random.default_rng(123))
@@ -292,10 +287,8 @@ def _suite_forms(rec: _Recorder, rng, options):
     nf = deformation.incompatibility(deformation.dislocation(Ef), Ef).interior_max()
     order = float(np.log2(nc / nf))
     rec.bracket("forms.05-bianchi-order", "second-compatibility-identity", 1.7, order, 2.3,
-                {"field": "incompatibility", "grid": [n0, n1], "norm": nf,
-                 "order_estimate": order}, t0)
+                {"field": "incompatibility", "grid": [n0, n1], "norm": nf})
 
-    t0 = time.perf_counter()
     lat2 = _lattice(2, 21)
     coords = lat2.coords()
     xi = np.zeros(lat2.shape + (2, 4))
@@ -307,7 +300,7 @@ def _suite_forms(rec: _Recorder, rng, options):
     hand[..., 0, 1] = -1.0
     rec.add("forms.06-hand-dislocation", "torsion-of-a-linear-shear",
             _worst(Om.tra.data - hand), 1e-10,
-            {"residual_closedness": deformation.closedness_residual(E)}, t0)
+            {"residual_closedness": deformation.closedness_residual(E)})
 
 
 # --------------------------------------------------------------------------
@@ -397,24 +390,21 @@ def _suite_cosserat(rec: _Recorder, rng, options):
     lat = _lattice(2, 9)
     s = _bump_state(lat)
 
-    t0 = time.perf_counter()
     phi_inv = _invariant_phi(lat, s, rng)
     rF, rM = dynamics.poincare_invariance_residual(phi_inv, s)
     rec.add("cosserat.01-invariant-construction", "rigid-motion-work-vanishes",
-            _worst(rF, rM), 1e-12, None, t0)
+            _worst(rF, rM), 1e-12)
 
-    t0 = time.perf_counter()
     phi = _random_phi(lat, rng)
     var_e = _random_eulerian_variation(lat, rng)
     var_l = dynamics.lagrangian_of(var_e, s)
     d1 = dynamics.virtual_work_density(phi, s, var_l)
     d2 = dynamics.virtual_work_density(phi, s, var_e)
     rec.add("cosserat.02-picture-crosscheck", "work-density-picture-independence",
-            _worst(d1 - d2) / _worst(1.0, d1), 1e-12, None, t0)
+            _worst(d1 - d2) / _worst(1.0, d1), 1e-12)
 
-    t0 = time.perf_counter()
     grids = (9, 17)
-    norm, mism = {}, {}  # one build per grid serves cosserat.03 and .04, which share its time
+    norm, mism = {}, {}  # one build per grid serves cosserat.03 and .04; its time is .03's
     for n in grids:
         latn = _lattice(2, n)
         sn = _bump_state(latn)
@@ -433,16 +423,14 @@ def _suite_cosserat(rec: _Recorder, rng, options):
         mism[n] = abs(bulk + boundary - direct)
     order = float(np.log2(norm[grids[0]] / norm[grids[1]]))
     rec.bracket("cosserat.03-manufactured-order", "stress-couple-balance", 1.7, order, 2.3,
-                {"field": "balance-residual", "grid": list(grids), "norm": norm[grids[1]],
-                 "order_estimate": order}, t0)
+                {"field": "balance-residual", "grid": list(grids), "norm": norm[grids[1]]})
     order = float(np.log2(mism[grids[0]] / mism[grids[1]]))
     rec.bracket("cosserat.04-integration-by-parts", "bulk-plus-flux-split", 1.5, order, 2.7,
-                {"mismatch": mism[grids[1]], "grid": list(grids), "order_estimate": order}, t0)
+                {"mismatch": mism[grids[1]], "grid": list(grids)})
 
-    t0 = time.perf_counter()
     _, r2 = dynamics.cosserat_residual(phi, s)
     rec.add("cosserat.05-couple-residual-antisymmetry", "couple-balance-antisymmetry",
-            _worst(r2 + np.swapaxes(r2, -1, -2)), 1e-12, None, t0)
+            _worst(r2 + np.swapaxes(r2, -1, -2)), 1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -455,14 +443,10 @@ def _boosted_momentum(rng):
 
 
 def _suite_dirac(rec: _Recorder, rng, options):
-    t0 = time.perf_counter()
-    rec.add("dirac.01-clifford", "clifford-anticommutation", dirac.clifford_defect(),
-            1e-14, None, t0)
-    t0 = time.perf_counter()
+    rec.add("dirac.01-clifford", "clifford-anticommutation", dirac.clifford_defect(), 1e-14)
     rec.add("dirac.02-hermiticity", "gamma-hermiticity-pattern", dirac.hermiticity_defect(),
-            1e-14, None, t0)
+            1e-14)
 
-    t0 = time.perf_counter()
     res, speed, frenkel, modulus = [], [], [], []
     for _ in range(25):
         p = _boosted_momentum(rng)
@@ -477,22 +461,18 @@ def _suite_dirac(rec: _Recorder, rng, options):
         Om = float((st.psi(x).conj() @ dirac.GAMMA_UP[0] @ st.psi(x)).real)
         Omh = float((1j * st.psi(x).conj() @ dirac.GAMMA_UP[0] @ dirac.GAMMA5 @ st.psi(x)).real)
         modulus.append(Om ** 2 + Omh ** 2 - rho ** 2)
-    rec.add("dirac.03-planewave-residual", "free-wave-equation", _worst(*res), 1e-12, None, t0)
-    rec.add("dirac.04-velocity-normalization", "unit-speed-constraint", _worst(*speed), 1e-10,
-            None, t0)
-    rec.add("dirac.05-frenkel", "velocity-annihilates-spin", _worst(*frenkel), 1e-10, None, t0)
-    rec.add("dirac.06-takabayasi-identity", "scalar-pseudoscalar-modulus", _worst(*modulus), 1e-10,
-            None, t0)
+    rec.add("dirac.03-planewave-residual", "free-wave-equation", _worst(*res), 1e-12)
+    rec.add("dirac.04-velocity-normalization", "unit-speed-constraint", _worst(*speed), 1e-10)
+    rec.add("dirac.05-frenkel", "velocity-annihilates-spin", _worst(*frenkel), 1e-10)
+    rec.add("dirac.06-takabayasi-identity", "scalar-pseudoscalar-modulus", _worst(*modulus), 1e-10)
 
-    t0 = time.perf_counter()
     p1 = _boosted_momentum(np.random.default_rng(int(rng.integers(2 ** 31))))
     p2 = _boosted_momentum(np.random.default_rng(int(rng.integers(2 ** 31))))
     two = dirac.superpose(dirac.make_plane_wave(p1, 0), dirac.make_plane_wave(p2, 1))
     rep = dirac.conservation_report(two)
     rec.add("dirac.07-two-wave-conservation", "local-balance-laws", rep.max_residual(),
-            1e-10, {"points": rep.points}, t0)
+            1e-10, {"points": rep.points})
 
-    t0 = time.perf_counter()
     diffs = []
     for _ in range(10):
         st = dirac.make_plane_wave(_boosted_momentum(rng), int(rng.integers(2)))
@@ -500,7 +480,7 @@ def _suite_dirac(rec: _Recorder, rng, options):
         tk = dirac.takabayasi(st, x)
         rho, u = dirac.density_velocity(dirac.current_j(st, x))
         diffs.append(dirac.spin_form_from_dual(u, tk.S_hat) - tk.S_form)
-    rec.add("dirac.08-duality-roundtrip", "spin-axis-duality", _worst(*diffs), 1e-12, None, t0)
+    rec.add("dirac.08-duality-roundtrip", "spin-axis-duality", _worst(*diffs), 1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -524,7 +504,6 @@ def _random_element(rng, c=1.0) -> weyssenhoff.WeyssenhoffElement:
 
 
 def _suite_weyssenhoff(rec: _Recorder, rng, options):
-    t0 = time.perf_counter()
     trace, asym, split = [], [], []
     for _ in range(50):
         el = _random_element(rng)
@@ -537,14 +516,11 @@ def _suite_weyssenhoff(rec: _Recorder, rng, options):
         g2 = weyssenhoff.momentum_from_state(el, a, tol=1e-6)
         sp2 = weyssenhoff.split_momentum(g2, el.u, el.c)
         split += [sp2.rho0 - sp.rho0, sp2.pi_low - sp.pi_low]
-    rec.add("weyssenhoff.01-trace-identity", "stress-trace-is-rest-energy", _worst(*trace), 1e-12,
-            None, t0)
+    rec.add("weyssenhoff.01-trace-identity", "stress-trace-is-rest-energy", _worst(*trace), 1e-12)
     rec.add("weyssenhoff.02-antisymmetric-part", "transverse-momentum-bivector", _worst(*asym),
-            1e-12, None, t0)
-    rec.add("weyssenhoff.03-split-rebuild", "momentum-split-roundtrip", _worst(*split), 1e-12,
-            None, t0)
+            1e-12)
+    rec.add("weyssenhoff.03-split-rebuild", "momentum-split-roundtrip", _worst(*split), 1e-12)
 
-    t0 = time.perf_counter()
     c = 1.0
     u0 = np.array([c, 0, 0, 0])
     el = weyssenhoff.WeyssenhoffElement(np.zeros(4), u0, ETA @ u0 * 1.3,
@@ -553,17 +529,15 @@ def _suite_weyssenhoff(rec: _Recorder, rng, options):
     dt = options.get("dtau", DEFAULT_DTAU)
     traj = weyssenhoff.integrate_worldline(el, n, dt)
     dev = _worst(traj.u - u0, traj.x - np.outer(traj.tau, u0))
-    rec.add("weyssenhoff.04-aligned-momentum-is-inertial", "stationary-spin-solution",
-            dev, 1e-10, None, t0)
+    rec.add("weyssenhoff.04-aligned-momentum-is-inertial", "stationary-spin-solution", dev, 1e-10)
 
-    t0 = time.perf_counter()
     el = _random_element(np.random.default_rng(11))
     t1 = weyssenhoff.integrate_worldline(el, n, dt)
     t2 = weyssenhoff.integrate_worldline(el, 2 * n, dt / 2)
     d1, d2 = (_worst(t.drift_summary()["u_norm"], t.drift_summary()["frenkel"]) for t in (t1, t2))
     order = float(np.log2(d1 / d2))
     rec.bracket("weyssenhoff.05-drift-order", "integrator-constraint-drift", 3.7, order, 100.0,
-                {"coarse": d1, "fine": d2, "order_estimate": order}, t0)
+                {"coarse": d1, "fine": d2})
 
 
 _SUITES = {

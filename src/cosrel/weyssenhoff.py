@@ -352,11 +352,6 @@ def _acceleration(u, s, g, c, solver_tol, check: bool = True):
     return np.array(rate[4:8]), ETA @ pi_low, pi_low
 
 
-def _sdot(pi, pi_low, u):
-    u_low = ETA @ u
-    return np.outer(pi, u_low) - np.outer(u, pi_low)
-
-
 def _diagnostics(u, s, c) -> dict:
     """Unit-speed defect, Frenkel residual and spin invariant s_mn s^mn of stacked states."""
     s_low = ETA @ s
@@ -473,7 +468,7 @@ def tau_grid(tau0: float, steps, dtau) -> np.ndarray:
 
 def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
                         project: bool = False, solver_tol: float = 1e-3,
-                        drift_max: float = None, invariant_tol: float = 1e-9) -> Trajectory:
+                        drift_max: float = None) -> Trajectory:
     """Classical RK4 worldline of a single spinning element with g held constant.
 
     The energy-momentum density is conserved exactly (particle reduction with
@@ -485,7 +480,7 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     stacked trajectory, and `drift_max` is checked on them in step order, also
     when a later step fails.  Bad `steps` or `dtau` raise ValueError (see tau_grid).
     """
-    initial.validate(invariant_tol)
+    initial.validate()
     tau = tau_grid(initial.tau, steps, dtau)
     c = initial.c
     g = initial.g.copy()

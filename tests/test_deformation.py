@@ -90,6 +90,13 @@ def test_dislocation_requires_two_dimensions():
         dislocation(AlgebraForm.zeros(lat, 1))
 
 
+def test_dislocation_refuses_a_dimension_first_then_a_degree():
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        dislocation(AlgebraForm.zeros(Lattice((9,), (0.1,)), 0))
+    with pytest.raises(ValueError, match="degree-1"):
+        dislocation(AlgebraForm.zeros(_unit_lattice(2, 5), 2))
+
+
 def test_incompatibility_zeros():
     lat = _unit_lattice(3, 7)
     E = AlgebraForm.zeros(lat, 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -72,12 +73,39 @@ def test_seeded_determinism_of_report_values():
 
 
 def test_refinement_checks_carry_report_schema():
-    rep = run_suite("forms", seed=0, options={"grids": (9, 17)})[0]
-    refine = [c for c in rep.checks if "order" in c.check_id]
-    assert refine
-    for c in refine:
-        assert "order_estimate" in c.extra
-        assert "grid" in c.extra or "coarse" in c.extra
+    # every bracket check says its order estimate once, as value and extra.order_estimate,
+    # inside [extra.low, extra.high] bounds whose upper end is the tolerance
+    brackets = {
+        "forms": ["forms.03-dislocation-order-p2", "forms.03-dislocation-order-p3",
+                  "forms.05-bianchi-order"],
+        "cosserat": ["cosserat.03-manufactured-order", "cosserat.04-integration-by-parts"],
+        "weyssenhoff": ["weyssenhoff.05-drift-order"],
+    }
+    for suite, ids in brackets.items():
+        rep = run_suite(suite, seed=0, options={"grids": (9, 17), "steps": 100, "dtau": 0.02})[0]
+        refine = [c for c in rep.checks if "low" in c.extra]
+        assert sorted(c.check_id for c in refine) == ids
+        for c in refine:
+            assert c.extra["order_estimate"] == c.value
+            assert c.extra["low"] <= c.extra["high"] == c.tolerance
+            assert "estimate" not in c.extra
+            assert "grid" in c.extra or "coarse" in c.extra
+
+
+@pytest.mark.parametrize("suite", ["algebra", "dirac", "weyssenhoff"])
+def test_check_runtimes_are_laps_of_one_clock(monkeypatch, suite):
+    # on a clock that ticks one second per reading, the checks' runtimes add up to the
+    # suite's run time, and each check's lap holds at least its own reading
+    readings = []
+
+    def clock():
+        readings.append(len(readings))
+        return float(readings[-1])
+
+    monkeypatch.setattr(time, "perf_counter", clock)
+    rep = run_suite(suite, options={"steps": 100, "dtau": 0.02})[0]
+    assert sum(c.runtime_ms for c in rep.checks) == 1000.0 * (readings[-1] - readings[0])
+    assert all(c.runtime_ms > 0 for c in rep.checks)
 
 
 @pytest.mark.parametrize("p", [2, 3])

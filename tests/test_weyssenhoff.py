@@ -412,7 +412,7 @@ def test_worldline_drift_is_fourth_order(rng):
 
 def test_worldline_differentiated_frenkel_identity(rng):
     # s-dot contracted with u equals -(s a) along the trajectory
-    from cosrel.weyssenhoff import _acceleration, _sdot
+    from cosrel.weyssenhoff import _acceleration
     el = _moving_element(rng)
     traj = integrate_worldline(el, 50, 0.01)
     for i in (0, 25, 50):
@@ -516,6 +516,12 @@ def _oracle_acceleration(u, s, g, c):
     return R @ alpha
 
 
+def _sdot(pi, pi_low, u):
+    """Spin rate pi (x) u_low - u (x) pi_low: the transverse-momentum bivector."""
+    u_low = ETA @ u
+    return np.outer(pi, u_low) - np.outer(u, pi_low)
+
+
 def _oracle_rhs(y, g, c):
     x, u, s = y
     a = _oracle_acceleration(u, s, g, c)
@@ -577,7 +583,7 @@ def test_closure_matches_svd_oracle(seed, c, kind, size):
         # a Runge-Kutta stage: off the Frenkel constraint, still of rank 2
         a, pi, pi_low = weyssenhoff._acceleration(u, s, el.g, c, 1e-3, check=False)
         h = 0.1 * size
-        u, s = u + h * a, s + h * weyssenhoff._sdot(pi, pi_low, u)
+        u, s = u + h * a, s + h * _sdot(pi, pi_low, u)
     elif kind == "rank-4":
         raw = rng.standard_normal((4, 4))
         s = s + size * (ETA @ (raw - raw.T))
