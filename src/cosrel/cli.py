@@ -23,10 +23,7 @@ SIMULATION_KINDS = ("weyssenhoff-worldline",)
 
 def _load_config(path):
     cfg = configparser.ConfigParser()
-    if path is None:
-        return cfg
-    read = cfg.read(path)
-    if not read:
+    if path is not None and not cfg.read(path):
         raise FileNotFoundError(f"config file not readable: {path}")
     return cfg
 
@@ -53,10 +50,19 @@ def _steps(value, source: str) -> int:
     return int(value)
 
 
+def _bounded(value, source: str, need: str, ok) -> float:
+    """value as a float; refused, naming source, if it is not numeric or fails ok."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not ok(number):
+        raise ValueError(f"{source} needs {need}, got {value}")
+    return number
+
+
 def _dtau(value, source: str) -> float:
-    if not math.isfinite(float(value)):
-        raise ValueError(f"{source} needs a finite step size, got {value}")
-    return float(value)
+    return _bounded(value, source, "a finite step size", math.isfinite)
 
 
 def _step_overrides(args, options: dict) -> dict:
@@ -70,13 +76,11 @@ def _step_overrides(args, options: dict) -> dict:
 
 def _suite_options(cfg, args) -> dict:
     options = {}
-    if cfg.has_section("forms"):
-        if cfg.has_option("forms", "grids"):
-            options["grids"] = _grids(cfg.get("forms", "grids"), "[forms] grids")
-    if cfg.has_section("worldline"):
-        for key, cast in (("steps", _steps), ("dtau", _dtau)):
-            if cfg.has_option("worldline", key):
-                options[key] = cast(cfg.get("worldline", key), f"[worldline] {key}")
+    if cfg.has_option("forms", "grids"):
+        options["grids"] = _grids(cfg.get("forms", "grids"), "[forms] grids")
+    for key, cast in (("steps", _steps), ("dtau", _dtau)):
+        if cfg.has_option("worldline", key):
+            options[key] = cast(cfg.get("worldline", key), f"[worldline] {key}")
     if args.grid is not None:
         options["grids"] = _grids(args.grid, "--grid")
     return _step_overrides(args, options)
@@ -101,11 +105,7 @@ def _run_suites(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        reports = suites.run_suite(args.suite, seed=args.seed, options=options)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    reports = suites.run_suite(args.suite, seed=args.seed, options=options)
     for rep in reports:
         _print_report(rep)
     if args.json:
@@ -136,10 +136,12 @@ def _element_from_config(cfg) -> tuple:
         "steps": _steps(sec.get("steps", "1000"), "[worldline] steps"),
         "dtau": _dtau(sec.get("dtau", "0.01"), "[worldline] dtau"),
         "project": sec.get("projection", "off").lower() in ("on", "true", "1", "yes"),
-        "solver_tol": float(sec.get("solver_tol", "1e-3")),
+        "solver_tol": _bounded(sec.get("solver_tol", "1e-3"), "[worldline] solver_tol",
+                               "a finite tolerance > 0", lambda t: math.isfinite(t) and t > 0),
     }
     if sec.get("drift_max", "").strip():
-        params["drift_max"] = float(sec["drift_max"])
+        params["drift_max"] = _bounded(sec["drift_max"], "[worldline] drift_max",
+                                       "a drift bound >= 0 or no value", lambda d: d >= 0)
     return element, params
 
 

@@ -59,7 +59,7 @@ class GroupField:
 
     @classmethod
     def from_function(cls, lattice: Lattice, fn) -> "GroupField":
-        """Sample fn(point) -> (a 4-vector, L 4x4) on the lattice."""
+        """Sample fn(coords) -> (a, L) on the lattice through `Lattice.sample`."""
         a, L = lattice.sample(fn, [(4,), (4, 4)])
         return cls(lattice, a, L)
 

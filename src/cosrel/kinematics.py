@@ -59,7 +59,7 @@ class DisplacementField:
 
 
 def prolong(lattice: Lattice, fn) -> KinematicalState:
-    """Build a state from an analytic object fn(point) -> (x, e); jets by stencils."""
+    """Build a state from an analytic object fn(coords) -> (x, e); jets by stencils."""
     x, e = lattice.sample(fn, [(4,), (4, 4)])
     return KinematicalState(lattice, x, e, lattice.jets(x), lattice.jets(e))
 
@@ -85,20 +85,14 @@ def identity_displacement(lattice: Lattice) -> DisplacementField:
 
 def constant_displacement(lattice: Lattice, a, L) -> DisplacementField:
     """Rigid displacement: one Poincare element applied at every point, zero jets."""
-    shapes = jet_slot_shapes(lattice)
-    af = np.broadcast_to(np.asarray(a, dtype=float), shapes[0]).copy()
-    Lf = np.broadcast_to(np.asarray(L, dtype=float), shapes[1]).copy()
-    return DisplacementField(lattice, af, Lf, np.zeros(shapes[2]), np.zeros(shapes[3]))
+    tails = [shape[lattice.p:] for shape in jet_slot_shapes(lattice)]
+    return DisplacementField(lattice, *lattice.sample(lambda x: (a, L, 0.0, 0.0), tails))
 
 
-def displacement_from_function(lattice: Lattice, fn, jets_fn=None) -> DisplacementField:
-    """Sample fn(point) -> (a, L); jets from jets_fn(point) -> (a_a, L_a) or stencils."""
+def displacement_from_function(lattice: Lattice, fn) -> DisplacementField:
+    """Sample fn(coords) -> (a, L); jets by stencils."""
     a, L = lattice.sample(fn, [(4,), (4, 4)])
-    if jets_fn is None:
-        aj, Lj = lattice.jets(a), lattice.jets(L)
-    else:
-        aj, Lj = lattice.sample(jets_fn, [(lattice.p, 4), (lattice.p, 4, 4)])
-    return DisplacementField(lattice, a, L, aj, Lj)
+    return DisplacementField(lattice, a, L, lattice.jets(a), lattice.jets(L))
 
 
 def deform(chi: DisplacementField, s0: KinematicalState, tol: float = 1e-8) -> KinematicalState:

@@ -59,12 +59,17 @@ class Lattice:
         return list(np.meshgrid(*[self.axis_coords(a) for a in range(self.p)], indexing="ij"))
 
     def sample(self, fn, shapes) -> list[np.ndarray]:
-        """Sample fn(point) -> one value per entry of shapes; one (*shape, *s) array each."""
-        outs = [np.zeros(self.shape + tuple(s)) for s in shapes]
-        points = np.stack(self.coords(), axis=-1)
-        for idx in np.ndindex(*self.shape):
-            for out, value in zip(outs, fn(points[idx])):
-                out[idx] = value
+        """Call fn(self.coords()) once; it returns one array per entry s of shapes.
+
+        Each array has the lattice axes first. One of shape (*shape, *s) is kept as
+        it is; any other is copied from its broadcast to that shape, so a constant
+        such as np.eye(4) fills the lattice, and one that does not broadcast is a
+        ValueError.
+        """
+        outs = []
+        for value, s in zip(fn(self.coords()), shapes, strict=True):
+            value, want = np.asarray(value, dtype=float), self.shape + tuple(s)
+            outs.append(value if value.shape == want else np.broadcast_to(value, want).copy())
         return outs
 
     def interior(self) -> tuple:

@@ -203,26 +203,29 @@ def _suite_algebra(rec: _Recorder, rng, options):
 # forms suite
 
 
+#: Generators of the smooth fields below.
+_J1, _J3 = algebra.rotation_matrix_generator(1), algebra.rotation_matrix_generator(3)
+_K1 = algebra.boost_matrix_generator(1)
+
+
 def _smooth_group_field(lat: Lattice, which: int) -> deformation.GroupField:
-    """Smooth Poincare field g = (a, exp W) number `which`, sampled on the whole lattice at once."""
-    J3 = algebra.rotation_matrix_generator(3)
-    K1 = algebra.boost_matrix_generator(1)
-    J1 = algebra.rotation_matrix_generator(1)
-    x = lat.coords()
-    r = sum(x)
-    if which == 0:
-        W = [(0.3 * np.sin(x[0] + 0.5 * x[1]), J3), (0.2 * np.cos(r), K1)]
-        a = [0.2 * np.sin(r), 0.1 * x[0], -0.15 * np.cos(x[1]), 0.05 * r]
-    elif which == 1:
-        W = [(0.25 * np.cos(x[0]), J1), (0.15 * np.sin(x[-1] + 0.3), K1),
-             (0.2 * np.sin(0.7 * r), J3)]
-        a = [0.1 * r, 0.2 * np.cos(x[0]), 0.1 * np.sin(r), 0.0]
-    else:
-        W = [(0.2 * np.sin(r), J3), (0.1 * x[0], K1), (0.15 * np.cos(x[-1]), J1)]
-        a = [0.05 * np.sin(x[0]), 0.1 * r, 0.0, 0.2 * np.cos(r)]
-    W = sum(c[..., None, None] * G for c, G in W)
-    a = np.stack([np.broadcast_to(c, lat.shape) for c in a], axis=-1)
-    return deformation.GroupField(lat, a, algebra.exp_batch(np.zeros(4), W)[1])
+    """Smooth Poincare field g = (a, exp W) number `which`, sampled by `GroupField.from_function`."""
+    def fn(x):
+        r = sum(x)
+        if which == 0:
+            W = [(0.3 * np.sin(x[0] + 0.5 * x[1]), _J3), (0.2 * np.cos(r), _K1)]
+            a = [0.2 * np.sin(r), 0.1 * x[0], -0.15 * np.cos(x[1]), 0.05 * r]
+        elif which == 1:
+            W = [(0.25 * np.cos(x[0]), _J1), (0.15 * np.sin(x[-1] + 0.3), _K1),
+                 (0.2 * np.sin(0.7 * r), _J3)]
+            a = [0.1 * r, 0.2 * np.cos(x[0]), 0.1 * np.sin(r), 0.0]
+        else:
+            W = [(0.2 * np.sin(r), _J3), (0.1 * x[0], _K1), (0.15 * np.cos(x[-1]), _J1)]
+            a = [0.05 * np.sin(x[0]), 0.1 * r, 0.0, 0.2 * np.cos(r)]
+        W = sum(c[..., None, None] * G for c, G in W)
+        return np.stack(np.broadcast_arrays(*a), axis=-1), algebra.exp_batch(np.zeros(4), W)[1]
+
+    return deformation.GroupField.from_function(lat, fn)
 
 
 def _lattice(p: int, n: int) -> Lattice:
@@ -308,18 +311,17 @@ def _suite_forms(rec: _Recorder, rng, options):
 
 
 def _bump_state(lat: Lattice) -> kinematics.KinematicalState:
-    """Smooth frame-field state (x, exp W) sampled on the whole lattice at once; jets by stencils."""
-    J3 = algebra.rotation_matrix_generator(3)
-    K1 = algebra.boost_matrix_generator(1)
-    c = lat.coords()
-    r = sum(c)
-    x = np.zeros(lat.shape + (4,))
-    x[..., : lat.p] = np.stack(c, axis=-1)
-    x[..., 0] += 0.1 * np.sin(r)
-    x[..., 3] = 0.2 * np.cos(c[0])
-    W = (0.2 * np.sin(c[0]))[..., None, None] * J3 + (0.1 * np.cos(r))[..., None, None] * K1
-    e = algebra.exp_batch(np.zeros(4), W)[1]
-    return kinematics.KinematicalState(lat, x, e, lat.jets(x), lat.jets(e))
+    """Smooth frame-field state (x, exp W) sampled by `kinematics.prolong`; jets by stencils."""
+    def fn(c):
+        r = sum(c)
+        x = np.zeros(r.shape + (4,))
+        x[..., : len(c)] = np.stack(c, axis=-1)
+        x[..., 0] += 0.1 * np.sin(r)
+        x[..., 3] = 0.2 * np.cos(c[0])
+        W = (0.2 * np.sin(c[0]))[..., None, None] * _J3 + (0.1 * np.cos(r))[..., None, None] * _K1
+        return x, algebra.exp_batch(np.zeros(4), W)[1]
+
+    return kinematics.prolong(lat, fn)
 
 
 def _random_phi(lat: Lattice, rng) -> dynamics.DynamicalState:

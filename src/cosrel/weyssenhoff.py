@@ -62,7 +62,9 @@ class WeyssenhoffElement:
         }
 
     def validate(self, tol: float = 1e-9):
-        state = np.concatenate([self.x, self.u, self.g, self.s.ravel(), [self.tau, self.c]])
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be finite and positive, got {self.c!r}")
+        state = np.concatenate([self.x, self.u, self.g, self.s.ravel(), [self.tau]])
         if not np.all(np.isfinite(state)):
             raise ValueError("element state has non-finite entries")
         defects = self.invariant_defects()
@@ -113,15 +115,14 @@ def stress_tensors(element: WeyssenhoffElement) -> StressTensors:
 
 
 class FlowField:
-    """Analytic flow closures u(x), g(x), s(x) with optional analytic Jacobians of u and g.
+    """Analytic flow closures u(x), g(x), s(x).
 
-    Jacobians are laid out with the derivative index last: du[mu][sig] = d_sig u^mu.
-    Missing Jacobians fall back to `lattice.central_difference`.
+    Their Jacobians are taken by `lattice.central_difference`, laid out with the
+    derivative index last: du[mu][sig] = d_sig u^mu.
     """
 
-    def __init__(self, u, g, s=None, du=None, dg=None, c: float = 1.0):
+    def __init__(self, u, g, s=None, c: float = 1.0):
         self.u, self.g, self.s = u, g, s
-        self._du, self._dg = du, dg
         self.c = c
 
     def u_at(self, x):
@@ -132,12 +133,6 @@ class FlowField:
 
     def s_at(self, x):
         return np.asarray(self.s(x), dtype=float)
-
-    def du_at(self, x):
-        return np.asarray(self._du(x), dtype=float) if self._du else central_difference(self.u, x, 1)
-
-    def dg_at(self, x):
-        return np.asarray(self._dg(x), dtype=float) if self._dg else central_difference(self.g, x, 1)
 
     def element_at(self, x, tol: float = None) -> "WeyssenhoffElement":
         """Sample the flow as a fluid element; validates the pointwise invariants."""
@@ -159,11 +154,11 @@ class VorticityReport:
 
 def vorticity_compressibility(flow: FlowField, x) -> VorticityReport:
     """Exterior derivatives and divergences of the covelocity and momentum 1-forms."""
-    du = flow.du_at(x)                    # d_sig u^mu at [mu, sig]
+    du = central_difference(flow.u, x, 1)  # d_sig u^mu at [mu, sig]
     dul = (ETA @ du).T                    # [sig, nu] = d_sig u_nu
     om_k = -0.5 * (dul - dul.T)
     chi_k = float(np.trace(du))
-    dg = flow.dg_at(x)                    # d_sig g_mu at [mu, sig]
+    dg = central_difference(flow.g, x, 1)  # d_sig g_mu at [mu, sig]
     dgl = dg.T                            # g is already covariant
     om_d = -0.5 * (dgl - dgl.T)
     g_up_div = float(np.trace(ETA @ dg))  # d_mu g^mu
@@ -184,7 +179,7 @@ def density_derivative(f, flow: FlowField, x) -> tuple[float, float]:
     div_form = sum(np.diagonal(central_difference(product, x, 1)))  # trace, summed in axis order
     df = central_difference(f, x, 1)
     u = flow.u_at(x)
-    chi_k = float(np.trace(flow.du_at(x)))
+    chi_k = float(np.trace(central_difference(flow.u, x, 1)))
     comoving_form = float(u @ df) + chi_k * f(x)
     return float(div_form), comoving_form
 
@@ -210,7 +205,7 @@ def orbital_divergence(flow: FlowField, x) -> np.ndarray:
     """d_lam of the orbital moment x^mu T^{nu lam} - x^nu T^{mu lam}, analytic."""
     x = np.asarray(x, dtype=float)
     u, g = flow.u_at(x), flow.g_at(x)
-    du, dg = flow.du_at(x), flow.dg_at(x)
+    du, dg = central_difference(flow.u, x, 1), central_difference(flow.g, x, 1)
     g_up = ETA @ g
     dg_up = ETA @ dg                             # [mu, sig] = d_sig g^mu
     T_up = np.outer(g_up, u)                     # T^{mu lam}

@@ -8,10 +8,10 @@ def rng():
 
 
 def series_exp(A, terms=30):
-    """Truncated power-series matrix exponential (independent oracle)."""
+    """Truncated power-series matrix exponential of each (n, n) matrix in A (independent oracle)."""
     A = np.asarray(A, dtype=float)
-    out = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
+    out = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
+    term = out
     for k in range(1, terms):
         term = term @ A / k
         out = out + term
@@ -22,3 +22,8 @@ def same_bits(got, want) -> bool:
     """Equal shape, dtype and bytes: a bit-for-bit comparison that tells -0.0 from 0.0."""
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def vector_field(*components):
+    """Stack scalar fields and constants on a new last axis, broadcast to one shape."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)

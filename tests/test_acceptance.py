@@ -115,21 +115,23 @@ def test_criterion_2_group_algebra_consistency():
 
 
 def _displacement_closure(which, J3, K1, J1):
+    """Field `which` on the whole lattice; one stacked scipy expm call exponentiates W."""
     import scipy.linalg
 
-    def fn(point):
-        r = np.sum(point)
+    def fn(x):
+        r = sum(x)
         if which == 0:
-            W = 0.3 * np.sin(point[0] + 0.5 * point[1]) * J3 + 0.2 * np.cos(r) * K1
-            a = np.array([0.2 * np.sin(r), 0.1 * point[0], -0.15 * np.cos(point[1]), 0.05 * r])
+            W = [(0.3 * np.sin(x[0] + 0.5 * x[1]), J3), (0.2 * np.cos(r), K1)]
+            a = [0.2 * np.sin(r), 0.1 * x[0], -0.15 * np.cos(x[1]), 0.05 * r]
         elif which == 1:
-            W = (0.25 * np.cos(point[0]) * J1 + 0.15 * np.sin(point[-1] + 0.3) * K1
-                 + 0.2 * np.sin(0.7 * r) * J3)
-            a = np.array([0.1 * r, 0.2 * np.cos(point[0]), 0.1 * np.sin(r), 0.0])
+            W = [(0.25 * np.cos(x[0]), J1), (0.15 * np.sin(x[-1] + 0.3), K1),
+                 (0.2 * np.sin(0.7 * r), J3)]
+            a = [0.1 * r, 0.2 * np.cos(x[0]), 0.1 * np.sin(r), 0.0]
         else:
-            W = 0.2 * np.sin(r) * J3 + 0.1 * point[0] * K1 + 0.15 * np.cos(point[-1]) * J1
-            a = np.array([0.05 * np.sin(point[0]), 0.1 * r, 0.0, 0.2 * np.cos(r)])
-        return a, scipy.linalg.expm(W)
+            W = [(0.2 * np.sin(r), J3), (0.1 * x[0], K1), (0.15 * np.cos(x[-1]), J1)]
+            a = [0.05 * np.sin(x[0]), 0.1 * r, 0.0, 0.2 * np.cos(r)]
+        W = sum(c[..., None, None] * G for c, G in W)
+        return np.stack(np.broadcast_arrays(*a), axis=-1), scipy.linalg.expm(W)
 
     return fn
 
@@ -184,13 +186,14 @@ def test_criterion_5_cosserat_residuals():
     J3 = algebra.rotation_matrix_generator(3)
     K1 = algebra.boost_matrix_generator(1)
 
-    def state_fn(point):
-        r = np.sum(point)
-        x = np.zeros(4)
-        x[:2] = point
-        x[0] += 0.1 * np.sin(r)
-        x[3] = 0.2 * np.cos(point[0])
-        return x, scipy.linalg.expm(0.2 * np.sin(point[0]) * J3 + 0.1 * np.cos(r) * K1)
+    def state_fn(c):
+        r = sum(c)
+        x = np.zeros(r.shape + (4,))
+        x[..., :2] = np.stack(c, axis=-1)
+        x[..., 0] += 0.1 * np.sin(r)
+        x[..., 3] = 0.2 * np.cos(c[0])
+        return x, scipy.linalg.expm((0.2 * np.sin(c[0]))[..., None, None] * J3
+                                    + (0.1 * np.cos(r))[..., None, None] * K1)
 
     def manufactured(lat):
         r0, r1 = lat.coords()

@@ -200,6 +200,41 @@ def test_bad_config_step_is_usage_error(tmp_path, mode, line, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["solver_tol = nan", "solver_tol = -1", "solver_tol = 0",
+                                  "solver_tol = inf", "solver_tol = x", "drift_max = nan",
+                                  "drift_max = -1e-9", "drift_max = x"])
+def test_bad_config_gate_is_usage_error(tmp_path, line, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(f"[worldline]\nu = 1 0 0 0\nsteps = 5\n{line}\n")
+    out = tmp_path / "t.csv"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"[worldline] {line.split()[0]} needs" in err
+    assert not out.exists()
+
+
+def test_empty_drift_max_disables_the_gate(tmp_path):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\nsteps = 5\ndrift_max =\n")
+    out = tmp_path / "t.csv"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("lines", ["c = 0\nu = 0 0 0 0", "c = -1\nu = 1 0 0 0"])
+def test_bad_speed_of_light_is_refused(tmp_path, lines, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(f"[worldline]\n{lines}\nsteps = 5\n")
+    out = tmp_path / "t.csv"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("refused: c must be finite and positive")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["--dtau=1e308", "--steps=3"], ["--dtau=1e304", "--steps=100000"]])
 def test_overflowing_tau_grid_is_usage_error(tmp_path, args, capsys):
     cfg = tmp_path / "wl.ini"

@@ -18,7 +18,7 @@ def _unit_lattice(p, n):
 
 def test_constant_group_field_has_zero_deformation():
     lat = _unit_lattice(2, 9)
-    g = GroupField.from_function(lat, lambda point: (np.array([1.0, 2, 3, 4]), series_exp(0.3 * J3)))
+    g = GroupField.from_function(lat, lambda x: (np.array([1.0, 2, 3, 4]), series_exp(0.3 * J3)))
     E = nabla_group(g)
     assert E.tra.max_norm() <= 1e-13
     assert E.lor.max_norm() <= 1e-13
@@ -27,7 +27,7 @@ def test_constant_group_field_has_zero_deformation():
 def test_linear_translation_field():
     lat = _unit_lattice(2, 9)
     v0 = np.array([0.5, -1.0, 2.0, 0.0])
-    g = GroupField.from_function(lat, lambda point: (point[0] * v0, np.eye(4)))
+    g = GroupField.from_function(lat, lambda x: (x[0][..., None] * v0, np.eye(4)))
     E = nabla_group(g)
     assert np.abs(E.tra.component((0,)) - v0).max() <= 1e-12
     assert np.abs(E.tra.component((1,))).max() <= 1e-12
@@ -36,7 +36,8 @@ def test_linear_translation_field():
 
 def test_exponential_rotation_field_gives_constant_generator():
     lat = _unit_lattice(2, 17)
-    g = GroupField.from_function(lat, lambda point: (np.zeros(4), series_exp(point[0] * J3)))
+    g = GroupField.from_function(lat, lambda x: (np.zeros(4),
+                                                 series_exp(x[0][..., None, None] * J3)))
     E = nabla_group(g)
     sel = lat.interior() + (Ellipsis,)
     h = lat.spacing[0]
@@ -52,10 +53,11 @@ def test_dislocation_of_zero_deformation():
     assert Om.tra.max_norm() == 0.0 and Om.lor.max_norm() == 0.0
 
 
-def _smooth_group(point):
-    W = 0.3 * np.sin(point[0] + 0.5 * point[1]) * J3 + 0.2 * np.cos(np.sum(point)) * K1
-    a = np.array([0.2 * np.sin(np.sum(point)), 0.1 * point[0],
-                  -0.15 * np.cos(point[1]), 0.05 * np.sum(point)])
+def _smooth_group(x):
+    r = sum(x)
+    W = ((0.3 * np.sin(x[0] + 0.5 * x[1]))[..., None, None] * J3
+         + (0.2 * np.cos(r))[..., None, None] * K1)
+    a = np.stack([0.2 * np.sin(r), 0.1 * x[0], -0.15 * np.cos(x[1]), 0.05 * r], axis=-1)
     return a, series_exp(W)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import same_bits, series_exp
+from conftest import same_bits, series_exp, vector_field
 from cosrel.algebra import boost_matrix_generator, rotation_matrix_generator
 from cosrel.dynamics import (DynamicalState, EulerianVariation, barred_moments,
                              cosserat_residual, direct_virtual_work, dressed_couple_stress,
@@ -21,21 +21,22 @@ def _unit_lattice(p, n):
 
 
 def _bump_state(lat):
-    def fn(point):
-        r = np.sum(point)
-        x = np.zeros(4)
-        x[: lat.p] = point
-        x[0] += 0.1 * np.sin(r)
-        x[3] = 0.2 * np.cos(point[0])
-        e = series_exp(0.2 * np.sin(point[0]) * J3 + 0.1 * np.cos(r) * K1)
+    def fn(c):
+        r = sum(c)
+        x = np.zeros(lat.shape + (4,))
+        x[..., : lat.p] = np.stack(c, axis=-1)
+        x[..., 0] += 0.1 * np.sin(r)
+        x[..., 3] = 0.2 * np.cos(c[0])
+        e = series_exp((0.2 * np.sin(c[0]))[..., None, None] * J3
+                       + (0.1 * np.cos(r))[..., None, None] * K1)
         return x, e
     return prolong(lat, fn)
 
 
 def _canonical_state(lat):
-    def fn(point):
-        x = np.zeros(4)
-        x[: lat.p] = point
+    def fn(c):
+        x = np.zeros(lat.shape + (4,))
+        x[..., : lat.p] = np.stack(c, axis=-1)
         return x, np.eye(4)
     return prolong(lat, fn)
 
@@ -412,8 +413,8 @@ def test_spatialize_linear_embedding_chain_rule_oracle():
     rng = np.random.default_rng(8)
     A = np.eye(4) + 0.2 * rng.standard_normal((4, 4))
 
-    def fn(point):
-        return A @ np.array(point), np.eye(4)
+    def fn(x):
+        return np.stack(x, axis=-1) @ A.T, np.eye(4)
 
     s = prolong(lat, fn)
     phi = _random_phi(lat, rng)
@@ -453,9 +454,8 @@ def test_spatialize_requires_p4_and_invertibility():
     # integrable but degenerate embedding: two material directions collapse
     lat4 = Lattice((5, 5, 5, 5), (0.25,) * 4)
 
-    def degenerate(point):
-        x = np.array([point[0], point[1], point[2] + point[3], point[2] + point[3]])
-        return x, np.eye(4)
+    def degenerate(c):
+        return vector_field(c[0], c[1], c[2] + c[3], c[2] + c[3]), np.eye(4)
 
     s4 = prolong(lat4, degenerate)
     ok, _ = is_integrable(s4, tol=1e-10)
@@ -475,8 +475,8 @@ def test_phi_from_lagrangian_constant():
 def test_phi_from_lagrangian_kinetic_p1():
     lat = Lattice((9,), (0.1,))
 
-    def fn(point):
-        return np.array([point[0], 0.3 * point[0], -0.1 * point[0], 0.0]), np.eye(4)
+    def fn(x):
+        return vector_field(x[0], 0.3 * x[0], -0.1 * x[0], 0.0), np.eye(4)
 
     s = prolong(lat, fn)
 
@@ -511,9 +511,9 @@ def test_phi_from_lagrangian_quadratic_matches_analytic_gradient():
 
 
 def _bump_state_1d(lat):
-    def fn(point):
-        x = np.array([point[0], 0.2 * np.sin(point[0]), 0, 0.1 * point[0]])
-        return x, series_exp(0.3 * np.sin(point[0]) * J3)
+    def fn(c):
+        x = vector_field(c[0], 0.2 * np.sin(c[0]), 0.0, 0.1 * c[0])
+        return x, series_exp((0.3 * np.sin(c[0]))[..., None, None] * J3)
     return prolong(lat, fn)
 
 

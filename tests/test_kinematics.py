@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import same_bits, series_exp
+from conftest import same_bits, series_exp, vector_field
 from cosrel.algebra import boost_matrix_generator, rotation_matrix_generator
 from cosrel.deformation import GroupField, nabla_group
 from cosrel.dynamics import DynamicalState
@@ -23,23 +23,16 @@ def _unit_lattice(p, n):
 def _random_state(lat, rng):
     x = rng.standard_normal(lat.shape + (4,))
     W = rng.uniform(-0.5, 0.5, lat.shape + (1, 1))
-    e = series_exp_field(W * J3 + 0.3 * W * K1)
+    e = series_exp(W * J3 + 0.3 * W * K1)
     xj = rng.standard_normal(lat.shape + (lat.p, 4))
     ej = rng.standard_normal(lat.shape + (lat.p, 4, 4))
     return KinematicalState(lat, x, e, xj, ej)
 
 
-def series_exp_field(W):
-    out = np.zeros(W.shape[:-2] + (4, 4))
-    for idx in np.ndindex(*W.shape[:-2]):
-        out[idx] = series_exp(W[idx])
-    return out
-
-
 def _random_displacement(lat, rng):
     a = rng.standard_normal(lat.shape + (4,))
     W = rng.uniform(-0.5, 0.5, lat.shape + (1, 1))
-    L = series_exp_field(W * J3 - 0.4 * W * K1)
+    L = series_exp(W * J3 - 0.4 * W * K1)
     aj = rng.standard_normal(lat.shape + (lat.p, 4))
     # Lorentz-compatible jet: L_a = w_a L with lowered-antisymmetric w_a
     Lj = np.zeros(lat.shape + (lat.p, 4, 4))
@@ -51,7 +44,7 @@ def _random_displacement(lat, rng):
 
 def test_prolong_constant_object():
     lat = _unit_lattice(2, 7)
-    s = prolong(lat, lambda point: (np.array([1.0, 2, 3, 4]), np.eye(4)))
+    s = prolong(lat, lambda x: (np.array([1.0, 2, 3, 4]), np.eye(4)))
     assert np.abs(s.xj).max() == 0.0
     assert np.abs(s.ej).max() == 0.0
 
@@ -59,7 +52,7 @@ def test_prolong_constant_object():
 def test_prolong_straight_worldline():
     lat = Lattice((21,), (0.05,))
     v0 = np.array([1.0, 0.3, -0.2, 0.1])
-    s = prolong(lat, lambda point: (point[0] * v0, np.eye(4)))
+    s = prolong(lat, lambda x: (x[0][..., None] * v0, np.eye(4)))
     assert np.abs(s.xj[..., 0, :] - v0).max() <= 1e-12
     assert np.abs(s.ej).max() <= 1e-13
 
@@ -67,7 +60,7 @@ def test_prolong_straight_worldline():
 def test_prolong_rotating_frame_matches_analytic_derivative():
     lat = Lattice((33,), (1.0 / 32,))
     e0 = series_exp(0.2 * K1)
-    s = prolong(lat, lambda point: (np.zeros(4), series_exp(point[0] * J3) @ e0))
+    s = prolong(lat, lambda x: (np.zeros(4), series_exp(x[0][..., None, None] * J3) @ e0))
     analytic = np.einsum("ij,...jk->...ik", J3, s.e)
     sel = lat.interior() + (Ellipsis,)
     err = np.abs(s.ej[..., 0, :, :][sel] - analytic[sel]).max()
@@ -78,15 +71,35 @@ def test_prolong_rotating_frame_matches_analytic_derivative():
 def test_prolong_output_is_integrable(p):
     # the body dimension and the frame count are independent
     lat = _unit_lattice(p, 7)
-    s = prolong(lat, lambda point: (np.array([np.sin(point[0]), np.sum(point), 0, 0]),
-                                    series_exp(point[0] * J3)))
+    s = prolong(lat, lambda x: (vector_field(np.sin(x[0]), sum(x), 0.0, 0.0),
+                                series_exp(x[0][..., None, None] * J3)))
     ok, res = is_integrable(s, tol=1e-10)
     assert ok and res <= 1e-12
 
 
+_SAMPLERS = [GroupField.from_function, prolong, displacement_from_function]
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS)
+def test_samplers_refuse_a_per_point_closure(sampler):
+    lat = _unit_lattice(2, 5)
+    with pytest.raises(ValueError):
+        sampler(lat, lambda point: (np.array([point[0], 0, 0, 0]), np.eye(4)))
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS)
+def test_samplers_broadcast_a_constant_closure(sampler):
+    lat = _unit_lattice(2, 5)
+    a, L = np.array([1.0, 2, 3, 4]), series_exp(0.3 * J3)
+    out = sampler(lat, lambda x: (a, L))
+    got = (out.x, out.e) if isinstance(out, KinematicalState) else (out.a, out.L)
+    assert same_bits(got[0], np.broadcast_to(a, lat.shape + (4,)).copy())
+    assert same_bits(got[1], np.broadcast_to(L, lat.shape + (4, 4)).copy())
+
+
 def test_zeroed_jets_not_integrable():
     lat = _unit_lattice(2, 9)
-    s = prolong(lat, lambda point: (np.array([point[0], point[1], 0, 0]), np.eye(4)))
+    s = prolong(lat, lambda x: (vector_field(x[0], x[1], 0.0, 0.0), np.eye(4)))
     s.xj[:] = 0.0
     ok, res = is_integrable(s, tol=1e-8)
     assert not ok and res > 0.5
@@ -120,8 +133,8 @@ def test_deform_by_identity():
 
 def test_rigid_displacement_preserves_integrability():
     lat = _unit_lattice(2, 11)
-    s0 = prolong(lat, lambda point: (np.array([point[0] ** 2, point[1], 0.2, 0]),
-                                     series_exp(point[1] * J3)))
+    s0 = prolong(lat, lambda x: (vector_field(x[0] ** 2, x[1], 0.2, 0.0),
+                                 series_exp(x[1][..., None, None] * J3)))
     _, res0 = is_integrable(s0)
     chi = constant_displacement(lat, np.array([1.0, 0, -2, 3]), series_exp(0.4 * K1))
     s1 = deform(chi, s0)
@@ -183,7 +196,7 @@ def test_eulerian_of_constant_displacement():
 def test_eulerian_of_pure_translation_field():
     lat = _unit_lattice(2, 9)
     chi = displacement_from_function(
-        lat, lambda point: (np.array([point[0], point[1] ** 2, 0, 0]), np.eye(4)))
+        lat, lambda x: (vector_field(x[0], x[1] ** 2, 0.0, 0.0), np.eye(4)))
     E = eulerian_of(chi)
     assert np.abs(E.tra.data - chi.aj).max() <= 1e-14
     assert np.abs(E.lor.data).max() == 0.0
@@ -191,18 +204,10 @@ def test_eulerian_of_pure_translation_field():
 
 def test_eulerian_of_boost_exponential_analytic_jets():
     lat = _unit_lattice(2, 9)
-
-    def fn(point):
-        return np.zeros(4), series_exp(point[0] * K1)
-
-    def jets(point):
-        L = series_exp(point[0] * K1)
-        aj = np.zeros((2, 4))
-        Lj = np.zeros((2, 4, 4))
-        Lj[0] = K1 @ L
-        return aj, Lj
-
-    chi = displacement_from_function(lat, fn, jets_fn=jets)
+    L = series_exp(lat.coords()[0][..., None, None] * K1)
+    Lj = np.zeros(lat.shape + (2, 4, 4))
+    Lj[..., 0, :, :] = K1 @ L
+    chi = DisplacementField(lat, np.zeros(lat.shape + (4,)), L, np.zeros(lat.shape + (2, 4)), Lj)
     omega = eulerian_of(chi).lor.data
     assert np.abs(omega[..., 0, :, :] - K1).max() <= 1e-12
     assert np.abs(omega[..., 1, :, :]).max() <= 1e-13
@@ -212,9 +217,10 @@ def test_eulerian_of_boost_exponential_analytic_jets():
 def test_eulerian_of_agrees_with_nabla_group():
     lat = _unit_lattice(2, 17)
 
-    def fn(point):
-        W = 0.3 * np.sin(point[0] + 0.4 * point[1]) * J3 + 0.2 * point[1] * K1
-        return np.array([0.1 * point[0], 0.2 * point[1], 0, 0.3]), series_exp(W)
+    def fn(x):
+        W = ((0.3 * np.sin(x[0] + 0.4 * x[1]))[..., None, None] * J3
+             + (0.2 * x[1])[..., None, None] * K1)
+        return vector_field(0.1 * x[0], 0.2 * x[1], 0.0, 0.3), series_exp(W)
 
     chi = displacement_from_function(lat, fn)  # jets are the stencil derivatives
     eu = eulerian_of(chi)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import same_bits
 from cosrel.lattice import (FormField, Lattice, ext_d, multi_indices, read_form,
                             wedge, write_form)
 
@@ -23,12 +24,33 @@ def test_lattice_validation():
     assert lat.axis_coords(1)[0] == -1.0
 
 
-def test_sample_calls_fn_at_every_point():
+def test_sample_calls_fn_once_with_the_lattice_coords():
     lat = Lattice((3, 4), (0.5, 0.25), (1.0, -1.0))
-    points, square = lat.sample(lambda x: (x, x @ x), [(2,), ()])
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return np.stack(x, axis=-1), x[0] ** 2 + x[1] ** 2
+
+    points, square = lat.sample(fn, [(2,), ()])
     coords = lat.coords()
-    assert np.array_equal(points, np.stack(coords, axis=-1))
-    assert np.allclose(square, coords[0] ** 2 + coords[1] ** 2, rtol=0, atol=1e-15)
+    assert len(calls) == 1 and len(calls[0]) == 2
+    assert all(same_bits(got, want) for got, want in zip(calls[0], coords))
+    assert same_bits(points, np.stack(coords, axis=-1))
+    assert same_bits(square, coords[0] ** 2 + coords[1] ** 2)
+
+
+def test_sample_broadcasts_constants_and_refuses_other_shapes():
+    lat = Lattice((3, 4), (0.5, 0.25))
+    frame, scalar = lat.sample(lambda x: (np.eye(4), 2.5), [(4, 4), ()])
+    assert same_bits(frame, np.broadcast_to(np.eye(4), (3, 4, 4, 4)).copy())
+    assert same_bits(scalar, np.full((3, 4), 2.5))
+    frame[0, 0, 0, 0] = 7.0     # a writable array of its own, not a broadcast view
+    assert frame[1, 1, 0, 0] == 1.0
+    with pytest.raises(ValueError, match="broadcast"):
+        lat.sample(lambda x: (np.array([x[0], x[1], x[0], x[1]]),), [(4,)])
+    with pytest.raises(ValueError):
+        lat.sample(lambda x: (np.zeros(4),), [(4,), (4, 4)])
 
 
 def test_component_count_matches_binomial():

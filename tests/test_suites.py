@@ -122,17 +122,18 @@ def test_smooth_group_field_matches_per_point_sampling(p, which):
 
 
 def _bump_closure(p):
-    """The per-point state of the cosserat suite, with scipy's expm as the exponential."""
+    """The state of the cosserat suite, with scipy's expm, point by point, as the exponential."""
     J3 = algebra.rotation_matrix_generator(3)
     K1 = algebra.boost_matrix_generator(1)
 
-    def fn(point):
-        r = np.sum(point)
-        x = np.zeros(4)
-        x[:p] = point
-        x[0] += 0.1 * np.sin(r)
-        x[3] = 0.2 * np.cos(point[0])
-        return x, scipy.linalg.expm(0.2 * np.sin(point[0]) * J3 + 0.1 * np.cos(r) * K1)
+    def fn(c):
+        r = sum(c)
+        x = np.zeros(r.shape + (4,))
+        x[..., :p] = np.stack(c, axis=-1)
+        x[..., 0] += 0.1 * np.sin(r)
+        x[..., 3] = 0.2 * np.cos(c[0])
+        return x, scipy.linalg.expm((0.2 * np.sin(c[0]))[..., None, None] * J3
+                                    + (0.1 * np.cos(r))[..., None, None] * K1)
 
     return fn
 

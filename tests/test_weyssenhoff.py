@@ -67,6 +67,15 @@ def test_non_finite_element_refused(slot):
         el.validate(1e-9)
 
 
+@pytest.mark.parametrize("c,u", [(0.0, [0.0, 0, 0, 0]), (-1.0, [1.0, 0, 0, 0]),
+                                 (math.nan, [1.0, 0, 0, 0]), (math.inf, [1.0, 0, 0, 0])])
+def test_bad_speed_of_light_refused(c, u):
+    # c = 0 with u = 0 and c = -1 with u.u = 1 satisfy every invariant
+    el = WeyssenhoffElement(np.zeros(4), np.array(u), np.array(u), np.zeros((4, 4)), c=c)
+    with pytest.raises(ValueError, match="c must be finite and positive"):
+        el.validate(1e-9)
+
+
 def test_nan_invariant_defect_refused():
     # finite state whose Frenkel residual overflows to inf - inf = NaN
     u = np.array([math.cosh(3.0), math.sinh(3.0), 0.0, 0.0])
@@ -134,17 +143,7 @@ def test_vorticity_rotation_profile_hand_curl():
         gamma = 1.0 / math.sqrt(1 - vx * vx - vy * vy)
         return gamma * np.array([1.0, vx, vy, 0.0])
 
-    def du(x):
-        h = 1e-7
-        cols = []
-        for s in range(4):
-            xp, xm = x.copy(), x.copy()
-            xp[s] += h
-            xm[s] -= h
-            cols.append((u(xp) - u(xm)) / (2 * h))
-        return np.stack(cols, axis=-1)
-
-    flow = FlowField(u=u, g=lambda x: u(x), du=du, dg=du)
+    flow = FlowField(u=u, g=lambda x: u(x))
     x0 = np.array([0.0, 0.2, -0.1, 0.0])
     rep = vorticity_compressibility(flow, x0)
     # hand curl at the origin-adjacent point: d_1 u_2 - d_2 u_1 with lowered u
