@@ -23,7 +23,10 @@ SIMULATION_KINDS = ("weyssenhoff-worldline",)
 
 def _load_config(path):
     cfg = configparser.ConfigParser()
-    if path is not None and not cfg.read(path):
+    if path is None:
+        return cfg
+    read = cfg.read(path)
+    if not read:
         raise FileNotFoundError(f"config file not readable: {path}")
     return cfg
 

@@ -85,8 +85,11 @@ def dislocation(E: AlgebraForm) -> AlgebraForm:
         raise ValueError("dislocation requires a body of dimension >= 2")
     if E.degree != 1:
         raise ValueError("nabla on forms is defined here for the degree-1 deformation")
-    return AlgebraForm(ext_d(E.tra) - wedge(E.lor, E.tra),
-                       ext_d(E.lor) - wedge(E.lor, E.lor))
+    tra = ext_d(E.tra)
+    tra.data -= wedge(E.lor, E.tra).data
+    lor = ext_d(E.lor)
+    lor.data -= wedge(E.lor, E.lor).data
+    return AlgebraForm(tra, lor)
 
 
 def incompatibility(Om: AlgebraForm, E: AlgebraForm) -> AlgebraForm:

@@ -59,18 +59,12 @@ class Lattice:
         return list(np.meshgrid(*[self.axis_coords(a) for a in range(self.p)], indexing="ij"))
 
     def sample(self, fn, shapes) -> list[np.ndarray]:
-        """Call fn(self.coords()) once; it returns one array per entry s of shapes.
-
-        Each array has the lattice axes first. One of shape (*shape, *s) is kept as
-        it is; any other is copied from its broadcast to that shape, so a constant
-        such as np.eye(4) fills the lattice, and one that does not broadcast is a
-        ValueError.
-        """
-        outs = []
-        for value, s in zip(fn(self.coords()), shapes, strict=True):
-            value, want = np.asarray(value, dtype=float), self.shape + tuple(s)
-            outs.append(value if value.shape == want else np.broadcast_to(value, want).copy())
-        return outs
+        """fn(self.coords()) returns one value per entry s of shapes, lattice axes first;
+        each is copied from its broadcast to (*shape, *s). A constant such as np.eye(4),
+        or a value reduced over the coordinates (a sum, a norm), fills the lattice as a
+        constant; a value that does not broadcast is a ValueError. fn is called once."""
+        return [np.broadcast_to(np.asarray(value, dtype=float), self.shape + tuple(s)).copy()
+                for value, s in zip(fn(self.coords()), shapes, strict=True)]
 
     def interior(self) -> tuple:
         """Slice tuple selecting interior points (one layer stripped per axis)."""

@@ -53,6 +53,17 @@ def test_sample_broadcasts_constants_and_refuses_other_shapes():
         lat.sample(lambda x: (np.zeros(4),), [(4,), (4, 4)])
 
 
+def test_sample_copies_full_fields_and_takes_reduced_values_as_constants():
+    # a sampled array never shares memory with fn's value; a value that reduces
+    # over the coordinates is a scalar, so it broadcasts as a constant field
+    lat = Lattice((3, 4), (0.5, 0.25))
+    field = np.zeros((3, 4, 2))
+    (out,) = lat.sample(lambda x: (field,), [(2,)])
+    assert not np.shares_memory(out, field)
+    (norm,) = lat.sample(lambda point: (np.linalg.norm(point),), [()])
+    assert same_bits(norm, np.full((3, 4), np.linalg.norm(lat.coords())))
+
+
 def test_component_count_matches_binomial():
     lat = Lattice((5, 5, 5), (0.1, 0.1, 0.1))
     for k in range(4):
