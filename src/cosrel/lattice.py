@@ -238,6 +238,8 @@ _MAGIC = ("cosrel-grid", "1")
 _KIND_KEYS = {"form": ("degree",), "algebra-form": ("degree",), "group": (), "state": ()}
 #: floats formatted per write call; bounds the memory of the text body
 _CHUNK = 65536
+#: bytes read per piece while the end of a long line is sought
+_BLOCK = 65536
 
 
 def write_grid(path, kind: str, lattice: Lattice, meta: dict, arrays: dict):
@@ -273,21 +275,36 @@ def _integer(header: dict, key: str) -> int:
     return values[0]
 
 
+def _lines(fh):
+    """The non-blank lines of binary file fh. A line longer than _BLOCK is read in one piece
+    once its end is found; joined from buffer-sized pieces, it would take twice its size."""
+    while line := fh.readline(_BLOCK):
+        if len(line) == _BLOCK and line[-1:] != b"\n":
+            start = fh.tell() - _BLOCK
+            while fh.readline(_BLOCK)[-1:] not in (b"\n", b""):
+                pass
+            end = fh.tell()
+            fh.seek(start)
+            line = fh.read(end - start)
+        if not line.isspace():
+            yield line
+
+
 def read_grid(path, kind: str, names) -> tuple[Lattice, dict, list]:
     """Read a grid file of the given kind: (lattice, integer meta, arrays in names order).
 
     Any malformed file is refused with a one-line ValueError.
     """
     header, arrays = {}, {}
-    with open(path, "r") as fh:
-        lines = (line for line in fh if not line.isspace())
-        magic = next(lines, "").split()
+    with open(path, "rb") as fh:
+        lines = _lines(fh)
+        magic = next(lines, b"").decode().split()
         if len(magic) != 3 or tuple(magic[:2]) != _MAGIC:
             raise ValueError("not a cosrel grid file (version 1)")
         if magic[2] != kind:
             raise ValueError(f"expected kind {kind!r}, found {magic[2]!r}")
         for line in lines:
-            parts = line.split()
+            parts = line.decode().split()
             if parts[0] != "array":
                 if arrays:
                     raise ValueError(f"header key {parts[0]!r} after the first array")
@@ -299,12 +316,12 @@ def read_grid(path, kind: str, names) -> tuple[Lattice, dict, list]:
             dims = _numbers(parts[2:], int, f"dimension of array {name!r}")
             if any(n < 0 for n in dims):
                 raise ValueError(f"negative dimension of array {name!r}")
-            line = next(lines, "")
+            line = next(lines, b"")
             try:    # blank lines are skipped: fromstring would read one as [-1.]
                 flat = np.fromstring(line, dtype=float, sep=" ")
             except ValueError:
                 flat = None
-            if flat is None or "(" in line:     # fromstring reads nan(...) as NaN
+            if flat is None or b"(" in line:     # fromstring reads nan(...) as NaN
                 raise ValueError(f"non-numeric data in array {name!r}")
             if flat.size != math.prod(dims):
                 raise ValueError(f"array {name!r} holds {flat.size} values, "

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from cosrel.deformation import (AlgebraForm, GroupField, read_algebra_form, read_group_field,
                                 write_algebra_form, write_group_field)
 from cosrel.kinematics import KinematicalState, read_state, write_state
+from cosrel import lattice
 from cosrel.lattice import FormField, Lattice, read_form, write_form
 
 _IDENTITY = "1.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 1.0"
@@ -89,6 +90,24 @@ _REFUSED = {
     "array-shape-off-lattice": _edit(_A_BLOCK, _A_BLOCK.replace("3 3 4", "9 4")),
     "nan-lorentz-entry": _edit("4 4\n1.0", "4 4\nnan"),
 }
+
+
+@pytest.mark.parametrize("block", [5, 16, 17])
+def test_lines_longer_than_the_read_block(tmp_path, monkeypatch, block):
+    """Lines longer than the reader's block, one block long (origin, spacing), whitespace
+    only, or unterminated at the end of the file read as they do with the full block."""
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    path = tmp_path / "g.txt"
+    path.write_text(_GROUP_TEXT.replace("\n", "\n" + " " * 40 + "\n").rstrip())
+    back = read_group_field(path)
+    want = _pinned_group()
+    assert back.lattice == want.lattice
+    np.testing.assert_array_equal(back.a, want.a)
+    np.testing.assert_array_equal(back.L, want.L)
+    for text in _REFUSED.values():
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_group_field(path)
 
 
 @pytest.mark.parametrize("text", _REFUSED.values(), ids=_REFUSED.keys())
