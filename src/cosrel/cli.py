@@ -31,8 +31,16 @@ def _load_config(path):
     return cfg
 
 
-def _floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _numbers(sec, key: str, count: int, default: str = None) -> list:
+    """The `count` numbers of [worldline] key; any other value is refused, naming the key."""
+    text = sec.get(key, default)
+    try:
+        values = [float(tok) for tok in (text or "").replace(",", " ").split()]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ValueError(f"[worldline] {key} needs {count} number(s), got {text!r}")
+    return values
 
 
 def _grids(text: str, source: str) -> tuple:
@@ -48,8 +56,8 @@ def _grids(text: str, source: str) -> tuple:
 
 
 def _steps(value, source: str) -> int:
-    if int(value) < 0:
-        raise ValueError(f"{source} needs a step count >= 0, got {value}")
+    if not str(value).isdecimal():
+        raise ValueError(f"{source} needs an integer step count >= 0, got {value}")
     return int(value)
 
 
@@ -125,20 +133,23 @@ def _element_from_config(cfg) -> tuple:
     if not cfg.has_section("worldline"):
         raise ValueError("config needs a [worldline] section with initial conditions")
     sec = cfg["worldline"]
-    c = float(sec.get("c", "1.0"))
-    x = np.array(_floats(sec.get("x", "0 0 0 0")))
-    u = np.array(_floats(sec["u"]))
-    s = weyssenhoff.spin_matrix_from_components(_floats(sec.get("s", "0 0 0 0 0 0")))
+    (c,) = _numbers(sec, "c", 1, "1.0")
+    x = np.array(_numbers(sec, "x", 4, "0 0 0 0"))
+    u = np.array(_numbers(sec, "u", 4))
+    s = weyssenhoff.spin_matrix_from_components(_numbers(sec, "s", 6, "0 0 0 0 0 0"))
     if "g" in sec:
-        g = np.array(_floats(sec["g"]))
+        g = np.array(_numbers(sec, "g", 4))
     else:
-        rho0 = float(sec.get("rho0", "1.0"))
+        (rho0,) = _numbers(sec, "rho0", 1, "1.0")
         g = rho0 * (ETA @ u)
+    project = sec.get("projection", "off").lower()    # on/true/1/yes or off/false/0/no
+    if project not in cfg.BOOLEAN_STATES:
+        raise ValueError(f"[worldline] projection needs on or off, got {project!r}")
     element = weyssenhoff.WeyssenhoffElement(x, u, g, s, c=c)
     params = {
         "steps": _steps(sec.get("steps", "1000"), "[worldline] steps"),
         "dtau": _dtau(sec.get("dtau", "0.01"), "[worldline] dtau"),
-        "project": sec.get("projection", "off").lower() in ("on", "true", "1", "yes"),
+        "project": cfg.BOOLEAN_STATES[project],
         "solver_tol": _bounded(sec.get("solver_tol", "1e-3"), "[worldline] solver_tol",
                                "a finite tolerance > 0", lambda t: math.isfinite(t) and t > 0),
     }
@@ -156,10 +167,6 @@ def _run_simulation(args) -> int:
     cfg = _load_config(args.config)
     try:
         element, params = _element_from_config(cfg)
-    except (ValueError, KeyError) as exc:
-        print(f"error: bad worldline config: {exc}", file=sys.stderr)
-        return 2
-    try:
         _step_overrides(args, params)
         weyssenhoff.tau_grid(element.tau, params["steps"], params["dtau"])
     except ValueError as exc:
@@ -174,7 +181,8 @@ def _run_simulation(args) -> int:
     traj = weyssenhoff.integrate_worldline(element, **params)
     out = args.output or "trajectory.csv"
     summary_path = args.json or (out + ".json")
-    traj.write(out, summary_path)
+    traj.write_csv(out)
+    traj.write_json(summary_path)
     print(f"wrote {len(traj.tau)} records to {out}; diagnostics in {summary_path}")
     print(f"drift summary: {traj.drift_summary()}")
     return 0

@@ -7,7 +7,6 @@ index-lowered form is antisymmetric and annihilates u (Frenkel constraint).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import numbers
@@ -24,6 +23,8 @@ SPIN_COMPONENTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 def spin_matrix_from_components(comps) -> np.ndarray:
     """Mixed spin matrix s^mu_nu from the six lowered components s_{mu nu}."""
+    if len(comps) != len(SPIN_COMPONENTS):
+        raise ValueError(f"spin needs 6 lowered components, got {len(comps)}")
     s_low = np.zeros((4, 4))
     for (m, n), v in zip(SPIN_COMPONENTS, comps):
         s_low[m, n] = v
@@ -355,27 +356,11 @@ def _diagnostics(u, s, c) -> dict:
             "spin_invariant": np.einsum("imn,imn->i", s_low, ETA @ s_low @ ETA)}
 
 
-#: trajectory table rows formatted per block by `Trajectory.write`; bounds its memory
+#: trajectory table rows formatted per block by `Trajectory.write_csv`; bounds its memory
 _WRITE_ROWS = 256
 _CSV_HEADER = (["tau"] + [f"x{m}" for m in range(4)] + [f"u{m}" for m in range(4)]
                + [f"s{m}{n}" for m, n in SPIN_COMPONENTS]
                + ["drift_u2", "drift_frenkel", "spin_invariant"])
-#: json's spelling of the non-finite floats that repr writes as nan, inf and -inf
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _record_template() -> str:
-    """One `records` entry as json.dump(indent=1, sort_keys=True) lays it out in the
-    payload, with a format field {i} for column i of `Trajectory._table`."""
-    col = [f"@{i}@" for i in range(18)]
-    record = {"tau": col[0], "x": col[1:5], "u": col[5:9], "s": col[9:15],
-              "drift_u2": col[15], "drift_frenkel": col[16], "spin_invariant": col[17]}
-    text = json.dumps({"records": [record]}, indent=1, sort_keys=True)
-    text = text[text.index("\n  {") + 1:text.rindex("}\n") + 1]
-    return text.replace("{", "{{").replace("}", "}}").replace('"@', "{").replace('@"', "}")
-
-
-_RECORD = _record_template()
 
 
 @dataclass
@@ -392,56 +377,29 @@ class Trajectory:
     def drift_summary(self) -> dict:
         return {k: float(np.abs(v).max()) for k, v in self.diagnostics.items()}
 
-    def _table(self) -> np.ndarray:
-        """One row per record: tau, x, u, the six lowered spin components, the drift columns."""
+    def write_csv(self, path):
+        """The per-step table: tau, x, u, the six lowered spin components, the drift columns.
+
+        Blocks of _WRITE_ROWS rows, each float through repr once: csv.writer's bytes."""
         m, n = np.array(SPIN_COMPONENTS).T
         d = self.diagnostics
-        return np.column_stack([self.tau, self.x, self.u, (ETA @ self.s)[:, m, n],
-                                d["u_norm"], d["frenkel"], d["spin_invariant"]])
-
-    def write(self, csv_path=None, json_path=None):
-        """Write the CSV table and the JSON summary (either path may be None) in one pass.
-
-        The table is walked in blocks of _WRITE_ROWS rows, and each float goes
-        through repr once; the same strings make the CSV rows and the JSON
-        records.  The CSV bytes are those of csv.writer, the JSON bytes those of
-        json.dump(payload, indent=1, sort_keys=True): a non-finite float is
-        nan/inf/-inf in the CSV and NaN/Infinity/-Infinity in the JSON.
-        """
-        table = self._table()
-        with contextlib.ExitStack() as stack:
-            csv_fh = json_fh = None
-            if csv_path is not None:
-                csv_fh = stack.enter_context(open(csv_path, "w", newline=""))
-                csv_fh.write(",".join(_CSV_HEADER) + "\r\n")
-            if json_path is not None:
-                sp = split_momentum(self.g, self.u[0], self.c)
-                shell = json.dumps({"g": self.g.tolist(), "c": self.c, "records": [],
-                                    "drift_summary": self.drift_summary(), "run": self.params,
-                                    "regime": {"mu0_defined": sp.mu0_defined,
-                                               "g_square": sp.g_square}},
-                                   indent=1, sort_keys=True)
-                head, _, tail = shell.partition('\n "records": []')
-                json_fh = stack.enter_context(open(json_path, "w"))
-                json_fh.write(head + '\n "records": [\n')
+        table = np.column_stack([self.tau, self.x, self.u, (ETA @ self.s)[:, m, n],
+                                 d["u_norm"], d["frenkel"], d["spin_invariant"]])
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(_CSV_HEADER) + "\r\n")
             for start in range(0, len(table), _WRITE_ROWS):
-                block = table[start:start + _WRITE_ROWS]
-                rows = [list(map(repr, row)) for row in block.tolist()]
-                if csv_fh:
-                    csv_fh.write("".join([",".join(row) + "\r\n" for row in rows]))
-                if json_fh:
-                    if not np.isfinite(block).all():
-                        rows = [[_JSON_NONFINITE.get(v, v) for v in row] for row in rows]
-                    json_fh.write((",\n" if start else "")
-                                  + ",\n".join([_RECORD.format(*row) for row in rows]))
-            if json_fh:
-                json_fh.write("\n ]" + tail + "\n")
-
-    def write_csv(self, path):
-        self.write(csv_path=path)
+                block = table[start:start + _WRITE_ROWS].tolist()
+                fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
 
     def write_json(self, path):
-        self.write(json_path=path)
+        """The run summary: g, c, drift_summary, run and regime."""
+        sp = split_momentum(self.g, self.u[0], self.c)
+        payload = {"g": self.g.tolist(), "c": self.c, "drift_summary": self.drift_summary(),
+                   "run": self.params,
+                   "regime": {"mu0_defined": sp.mu0_defined, "g_square": sp.g_square}}
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
 
 def tau_grid(tau0: float, steps, dtau) -> np.ndarray:
@@ -468,12 +426,13 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
 
     The energy-momentum density is conserved exactly (particle reduction with
     vanishing kinematic compressibility); u and s evolve through the spin
-    closure: acceleration solves -(1/c^2) s a = pi with minimum norm, the spin
-    rate is the transverse-momentum bivector.  Constraint drift is recorded and
-    not corrected unless `project` is set.  The state is stepped as one flat
-    list of floats (see `_rate`); the diagnostics are computed once on the
-    stacked trajectory, and `drift_max` is checked on them in step order, also
-    when a later step fails.  Bad `steps` or `dtau` raise ValueError (see tau_grid).
+    closure: a is the least-squares solution of -(1/c^2) s a = pi in the column
+    space of s (minimum-norm only in the rest frame), the spin rate is the
+    transverse-momentum bivector.  Constraint drift is recorded and not corrected
+    unless `project` is set.  The state is stepped as one flat list of floats (see
+    `_rate`); the diagnostics are computed once on the stacked trajectory, and
+    `drift_max` is checked on them in step order, also when a later step fails.
+    Bad `steps` or `dtau` raise ValueError (see tau_grid).
     """
     initial.validate()
     tau = tau_grid(initial.tau, steps, dtau)

@@ -3,11 +3,13 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import cosrel
 from cosrel import weyssenhoff
 from cosrel.cli import main
+from cosrel.minkowski import ETA
 
 
 def _run_python(*args, env=None):
@@ -76,9 +78,18 @@ def test_simulation_writes_trajectory_and_summary(tmp_path):
                  "--output", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 42
-    summary = json.loads((tmp_path / "traj.csv.json").read_text())
-    assert len(summary["records"]) == 41
-    assert summary["drift_summary"]["u_norm"] <= 1e-12
+    u = np.array([1.0, 0, 0, 0])
+    el = weyssenhoff.WeyssenhoffElement(
+        np.zeros(4), u, 1.5 * (ETA @ u),
+        weyssenhoff.spin_matrix_from_components([0, 0, 0, 0.5, 0, 0]))
+    drift = weyssenhoff.integrate_worldline(el, 40, 0.01).drift_summary()
+    payload = {"g": [1.5, 0.0, 0.0, 0.0], "c": 1.0, "drift_summary": drift,
+               "run": {"steps": 40, "dtau": 0.01, "project": False, "solver_tol": 1e-3},
+               "regime": {"mu0_defined": True, "g_square": 2.25}}
+    summary = (tmp_path / "traj.csv.json").read_text()
+    assert summary == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert "records" not in json.loads(summary)
+    assert drift["u_norm"] <= 1e-12
 
 
 def test_simulation_files_equal_the_writer_adapters(tmp_path):
@@ -188,7 +199,7 @@ def test_bad_step_flag_is_usage_error(tmp_path, mode, flag, capsys):
 
 
 @pytest.mark.parametrize("mode", _STEP_MODES)
-@pytest.mark.parametrize("line", ["steps = -1", "dtau = nan", "dtau = -inf"])
+@pytest.mark.parametrize("line", ["steps = -1", "steps = 1.5", "dtau = nan", "dtau = -inf"])
 def test_bad_config_step_is_usage_error(tmp_path, mode, line, capsys):
     cfg = tmp_path / "wl.ini"
     cfg.write_text(f"[worldline]\nu = 1 0 0 0\n{line}\n")
@@ -222,6 +233,29 @@ def test_empty_drift_max_disables_the_gate(tmp_path):
     assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
                  "--output", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("key, lines", [
+    ("x", "x = 0 0 0\nu = 1 0 0 0"),
+    ("g", "u = 1 0 0 0\ng = 1 0 0"),
+    ("rho0", "u = 1 0 0 0\nrho0 = abc"),
+    ("c", "c = abc\nu = 1 0 0 0"),
+    ("u", "rho0 = 1.0"),
+    ("s", "u = 1 0 0 0\ns = 0 0 0"),
+    ("s", "u = 1 0 0 0\ns = 0 0 0 0.5 0 0 0"),
+    ("projection", "u = 1 0 0 0\nprojection = maybe"),
+], ids=["x-3", "g-3", "rho0-abc", "c-abc", "u-missing", "s-3", "s-7",
+        "projection-maybe"])
+def test_unusable_worldline_value_is_refused_by_key(tmp_path, key, lines, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(f"[worldline]\n{lines}\n")
+    out = tmp_path / "t.csv"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [worldline] {key} needs")
+    assert err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "t.csv.json").exists()
 
 
 @pytest.mark.parametrize("lines", ["c = 0\nu = 0 0 0 0", "c = -1\nu = 1 0 0 0"])

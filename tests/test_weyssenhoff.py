@@ -50,6 +50,12 @@ def test_spin_component_roundtrip(rng):
     assert np.abs(np.array(spin_components(s)) - comps).max() <= 1e-15
 
 
+@pytest.mark.parametrize("count", [3, 7])
+def test_spin_matrix_refuses_other_component_counts(count):
+    with pytest.raises(ValueError, match=f"6 lowered components, got {count}"):
+        spin_matrix_from_components(np.ones(count))
+
+
 def test_element_invariants():
     el = _rest_element()
     el.validate(1e-12)
@@ -472,10 +478,8 @@ def test_trajectory_writers(tmp_path, rng):
     assert rows[0][:2] == ["tau", "x0"]
     back = np.array([float(v) for v in rows[1][1:5]])
     assert np.abs(back - traj.x[0]).max() <= 1e-15
-    payload = json.loads(json_path.read_text())
-    assert len(payload["records"]) == 21
-    assert payload["records"][3]["s"] == spin_components(traj.s[3])
-    assert "drift_summary" in payload
+    assert [float(v) for v in rows[4][9:15]] == spin_components(traj.s[3])
+    assert json_path.read_bytes() == _summary_reference(traj)
 
 
 def test_flow_field_element_sampling():
@@ -671,10 +675,7 @@ def test_writers_match_per_record_reference(tmp_path, rng):
     traj.write_json(tmp_path / "t.json")
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[1:] == [",".join(repr(v) for v in row) for row in _rows_reference(traj)]
-    payload = json.loads((tmp_path / "t.json").read_text())
-    records = [{"tau": r[0], "x": r[1:5], "u": r[5:9], "s": r[9:15], "drift_u2": r[15],
-                "drift_frenkel": r[16], "spin_invariant": r[17]} for r in _rows_reference(traj)]
-    assert json.dumps(payload["records"], sort_keys=True) == json.dumps(records, sort_keys=True)
+    assert (tmp_path / "t.json").read_bytes() == _summary_reference(traj)
 
 
 _CSV_COLUMNS = ["tau", "x0", "x1", "x2", "x3", "u0", "u1", "u2", "u3",
@@ -682,23 +683,26 @@ _CSV_COLUMNS = ["tau", "x0", "x1", "x2", "x3", "u0", "u1", "u2", "u3",
                 "drift_u2", "drift_frenkel", "spin_invariant"]
 
 
-def _reference_files(traj) -> tuple:
-    """(CSV bytes, JSON bytes) of csv.writer and json.dump over the per-record rows."""
+def _summary_reference(traj) -> bytes:
+    """json.dump bytes of the summary payload; the summary holds no per-step records."""
+    sp = split_momentum(traj.g, traj.u[0], traj.c)
+    payload = {"g": traj.g.tolist(), "c": traj.c, "drift_summary": traj.drift_summary(),
+               "run": traj.params,
+               "regime": {"mu0_defined": sp.mu0_defined, "g_square": sp.g_square}}
+    summary = io.StringIO()
+    json.dump(payload, summary, indent=1, sort_keys=True)
+    summary.write("\n")
+    return summary.getvalue().encode()
+
+
+def _csv_reference(traj) -> tuple:
+    """(CSV bytes of csv.writer over the per-record rows, the rows)."""
     rows = list(_rows_reference(traj))
     table = io.StringIO()
     writer = csv.writer(table)
     writer.writerow(_CSV_COLUMNS)
     writer.writerows(rows)
-    records = [{"tau": r[0], "x": r[1:5], "u": r[5:9], "s": r[9:15], "drift_u2": r[15],
-                "drift_frenkel": r[16], "spin_invariant": r[17]} for r in rows]
-    sp = split_momentum(traj.g, traj.u[0], traj.c)
-    payload = {"g": traj.g.tolist(), "c": traj.c, "records": records,
-               "drift_summary": traj.drift_summary(), "run": traj.params,
-               "regime": {"mu0_defined": sp.mu0_defined, "g_square": sp.g_square}}
-    summary = io.StringIO()
-    json.dump(payload, summary, indent=1, sort_keys=True)
-    summary.write("\n")
-    return table.getvalue().encode(), summary.getvalue().encode(), rows
+    return table.getvalue().encode(), rows
 
 
 @pytest.mark.parametrize("steps", [0, 1, weyssenhoff._WRITE_ROWS + 2])
@@ -710,17 +714,15 @@ def test_writers_are_byte_identical_to_csv_and_json(tmp_path, rng, steps):
     traj.s[steps, 0, 1], traj.s[0, 0, 2] = -np.inf, 5e-324
     traj.diagnostics["frenkel"][steps] = np.nan
     with np.errstate(invalid="ignore"):     # 0 * inf in the spin lowering
-        want_csv, want_json, rows = _reference_files(traj)
-        traj.write_csv(tmp_path / "a.csv")
-        traj.write_json(tmp_path / "a.json")
-        traj.write(tmp_path / "b.csv", tmp_path / "b.json")
+        want_csv, rows = _csv_reference(traj)
+        want_json = _summary_reference(traj)
+        traj.write_csv(tmp_path / "t.csv")
+        traj.write_json(tmp_path / "t.json")
     special = {repr(v) for row in rows for v in row[1:15]}
     assert {"nan", "inf", "-inf", "-0.0", "5e-324"} <= special
     assert math.isnan(traj.drift_summary()["frenkel"])
-    for name in ("a.csv", "b.csv"):
-        assert (tmp_path / name).read_bytes() == want_csv
-    for name in ("a.json", "b.json"):
-        assert (tmp_path / name).read_bytes() == want_json
+    assert (tmp_path / "t.csv").read_bytes() == want_csv
+    assert (tmp_path / "t.json").read_bytes() == want_json
 
 
 def test_json_summary_reports_run_and_regime(tmp_path, rng):
