@@ -22,10 +22,19 @@ SIMULATION_KINDS = ("weyssenhoff-worldline",)
 
 
 def _load_config(path):
-    cfg = configparser.ConfigParser()
+    """The parsed --config file, `%` taken literally; an empty config without a path.
+
+    A file configparser rejects (no section header, a line that is not
+    key = value, a repeated key) raises configparser.Error with a one-line message.
+    """
+    cfg = configparser.ConfigParser(interpolation=None)
     if path is None:
         return cfg
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:
+        raise configparser.Error(f"config file not parsable: {' '.join(str(exc).split())}") \
+            from None
     if not read:
         raise FileNotFoundError(f"config file not readable: {path}")
     return cfg
@@ -227,7 +236,7 @@ def main(argv=None) -> int:
         if args.suite:
             return _run_suites(args)
         return _run_simulation(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (weyssenhoff.ClosureError, RuntimeError, ValueError) as exc:

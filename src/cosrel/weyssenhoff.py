@@ -243,6 +243,10 @@ def _svd_lstsq(s, rhs) -> list:
     return (R @ alpha).tolist()
 
 
+#: the other three column indices of s, ascending, for each first pivot
+_OTHER_COLUMNS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
 def _closure(s, rhs) -> list:
     """Least-squares a with s a = rhs, taken in the column space of s (16 floats, row-major).
 
@@ -255,52 +259,122 @@ def _closure(s, rhs) -> list:
     for a boosted u).  s = 0 gives a = 0.  A state that is not numerically
     rank 2 (third pivot above _RANK_TOL relative), or whose column space meets
     its kernel, goes through the SVD.
+
+    Written out in scalar arithmetic on named locals: the worldline calls it
+    four times per RK4 step.  Ties pick r1 as `max` does (the first column)
+    and r2 as a sort does (the later column).  A NaN column norm can pick
+    another pivot than a sort would, but it arises only when s holds a NaN or
+    its largest column norm is inf, and then every choice of r2 ends in the SVD.
     """
-    cols = (s[0::4], s[1::4], s[2::4], s[3::4])
-    norms = [a * a + b * b + c * c + d * d for a, b, c, d in cols]
-    j1 = max(range(4), key=norms.__getitem__)
-    n1 = norms[j1]
-    if n1 == 0.0:
+    (s00, s01, s02, s03, s10, s11, s12, s13,
+     s20, s21, s22, s23, s30, s31, s32, s33) = s
+    cols = ((s00, s10, s20, s30), (s01, s11, s21, s31),
+            (s02, s12, s22, s32), (s03, s13, s23, s33))
+    n0 = s00 * s00 + s10 * s10 + s20 * s20 + s30 * s30
+    n1 = s01 * s01 + s11 * s11 + s21 * s21 + s31 * s31
+    n2 = s02 * s02 + s12 * s12 + s22 * s22 + s32 * s32
+    n3 = s03 * s03 + s13 * s13 + s23 * s23 + s33 * s33
+    # r1: the largest column, the first on ties
+    j1, top = 0, n0
+    if n1 > top:
+        j1, top = 1, n1
+    if n2 > top:
+        j1, top = 2, n2
+    if n3 > top:
+        j1, top = 3, n3
+    if top == 0.0:
         return [0.0, 0.0, 0.0, 0.0]
-    cut = _RANK_TOL ** 2 * n1
-    r = math.sqrt(n1)
-    q0, q1, q2, q3 = [v / r for v in cols[j1]]
-    rest = []                                   # (|w|^2, j, w): column j minus its part along r1
-    for j in range(4):
-        if j != j1:
-            a, b, c, e = cols[j]
-            d = q0 * a + q1 * b + q2 * c + q3 * e
-            w0, w1, w2, w3 = a - d * q0, b - d * q1, c - d * q2, e - d * q3
-            rest.append((w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3, j, (w0, w1, w2, w3)))
-    rest.sort()
-    n2, j2, w = rest.pop()
-    if not n2 > cut:
+    cut = _RANK_TOL ** 2 * top
+    r = math.sqrt(top)
+    p0, p1, p2, p3 = cols[j1]
+    q0 = p0 / r
+    q1 = p1 / r
+    q2 = p2 / r
+    q3 = p3 / r
+    jx, jy, jz = _OTHER_COLUMNS[j1]
+    # x, y, z: what r1 leaves of the other three columns
+    x0, x1, x2, x3 = cols[jx]
+    d = q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3
+    x0 = x0 - d * q0
+    x1 = x1 - d * q1
+    x2 = x2 - d * q2
+    x3 = x3 - d * q3
+    nx = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    y0, y1, y2, y3 = cols[jy]
+    d = q0 * y0 + q1 * y1 + q2 * y2 + q3 * y3
+    y0 = y0 - d * q0
+    y1 = y1 - d * q1
+    y2 = y2 - d * q2
+    y3 = y3 - d * q3
+    ny = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
+    z0, z1, z2, z3 = cols[jz]
+    d = q0 * z0 + q1 * z1 + q2 * z2 + q3 * z3
+    z0 = z0 - d * q0
+    z1 = z1 - d * q1
+    z2 = z2 - d * q2
+    z3 = z3 - d * q3
+    nz = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
+    # r2: the column that leaves the most, the later on ties; moved into z
+    # (the other two stay in x and y)
+    if not (nz >= nx and nz >= ny):
+        if ny >= nx:
+            jz, nz = jy, ny
+            y0, y1, y2, y3, z0, z1, z2, z3 = z0, z1, z2, z3, y0, y1, y2, y3
+        else:
+            jz, nz = jx, nx
+            x0, x1, x2, x3, z0, z1, z2, z3 = z0, z1, z2, z3, x0, x1, x2, x3
+    if not nz > cut:
         return _svd_lstsq(s, rhs)
-    r = math.sqrt(n2)
-    q0, q1, q2, q3 = [v / r for v in w]
-    for _, _, (a, b, c, e) in rest:             # third pivot: what r2 leaves of the other two
-        d = q0 * a + q1 * b + q2 * c + q3 * e
-        w0, w1, w2, w3 = a - d * q0, b - d * q1, c - d * q2, e - d * q3
-        if w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3 > cut:
-            return _svd_lstsq(s, rhs)
-    p0, p1, p2, p3 = r1 = cols[j1]
-    t0, t1, t2, t3 = r2 = cols[j2]
-    rows = (s[0:4], s[4:8], s[8:12], s[12:16])
-    b1 = [a * p0 + b * p1 + c * p2 + d * p3 for a, b, c, d in rows]
-    b2 = [a * t0 + b * t1 + c * t2 + d * t3 for a, b, c, d in rows]
-    r11 = math.sqrt(b1[0] * b1[0] + b1[1] * b1[1] + b1[2] * b1[2] + b1[3] * b1[3])
+    r = math.sqrt(nz)
+    q0 = z0 / r
+    q1 = z1 / r
+    q2 = z2 / r
+    q3 = z3 / r
+    # third pivot: what r2 leaves of x and y
+    d = q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3
+    x0 = x0 - d * q0
+    x1 = x1 - d * q1
+    x2 = x2 - d * q2
+    x3 = x3 - d * q3
+    if x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 > cut:
+        return _svd_lstsq(s, rhs)
+    d = q0 * y0 + q1 * y1 + q2 * y2 + q3 * y3
+    y0 = y0 - d * q0
+    y1 = y1 - d * q1
+    y2 = y2 - d * q2
+    y3 = y3 - d * q3
+    if y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3 > cut:
+        return _svd_lstsq(s, rhs)
+    t0, t1, t2, t3 = cols[jz]
+    # B = [y1 y2] with y1 = s r1 and y2 = s r2
+    b10 = s00 * p0 + s01 * p1 + s02 * p2 + s03 * p3
+    b11 = s10 * p0 + s11 * p1 + s12 * p2 + s13 * p3
+    b12 = s20 * p0 + s21 * p1 + s22 * p2 + s23 * p3
+    b13 = s30 * p0 + s31 * p1 + s32 * p2 + s33 * p3
+    b20 = s00 * t0 + s01 * t1 + s02 * t2 + s03 * t3
+    b21 = s10 * t0 + s11 * t1 + s12 * t2 + s13 * t3
+    b22 = s20 * t0 + s21 * t1 + s22 * t2 + s23 * t3
+    b23 = s30 * t0 + s31 * t1 + s32 * t2 + s33 * t3
+    r11 = math.sqrt(b10 * b10 + b11 * b11 + b12 * b12 + b13 * b13)
     if not r11 > 0.0:
         return _svd_lstsq(s, rhs)
-    e0, e1, e2, e3 = [v / r11 for v in b1]
-    r12 = e0 * b2[0] + e1 * b2[1] + e2 * b2[2] + e3 * b2[3]
-    w0, w1, w2, w3 = b2[0] - r12 * e0, b2[1] - r12 * e1, b2[2] - r12 * e2, b2[3] - r12 * e3
+    e0 = b10 / r11
+    e1 = b11 / r11
+    e2 = b12 / r11
+    e3 = b13 / r11
+    r12 = e0 * b20 + e1 * b21 + e2 * b22 + e3 * b23
+    w0 = b20 - r12 * e0
+    w1 = b21 - r12 * e1
+    w2 = b22 - r12 * e2
+    w3 = b23 - r12 * e3
     r22 = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
     if not r22 > _RANK_TOL * r11:
         return _svd_lstsq(s, rhs)
     h0, h1, h2, h3 = rhs
     alpha2 = (w0 * h0 + w1 * h1 + w2 * h2 + w3 * h3) / (r22 * r22)
     alpha1 = (e0 * h0 + e1 * h1 + e2 * h2 + e3 * h3 - r12 * alpha2) / r11
-    return [alpha1 * v + alpha2 * w for v, w in zip(r1, r2)]
+    return [alpha1 * p0 + alpha2 * t0, alpha1 * p1 + alpha2 * t1,
+            alpha1 * p2 + alpha2 * t2, alpha1 * p3 + alpha2 * t3]
 
 
 def _rate(y, g, c, solver_tol, check):
@@ -317,26 +391,47 @@ def _rate(y, g, c, solver_tol, check):
     residual max|s a + c^2 pi| is measured and raises ClosureError above
     solver_tol * max(1, max|c^2 pi|); otherwise it is None.  Runge-Kutta stages
     sit off the constraint manifold by the local truncation error, so the
-    integrator checks accepted states only.
+    integrator checks accepted states only.  Written out in scalar arithmetic
+    like `_closure`.
     """
-    u0, u1, u2, u3 = u = y[4:8]
+    u0, u1, u2, u3 = y[4:8]
     s = y[8:24]
     g0, g1, g2, g3 = g
     c2 = c ** 2
     rho0 = (g0 * u0 + g1 * u1 + g2 * u2 + g3 * u3) / c2
-    u_low = (u0, -u1, -u2, -u3)
-    pi_low = (g0 - rho0 * u0, g1 + rho0 * u1, g2 + rho0 * u2, g3 + rho0 * u3)
-    pi = (pi_low[0], -pi_low[1], -pi_low[2], -pi_low[3])
-    rhs = [-c2 * p for p in pi]
-    a0, a1, a2, a3 = a = _closure(s, rhs)
+    # pi_low = g - rho0 u_low, pi = its raised form, u_low = (u0, v1, v2, v3)
+    l0 = g0 - rho0 * u0
+    l1 = g1 + rho0 * u1
+    l2 = g2 + rho0 * u2
+    l3 = g3 + rho0 * u3
+    p0 = l0
+    p1 = -l1
+    p2 = -l2
+    p3 = -l3
+    v1 = -u1
+    v2 = -u2
+    v3 = -u3
+    m = -c2
+    h0 = m * p0
+    h1 = m * p1
+    h2 = m * p2
+    h3 = m * p3
+    a0, a1, a2, a3 = _closure(s, [h0, h1, h2, h3])
     residual = None
     if check:
-        residual = max(abs(p * a0 + q * a1 + r * a2 + t * a3 - h)
-                       for (p, q, r, t), h in zip((s[0:4], s[4:8], s[8:12], s[12:16]), rhs))
-        if not residual <= solver_tol * max(1.0, max(map(abs, rhs))):
+        (s00, s01, s02, s03, s10, s11, s12, s13,
+         s20, s21, s22, s23, s30, s31, s32, s33) = s
+        residual = max(abs(s00 * a0 + s01 * a1 + s02 * a2 + s03 * a3 - h0),
+                       abs(s10 * a0 + s11 * a1 + s12 * a2 + s13 * a3 - h1),
+                       abs(s20 * a0 + s21 * a1 + s22 * a2 + s23 * a3 - h2),
+                       abs(s30 * a0 + s31 * a1 + s32 * a2 + s33 * a3 - h3))
+        if not residual <= solver_tol * max(1.0, max(abs(h0), abs(h1), abs(h2), abs(h3))):
             raise ClosureError(residual)
-    sdot = [pm * un - um * pn for pm, um in zip(pi, u) for un, pn in zip(u_low, pi_low)]
-    return u + a + sdot, residual
+    return [u0, u1, u2, u3, a0, a1, a2, a3,
+            p0 * u0 - u0 * l0, p0 * v1 - u0 * l1, p0 * v2 - u0 * l2, p0 * v3 - u0 * l3,
+            p1 * u0 - u1 * l0, p1 * v1 - u1 * l1, p1 * v2 - u1 * l2, p1 * v3 - u1 * l3,
+            p2 * u0 - u2 * l0, p2 * v1 - u2 * l1, p2 * v2 - u2 * l2, p2 * v3 - u2 * l3,
+            p3 * u0 - u3 * l0, p3 * v1 - u3 * l1, p3 * v2 - u3 * l2, p3 * v3 - u3 * l3], residual
 
 
 def _acceleration(u, s, g, c, solver_tol, check: bool = True):

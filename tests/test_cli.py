@@ -258,6 +258,25 @@ def test_unusable_worldline_value_is_refused_by_key(tmp_path, key, lines, capsys
     assert not out.exists() and not (tmp_path / "t.csv.json").exists()
 
 
+@pytest.mark.parametrize("mode, text, need", [
+    (_STEP_MODES[1], "u = 1 0 0 0\n", "config file not parsable: File contains no section headers"),
+    (_STEP_MODES[0], "u = 1 0 0 0\n", "config file not parsable: File contains no section headers"),
+    (_STEP_MODES[1], "[worldline]\nu = 1 0 0 0%\n", "[worldline] u needs 4 number(s)"),
+    (_STEP_MODES[0], "[worldline]\nsteps = 5%\n", "[worldline] steps needs"),
+    (_STEP_MODES[1], "[worldline]\nu = 1 0 0 0\nu = 1 0 0 0\n", "config file not parsable"),
+    (_STEP_MODES[0], "[worldline]\nsteps\n", "config file not parsable"),
+], ids=["no-header-simulate", "no-header-suite", "percent-simulate", "percent-suite",
+        "repeated-key", "no-equals"])
+def test_config_configparser_rejects_is_usage_error(tmp_path, mode, text, need, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(text)
+    out = tmp_path / "t.csv"
+    assert main([*mode, "--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {need}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lines", ["c = 0\nu = 0 0 0 0", "c = -1\nu = 1 0 0 0"])
 def test_bad_speed_of_light_is_refused(tmp_path, lines, capsys):
     cfg = tmp_path / "wl.ini"

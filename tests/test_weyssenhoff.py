@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bits
+
 from cosrel import weyssenhoff
 from cosrel.minkowski import ETA
 from cosrel.weyssenhoff import (ClosureError, FlowField,
@@ -558,6 +560,82 @@ def _oracle_worldline(el, steps, dtau, drift_max=None):
     return tuple(np.array([y[j] for y in ys]) for j in range(3)), None
 
 
+def _closure_reference(s, rhs) -> list:
+    """The generic spin closure that `weyssenhoff._closure` writes out in scalar form.
+
+    Same floating-point operations in the same order, with the pivots chosen by
+    `max` (first column on ties) and by sort + pop (later column on ties).
+    """
+    cols = (s[0::4], s[1::4], s[2::4], s[3::4])
+    norms = [a * a + b * b + c * c + d * d for a, b, c, d in cols]
+    j1 = max(range(4), key=norms.__getitem__)
+    n1 = norms[j1]
+    if n1 == 0.0:
+        return [0.0, 0.0, 0.0, 0.0]
+    cut = weyssenhoff._RANK_TOL ** 2 * n1
+    r = math.sqrt(n1)
+    q0, q1, q2, q3 = [v / r for v in cols[j1]]
+    rest = []                                   # (|w|^2, j, w): column j minus its part along r1
+    for j in range(4):
+        if j != j1:
+            a, b, c, e = cols[j]
+            d = q0 * a + q1 * b + q2 * c + q3 * e
+            w0, w1, w2, w3 = a - d * q0, b - d * q1, c - d * q2, e - d * q3
+            rest.append((w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3, j, (w0, w1, w2, w3)))
+    rest.sort()
+    n2, j2, w = rest.pop()
+    if not n2 > cut:
+        return weyssenhoff._svd_lstsq(s, rhs)
+    r = math.sqrt(n2)
+    q0, q1, q2, q3 = [v / r for v in w]
+    for _, _, (a, b, c, e) in rest:             # third pivot: what r2 leaves of the other two
+        d = q0 * a + q1 * b + q2 * c + q3 * e
+        w0, w1, w2, w3 = a - d * q0, b - d * q1, c - d * q2, e - d * q3
+        if w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3 > cut:
+            return weyssenhoff._svd_lstsq(s, rhs)
+    p0, p1, p2, p3 = r1 = cols[j1]
+    t0, t1, t2, t3 = r2 = cols[j2]
+    rows = (s[0:4], s[4:8], s[8:12], s[12:16])
+    b1 = [a * p0 + b * p1 + c * p2 + d * p3 for a, b, c, d in rows]
+    b2 = [a * t0 + b * t1 + c * t2 + d * t3 for a, b, c, d in rows]
+    r11 = math.sqrt(b1[0] * b1[0] + b1[1] * b1[1] + b1[2] * b1[2] + b1[3] * b1[3])
+    if not r11 > 0.0:
+        return weyssenhoff._svd_lstsq(s, rhs)
+    e0, e1, e2, e3 = [v / r11 for v in b1]
+    r12 = e0 * b2[0] + e1 * b2[1] + e2 * b2[2] + e3 * b2[3]
+    w0, w1, w2, w3 = b2[0] - r12 * e0, b2[1] - r12 * e1, b2[2] - r12 * e2, b2[3] - r12 * e3
+    r22 = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
+    if not r22 > weyssenhoff._RANK_TOL * r11:
+        return weyssenhoff._svd_lstsq(s, rhs)
+    h0, h1, h2, h3 = rhs
+    alpha2 = (w0 * h0 + w1 * h1 + w2 * h2 + w3 * h3) / (r22 * r22)
+    alpha1 = (e0 * h0 + e1 * h1 + e2 * h2 + e3 * h3 - r12 * alpha2) / r11
+    return [alpha1 * v + alpha2 * w for v, w in zip(r1, r2)]
+
+
+def _rate_reference(y, g, c, solver_tol, check):
+    """The generic worldline right-hand side that `weyssenhoff._rate` writes out, over
+    `_closure_reference`."""
+    u0, u1, u2, u3 = u = y[4:8]
+    s = y[8:24]
+    g0, g1, g2, g3 = g
+    c2 = c ** 2
+    rho0 = (g0 * u0 + g1 * u1 + g2 * u2 + g3 * u3) / c2
+    u_low = (u0, -u1, -u2, -u3)
+    pi_low = (g0 - rho0 * u0, g1 + rho0 * u1, g2 + rho0 * u2, g3 + rho0 * u3)
+    pi = (pi_low[0], -pi_low[1], -pi_low[2], -pi_low[3])
+    rhs = [-c2 * p for p in pi]
+    a0, a1, a2, a3 = a = _closure_reference(s, rhs)
+    residual = None
+    if check:
+        residual = max(abs(p * a0 + q * a1 + r * a2 + t * a3 - h)
+                       for (p, q, r, t), h in zip((s[0:4], s[4:8], s[8:12], s[12:16]), rhs))
+        if not residual <= solver_tol * max(1.0, max(map(abs, rhs))):
+            raise ClosureError(residual)
+    sdot = [pm * un - um * pn for pm, um in zip(pi, u) for un, pn in zip(u_low, pi_low)]
+    return u + a + sdot, residual
+
+
 def _bounded_element(rng, c=1.0):
     """Boosted spinning element with timelike momentum density, |pi| = 0.3 rho0 c."""
     v = rng.uniform(-0.4, 0.4, 3)
@@ -606,6 +684,16 @@ def test_closure_zero_spin():
         weyssenhoff._acceleration(u, np.zeros((4, 4)), np.array([1.3, 0.2, 0, 0]), 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_closure_gate_scales_by_the_largest_rhs_entry(m):
+    """With s = 0 the residual is max|c^2 pi|, which is also the gate's scale above 1."""
+    g = [1.3, 0.5, 0.5, 0.5]
+    g[m] = 2.0
+    y = [0.0] * 4 + [1.0, 0.0, 0.0, 0.0] + [0.0] * 16
+    assert weyssenhoff._rate(y, g, 1.0, 1.0, True)[1] == 2.0
+    with pytest.raises(ClosureError):
+        weyssenhoff._rate(y, g, 1.0, 0.999, True)
+
 def test_closure_rank_four_takes_fallback(rng):
     el = _bounded_element(rng)
     raw = rng.standard_normal((4, 4))
@@ -616,6 +704,135 @@ def test_closure_rank_four_takes_fallback(rng):
     assert fallback.call_count == 1
     oracle = _oracle_acceleration(el.u, s, el.g, el.c)
     assert np.abs(a - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def _rank_four_spin():
+    raw = np.random.default_rng(1).standard_normal((4, 4))
+    return ETA @ (raw - raw.T)
+
+
+def _sparse_spin(*entries):
+    s = np.zeros((4, 4))
+    for m, n, v in entries:
+        s[m, n] = v
+    return s
+
+
+@pytest.mark.parametrize("s, roots", [
+    (np.outer([1.0, 2.0, 0, 0], [1.0, 0, 3.0, 0]), 1),     # rank 1: no second pivot
+    (_rank_four_spin(), 2),                                # rank 4: a third pivot
+    (_sparse_spin((0, 1, 1.0), (2, 3, 1.0)), 3),             # s r1 = 0: r11 vanishes
+    (_sparse_spin((0, 0, 2.0), (1, 2, 1.0)), 4),             # s r2 = 0: r22 vanishes
+], ids=["second-pivot", "third-pivot", "r11", "r22"])
+def test_closure_fallback_triggers_in_order(s, roots):
+    """Each SVD trigger fires after its own number of square roots: r1, r2, r11, r22."""
+    rhs = [0.3, -0.2, 0.5, 0.1]
+    with _fallback_calls() as fallback, mock.patch.object(weyssenhoff, "math", wraps=math) as m:
+        a = weyssenhoff._closure(s.ravel().tolist(), rhs)
+    assert fallback.call_count == 1
+    assert m.sqrt.call_count == roots
+    assert same_bits(a, weyssenhoff._svd_lstsq(s.ravel().tolist(), rhs))
+
+
+def test_nan_spin_goes_through_the_fallback():
+    el = _bounded_element(np.random.default_rng(3))
+    s = el.s.copy()
+    s[1, 2] = np.nan
+    with _fallback_calls() as fallback, pytest.raises(np.linalg.LinAlgError):
+        weyssenhoff._acceleration(el.u, s, el.g, el.c, 1e-3)
+    assert fallback.call_count == 1
+
+
+def _tied_spin(rng, which):
+    """A rank-2 spin matrix whose columns tie exactly for the first or the second pivot.
+
+    "first": two columns of equal norm (one is the other with some signs flipped).
+    "second": r1 is 8 times a coordinate vector, so what r1 leaves of the other
+    columns is exact, and two of them leave the same |w|^2 from different columns.
+    Rows and columns are shuffled, so the tie falls on any pair of indices.
+    """
+    if which == "first":
+        v = rng.standard_normal(4)
+        cols = [v, np.array([1.0, -1.0, 1.0, -1.0])[rng.permutation(4)] * v]
+        cols += [0.5 * cols[0] - 0.25 * cols[1], np.zeros(4)]
+    else:
+        w = rng.standard_normal(4)
+        w[0] = 0.0
+        x, y = rng.uniform(-1.0, 1.0, 2)
+        cols = [np.array([8.0, 0, 0, 0]), w + [x, 0, 0, 0], -w + [y, 0, 0, 0], 0.5 * w]
+    s = np.column_stack(cols)[:, rng.permutation(4)]
+    return s[rng.permutation(4)]
+
+
+def _kernel_state(rng, kind, c):
+    """Flat state y and covariant g for the kernel oracle: one of the closure's input classes."""
+    el = _bounded_element(rng, c)
+    y = np.concatenate([el.x, el.u, el.s.ravel()]).tolist()
+    g = el.g.tolist()
+    if kind == "stage":                        # an RK4 stage: off the constraints, rank 2
+        k1, _ = _rate_reference(y, g, c, 1e-3, False)
+        h = rng.uniform(0.005, 0.1)
+        y = [v + h * k for v, k in zip(y, k1)]
+    elif kind == "rank-4":
+        raw = rng.standard_normal((4, 4))
+        y[8:] = (el.s + rng.uniform(0.05, 1.0) * (ETA @ (raw - raw.T))).ravel().tolist()
+    elif kind == "rank-3":                     # one small column off the plane of the others
+        a, b = rng.standard_normal((2, 4))
+        off = 1e-3 * rng.standard_normal(4)
+        s = np.column_stack([a, b, 0.5 * a - 0.25 * b, off])[:, rng.permutation(4)]
+        y[8:] = s.ravel().tolist()
+    elif kind == "zero-spin":
+        y[8:] = [0.0] * 16
+    elif kind in ("first-tie", "second-tie"):
+        y[8:] = _tied_spin(rng, kind.split("-")[0]).ravel().tolist()
+    return y, g
+
+
+def _kernel_outcome(rate, y, g, c, check):
+    try:
+        out, residual = rate(y, g, c, 1e-3, check)
+    except ClosureError as exc:
+        return "ClosureError", np.array([exc.residual])
+    return "rate", np.array(out + [np.nan if residual is None else residual])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([1.0, 2.0]), check=st.booleans(),
+       kind=st.sampled_from(["rank-2", "stage", "rank-3", "rank-4", "zero-spin", "first-tie",
+                             "second-tie"]))
+def test_kernel_is_bitwise_the_reference(seed, c, check, kind):
+    rng = np.random.default_rng(seed)
+    y, g = _kernel_state(rng, kind, c)
+    rhs = rng.standard_normal(4).tolist()
+    assert same_bits(weyssenhoff._closure(y[8:], rhs), _closure_reference(y[8:], rhs))
+    got_kind, got = _kernel_outcome(weyssenhoff._rate, y, g, c, check)
+    want_kind, want = _kernel_outcome(_rate_reference, y, g, c, check)
+    assert got_kind == want_kind
+    assert same_bits(got, want)
+
+
+def test_trajectory_is_bitwise_the_reference_kernel():
+    """500 steps through the scalar kernel against the RK4 loop over the reference kernel."""
+    el = _bounded_element(np.random.default_rng(0))
+    steps, dtau, c, g = 500, 0.005, el.c, el.g.tolist()
+    traj = integrate_worldline(el, steps, dtau)
+    half, sixth = 0.5 * dtau, dtau / 6.0
+    y = np.concatenate([el.x, el.u, el.s.ravel()]).tolist()
+    states, residuals = [y], []
+    for _ in range(steps):
+        k1, residual = _rate_reference(y, g, c, 1e-3, True)
+        k2, _ = _rate_reference([v + half * k for v, k in zip(y, k1)], g, c, 1e-3, False)
+        k3, _ = _rate_reference([v + half * k for v, k in zip(y, k2)], g, c, 1e-3, False)
+        k4, _ = _rate_reference([v + dtau * k for v, k in zip(y, k3)], g, c, 1e-3, False)
+        y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
+        states.append(y)
+        residuals.append(residual)
+    residuals.append(_rate_reference(y, g, c, math.inf, True)[1])
+    states = np.array(states)
+    assert traj.x.tobytes() == states[:, :4].tobytes()
+    assert traj.u.tobytes() == states[:, 4:8].tobytes()
+    assert traj.s.tobytes() == states[:, 8:].reshape(-1, 4, 4).tobytes()
+    assert traj.diagnostics["closure_residual"].tobytes() == np.array(residuals).tobytes()
 
 
 def test_worldline_matches_oracle_rk4(rng):
