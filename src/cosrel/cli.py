@@ -24,19 +24,16 @@ SIMULATION_KINDS = ("weyssenhoff-worldline",)
 def _load_config(path):
     """The parsed --config file, `%` taken literally; an empty config without a path.
 
-    A file configparser rejects (no section header, a line that is not
-    key = value, a repeated key) raises configparser.Error with a one-line message.
+    A file that cannot be read or decoded, or that configparser rejects (no
+    section header, a line that is not key = value, a repeated key), raises
+    ValueError with a one-line message.
     """
     cfg = configparser.ConfigParser(interpolation=None)
-    if path is None:
-        return cfg
     try:
-        read = cfg.read(path)
-    except configparser.Error as exc:
-        raise configparser.Error(f"config file not parsable: {' '.join(str(exc).split())}") \
-            from None
-    if not read:
-        raise FileNotFoundError(f"config file not readable: {path}")
+        if path is not None and not cfg.read(path):
+            raise ValueError(f"config file not readable: {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"config file not parsable: {' '.join(str(exc).split())}") from None
     return cfg
 
 
@@ -64,9 +61,10 @@ def _grids(text: str, source: str) -> tuple:
     return grids
 
 
-def _steps(value, source: str) -> int:
+def _whole(value, source: str, noun: str = "step count") -> int:
+    """value as an int, written in digits only; anything else is refused, naming source."""
     if not str(value).isdecimal():
-        raise ValueError(f"{source} needs an integer step count >= 0, got {value}")
+        raise ValueError(f"{source} needs an integer {noun} >= 0, got {value}")
     return int(value)
 
 
@@ -85,60 +83,30 @@ def _dtau(value, source: str) -> float:
     return _bounded(value, source, "a finite step size", math.isfinite)
 
 
-def _step_overrides(args, options: dict) -> dict:
-    """Apply --steps and --dtau over the config values."""
-    if args.steps is not None:
-        options["steps"] = _steps(args.steps, "--steps")
-    if args.dtau is not None:
-        options["dtau"] = _dtau(args.dtau, "--dtau")
+def _run_length(cfg, args) -> dict:
+    """steps and dtau: each [worldline] value read, then its flag read over it."""
+    options = {}
+    for key, read in (("steps", _whole), ("dtau", _dtau)):
+        if cfg.has_option("worldline", key):
+            options[key] = read(cfg.get("worldline", key), f"[worldline] {key}")
+        if getattr(args, key) is not None:
+            options[key] = read(getattr(args, key), f"--{key}")
     return options
 
 
 def _suite_options(cfg, args) -> dict:
-    options = {}
+    options = {"steps": suites.DEFAULT_STEPS, "dtau": suites.DEFAULT_DTAU}
     if cfg.has_option("forms", "grids"):
         options["grids"] = _grids(cfg.get("forms", "grids"), "[forms] grids")
-    for key, cast in (("steps", _steps), ("dtau", _dtau)):
-        if cfg.has_option("worldline", key):
-            options[key] = cast(cfg.get("worldline", key), f"[worldline] {key}")
     if args.grid is not None:
         options["grids"] = _grids(args.grid, "--grid")
-    return _step_overrides(args, options)
+    return options
 
 
-def _print_report(report: suites.SuiteReport):
-    head = "PASS" if report.passed else "FAIL"
-    print(f"suite {report.suite}: {head} (seed {report.seed})")
-    for c in sorted(report.checks, key=lambda c: c.check_id):
-        mark = "ok  " if c.passed else "FAIL"
-        print(f"  [{mark}] {c.check_id:44s} {c.law:36s} "
-              f"value={c.value:.3e} tol={c.tolerance:.3e}")
-
-
-def _run_suites(args) -> int:
-    cfg = _load_config(args.config)
-    try:
-        options = _suite_options(cfg, args)
-        # weyssenhoff.05's fine run (2n steps of dtau/2) ends where this grid ends
-        weyssenhoff.tau_grid(0.0, options.get("steps", suites.DEFAULT_STEPS),
-                             options.get("dtau", suites.DEFAULT_DTAU))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    reports = suites.run_suite(args.suite, seed=args.seed, options=options)
-    for rep in reports:
-        _print_report(rep)
-    if args.json:
-        payload = {"seed": args.seed,
-                   "reports": [rep.as_dict() for rep in reports],
-                   "passed": all(rep.passed for rep in reports)}
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    return 0 if all(rep.passed for rep in reports) else 1
-
-
-def _element_from_config(cfg) -> tuple:
+def _element_from_config(kind, cfg) -> tuple:
+    """The unvalidated initial element and the integration options of a --simulate run."""
+    if kind not in SIMULATION_KINDS:
+        raise ValueError(f"unknown simulation kind {kind!r}; choose from {SIMULATION_KINDS}")
     if not cfg.has_section("worldline"):
         raise ValueError("config needs a [worldline] section with initial conditions")
     sec = cfg["worldline"]
@@ -156,8 +124,8 @@ def _element_from_config(cfg) -> tuple:
         raise ValueError(f"[worldline] projection needs on or off, got {project!r}")
     element = weyssenhoff.WeyssenhoffElement(x, u, g, s, c=c)
     params = {
-        "steps": _steps(sec.get("steps", "1000"), "[worldline] steps"),
-        "dtau": _dtau(sec.get("dtau", "0.01"), "[worldline] dtau"),
+        "steps": 1000,
+        "dtau": 0.01,
         "project": cfg.BOOLEAN_STATES[project],
         "solver_tol": _bounded(sec.get("solver_tol", "1e-3"), "[worldline] solver_tol",
                                "a finite tolerance > 0", lambda t: math.isfinite(t) and t > 0),
@@ -168,25 +136,24 @@ def _element_from_config(cfg) -> tuple:
     return element, params
 
 
-def _run_simulation(args) -> int:
-    if args.simulate not in SIMULATION_KINDS:
-        print(f"error: unknown simulation kind {args.simulate!r}; "
-              f"choose from {SIMULATION_KINDS}", file=sys.stderr)
-        return 2
-    cfg = _load_config(args.config)
-    try:
-        element, params = _element_from_config(cfg)
-        _step_overrides(args, params)
-        weyssenhoff.tau_grid(element.tau, params["steps"], params["dtau"])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        element.validate()
-    except ValueError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        print(f"residuals: {element.invariant_defects()}", file=sys.stderr)
-        return 2
+def _run_suites(args, seed: int, options: dict) -> int:
+    reports = suites.run_suite(args.suite, seed=seed, options=options)
+    for rep in reports:
+        print(f"suite {rep.suite}: {'PASS' if rep.passed else 'FAIL'} (seed {rep.seed})")
+        for c in sorted(rep.checks, key=lambda c: c.check_id):
+            mark = "ok  " if c.passed else "FAIL"
+            print(f"  [{mark}] {c.check_id:44s} {c.law:36s} "
+                  f"value={c.value:.3e} tol={c.tolerance:.3e}")
+    passed = all(rep.passed for rep in reports)
+    if args.json:
+        payload = {"seed": seed, "reports": [rep.as_dict() for rep in reports], "passed": passed}
+        with open(args.json, "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    return 0 if passed else 1
+
+
+def _run_simulation(args, element, params: dict) -> int:
     traj = weyssenhoff.integrate_worldline(element, **params)
     out = args.output or "trajectory.csv"
     summary_path = args.json or (out + ".json")
@@ -206,40 +173,58 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run a named verification suite")
     parser.add_argument("--simulate", metavar="KIND",
                         help="run a simulation (weyssenhoff-worldline)")
-    parser.add_argument("--config", metavar="PATH", default=None,
-                        help="key = value config file (INI sections)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the machine-readable report here")
-    parser.add_argument("--output", metavar="PATH", default=None,
-                        help="trajectory output path for simulations")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--config", metavar="PATH", help="key = value config file (INI sections)")
+    parser.add_argument("--json", metavar="PATH", help="write the machine-readable report here")
+    parser.add_argument("--output", metavar="PATH", help="trajectory output path for simulations")
+    parser.add_argument("--seed", metavar="N", default=0,
                         help="seed for randomized property checks (default 0)")
-    parser.add_argument("--grid", metavar="N,N", default=None,
+    parser.add_argument("--grid", metavar="N,N",
                         help="the forms suite's coarse and fine grid sizes "
                              "(each >= 3, coarse below fine)")
-    parser.add_argument("--steps", type=int, default=None, help="integrator steps")
-    parser.add_argument("--dtau", type=float, default=None, help="integrator step size")
+    parser.add_argument("--steps", metavar="N", help="integrator steps")
+    parser.add_argument("--dtau", metavar="X", help="integrator step size")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_config = os.environ.get("COSREL_CONFIG")
-    if env_config:
-        args.config = env_config
+    args.config = os.environ.get("COSREL_CONFIG") or args.config
     if (args.suite is None) == (args.simulate is None):
         parser.print_usage(sys.stderr)
         print("error: pass exactly one of --suite or --simulate", file=sys.stderr)
         return 2
+    # settings: each flag and config value the mode uses is read, or refused with exit 2
+    element = None
     try:
+        cfg = _load_config(args.config)
         if args.suite:
-            return _run_suites(args)
-        return _run_simulation(args)
-    except (FileNotFoundError, configparser.Error) as exc:
+            draft, options = None, _suite_options(cfg, args)
+        else:
+            draft, options = _element_from_config(args.simulate, cfg)
+        options.update(_run_length(cfg, args))
+        seed = _whole(args.seed, "--seed", "seed")
+        # both modes start at tau 0; weyssenhoff.05's fine run ends where this grid ends
+        weyssenhoff.tau_grid(0.0, options["steps"], options["dtau"])
+        if draft is not None:
+            element = draft                   # a ValueError from here on is a refusal
+            element.validate()
+    except ValueError as exc:
+        if element is None:
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(f"refused: {exc}", file=sys.stderr)
+            print(f"residuals: {element.invariant_defects()}", file=sys.stderr)
+        return 2
+    # run: an output path that cannot be written is exit 2, a failed check or integration 1
+    try:
+        if element is None:
+            return _run_suites(args, seed, options)
+        return _run_simulation(args, element, options)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (weyssenhoff.ClosureError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

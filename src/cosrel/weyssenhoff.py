@@ -232,8 +232,14 @@ _RANK_TOL = 1e-12
 
 
 def _svd_lstsq(s, rhs) -> list:
-    """Least-squares a in the column space of s, for any numerical rank, through its SVD."""
+    """Least-squares a in the column space of s, for any numerical rank, through its SVD.
+
+    A non-finite s raises LinAlgError before the SVD, which need not return for
+    an infinite entry.
+    """
     s = np.reshape(s, (4, 4))
+    if not np.all(np.isfinite(s)):
+        raise np.linalg.LinAlgError("spin matrix has non-finite entries")
     U, sv, _ = np.linalg.svd(s)
     cols = sv > _RANK_TOL * max(sv[0], 1e-300)
     if not np.any(cols):
@@ -264,7 +270,10 @@ def _closure(s, rhs) -> list:
     four times per RK4 step.  Ties pick r1 as `max` does (the first column)
     and r2 as a sort does (the later column).  A NaN column norm can pick
     another pivot than a sort would, but it arises only when s holds a NaN or
-    its largest column norm is inf, and then every choice of r2 ends in the SVD.
+    its largest column norm is inf, and then every path ends in the SVD, which
+    refuses the state with LinAlgError.  That includes a NaN outside a zero
+    column 0: r1 keeps norm 0, and a = 0 is returned only when all four column
+    norms are 0.
     """
     (s00, s01, s02, s03, s10, s11, s12, s13,
      s20, s21, s22, s23, s30, s31, s32, s33) = s
@@ -283,7 +292,9 @@ def _closure(s, rhs) -> list:
     if n3 > top:
         j1, top = 3, n3
     if top == 0.0:
-        return [0.0, 0.0, 0.0, 0.0]
+        if n1 == 0.0 and n2 == 0.0 and n3 == 0.0:
+            return [0.0, 0.0, 0.0, 0.0]
+        return _svd_lstsq(s, rhs)
     cut = _RANK_TOL ** 2 * top
     r = math.sqrt(top)
     p0, p1, p2, p3 = cols[j1]

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import cosrel
 from cosrel import weyssenhoff
-from cosrel.cli import main
+from cosrel.cli import build_parser, main
 from cosrel.minkowski import ETA
 
 
@@ -187,7 +189,8 @@ _STEP_MODES = [["--suite", "weyssenhoff"], ["--simulate", "weyssenhoff-worldline
 
 
 @pytest.mark.parametrize("mode", _STEP_MODES)
-@pytest.mark.parametrize("flag", ["--steps=-1", "--steps=-3", "--dtau=nan", "--dtau=inf", "--dtau=-inf"])
+@pytest.mark.parametrize("flag", ["--steps=-1", "--steps=-3", "--dtau=nan", "--dtau=inf", "--dtau=-inf",
+                                  "--steps=1.5", "--steps=x", "--dtau=abc", "--seed=-1", "--seed=x"])
 def test_bad_step_flag_is_usage_error(tmp_path, mode, flag, capsys):
     cfg = tmp_path / "wl.ini"
     cfg.write_text("[worldline]\nu = 1 0 0 0\n")
@@ -265,16 +268,41 @@ def test_unusable_worldline_value_is_refused_by_key(tmp_path, key, lines, capsys
     (_STEP_MODES[0], "[worldline]\nsteps = 5%\n", "[worldline] steps needs"),
     (_STEP_MODES[1], "[worldline]\nu = 1 0 0 0\nu = 1 0 0 0\n", "config file not parsable"),
     (_STEP_MODES[0], "[worldline]\nsteps\n", "config file not parsable"),
+    (_STEP_MODES[1], b"[worldline]\nu = 1 0 0 0 \xff\xfe\n", "config file not parsable"),
+    (_STEP_MODES[0], b"[worldline]\nsteps = 5 \xff\xfe\n", "config file not parsable"),
 ], ids=["no-header-simulate", "no-header-suite", "percent-simulate", "percent-suite",
-        "repeated-key", "no-equals"])
+        "repeated-key", "no-equals", "not-utf8-simulate", "not-utf8-suite"])
 def test_config_configparser_rejects_is_usage_error(tmp_path, mode, text, need, capsys):
     cfg = tmp_path / "wl.ini"
-    cfg.write_text(text)
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "t.csv"
     assert main([*mode, "--config", str(cfg), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {need}") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--suite", "dirac", "--json", "{dir}"],
+    ["--simulate", "weyssenhoff-worldline", "--output", "{dir}"],
+    ["--simulate", "weyssenhoff-worldline", "--output", "{dir}/t.csv", "--json", "{dir}"],
+], ids=["suite-json", "simulate-output", "simulate-json"])
+def test_unwritable_output_path_is_usage_error(tmp_path, args, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\nsteps = 5\n")
+    argv = [a.format(dir=tmp_path) for a in args]
+    assert main([*argv, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" in err
+
+
+def test_readme_flags_name_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sentence,) = re.findall(r"^Flags: (.*?)\.$", readme, flags=re.M | re.S)
+    named = re.findall(r"`(--[a-z-]+)[^`]*`", sentence)
+    options = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert sorted(named) == sorted(options - {"-h", "--help"})
 
 
 @pytest.mark.parametrize("lines", ["c = 0\nu = 0 0 0 0", "c = -1\nu = 1 0 0 0"])

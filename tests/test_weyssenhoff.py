@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -741,6 +744,35 @@ def test_nan_spin_goes_through_the_fallback():
     with _fallback_calls() as fallback, pytest.raises(np.linalg.LinAlgError):
         weyssenhoff._acceleration(el.u, s, el.g, el.c, 1e-3)
     assert fallback.call_count == 1
+
+
+def test_nan_spin_outside_a_zero_first_column_is_refused():
+    """The first pivot keeps column 0 at norm 0 (nan > 0 is false); that is not a = 0."""
+    s = np.zeros((4, 4))
+    s[2, 1] = np.nan
+    with _fallback_calls() as fallback, pytest.raises(np.linalg.LinAlgError):
+        weyssenhoff._acceleration((1.0, 0, 0, 0), s, (1.3, 0, 0, 0), 1.0, 1e-3)
+    assert fallback.call_count == 1
+
+
+def test_svd_fallback_refuses_an_infinite_spin():
+    """In a child process with a timeout: np.linalg.svd need not return on an inf entry."""
+    code = ("import numpy as np\n"
+            "from cosrel.weyssenhoff import _svd_lstsq\n"
+            "s = np.eye(4)\n"
+            "s[1, 0] = -np.inf\n"
+            "try:\n"
+            "    _svd_lstsq(s, [1.0, 0.0, 0.0, 0.0])\n"
+            "except np.linalg.LinAlgError as exc:\n"
+            "    print('refused:', exc)\n")
+    # the child imports the same cosrel as this process, installed or not
+    src = os.path.dirname(os.path.dirname(weyssenhoff.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused:")
 
 
 def _tied_spin(rng, which):
