@@ -19,6 +19,8 @@ from . import suites, weyssenhoff
 from .minkowski import ETA
 
 SIMULATION_KINDS = ("weyssenhoff-worldline",)
+#: the flags each mode refuses, because only the other mode reads them
+_UNREAD = {"suite": ("output",), "simulate": ("grid", "seed")}
 
 
 def _load_config(path):
@@ -103,6 +105,17 @@ def _suite_options(cfg, args) -> dict:
     return options
 
 
+def _require_writable(path, flag: str):
+    """Refuse an output path that cannot be opened for writing; a probe leaves no file."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ValueError(f"{flag} {path} cannot be written: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _element_from_config(kind, cfg) -> tuple:
     """The unvalidated initial element and the integration options of a --simulate run."""
     if kind not in SIMULATION_KINDS:
@@ -153,10 +166,8 @@ def _run_suites(args, seed: int, options: dict) -> int:
     return 0 if passed else 1
 
 
-def _run_simulation(args, element, params: dict) -> int:
+def _run_simulation(element, params: dict, out, summary_path) -> int:
     traj = weyssenhoff.integrate_worldline(element, **params)
-    out = args.output or "trajectory.csv"
-    summary_path = args.json or (out + ".json")
     traj.write_csv(out)
     traj.write_json(summary_path)
     print(f"wrote {len(traj.tau)} records to {out}; diagnostics in {summary_path}")
@@ -176,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="key = value config file (INI sections)")
     parser.add_argument("--json", metavar="PATH", help="write the machine-readable report here")
     parser.add_argument("--output", metavar="PATH", help="trajectory output path for simulations")
-    parser.add_argument("--seed", metavar="N", default=0,
+    parser.add_argument("--seed", metavar="N",
                         help="seed for randomized property checks (default 0)")
     parser.add_argument("--grid", metavar="N,N",
                         help="the forms suite's coarse and fine grid sizes "
@@ -200,12 +211,22 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if args.suite:
             draft, options = None, _suite_options(cfg, args)
+            outputs = {"--json": args.json}
         else:
             draft, options = _element_from_config(args.simulate, cfg)
+            out = args.output or "trajectory.csv"
+            outputs = {"--output": out, "--json": args.json or out + ".json"}
         options.update(_run_length(cfg, args))
-        seed = _whole(args.seed, "--seed", "seed")
+        seed = 0 if args.seed is None else _whole(args.seed, "--seed", "seed")
         # both modes start at tau 0; weyssenhoff.05's fine run ends where this grid ends
         weyssenhoff.tau_grid(0.0, options["steps"], options["dtau"])
+        mode = "suite" if args.suite else "simulate"
+        for name in _UNREAD[mode]:
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} is not read by --{mode}")
+        for flag, path in outputs.items():
+            if path is not None:
+                _require_writable(path, flag)
         if draft is not None:
             element = draft                   # a ValueError from here on is a refusal
             element.validate()
@@ -220,7 +241,7 @@ def main(argv=None) -> int:
     try:
         if element is None:
             return _run_suites(args, seed, options)
-        return _run_simulation(args, element, options)
+        return _run_simulation(element, options, outputs["--output"], outputs["--json"])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

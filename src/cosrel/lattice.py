@@ -11,8 +11,10 @@ finite-difference rule of the package.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,29 +238,102 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
 _MAGIC = ("cosrel-grid", "1")
 #: integer header keys each kind must carry, besides the lattice keys
 _KIND_KEYS = {"form": ("degree",), "algebra-form": ("degree",), "group": (), "state": ()}
-#: floats formatted per write call; bounds the memory of the text body
+#: floats formatted per piece of an array body; bounds the writer's memory
 _CHUNK = 65536
 #: bytes read per piece while the end of a long line is sought
 _BLOCK = 65536
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _text(flat, start: int) -> str:
+    return " ".join(map(repr, flat[start:start + _CHUNK].tolist()))
+
+
+#: in a worker process, the flat bodies of the file being written, inherited at fork
+_worker_flats = None
+
+
+def _inherit(flats):
+    global _worker_flats
+    _worker_flats = flats
+
+
+def _worker_text(i: int, start: int) -> str:
+    return _text(_worker_flats[i], start)
+
+
+def _pooled_texts(pool, pieces, depth: int):
+    """The texts of pieces formatted by pool, in order, with at most depth in flight.
+
+    The first depth pieces are submitted before this returns, which forks the
+    workers, so a caller that opens its output afterwards forks no buffer of it.
+    """
+    tasks = iter(pieces)
+    pending = collections.deque(pool.submit(_worker_text, *task)
+                                for task in itertools.islice(tasks, depth))
+
+    def texts():
+        while pending:
+            text = pending.popleft().result()
+            for task in itertools.islice(tasks, 1):
+                pending.append(pool.submit(_worker_text, *task))
+            yield text
+    return texts()
+
+
 def write_grid(path, kind: str, lattice: Lattice, meta: dict, arrays: dict):
-    """Write a grid file: lattice header, `key value` meta lines, then named arrays."""
-    with open(path, "w") as fh:
-        fh.write(f"{' '.join(_MAGIC)} {kind}\np {lattice.p}\n")
-        for key in ("shape", "spacing", "origin"):
-            fh.write(f"{key} {' '.join(map(str, getattr(lattice, key)))}\n")
-        for key, value in meta.items():
-            fh.write(f"{key} {value}\n")
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=float)
-            fh.write(f"array {name} {' '.join(map(str, arr.shape))}\n")
-            flat = arr.reshape(-1)
-            for start in range(0, flat.size, _CHUNK):
-                if start:
-                    fh.write(" ")
-                fh.write(" ".join(map(repr, flat[start:start + _CHUNK].tolist())))
-            fh.write("\n")
+    """Write a grid file: lattice header, `key value` meta lines, then named arrays.
+
+    Each array body is formatted in pieces of _CHUNK floats.  When the arrays hold
+    more than _CHUNK floats together, up to one forked worker process per available
+    CPU formats the pieces, at most two per worker in flight; they are written in
+    order, so the bytes are those of a serial write.  The workers are joined before
+    this returns or raises.
+    """
+    bodies = [np.asarray(arr, dtype=float) for arr in arrays.values()]
+    flats = [body.reshape(-1) for body in bodies]
+    # (array index, start) of each piece, in file order
+    pieces = [(i, start) for i, flat in enumerate(flats) for start in range(0, flat.size, _CHUNK)]
+    workers = min(_cpus(), len(pieces)) if sum(flat.size for flat in flats) > _CHUNK else 1
+    pool = None
+    if workers > 1:
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+        # fork is unsafe beside other threads and missing on some platforms, and a
+        # daemon process may not start children
+        if (threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_inherit, initargs=(flats,))
+    try:
+        if pool is None:
+            texts = (_text(flats[i], start) for i, start in pieces)
+        else:
+            texts = _pooled_texts(pool, pieces, 2 * workers)
+        with open(path, "w") as fh:
+            fh.write(f"{' '.join(_MAGIC)} {kind}\np {lattice.p}\n")
+            for key in ("shape", "spacing", "origin"):
+                fh.write(f"{key} {' '.join(map(str, getattr(lattice, key)))}\n")
+            for key, value in meta.items():
+                fh.write(f"{key} {value}\n")
+            for name, body in zip(arrays, bodies):
+                fh.write(f"array {name} {' '.join(map(str, body.shape))}\n")
+                for start in range(0, body.size, _CHUNK):
+                    if start:
+                        fh.write(" ")
+                    fh.write(next(texts))
+                fh.write("\n")
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _numbers(tokens, cast, what: str) -> list:

@@ -297,6 +297,61 @@ def test_unwritable_output_path_is_usage_error(tmp_path, args, capsys):
     assert "Is a directory" in err
 
 
+@pytest.mark.parametrize("args, target", [
+    (["--suite", "dirac", "--json", "{dir}"], "cosrel.suites.run_suite"),
+    (["--suite", "dirac", "--json", "{dir}/missing/r.json"], "cosrel.suites.run_suite"),
+    (["--simulate", "weyssenhoff-worldline", "--output", "{dir}/h.csv", "--json", "{dir}"],
+     "cosrel.weyssenhoff.integrate_worldline"),
+    (["--simulate", "weyssenhoff-worldline", "--output", "{dir}/missing/h.csv"],
+     "cosrel.weyssenhoff.integrate_worldline"),
+], ids=["suite-json-directory", "suite-json-no-parent", "simulate-json-directory",
+        "simulate-output-no-parent"])
+def test_output_paths_are_checked_before_the_run(tmp_path, args, target, capsys):
+    """Nothing runs and no file is left behind."""
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\nsteps = 5\n")
+    before = sorted(tmp_path.iterdir())
+    argv = [a.format(dir=tmp_path) for a in args]
+    with mock.patch(target) as run:
+        assert main([*argv, "--config", str(cfg)]) == 2
+    run.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "cannot be written" in err and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_existing_output_is_probed_without_change(tmp_path, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\nsteps = 5\n")
+    out = tmp_path / "t.csv"
+    out.write_text("old\n")
+    argv = ["--simulate", "weyssenhoff-worldline", "--config", str(cfg), "--output", str(out),
+            "--json", str(tmp_path)]
+    assert main(argv) == 2
+    assert out.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--simulate", "weyssenhoff-worldline", "--grid", "abc"], "--grid"),
+    (["--simulate", "weyssenhoff-worldline", "--grid", "9,17"], "--grid"),
+    (["--simulate", "weyssenhoff-worldline", "--seed", "3"], "--seed"),
+    (["--suite", "algebra", "--output", "{dir}/t.csv"], "--output"),
+], ids=["simulate-grid-abc", "simulate-grid", "simulate-seed", "suite-output"])
+def test_flag_the_mode_does_not_read_is_usage_error(tmp_path, args, flag, capsys):
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\nsteps = 5\n")
+    argv = [a.format(dir=tmp_path) for a in args]
+    mode = argv[0]
+    with mock.patch("cosrel.suites.run_suite") as suite, \
+            mock.patch("cosrel.weyssenhoff.integrate_worldline") as simulate:
+        assert main([*argv, "--config", str(cfg), "--json", str(tmp_path / "r.json")]) == 2
+    suite.assert_not_called()
+    simulate.assert_not_called()
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} is not read by {mode}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wl.ini"]
+
+
 def test_readme_flags_name_every_option():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (sentence,) = re.findall(r"^Flags: (.*?)\.$", readme, flags=re.M | re.S)
@@ -331,6 +386,15 @@ def test_overflowing_tau_grid_is_usage_error(tmp_path, args, capsys):
 def test_import_loads_no_scipy():
     code = ("import sys, cosrel.cli; "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool():
+    """The grid writer imports its worker pool when it uses one, not with the package."""
+    code = ("import sys, cosrel.cli; print([m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')])")
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,5 +1,10 @@
 """The grid-file codec: exact text, refusal of malformed files, round trips."""
 
+import concurrent.futures
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,3 +200,102 @@ def test_round_trip_is_exact(tmp_path_factory, field):
     assert [_bits(a) for a in got] == [_bits(a) for a in original]
     write(path, back)
     assert path.read_text() == text
+
+
+# --- bodies formatted by worker processes ------------------------------------
+
+_CHUNK = 4     # so that a 3 x 3 x 4 array spans nine pieces
+_SPECIAL = [-0.0, 5e-324, 1e-05, 1e16, np.nan, np.inf, -np.inf]
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("grid write still waiting on its workers")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Small pieces, a list of the worker pools write_grid starts, and a 60 s limit."""
+    monkeypatch.setattr(lattice, "_CHUNK", _CHUNK)
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    old = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(60)
+    try:
+        yield started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _values(size: int) -> np.ndarray:
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    values[:len(_SPECIAL)] = _SPECIAL[:size]
+    return values
+
+
+def _write(path, monkeypatch, cpus: int, arrays: dict) -> bytes:
+    monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+    lattice.write_grid(path, "form", Lattice((3,), (0.5,)), {"degree": 0}, arrays)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("sizes", [[0], [1], [_CHUNK - 1], [_CHUNK], [_CHUNK + 1], [36],
+                                   [9 * _CHUNK + 3], [2, 2], [1, 0, _CHUNK]],
+                         ids=lambda sizes: "+".join(map(str, sizes)))
+def test_pooled_bytes_are_the_serial_bytes(tmp_path, monkeypatch, pools, sizes):
+    """Workers start only for more than one piece's worth of floats, and change no byte."""
+    arrays = {f"c{i}": _values(size) for i, size in enumerate(sizes)}
+    serial = _write(tmp_path / "serial.txt", monkeypatch, 1, arrays)
+    assert pools == []
+    pooled = _write(tmp_path / "pooled.txt", monkeypatch, 2, arrays)
+    assert pooled == serial
+    assert len(pools) == (sum(sizes) > _CHUNK)
+    assert multiprocessing.active_children() == []
+    bodies = serial.decode().split("\n")[7::2]
+    assert [body.split() for body in bodies] == [list(map(repr, a.tolist())) for a in arrays.values()]
+
+
+def test_pooled_group_file_is_pinned(tmp_path, monkeypatch, pools):
+    """Both arrays of a group field, nine and 36 pieces, as the serial writer pins them."""
+    monkeypatch.setattr(lattice, "_cpus", lambda: 3)
+    path = tmp_path / "g.txt"
+    write_group_field(path, _pinned_group())
+    assert len(pools) == 1
+    assert path.read_text() == _GROUP_TEXT
+    assert multiprocessing.active_children() == []
+
+
+def _worker_raises(flat, start):
+    raise ValueError("formatting failed")
+
+
+def _worker_dies(flat, start):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("no-directory", FileNotFoundError), ("device-full", OSError),
+    ("worker-raises", ValueError), ("worker-dies", concurrent.futures.BrokenExecutor)])
+def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, pools, fault, error):
+    path = tmp_path / "f.txt"
+    if fault == "no-directory":
+        path = tmp_path / "missing" / "f.txt"
+    elif fault == "device-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        path = "/dev/full"
+    elif fault == "worker-raises":
+        monkeypatch.setattr(lattice, "_text", _worker_raises)
+    else:
+        monkeypatch.setattr(lattice, "_text", _worker_dies)
+    with pytest.raises(error):
+        _write(path, monkeypatch, 2, {"coefficients": _values(36)})
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
