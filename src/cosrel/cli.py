@@ -172,6 +172,7 @@ def _run_simulation(element, params: dict, out, summary_path) -> int:
     traj.write_json(summary_path)
     print(f"wrote {len(traj.tau)} records to {out}; diagnostics in {summary_path}")
     print(f"drift summary: {traj.drift_summary()}")
+    print(f"regime: {traj.regime()}")
     return 0
 
 

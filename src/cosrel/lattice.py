@@ -12,6 +12,8 @@ finite-difference rule of the package.
 from __future__ import annotations
 
 import collections
+import contextlib
+import functools
 import itertools
 import math
 import os
@@ -256,52 +258,50 @@ def _text(flat, start: int) -> str:
     return " ".join(map(repr, flat[start:start + _CHUNK].tolist()))
 
 
-#: in a worker process, the flat bodies of the file being written, inherited at fork
-_worker_flats = None
+#: in a worker process, the calls of the pool that forked it, inherited at fork
+_worker_calls = None
 
 
-def _inherit(flats):
-    global _worker_flats
-    _worker_flats = flats
+def _inherit(calls):
+    global _worker_calls
+    _worker_calls = calls
 
 
-def _worker_text(i: int, start: int) -> str:
-    return _text(_worker_flats[i], start)
+def _worker_call(k: int):
+    return _worker_calls[k]()
 
 
-def _pooled_texts(pool, pieces, depth: int):
-    """The texts of pieces formatted by pool, in order, with at most depth in flight.
+def _pooled(pool, count: int, depth: int):
+    """The results of worker calls 0..count-1, in order, with at most depth in flight.
 
-    The first depth pieces are submitted before this returns, which forks the
-    workers, so a caller that opens its output afterwards forks no buffer of it.
+    The first depth calls are submitted before this returns, which forks the
+    workers, so a caller that opens a file afterwards forks no buffer of it.
     """
-    tasks = iter(pieces)
-    pending = collections.deque(pool.submit(_worker_text, *task)
-                                for task in itertools.islice(tasks, depth))
+    tasks = iter(range(count))
+    pending = collections.deque(pool.submit(_worker_call, k)
+                                for k in itertools.islice(tasks, depth))
 
-    def texts():
+    def results():
         while pending:
-            text = pending.popleft().result()
-            for task in itertools.islice(tasks, 1):
-                pending.append(pool.submit(_worker_text, *task))
-            yield text
-    return texts()
+            result = pending.popleft().result()
+            for k in itertools.islice(tasks, 1):
+                pending.append(pool.submit(_worker_call, k))
+            yield result
+    return results()
 
 
-def write_grid(path, kind: str, lattice: Lattice, meta: dict, arrays: dict):
-    """Write a grid file: lattice header, `key value` meta lines, then named arrays.
+@contextlib.contextmanager
+def _forked_results(calls: list, ahead: int = 2, fork: bool = True):
+    """An iterator over the results of calls (zero-argument callables), in order.
 
-    Each array body is formatted in pieces of _CHUNK floats.  When the arrays hold
-    more than _CHUNK floats together, up to one forked worker process per available
-    CPU formats the pieces, at most two per worker in flight; they are written in
-    order, so the bytes are those of a serial write.  The workers are joined before
-    this returns or raises.
+    With fork set, more than one available CPU and more than one call, up to one
+    worker process per CPU is forked on entry and inherits calls; at most `ahead`
+    calls per worker are in flight.  Otherwise, and where forking is unsafe, the
+    calls run in this process as the iterator is read.  A call's exception is
+    raised where its result is read.  The workers are joined when the block is
+    left, by an exception too.
     """
-    bodies = [np.asarray(arr, dtype=float) for arr in arrays.values()]
-    flats = [body.reshape(-1) for body in bodies]
-    # (array index, start) of each piece, in file order
-    pieces = [(i, start) for i, flat in enumerate(flats) for start in range(0, flat.size, _CHUNK)]
-    workers = min(_cpus(), len(pieces)) if sum(flat.size for flat in flats) > _CHUNK else 1
+    workers = min(_cpus(), len(calls)) if fork else 1
     pool = None
     if workers > 1:
         import multiprocessing
@@ -312,28 +312,44 @@ def write_grid(path, kind: str, lattice: Lattice, meta: dict, arrays: dict):
         if (threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_inherit, initargs=(flats,))
+                                       initializer=_inherit, initargs=(calls,))
     try:
         if pool is None:
-            texts = (_text(flats[i], start) for i, start in pieces)
+            yield (call() for call in calls)
         else:
-            texts = _pooled_texts(pool, pieces, 2 * workers)
-        with open(path, "w") as fh:
-            fh.write(f"{' '.join(_MAGIC)} {kind}\np {lattice.p}\n")
-            for key in ("shape", "spacing", "origin"):
-                fh.write(f"{key} {' '.join(map(str, getattr(lattice, key)))}\n")
-            for key, value in meta.items():
-                fh.write(f"{key} {value}\n")
-            for name, body in zip(arrays, bodies):
-                fh.write(f"array {name} {' '.join(map(str, body.shape))}\n")
-                for start in range(0, body.size, _CHUNK):
-                    if start:
-                        fh.write(" ")
-                    fh.write(next(texts))
-                fh.write("\n")
+            yield _pooled(pool, len(calls), ahead * workers)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+
+def write_grid(path, kind: str, lattice: Lattice, meta: dict, arrays: dict):
+    """Write a grid file: lattice header, `key value` meta lines, then named arrays.
+
+    Each array body is formatted in pieces of _CHUNK floats.  When the arrays hold
+    more than _CHUNK floats together, the workers of `_forked_results` format the
+    pieces, forked before the file is opened; they are written in order, so the
+    bytes are those of a serial write.  The workers are joined before this returns
+    or raises.
+    """
+    bodies = [np.asarray(arr, dtype=float) for arr in arrays.values()]
+    flats = [body.reshape(-1) for body in bodies]
+    pieces = [functools.partial(_text, flat, start)
+              for flat in flats for start in range(0, flat.size, _CHUNK)]
+    with _forked_results(pieces, fork=sum(flat.size for flat in flats) > _CHUNK) as texts, \
+            open(path, "w") as fh:
+        fh.write(f"{' '.join(_MAGIC)} {kind}\np {lattice.p}\n")
+        for key in ("shape", "spacing", "origin"):
+            fh.write(f"{key} {' '.join(map(str, getattr(lattice, key)))}\n")
+        for key, value in meta.items():
+            fh.write(f"{key} {value}\n")
+        for name, body in zip(arrays, bodies):
+            fh.write(f"array {name} {' '.join(map(str, body.shape))}\n")
+            for start in range(0, body.size, _CHUNK):
+                if start:
+                    fh.write(" ")
+                fh.write(next(texts))
+            fh.write("\n")
 
 
 def _numbers(tokens, cast, what: str) -> list:

@@ -497,12 +497,15 @@ class Trajectory:
                 block = table[start:start + _WRITE_ROWS].tolist()
                 fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
 
+    def regime(self) -> dict:
+        """The momentum regime: whether mu0 is defined (g.g >= 0), and g.g."""
+        sp = split_momentum(self.g, self.u[0], self.c)
+        return {"mu0_defined": sp.mu0_defined, "g_square": sp.g_square}
+
     def write_json(self, path):
         """The run summary: g, c, drift_summary, run and regime."""
-        sp = split_momentum(self.g, self.u[0], self.c)
         payload = {"g": self.g.tolist(), "c": self.c, "drift_summary": self.drift_summary(),
-                   "run": self.params,
-                   "regime": {"mu0_defined": sp.mu0_defined, "g_square": sp.g_square}}
+                   "run": self.params, "regime": self.regime()}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")

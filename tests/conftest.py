@@ -1,3 +1,6 @@
+import concurrent.futures
+import signal
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,30 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("still waiting on forked workers")
+
+
+@pytest.fixture
+def fork_pools(monkeypatch):
+    """A list of the worker pools started in the test, and a 60 s limit on the test."""
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    old = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(60)
+    try:
+        yield started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def series_exp(A, terms=30):

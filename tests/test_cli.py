@@ -11,6 +11,7 @@ import pytest
 import cosrel
 from cosrel import weyssenhoff
 from cosrel.cli import build_parser, main
+from cosrel.lattice import Lattice
 from cosrel.minkowski import ETA
 
 
@@ -71,7 +72,7 @@ def test_seeded_reports_are_byte_identical(tmp_path):
     assert ja.encode() == jb.encode()
 
 
-def test_simulation_writes_trajectory_and_summary(tmp_path):
+def test_simulation_writes_trajectory_and_summary(tmp_path, capsys):
     cfg = tmp_path / "wl.ini"
     cfg.write_text("[worldline]\nu = 1 0 0 0\nrho0 = 1.5\ns = 0 0 0 0.5 0 0\n"
                    "steps = 40\ndtau = 0.01\n")
@@ -92,6 +93,8 @@ def test_simulation_writes_trajectory_and_summary(tmp_path):
     assert summary == json.dumps(payload, indent=1, sort_keys=True) + "\n"
     assert "records" not in json.loads(summary)
     assert drift["u_norm"] <= 1e-12
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"drift summary: {drift}", "regime: {'mu0_defined': True, 'g_square': 2.25}"]
 
 
 def test_simulation_files_equal_the_writer_adapters(tmp_path):
@@ -398,3 +401,39 @@ def test_import_loads_no_process_pool():
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_forms_suite_prints_the_same_bytes_pooled_and_in_process():
+    """A line buffered before the workers fork is printed once, and the report lines
+    are those of an in-process run."""
+    code = ("import sys; from cosrel import cli, lattice; lattice._cpus = lambda: {}; "
+            "print('before the suite'); "
+            "code = cli.main(['--suite', 'forms', '--grid', '9,17']); "
+            "import multiprocessing; assert multiprocessing.active_children() == []; "
+            "sys.exit(code)")
+    runs = {cpus: _run_python("-c", code.format(cpus)) for cpus in (1, 2)}
+    for proc in runs.values():
+        assert proc.returncode == 0, proc.stderr
+    assert runs[2].stdout == runs[1].stdout
+    lines = runs[2].stdout.splitlines()
+    assert lines[:2] == ["before the suite", "suite forms: PASS (seed 0)"]
+    assert len(lines) == 10 and len(set(lines)) == len(lines)
+
+
+def test_vanished_refinement_error_fails_its_check(tmp_path, monkeypatch, capsys):
+    """With first-order boundary stencils, cosserat.04's fine-grid mismatch is exactly
+    0.0: an order that cannot be measured is a failed check, and the report is whole."""
+    def gradient(self, data, axis):
+        return np.gradient(data, self.spacing[axis], axis=axis, edge_order=1)
+
+    monkeypatch.setattr(Lattice, "gradient", gradient)
+    out = tmp_path / "rep.json"
+    assert main(["--suite", "cosserat", "--json", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "suite cosserat: FAIL (seed 0)" and len(lines) == 6
+    checks = {c["id"]: c for c in json.loads(out.read_text())["reports"][0]["checks"]}
+    assert len(checks) == 5
+    failed = checks.pop("cosserat.04-integration-by-parts")
+    assert np.isnan(failed["value"]) and failed["passed"] is False
+    assert failed["extra"]["mismatch"] == 0.0
+    assert all(c["passed"] for c in checks.values())

@@ -3,7 +3,6 @@
 import concurrent.futures
 import multiprocessing
 import os
-import signal
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from cosrel.deformation import (AlgebraForm, GroupField, read_algebra_form, read_group_field,
                                 write_algebra_form, write_group_field)
 from cosrel.kinematics import KinematicalState, read_state, write_state
-from cosrel import lattice
+from cosrel import lattice, suites
 from cosrel.lattice import FormField, Lattice, read_form, write_form
 
 _IDENTITY = "1.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 1.0"
@@ -208,29 +207,11 @@ _CHUNK = 4     # so that a 3 x 3 x 4 array spans nine pieces
 _SPECIAL = [-0.0, 5e-324, 1e-05, 1e16, np.nan, np.inf, -np.inf]
 
 
-def _timed_out(signum, frame):
-    raise TimeoutError("grid write still waiting on its workers")
-
-
 @pytest.fixture
-def pools(monkeypatch):
-    """Small pieces, a list of the worker pools write_grid starts, and a 60 s limit."""
+def pools(monkeypatch, fork_pools):
+    """Small pieces, a list of the worker pools started, and a 60 s limit."""
     monkeypatch.setattr(lattice, "_CHUNK", _CHUNK)
-    started = []
-
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    old = signal.signal(signal.SIGALRM, _timed_out)
-    signal.alarm(60)
-    try:
-        yield started
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
+    return fork_pools
 
 
 def _values(size: int) -> np.ndarray:
@@ -272,18 +253,21 @@ def test_pooled_group_file_is_pinned(tmp_path, monkeypatch, pools):
     assert multiprocessing.active_children() == []
 
 
-def _worker_raises(flat, start):
-    raise ValueError("formatting failed")
+def _worker_raises(*args):
+    raise ValueError("computation failed")
 
 
-def _worker_dies(flat, start):
+def _worker_dies(*args):
     os._exit(3)
 
 
 @pytest.mark.parametrize("fault, error", [
     ("no-directory", FileNotFoundError), ("device-full", OSError),
-    ("worker-raises", ValueError), ("worker-dies", concurrent.futures.BrokenExecutor)])
+    ("worker-raises", ValueError), ("worker-dies", concurrent.futures.BrokenExecutor),
+    ("suite-worker-raises", ValueError)])
 def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, pools, fault, error):
+    """Every fault, in the grid writer or in the forms suite, reaches the caller and
+    leaves no worker of the shared pool behind."""
     path = tmp_path / "f.txt"
     if fault == "no-directory":
         path = tmp_path / "missing" / "f.txt"
@@ -293,9 +277,14 @@ def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, pools, fau
         path = "/dev/full"
     elif fault == "worker-raises":
         monkeypatch.setattr(lattice, "_text", _worker_raises)
-    else:
+    elif fault == "worker-dies":
         monkeypatch.setattr(lattice, "_text", _worker_dies)
     with pytest.raises(error):
-        _write(path, monkeypatch, 2, {"coefficients": _values(36)})
+        if fault == "suite-worker-raises":
+            monkeypatch.setattr(lattice, "_cpus", lambda: 2)
+            monkeypatch.setattr(suites, "_dislocation_norm", _worker_raises)
+            suites.run_suite("forms", options={"grids": (5, 9)})
+        else:
+            _write(path, monkeypatch, 2, {"coefficients": _values(36)})
     assert len(pools) == 1
     assert multiprocessing.active_children() == []

@@ -1,14 +1,16 @@
 import dataclasses
+import multiprocessing
 import time
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cosrel import algebra, deformation, dirac, kinematics, suites, weyssenhoff
+from cosrel import algebra, deformation, dirac, kinematics, lattice, suites, weyssenhoff
 from cosrel.suites import (SUITE_NAMES, _algebra_stack, _bump_state, _lattice, _random_algebra,
                            _smooth_group_field, run_suite)
 from test_acceptance import _displacement_closure
+from test_cli import _strip_runtime
 
 
 def test_unknown_suite_raises():
@@ -161,3 +163,34 @@ def test_algebra_blocks_follow_the_per_sample_stream():
         el = _random_algebra(looped)
         assert np.array_equal(v[k], el.v) and np.array_equal(w[k], el.w)
         assert np.array_equal(draws[k, 10:], looped.uniform(-1, 1, size=2))
+
+
+@pytest.mark.parametrize("coarse, fine", [(0.0, 1e-3), (1e-3, 0.0), (0.0, 0.0), (np.nan, 1e-3),
+                                          (1e-3, np.nan), (np.inf, 1e-3), (1e-3, np.inf)],
+                         ids=["zero-coarse", "zero-fine", "zero-both", "nan-coarse", "nan-fine",
+                              "inf-coarse", "inf-fine"])
+def test_order_of_an_unmeasurable_ratio_fails_its_bracket(coarse, fine):
+    rec = suites._Recorder()
+    order = suites._order(coarse, fine)
+    rec.bracket("x.01-order", "law", 1.7, order, 2.3, {})
+    assert np.isnan(order)
+    assert not rec.checks[0].passed
+
+
+@pytest.mark.parametrize("coarse, fine", [(4.0, 1.0), (3.1e-5, 7.9e-6), (1e-300, 3e-301),
+                                          (np.float64(0.7), 0.11)])
+def test_order_of_a_finite_ratio_is_its_log2(coarse, fine):
+    assert suites._order(coarse, fine) == float(np.log2(coarse / fine))
+
+
+@pytest.mark.parametrize("seed, grids", [(0, (5, 9)), (1, (5, 9)), (0, None)],
+                         ids=["seed0-5,9", "seed1-5,9", "seed0-default"])
+def test_pooled_forms_suite_equals_the_in_process_suite(monkeypatch, fork_pools, seed, grids):
+    options = {"grids": grids} if grids else {}
+    reports = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+        reports[cpus] = _strip_runtime([rep.as_dict() for rep in run_suite("forms", seed, options)])
+        assert len(fork_pools) == cpus - 1
+    assert reports[2] == reports[1]
+    assert multiprocessing.active_children() == []
