@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .minkowski import DEFAULT_TOL, four_vector, lowered_antisymmetry_defect
-from .poincare import AffineFrame, PoincareElement
+from .poincare import PoincareElement
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,6 @@ def polarize(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
     return AlgebraElement(np.zeros(4), rot), AlgebraElement(np.zeros(4), boost)
 
 
-def embed_homogeneous(x: AlgebraElement) -> np.ndarray:
-    """5x5 embedding [[0, 0], [v, w]] whose matrix exponential lands in the group."""
-    H = np.zeros((5, 5))
-    H[1:, 0] = x.v
-    H[1:, 1:] = x.w
-    return H
-
-
 #: Below this alpha^2 + beta^2 the two divided differences of exp_batch are summed as
 #: series; at the switch the direct quotients are good to ~6e-15 relative, the series
 #: to ~4e-16.
@@ -203,13 +195,3 @@ def exp(x: AlgebraElement) -> PoincareElement:
     a, L = exp_batch(x.v, x.w)
     return PoincareElement(a, L)
 
-
-def fundamental_vector(x: AlgebraElement, frame_point: AffineFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity of act_on_frame(exp(t x), frame_point) at t=0, in frame components.
-
-    In global components the derivative is (E v, E w) with E the frame axes;
-    expanding it in the frame's own basis removes E, so the coefficients are
-    (v, w) at every frame point.
-    """
-    del frame_point  # the frame-basis coefficients are frame-independent
-    return x.v.copy(), x.w.copy()

@@ -64,19 +64,15 @@ class GroupField:
         return cls(lattice, a, L)
 
 
-def maurer_cartan(lattice: Lattice, a, L, aj, Lj) -> AlgebraForm:
-    """Eulerian deformation E = dg g^-1 of g = (a, L) with jets (a_b, L_b).
+def nabla_group(g: GroupField) -> AlgebraForm:
+    """Eulerian deformation E = dg g^-1 of a group field, jets (a_b, L_b) by stencils.
 
     w_b = L_b L~ and xi_b = a_b - w_b a; the jet axis is the 1-form component axis.
     """
-    om = Lj @ lorentz_adjoint(L)[..., None, :, :]
-    xi = aj - (om @ a[..., None, :, None])[..., 0]
-    return AlgebraForm(FormField(lattice, 1, xi), FormField(lattice, 1, om))
-
-
-def nabla_group(g: GroupField) -> AlgebraForm:
-    """Eulerian deformation of a group field, jets by stencils."""
-    return maurer_cartan(g.lattice, g.a, g.L, g.lattice.jets(g.a), g.lattice.jets(g.L))
+    aj, Lj = g.lattice.jets(g.a), g.lattice.jets(g.L)
+    om = Lj @ lorentz_adjoint(g.L)[..., None, :, :]
+    xi = aj - (om @ g.a[..., None, :, None])[..., 0]
+    return AlgebraForm(FormField(g.lattice, 1, xi), FormField(g.lattice, 1, om))
 
 
 def dislocation(E: AlgebraForm) -> AlgebraForm:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import KinematicalState, jet_action, jet_slot_shapes, jet_slots, require_integrable
-from .lattice import Lattice, central_difference
+from .lattice import Lattice
 from .minkowski import ETA
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -169,73 +169,12 @@ def poincare_invariance_residual(phi: DynamicalState, s: KinematicalState) -> tu
     return float(np.abs(phi.F).max()), float(np.abs(Mbar).max())
 
 
-def dressed_couple_stress(phi: DynamicalState, s: KinematicalState) -> np.ndarray:
-    """Lowered antisymmetric couple stress mu^a_{mu nu} dressed by the frame alone."""
-    D = np.einsum("...aik,...jk->...aij", phi.mu, s.e)
-    return _asym(D @ ETA)
-
-
-def spin_source(phi: DynamicalState, s: KinematicalState) -> np.ndarray:
-    """Antisymmetrized stress moment sigma^a_[mu x_nu]a sourcing the couple balance."""
-    xj_low = s.xj @ ETA
-    return _asym(np.einsum("...ai,...aj->...ij", phi.sigma, xj_low))
-
-
-def cosserat_residual(phi: DynamicalState, s: KinematicalState,
-                      invariant: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Balance-law residual fields (r1 force-like, r2 couple-like, antisymmetric).
-
-    Standard variant: r1 = F - div sigma, r2 = Mbar - div mubar.  The invariant
-    variant replaces F, Mbar by zero and sources the couple balance with the
-    stress moment: r1 = -div sigma, r2 = -(div mu_dressed + spin source).
-    """
+def cosserat_residual(phi: DynamicalState, s: KinematicalState) -> tuple[np.ndarray, np.ndarray]:
+    """Balance-law residual fields: r1 = F - div sigma (force-like) and
+    r2 = Mbar - div mubar (couple-like, antisymmetric)."""
     require_integrable(s)
     lat = phi.lattice
-    if invariant:
-        r1 = -_divergence(lat, phi.sigma)
-        r2 = -(_divergence(lat, dressed_couple_stress(phi, s)) + spin_source(phi, s))
-        return r1, r2
     Mbar, mubar = barred_moments(phi, s)
     r1 = phi.F - _divergence(lat, phi.sigma)
     r2 = Mbar - _divergence(lat, mubar)
     return r1, r2
-
-
-def spatialize(phi: DynamicalState, s: KinematicalState) -> tuple[np.ndarray, np.ndarray]:
-    """Balance residuals pushed to the deformed coordinates (body dimension 4 only)."""
-    lat = phi.lattice
-    if lat.p != 4:
-        raise ValueError("spatialize requires a four-dimensional body")
-    require_integrable(s)
-    J = np.swapaxes(s.xj, -1, -2)  # J[..., mu, a] = x^mu_a
-    cond = np.linalg.cond(J)
-    if not np.all(np.isfinite(cond)) or cond.max() > 1e8:
-        raise ValueError(f"deformation Jacobian ill-conditioned: max cond {cond.max():.3e}")
-    Jinv = np.linalg.inv(J)  # [..., a, mu]
-
-    sp_sigma = np.einsum("...an,...am->...nm", s.xj, phi.sigma)  # [nu][mu]
-    r1 = np.zeros(lat.shape + (4,))
-    for a in range(lat.p):
-        r1 += np.einsum("...n,...nm->...m", Jinv[..., a, :], lat.gradient(sp_sigma, a))
-
-    mulow = dressed_couple_stress(phi, s)
-    sp_mu = np.einsum("...ak,...amn->...kmn", s.xj, mulow)
-    r2 = np.zeros(lat.shape + (4, 4))
-    for b in range(lat.p):
-        r2 += np.einsum("...k,...kmn->...mn", Jinv[..., b, :], lat.gradient(sp_mu, b))
-    sig_low = np.einsum("...km,kn->...mn", sp_sigma, ETA)
-    r2 += _asym(sig_low)
-    return r1, r2
-
-
-def phi_from_lagrangian(lagrangian, s: KinematicalState) -> DynamicalState:
-    """Fundamental form as the jet-space gradient of a scalar density.
-
-    `lagrangian(x, e, xj, ej)` must be vectorized over the grid and return a
-    scalar field; partials use central differences with a relative step.
-    """
-    slots = [s.x, s.e, s.xj, s.ej]
-    return DynamicalState(s.lattice, *(
-        central_difference(lambda y, i=i: lagrangian(*slots[:i], y, *slots[i + 1:]),
-                           slots[i], slots[i].ndim - s.lattice.p)
-        for i in range(4)))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_VALUE_KINDS = {(): "scalar", (4,): "vector", (4, 4): "matrix"}
+#: the value shapes a form may have: scalar, 4-vector, 4x4 matrix
+_VALUE_KINDS = {(), (4,), (4, 4)}
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,6 @@ class FormField:
             raise ValueError(f"unsupported value shape {self.value_shape}")
         self.data = data
 
-    @property
-    def value_kind(self) -> str:
-        return _VALUE_KINDS[self.value_shape]
-
     @classmethod
     def zeros(cls, lattice: Lattice, degree: int, value_shape=()) -> "FormField":
         n = len(multi_indices(lattice.p, degree))
@@ -233,13 +230,13 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
 # --- flat grid-file format -------------------------------------------------
 #
 # Text layout (whitespace separated, blank lines ignored):
-#   line 1:  "cosrel-grid 1 <kind>"        kind: form | algebra-form | group | state
+#   line 1:  "cosrel-grid 1 <kind>"        kind: algebra-form | group
 #   header:  "p", "shape", "spacing", "origin", then kind-specific keys
 #   arrays:  "array <name> <dims...>" followed by one line of row-major floats
 
 _MAGIC = ("cosrel-grid", "1")
 #: integer header keys each kind must carry, besides the lattice keys
-_KIND_KEYS = {"form": ("degree",), "algebra-form": ("degree",), "group": (), "state": ()}
+_KIND_KEYS = {"algebra-form": ("degree",), "group": ()}
 #: floats formatted per piece of an array body; bounds the writer's memory
 _CHUNK = 65536
 #: bytes read per piece while the end of a long line is sought
@@ -431,12 +428,3 @@ def read_grid(path, kind: str, names) -> tuple[Lattice, dict, list]:
             raise ValueError(f"grid file has no array {name!r}")
     return lattice, {key: _integer(header, key) for key in _KIND_KEYS[kind]}, [arrays[n] for n in names]
 
-
-def write_form(path, f: FormField):
-    write_grid(path, "form", f.lattice, {"degree": f.degree, "value": f.value_kind},
-               {"coefficients": f.data})
-
-
-def read_form(path) -> FormField:
-    lat, meta, (coefficients,) = read_grid(path, "form", ["coefficients"])
-    return FormField(lat, meta["degree"], coefficients)

@@ -1,4 +1,4 @@
-"""Minkowski metric algebra: inner product, causal classification, Lorentz predicates.
+"""Minkowski metric algebra: the metric, four-vectors and the Lorentz-group tests.
 
 Conventions used throughout the package: signature (+,-,-,-), the first index of
 every matrix is the contravariant one, and the speed of light is an explicit
@@ -6,8 +6,6 @@ parameter (default 1.0) wherever it enters a formula.
 """
 
 from __future__ import annotations
-
-import enum
 
 import numpy as np
 
@@ -20,12 +18,6 @@ ETA.setflags(write=False)
 DEFAULT_TOL = 1e-9
 
 
-class CausalClass(enum.Enum):
-    TIMELIKE = "timelike"
-    SPACELIKE = "spacelike"
-    LIGHTLIKE = "lightlike"
-
-
 def four_vector(components) -> np.ndarray:
     """Return a validated copy of a 4-vector (finite entries only)."""
     v = np.array(components, dtype=float)
@@ -34,26 +26,6 @@ def four_vector(components) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("four-vector components must be finite")
     return v
-
-
-def minkowski_inner(v, w) -> float:
-    """Scalar product eta_{mu nu} v^mu w^nu."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(v @ ETA @ w)
-
-
-def classify(v, tol: float = DEFAULT_TOL) -> CausalClass:
-    """Causal class of a nonzero finite vector; the zero vector has no class."""
-    v = four_vector(v)
-    if not np.any(v != 0.0):
-        raise ValueError("causal class of the zero vector is undefined")
-    q = minkowski_inner(v, v)
-    if q > tol:
-        return CausalClass.TIMELIKE
-    if q < -tol:
-        return CausalClass.SPACELIKE
-    return CausalClass.LIGHTLIKE
 
 
 def lorentz_adjoint(L) -> np.ndarray:
@@ -74,10 +46,6 @@ def lowered_antisymmetry_defect(w) -> float:
     return float(np.abs(low + np.swapaxes(low, -1, -2)).max())
 
 
-def is_lorentz(L, tol: float = DEFAULT_TOL) -> bool:
-    return lorentz_defect(L) <= tol
-
-
 def require_lorentz(L, tol: float = DEFAULT_TOL, what: str = "matrix"):
     """Refuse a (..., 4, 4) stack unless every L is Lorentz within tol; a NaN defect is refused."""
     defect = lorentz_defect(L)
@@ -85,20 +53,3 @@ def require_lorentz(L, tol: float = DEFAULT_TOL, what: str = "matrix"):
         raise ValueError(f"{what} is not Lorentz (not a Lorentz matrix): "
                          f"|L^T eta L - eta| = {defect:.3e} > {tol:.3e}")
 
-
-def lorentz_matrix(entries, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Return a validated copy of a Lorentz matrix."""
-    L = np.array(entries, dtype=float)
-    if L.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {L.shape}")
-    if not np.all(np.isfinite(L)):
-        raise ValueError("matrix entries must be finite")
-    require_lorentz(L, tol)
-    return L
-
-
-def is_proper_isochronous(L, tol: float = DEFAULT_TOL) -> bool:
-    """True iff det L is 1 within tol and L^0_0 > 0. Raises on non-Lorentz input."""
-    L = np.asarray(L, dtype=float)
-    require_lorentz(L, tol)
-    return bool(abs(np.linalg.det(L) - 1.0) <= tol and L[0, 0] > 0.0)

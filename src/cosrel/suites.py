@@ -574,7 +574,12 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int = 0, options: dict = None) -> list[SuiteReport]:
-    """Run one named suite (or 'all'); returns one report per suite executed."""
+    """Run one named suite (or 'all'); returns one report per suite executed.
+
+    A suite that raises ArithmeticError, RuntimeError or ValueError keeps the checks
+    it recorded and gets one failed check `<suite>.error` (value NaN, tolerance 0)
+    whose extra.error names the exception; the next suite still runs.
+    """
     options = dict(options or {})
     names = list(SUITE_NAMES) if name == "all" else [name]
     reports = []
@@ -583,6 +588,10 @@ def run_suite(name: str, seed: int = 0, options: dict = None) -> list[SuiteRepor
             raise KeyError(f"unknown suite {n!r}; choose from {SUITE_NAMES + ('all',)}")
         rec = _Recorder()
         rng = np.random.default_rng(seed)
-        _SUITES[n](rec, rng, options)
+        try:
+            _SUITES[n](rec, rng, options)
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
+            rec.add(f"{n}.error", "plumbing", math.nan, 0.0,
+                    {"error": f"{type(exc).__name__}: {exc}"})
         reports.append(SuiteReport(n, seed, rec.checks, all(c.passed for c in rec.checks)))
     return reports

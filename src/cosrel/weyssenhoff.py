@@ -32,12 +32,6 @@ def spin_matrix_from_components(comps) -> np.ndarray:
     return ETA @ s_low
 
 
-def spin_components(s) -> list:
-    """The six independent lowered components of a mixed spin matrix."""
-    s_low = ETA @ np.asarray(s, dtype=float)
-    return [float(s_low[m, n]) for m, n in SPIN_COMPONENTS]
-
-
 @dataclass
 class WeyssenhoffElement:
     """Single fluid element: event x, velocity u, momentum density g_mu, spin s^mu_nu."""
@@ -541,13 +535,18 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     unless `project` is set.  The state is stepped as one flat list of floats (see
     `_rate`); the diagnostics are computed once on the stacked trajectory, and
     `drift_max` is checked on them in step order, also when a later step fails.
-    Bad `steps` or `dtau` raise ValueError (see tau_grid).
+    Each state stepped from must pass the closure gate solver_tol * max(1, max|c^2 pi|),
+    with pi taken at the initial state, or ClosureError is raised: a runaway, whose
+    |pi| grows with it, cannot widen its own gate.  Bad `steps` or `dtau` raise
+    ValueError (see tau_grid).
     """
     initial.validate()
     tau = tau_grid(initial.tau, steps, dtau)
     c = initial.c
     g = initial.g.copy()
     gl = g.tolist()
+    pi_low = split_momentum(g, initial.u, c).pi_low
+    gate = solver_tol * max(1.0, c ** 2 * float(np.abs(pi_low).max()))
     n = int(steps)
     states = np.empty((n + 1, 24))
     closure = np.empty(n + 1)
@@ -557,7 +556,9 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     done = 1
     try:
         for i in range(n):
-            k1, closure[i] = _rate(y, gl, c, solver_tol, True)
+            k1, closure[i] = _rate(y, gl, c, math.inf, True)
+            if not closure[i] <= gate:
+                raise ClosureError(closure[i])
             k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, c, solver_tol, False)
             k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, c, solver_tol, False)
             k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, c, solver_tol, False)

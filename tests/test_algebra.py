@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import series_exp
 from cosrel.algebra import (AlgebraElement, basis, boost_generator, bracket, bracket_batch,
-                            embed_homogeneous, exp, exp_batch, fundamental_vector, polarize,
-                            rotation_generator, translation_generator)
+                            exp, exp_batch, polarize, rotation_generator, translation_generator)
 from cosrel.minkowski import ETA
-from cosrel.poincare import AffineFrame, act_on_frame, canonical_frame
 
 
 def _random_element(rng, scale=1.0):
@@ -149,47 +147,6 @@ def test_one_parameter_subgroup_law(rng):
         assert np.abs(left.L - right.L).max() <= 1e-9
 
 
-def _action_derivative(x, frame, h=1e-6):
-    """Finite-difference velocity of act(exp(t x), frame) at t = 0 (oracle)."""
-    fp = act_on_frame(exp(h * x), frame)
-    fm = act_on_frame(exp(-h * x), frame)
-    return (fp.origin - fm.origin) / (2 * h), (fp.axes - fm.axes) / (2 * h)
-
-
-def test_fundamental_vector_zero():
-    v, w = fundamental_vector(AlgebraElement(np.zeros(4), np.zeros((4, 4))),
-                              canonical_frame())
-    assert np.abs(v).max() == 0.0 and np.abs(w).max() == 0.0
-
-
-def test_fundamental_vector_pure_translation_any_frame(rng):
-    x = AlgebraElement([0.3, -1.0, 2.0, 0.7], np.zeros((4, 4)))
-    frame = AffineFrame(rng.standard_normal(4),
-                        series_exp(0.4 * rotation_generator(1).w + 0.2 * boost_generator(3).w))
-    v, w = fundamental_vector(x, frame)
-    assert np.allclose(v, x.v, atol=1e-15) and np.abs(w).max() == 0.0
-
-
-def test_fundamental_vector_matches_action_derivative_canonical():
-    x = rotation_generator(3)
-    v, w = fundamental_vector(x, canonical_frame())
-    dv, dw = _action_derivative(x, canonical_frame())
-    assert np.abs(v - dv).max() <= 1e-8
-    assert np.abs(w - dw).max() <= 1e-8
-
-
-def test_fundamental_vector_is_frame_components_of_derivative(rng):
-    # at a general frame the global velocity is axes @ (v, w); the returned pair
-    # is its expansion in the frame basis
-    x = _random_element(rng, 0.6)
-    frame = AffineFrame(rng.standard_normal(4),
-                        series_exp(0.5 * boost_generator(2).w + 0.3 * rotation_generator(1).w))
-    v, w = fundamental_vector(x, frame)
-    dv, dw = _action_derivative(x, frame)
-    assert np.abs(np.linalg.solve(frame.axes, dv) - v).max() <= 1e-8
-    assert np.abs(np.linalg.solve(frame.axes, dw) - w).max() <= 1e-8
-
-
 def _so13(E, B) -> np.ndarray:
     """w = eta A for the lowered antisymmetric A with A_0i = E_i and A_jk = eps_ijk B_i."""
     E, B = np.asarray(E, dtype=float), np.asarray(B, dtype=float)
@@ -245,6 +202,15 @@ def _assert_close(a, L, want_a, want_L, tol):
     scale = max(1.0, np.abs(want_a).max(), np.abs(want_L).max())
     assert np.abs(a - want_a).max() <= tol * scale
     assert np.abs(L - want_L).max() <= tol * scale
+
+
+def embed_homogeneous(x: AlgebraElement) -> np.ndarray:
+    """5x5 embedding [[0, 0], [v, w]] whose matrix exponential lands in the group:
+    the reference that expm and mpmath exponentiate."""
+    H = np.zeros((5, 5))
+    H[1:, 0] = x.v
+    H[1:, 1:] = x.w
+    return H
 
 
 #: scipy's expm is itself off by up to 3.2e-12 relative on boosts of rapidity 5-20

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cosrel
-from cosrel import weyssenhoff
+from cosrel import suites, weyssenhoff
 from cosrel.cli import build_parser, main
 from cosrel.lattice import Lattice
 from cosrel.minkowski import ETA
@@ -117,6 +117,30 @@ def test_simulation_files_equal_the_writer_adapters(tmp_path):
     traj.write_json(tmp_path / "a.json")
     assert out.read_bytes() == (tmp_path / "a.csv").read_bytes()
     assert summary.read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
+def test_runaway_worldline_exits_one(tmp_path, capsys):
+    # weyssenhoff.05's spacelike-momentum element: u^0 grows to 6e6 over 2000 steps
+    el = suites._random_element(np.random.default_rng(11))
+    s = [(ETA @ el.s)[m, n] for m, n in weyssenhoff.SPIN_COMPONENTS]
+    u, g, s = (" ".join(map(repr, np.ravel(a).tolist())) for a in (el.u, el.g, s))
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(f"[worldline]\nu = {u}\ng = {g}\ns = {s}\nsteps = 2000\ndtau = 0.01\n")
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: spin closure unsolvable: residual ")
+
+
+def test_raising_suite_writes_the_full_report_and_exits_one(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    closure = weyssenhoff._closure
+    with mock.patch.object(weyssenhoff, "_closure", lambda s, rhs: [1.01 * a for a in closure(s, rhs)]):
+        assert main(["--suite", "weyssenhoff", "--json", str(out)]) == 1
+    (report,) = json.loads(out.read_text())["reports"]
+    assert report["passed"] is False
+    assert [c["id"] for c in report["checks"]] == ["weyssenhoff.error"]
+    assert report["checks"][0]["extra"]["error"].startswith("ClosureError: spin closure unsolvable")
+    assert "suite weyssenhoff: FAIL" in capsys.readouterr().out
 
 
 def test_simulation_flag_overrides_config(tmp_path):

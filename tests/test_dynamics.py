@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import same_bits, series_exp, vector_field
+from conftest import same_bits, series_exp
 from cosrel.algebra import boost_matrix_generator, rotation_matrix_generator
 from cosrel.dynamics import (DynamicalState, EulerianVariation, barred_moments,
-                             cosserat_residual, direct_virtual_work, dressed_couple_stress,
-                             lagrangian_of, phi_from_lagrangian,
-                             poincare_invariance_residual, spatialize, spin_source,
-                             total_virtual_work, virtual_work_density)
+                             cosserat_residual, direct_virtual_work, lagrangian_of,
+                             poincare_invariance_residual, total_virtual_work,
+                             virtual_work_density)
 from cosrel.kinematics import is_integrable, prolong
 from cosrel.lattice import Lattice
 from cosrel.minkowski import ETA
@@ -245,7 +244,7 @@ def test_constant_force_residual_reported():
 
 def test_cosserat_residual_constant_fields_canonical_state():
     # canonical embedding, sigma with symmetric lowered moment, couple from the
-    # internal identity: both residual variants vanish on the interior
+    # internal identity: the residual vanishes on the interior
     lat = _unit_lattice(2, 9)
     s = _canonical_state(lat)
     Z = np.zeros((4, 4))
@@ -266,9 +265,6 @@ def test_cosserat_residual_constant_fields_canonical_state():
     sel = lat.interior() + (Ellipsis,)
     assert np.abs(r1[sel]).max() <= 1e-12
     assert np.abs(r2[sel]).max() <= 1e-12
-    r1i, r2i = cosserat_residual(phi, s, invariant=True)
-    assert np.abs(r1i[sel]).max() <= 1e-12
-    assert np.abs(r2i[sel]).max() <= 1e-12
 
 
 def test_cosserat_residual_linear_stress_p1():
@@ -342,98 +338,7 @@ def test_manufactured_solution_quadratic_convergence():
     assert 1.7 <= order <= 2.3
 
 
-def test_invariant_variant_manufactured_convergence():
-    # divergence-free sigma from a stream function; couple stress cancels the
-    # stress moment analytically
-    norms = {}
-    for n in (9, 17):
-        lat = _unit_lattice(2, n)
-        s = _canonical_state(lat)
-        r0, r1 = lat.coords()
-        avec = np.array([0.8, -0.5, 0.3, 1.0])
-        sigma = np.zeros(lat.shape + (2, 4))
-        sigma[..., 0, :] = (np.sin(r0) * np.cos(r1))[..., None] * avec
-        sigma[..., 1, :] = -(np.cos(r0) * np.sin(r1))[..., None] * avec
-        xl = [ETA @ s.xj[(0,) * lat.p][a] for a in range(2)]
-        C1 = 0.5 * (np.outer(avec, xl[0]) - np.outer(xl[0], avec))
-        C2 = -0.5 * (np.outer(avec, xl[1]) - np.outer(xl[1], avec))
-        # spin source = f C1 + g C2 with f = sin cos, g = cos sin
-        mulow = np.zeros(lat.shape + (2, 4, 4))
-        mulow[..., 0, :, :] = (np.cos(r0) * np.cos(r1))[..., None, None] * C1
-        mulow[..., 1, :, :] = (np.cos(r0) * np.cos(r1))[..., None, None] * C2
-        mu = mulow @ ETA  # e = identity: raw mu realizing the lowered couple stress
-        phi = DynamicalState(lat, np.zeros(lat.shape + (4,)),
-                             np.zeros(lat.shape + (4, 4)), sigma, mu)
-        assert np.abs(dressed_couple_stress(phi, s) - mulow).max() <= 1e-13
-        srcs = spin_source(phi, s)
-        expect = ((np.sin(r0) * np.cos(r1))[..., None, None] * C1
-                  + (np.cos(r0) * np.sin(r1))[..., None, None] * C2)
-        assert np.abs(srcs - expect).max() <= 1e-12
-        r1a, r2a = cosserat_residual(phi, s, invariant=True)
-        sel = lat.interior() + (Ellipsis,)
-        norms[n] = max(np.abs(r1a[sel]).max(), np.abs(r2a[sel]).max())
-    order = np.log2(norms[9] / norms[17])
-    assert 1.7 <= order <= 2.3
-
-
-def test_spatialize_identity_embedding_matches_material_residual():
-    lat = Lattice((5, 5, 5, 5), (0.25, 0.25, 0.25, 0.25))
-    s = _canonical_state(lat)
-    rng = np.random.default_rng(7)
-    phi = _random_phi(lat, rng)
-    r1s, r2s = spatialize(phi, s)
-    r1, r2 = cosserat_residual(phi, s, invariant=True)
-    assert np.abs(r1s + r1).max() <= 1e-12  # invariant residual is minus the divergence
-    # couple part: same divergence plus the lowered antisymmetric stress
-    mulow = dressed_couple_stress(phi, s)
-    divmu = np.zeros(lat.shape + (4, 4))
-    for a in range(4):
-        divmu += lat.gradient(mulow[..., a, :, :], a)
-    sp_sigma = np.einsum("...an,...am->...nm", s.xj, phi.sigma)
-    siglow = np.einsum("...km,kn->...mn", sp_sigma, ETA)
-    siglow = 0.5 * (siglow - np.swapaxes(siglow, -1, -2))
-    assert np.abs(r2s - (divmu + siglow)).max() <= 1e-12
-
-
-def test_spatialize_constant_symmetric_stress_vanishes():
-    lat = Lattice((5, 5, 5, 5), (0.25, 0.25, 0.25, 0.25))
-    s = _canonical_state(lat)
-    Z = 0.5 * (lambda A: A + A.T)(np.arange(16, dtype=float).reshape(4, 4))
-    sigma = np.zeros(lat.shape + (4, 4))
-    sigma[...] = ETA @ Z  # lowered spatial stress symmetric -> no couple source
-    phi = DynamicalState(lat, np.zeros(lat.shape + (4,)), np.zeros(lat.shape + (4, 4)),
-                         sigma, np.zeros(lat.shape + (4, 4, 4)))
-    r1s, r2s = spatialize(phi, s)
-    assert np.abs(r1s).max() <= 1e-12
-    assert np.abs(r2s).max() <= 1e-12
-
-
-def test_spatialize_linear_embedding_chain_rule_oracle():
-    lat = Lattice((5, 5, 5, 5), (0.25, 0.25, 0.25, 0.25))
-    rng = np.random.default_rng(8)
-    A = np.eye(4) + 0.2 * rng.standard_normal((4, 4))
-
-    def fn(x):
-        return np.stack(x, axis=-1) @ A.T, np.eye(4)
-
-    s = prolong(lat, fn)
-    phi = _random_phi(lat, rng)
-    r1s, r2s = spatialize(phi, s)
-    # oracle: material divergence contracted with the constant inverse Jacobian
-    r1m, _ = cosserat_residual(phi, s, invariant=True)
-    # d_nu sigma^nu_mu = J~^a_nu d_a (x^nu_b sigma^b_mu) = d_a sigma^a_mu for constant J
-    assert np.abs(r1s - (-r1m)).max() <= 1e-10
-    mulow = dressed_couple_stress(phi, s)
-    divmu = np.zeros(lat.shape + (4, 4))
-    for a in range(4):
-        divmu += lat.gradient(mulow[..., a, :, :], a)
-    sp_sigma = np.einsum("...an,...am->...nm", s.xj, phi.sigma)
-    siglow = 0.5 * (np.einsum("...km,kn->...mn", sp_sigma, ETA)
-                    - np.einsum("...kn,km->...mn", sp_sigma, ETA))
-    assert np.abs(r2s - (divmu + siglow)).max() <= 1e-10
-
-
-@pytest.mark.parametrize("balance", [cosserat_residual, spatialize])
+@pytest.mark.parametrize("balance", [cosserat_residual])
 def test_non_integrable_state_is_refused(balance):
     lat = _unit_lattice(4, 3)
     s = _canonical_state(lat)
@@ -444,77 +349,6 @@ def test_non_integrable_state_is_refused(balance):
     message = str(info.value)
     assert "state is not integrable" in message
     assert f"residual {res:.3e}" in message and "> 1.000e-06" in message
-
-
-def test_spatialize_requires_p4_and_invertibility():
-    lat = _unit_lattice(2, 5)
-    s = _canonical_state(lat)
-    with pytest.raises(ValueError):
-        spatialize(DynamicalState.zeros(lat), s)
-    # integrable but degenerate embedding: two material directions collapse
-    lat4 = Lattice((5, 5, 5, 5), (0.25,) * 4)
-
-    def degenerate(c):
-        return vector_field(c[0], c[1], c[2] + c[3], c[2] + c[3]), np.eye(4)
-
-    s4 = prolong(lat4, degenerate)
-    ok, _ = is_integrable(s4, tol=1e-10)
-    assert ok
-    with pytest.raises(ValueError, match="ill-conditioned|Jacobian"):
-        spatialize(DynamicalState.zeros(lat4), s4)
-
-
-def test_phi_from_lagrangian_constant():
-    lat = Lattice((7,), (0.125,))
-    s = _canonical_state(lat)
-    phi = phi_from_lagrangian(lambda x, e, xj, ej: np.full(x.shape[:-1], 2.5), s)
-    for arr in (phi.F, phi.M, phi.sigma, phi.mu):
-        assert np.abs(arr).max() == 0.0
-
-
-def test_phi_from_lagrangian_kinetic_p1():
-    lat = Lattice((9,), (0.1,))
-
-    def fn(x):
-        return vector_field(x[0], 0.3 * x[0], -0.1 * x[0], 0.0), np.eye(4)
-
-    s = prolong(lat, fn)
-
-    def L(x, e, xj, ej):
-        v = xj[..., 0, :]
-        return 0.5 * np.einsum("...i,ij,...j->...", v, ETA, v)
-
-    phi = phi_from_lagrangian(L, s)
-    expected = np.einsum("ij,...j->...i", ETA, s.xj[..., 0, :])
-    assert np.abs(phi.sigma[..., 0, :] - expected).max() <= 1e-8
-    assert np.abs(phi.F).max() <= 1e-9
-    assert np.abs(phi.M).max() <= 1e-9
-
-
-def test_phi_from_lagrangian_quadratic_matches_analytic_gradient():
-    lat = Lattice((5,), (0.2,))
-    rng = np.random.default_rng(9)
-    s = _bump_state_1d(lat)
-    Q = rng.standard_normal((4, 4))
-    Q = 0.5 * (Q + Q.T)
-    b = rng.standard_normal(4)
-
-    def L(x, e, xj, ej):
-        return (0.5 * np.einsum("...i,ij,...j->...", x, Q, x)
-                + np.einsum("...i,i->...", x, b)
-                + np.einsum("...aij,...aij->...", ej, ej))
-
-    phi = phi_from_lagrangian(L, s)
-    gradF = np.einsum("ij,...j->...i", Q, s.x) + b
-    assert np.abs(phi.F - gradF).max() <= 1e-6
-    assert np.abs(phi.mu - 2 * s.ej).max() <= 1e-6
-
-
-def _bump_state_1d(lat):
-    def fn(c):
-        x = vector_field(c[0], 0.2 * np.sin(c[0]), 0.0, 0.1 * c[0])
-        return x, series_exp((0.3 * np.sin(c[0]))[..., None, None] * J3)
-    return prolong(lat, fn)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -533,40 +367,3 @@ def test_lagrangian_of_pinned_to_inline_formulas(p):
     assert all(same_bits(g, w) for g, w in zip((got.dx, got.de, got.dxj, got.dej),
                                                 (dx, de, dxj, dej)))
 
-
-def _reference_phi(lagrangian, s, rel_step=1e-6):
-    """The central-difference closure phi_from_lagrangian() used before the shared helper."""
-    def diff(arrs, which, tail_index):
-        plus = [a.copy() if i == which else a for i, a in enumerate(arrs)]
-        minus = [a.copy() if i == which else a for i, a in enumerate(arrs)]
-        sel = (Ellipsis,) + tail_index
-        h = rel_step * np.maximum(1.0, np.abs(arrs[which][sel]))
-        plus[which][sel] += h
-        minus[which][sel] -= h
-        return (lagrangian(*plus) - lagrangian(*minus)) / (2.0 * h)
-
-    p = s.lattice.p
-    arrs = [s.x, s.e, s.xj, s.ej]
-    F = np.stack([diff(arrs, 0, (m,)) for m in range(4)], axis=-1)
-    M = np.stack([np.stack([diff(arrs, 1, (m, n)) for n in range(4)], axis=-1)
-                  for m in range(4)], axis=-2)
-    sigma = np.stack([np.stack([diff(arrs, 2, (a, m)) for m in range(4)], axis=-1)
-                      for a in range(p)], axis=-2)
-    mu = np.stack([np.stack([np.stack([diff(arrs, 3, (a, m, n)) for n in range(4)], axis=-1)
-                             for m in range(4)], axis=-2)
-                   for a in range(p)], axis=-3)
-    return F, M, sigma, mu
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_phi_from_lagrangian_pinned_to_inline_differences(p):
-    lat = Lattice((4,) * p, (0.7,) * p, (-1.5,) * p)  # coordinates on both sides of |x| = 1
-    s = _bump_state(lat)
-
-    def L(x, e, xj, ej):
-        return (np.sin(x).sum(-1) + (e ** 2).sum((-1, -2)) * np.cos(xj).sum((-1, -2))
-                + (ej ** 3).sum((-1, -2, -3)))
-
-    got = phi_from_lagrangian(L, s)
-    want = _reference_phi(L, s)
-    assert all(same_bits(g, w) for g, w in zip((got.F, got.M, got.sigma, got.mu), want))

@@ -12,17 +12,18 @@ from hypothesis.extra.numpy import arrays
 
 from cosrel.deformation import (AlgebraForm, GroupField, read_algebra_form, read_group_field,
                                 write_algebra_form, write_group_field)
-from cosrel.kinematics import KinematicalState, read_state, write_state
 from cosrel import lattice, suites
-from cosrel.lattice import FormField, Lattice, read_form, write_form
+from cosrel.lattice import FormField, Lattice
 
 _IDENTITY = "1.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 1.0"
 _A_VALUES = "nan -inf 1e-200 -0.0 " + " ".join(repr(v / 8.0) for v in range(4, 36))
 _GROUP_TEXT = ("cosrel-grid 1 group\np 2\nshape 3 3\nspacing 0.5 0.25\norigin -1.0 0.0\n"
                f"array a 3 3 4\n{_A_VALUES}\n"
                f"array L 3 3 4 4\n{' '.join([_IDENTITY] * 9)}\n")
-_FORM_TEXT = ("cosrel-grid 1 form\np 1\nshape 3\nspacing 0.1\norigin 0.0\ndegree 1\nvalue scalar\n"
-              "array coefficients 3 1\n1.0 -2.5 0.3333333333333333\n")
+_FORM_TEXT = ("cosrel-grid 1 algebra-form\np 1\nshape 3\nspacing 0.1\norigin 0.0\ndegree 1\n"
+              "array translation 3 1 4\n"
+              "0.0 1.0 0.0 0.0 0.0 -2.5 0.0 0.0 0.0 0.3333333333333333 0.0 0.0\n"
+              f"array lorentz 3 1 4 4\n{' '.join(['0.0'] * 48)}\n")
 
 
 def _pinned_group() -> GroupField:
@@ -39,8 +40,13 @@ def test_group_field_text_is_pinned(tmp_path):
 
 
 def test_scalar_form_text_is_pinned(tmp_path):
+    """A one-component 1-form, carried as the translation part of an algebra form."""
+    lat = Lattice((3,), (0.1,))
+    tra = np.zeros((3, 1, 4))
+    tra[:, 0, 1] = [1.0, -2.5, 1 / 3]
     path = tmp_path / "f.txt"
-    write_form(path, FormField(Lattice((3,), (0.1,)), 1, np.array([[1.0], [-2.5], [1 / 3]])))
+    write_algebra_form(path, AlgebraForm(FormField(lat, 1, tra),
+                                         FormField(lat, 1, np.zeros((3, 1, 4, 4)))))
     assert path.read_text() == _FORM_TEXT
 
 
@@ -130,26 +136,24 @@ def test_malformed_form_header_refused(tmp_path, old, new):
     path = tmp_path / "bad.txt"
     path.write_text(_edit(old, new, _FORM_TEXT))
     with pytest.raises(ValueError):
-        read_form(path)
+        read_algebra_form(path)
 
 
 def test_nan_frame_state_refused(tmp_path):
-    path = tmp_path / "s.txt"
-    e = np.broadcast_to(np.eye(4), (3, 4, 4))
-    write_state(path, KinematicalState(Lattice((3,), (1.0,)), np.zeros((3, 4)), e,
-                                       np.zeros((3, 1, 4)), np.zeros((3, 1, 4, 4))))
-    path.write_text(_edit("array e 3 4 4\n1.0", "array e 3 4 4\nnan", path.read_text()))
+    """A NaN in a stored Lorentz frame field is refused on read."""
+    path = tmp_path / "g.txt"
+    write_group_field(path, GroupField(Lattice((3,), (1.0,)), np.zeros((3, 4)),
+                                       np.broadcast_to(np.eye(4), (3, 4, 4))))
+    path.write_text(_edit("array L 3 4 4\n1.0", "array L 3 4 4\nnan", path.read_text()))
     with pytest.raises(ValueError, match="not Lorentz"):
-        read_state(path)
+        read_group_field(path)
 
 
 _VALUES = st.floats(width=64)  # NaN, +-inf and subnormals included
 
 
-_CODECS = {"form": (write_form, read_form, lambda f: [f.data]),
-           "algebra-form": (write_algebra_form, read_algebra_form, lambda E: [E.tra.data, E.lor.data]),
-           "group": (write_group_field, read_group_field, lambda g: [g.a, g.L]),
-           "state": (write_state, read_state, lambda s: [s.x, s.e, s.xj, s.ej])}
+_CODECS = {"algebra-form": (write_algebra_form, read_algebra_form, lambda E: [E.tra.data, E.lor.data]),
+           "group": (write_group_field, read_group_field, lambda g: [g.a, g.L])}
 
 
 @st.composite
@@ -169,13 +173,9 @@ def _fields(draw):
     lorentz = np.broadcast_to(np.eye(4), shape + (4, 4))
     degree = draw(st.integers(0, p))
     n = len(FormField.zeros(lat, degree).indices)
-    if kind == "form":
-        return kind, FormField(lat, degree, free(n, *draw(st.sampled_from([(), (4,), (4, 4)]))))
     if kind == "algebra-form":
         return kind, AlgebraForm(FormField(lat, degree, free(n, 4)), FormField(lat, degree, free(n, 4, 4)))
-    if kind == "group":
-        return kind, GroupField(lat, free(4), lorentz)
-    return kind, KinematicalState(lat, free(4), lorentz, free(p, 4), free(p, 4, 4))
+    return kind, GroupField(lat, free(4), lorentz)
 
 
 def _bits(arr):
@@ -223,7 +223,7 @@ def _values(size: int) -> np.ndarray:
 
 def _write(path, monkeypatch, cpus: int, arrays: dict) -> bytes:
     monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
-    lattice.write_grid(path, "form", Lattice((3,), (0.5,)), {"degree": 0}, arrays)
+    lattice.write_grid(path, "algebra-form", Lattice((3,), (0.5,)), {"degree": 0}, arrays)
     return path.read_bytes()
 
 
@@ -266,8 +266,8 @@ def _worker_dies(*args):
     ("worker-raises", ValueError), ("worker-dies", concurrent.futures.BrokenExecutor),
     ("suite-worker-raises", ValueError)])
 def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, pools, fault, error):
-    """Every fault, in the grid writer or in the forms suite, reaches the caller and
-    leaves no worker of the shared pool behind."""
+    """Every fault leaves no worker of the shared pool behind.  The grid writer's
+    faults reach the caller; the forms suite's is its failed `forms.error` check."""
     path = tmp_path / "f.txt"
     if fault == "no-directory":
         path = tmp_path / "missing" / "f.txt"
@@ -279,12 +279,14 @@ def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, pools, fau
         monkeypatch.setattr(lattice, "_text", _worker_raises)
     elif fault == "worker-dies":
         monkeypatch.setattr(lattice, "_text", _worker_dies)
-    with pytest.raises(error):
-        if fault == "suite-worker-raises":
-            monkeypatch.setattr(lattice, "_cpus", lambda: 2)
-            monkeypatch.setattr(suites, "_dislocation_norm", _worker_raises)
-            suites.run_suite("forms", options={"grids": (5, 9)})
-        else:
+    if fault == "suite-worker-raises":
+        monkeypatch.setattr(lattice, "_cpus", lambda: 2)
+        monkeypatch.setattr(suites, "_dislocation_norm", _worker_raises)
+        (report,) = suites.run_suite("forms", options={"grids": (5, 9)})
+        assert not report.passed
+        assert report.checks[-1].extra == {"error": f"{error.__name__}: computation failed"}
+    else:
+        with pytest.raises(error):
             _write(path, monkeypatch, 2, {"coefficients": _values(36)})
     assert len(pools) == 1
     assert multiprocessing.active_children() == []

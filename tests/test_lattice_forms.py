@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import same_bits
-from cosrel.lattice import (FormField, Lattice, ext_d, multi_indices, read_form,
-                            wedge, write_form)
+from cosrel.deformation import AlgebraForm, read_algebra_form, write_algebra_form
+from cosrel.lattice import FormField, Lattice, ext_d, multi_indices, wedge
 
 
 def test_lattice_validation():
@@ -164,13 +164,15 @@ def test_wedge_incompatible_values_rejected(rng):
 
 def test_form_file_roundtrip(tmp_path, rng):
     lat = Lattice((5, 6), (0.1, 0.2), (0.5, -0.5))
-    f = FormField(lat, 1, rng.standard_normal(lat.shape + (2, 4)))
+    f = AlgebraForm(FormField(lat, 1, rng.standard_normal(lat.shape + (2, 4))),
+                    FormField(lat, 1, rng.standard_normal(lat.shape + (2, 4, 4))))
     path = tmp_path / "field.grid"
-    write_form(path, f)
-    back = read_form(path)
+    write_algebra_form(path, f)
+    back = read_algebra_form(path)
     assert back.lattice == lat
     assert back.degree == 1
-    assert np.array_equal(back.data, f.data)
+    assert np.array_equal(back.tra.data, f.tra.data)
+    assert np.array_equal(back.lor.data, f.lor.data)
 
 
 def test_four_dimensional_body(rng):

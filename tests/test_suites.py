@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import multiprocessing
 import time
 
@@ -64,6 +65,36 @@ def test_nan_sample_fails_its_check(monkeypatch, suite, module, name, nan_of, ch
     rep = run_suite(suite, options={"grids": (9, 17)})[0]
     check = {c.check_id: c for c in rep.checks}[check_id]
     assert np.isnan(check.value) and not check.passed and not rep.passed
+
+
+def _scaled_closure(s, rhs, closure=weyssenhoff._closure):
+    return [1.01 * a for a in closure(s, rhs)]
+
+
+def test_a_raising_suite_is_a_failed_check_and_the_run_goes_on(monkeypatch):
+    # a 1% error in the spin closure makes weyssenhoff.01's closure solves raise
+    monkeypatch.setattr(weyssenhoff, "_closure", _scaled_closure)
+    reports = run_suite("all", seed=0, options={"grids": (9, 17), "steps": 150, "dtau": 0.02})
+    assert [r.suite for r in reports] == list(SUITE_NAMES)
+    assert [r.passed for r in reports] == [True, True, True, True, False]
+    (check,) = reports[-1].checks
+    assert (check.check_id, check.law, check.tolerance, check.passed) == \
+        ("weyssenhoff.error", "plumbing", 0.0, False)
+    assert math.isnan(check.value)
+    assert check.extra == {"error": "ClosureError: spin closure unsolvable: residual 7.461e-03"}
+
+
+def test_a_raising_suite_keeps_the_checks_it_recorded(monkeypatch):
+    def runaway(*args, **kwargs):
+        raise weyssenhoff.ClosureError(0.5)
+
+    monkeypatch.setattr(weyssenhoff, "integrate_worldline", runaway)
+    (rep,) = run_suite("weyssenhoff")
+    assert [(c.check_id, c.passed) for c in rep.checks] == [
+        ("weyssenhoff.01-trace-identity", True), ("weyssenhoff.02-antisymmetric-part", True),
+        ("weyssenhoff.03-split-rebuild", True), ("weyssenhoff.error", False)]
+    assert rep.checks[-1].extra == {"error": "ClosureError: spin closure unsolvable: residual 5.000e-01"}
+    assert not rep.passed
 
 
 def test_seeded_determinism_of_report_values():

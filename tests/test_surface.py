@@ -1,0 +1,76 @@
+"""Every public top-level name in src/cosrel is reached from the CLI or the benchmark.
+
+The reference graph is name-level: a top-level definition reaches every name
+(or attribute) its source mentions.  The roots are `cli.main`, the names that
+`bench/run.py` and `bench/workloads.py` mention, and the functions the
+benchmark's tracer wraps.  A public name that no root reaches is surface that
+no check, command or benchmark reports on.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from tracing import TARGETS  # noqa: E402
+
+#: The Weyssenhoff fluid, the paper's second Cosserat medium, has unit tests but no
+#: suite check yet (ROADMAP direction 5); it stays, and so does what it reaches.
+FLUID = {"FlowField", "VorticityReport", "vorticity_compressibility", "density_derivative",
+         "orbital_divergence"}
+
+
+def _mentions(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _definitions():
+    """{name: the names its definitions mention} and the public names, as module.name."""
+    edges, public = {}, set()
+    for path in sorted((ROOT / "src" / "cosrel").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                edges.setdefault(name, set()).update(_mentions(node))
+                if not name.startswith("_"):
+                    public.add(f"{path.stem}.{name}")
+    return edges, public
+
+
+def _reached(edges, roots) -> set:
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(edges.get(name, ()))
+    return seen
+
+
+def _roots() -> set:
+    roots = {"main"} | {part for t in TARGETS for part in t.attr.split(".")}
+    for script in ("run.py", "workloads.py"):
+        roots |= _mentions(ast.parse((ROOT / "bench" / script).read_text()))
+    return roots
+
+
+def test_every_public_name_is_reached():
+    edges, public = _definitions()
+    reached = _reached(edges, _roots() | FLUID)
+    assert sorted(n for n in public if n.split(".")[1] not in reached) == []
+
+
+def test_the_fluid_allowlist_is_exact():
+    # each allowlisted name exists, and none is reached without the allowlist
+    edges, public = _definitions()
+    assert FLUID <= {n.split(".")[1] for n in public if n.startswith("weyssenhoff.")}
+    assert FLUID.isdisjoint(_reached(edges, _roots()))

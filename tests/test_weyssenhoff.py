@@ -15,14 +15,20 @@ from hypothesis import strategies as st
 
 from conftest import same_bits
 
-from cosrel import weyssenhoff
+from cosrel import suites, weyssenhoff
 from cosrel.minkowski import ETA
 from cosrel.weyssenhoff import (ClosureError, FlowField,
                                 WeyssenhoffElement, density_derivative, frenkel_projector,
                                 integrate_worldline, momentum_from_state, orbital_divergence,
-                                spin_components, spin_matrix_from_components, split_momentum,
+                                spin_matrix_from_components, split_momentum,
                                 stress_tensors, transverse_momentum,
                                 vorticity_compressibility)
+
+
+def spin_components(s) -> list:
+    """The six independent lowered components of a mixed spin matrix (the CSV's s columns)."""
+    s_low = ETA @ np.asarray(s, dtype=float)
+    return [float(s_low[m, n]) for m, n in weyssenhoff.SPIN_COMPONENTS]
 
 
 def _rest_element(rho0=1.3, pis=(0.0, 0.0, 0.0), s12=0.5, c=1.0):
@@ -905,6 +911,17 @@ def test_drift_gate_precedes_a_later_closure_failure(rng):
         calls.clear()
         with pytest.raises(ClosureError):
             integrate_worldline(el, 400, 0.05, drift_max=1.0)
+
+
+def test_runaway_fails_the_initial_closure_gate():
+    """The gate's scale is max|c^2 pi| at the initial state, so the runaway of the
+    spacelike-momentum element of weyssenhoff.05 cannot widen it as |pi| grows."""
+    el = suites._random_element(np.random.default_rng(11))
+    gate = 1e-3 * max(1.0, el.c ** 2 * np.abs(split_momentum(el.g, el.u, el.c).pi_low).max())
+    closure = integrate_worldline(el, 645, 0.01).diagnostics["closure_residual"]
+    assert closure[:645].max() <= gate < closure[645]    # the last state is not stepped from
+    with pytest.raises(ClosureError, match=f"residual {closure[645]:.3e}$"):
+        integrate_worldline(el, 646, 0.01)
 
 
 def _rows_reference(traj):
