@@ -1,6 +1,6 @@
 """Gamma-matrix algebra, plane-wave states, conserved currents and their decomposition.
 
-All spacetime derivatives of plane waves and finite superpositions are analytic;
+All spacetime derivatives of plane-wave states (one or more waves) are analytic;
 nothing here differentiates on a grid.  hbar and c are explicit state scalars
 (default 1), so the dimensional prefactors of the currents stay traceable.
 """
@@ -80,84 +80,73 @@ def _check_units(hbar, c):
 
 @dataclass(frozen=True)
 class PlaneWaveState:
-    """psi(x) = w exp(-i s p.x) with s = +1/-1 and (gamma.p - s kappa) w = 0."""
+    """psi(x) = sum_k w_k exp(-i s_k p_k.x) with s_k = +1/-1 and (gamma.p_k - s_k kappa) w_k = 0.
+
+    N >= 1 waves of one mass: p and amplitude are (N, 4) stacks and sign is (N,).
+    A single wave may be passed unstacked, and a scalar sign holds for every wave.
+    """
 
     p: np.ndarray
     amplitude: np.ndarray
     kappa: float
-    sign: int = 1
+    sign: np.ndarray = 1
     hbar: float = 1.0
     c: float = 1.0
 
     def __post_init__(self):
         _check_units(self.hbar, self.c)
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(4))
-        object.__setattr__(self, "amplitude", np.asarray(self.amplitude, dtype=_C).reshape(4))
-        for name in ("p", "amplitude"):
-            if not np.isfinite(getattr(self, name)).all():
+        p = np.asarray(self.p, dtype=float).reshape(-1, 4)
+        amplitude = np.asarray(self.amplitude, dtype=_C).reshape(-1, 4)
+        if not len(p):
+            raise ValueError("plane wave p must hold at least one wave")
+        for name, value in (("p", p), ("amplitude", amplitude)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"plane wave {name} must be finite")
+        if len(amplitude) != len(p):
+            raise ValueError(f"amplitude must have one row per wave: "
+                             f"{len(amplitude)} rows for {len(p)} waves")
+        sign = np.asarray(self.sign).reshape(-1)
+        if sign.size == 1:
+            sign = np.repeat(sign, len(p))
+        if len(sign) != len(p) or not np.isin(sign, (1, -1)).all():
+            raise ValueError(f"sign must be +1 or -1 for each of {len(p)} waves, "
+                             f"got {sign.tolist()}")
         if not (math.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "sign", sign.astype(int))
 
-    @property
-    def waves(self):
-        return (self,)
+    def _waves(self, x):
+        """Per wave in order: its psi_k(x) and -i s_k p_k with p_k lowered."""
+        x = np.asarray(x, dtype=float)
+        for p, w, s in zip(self.p, self.amplitude, self.sign.tolist()):
+            p_low = ETA @ p
+            yield w * np.exp(-1j * s * float(p_low @ x)), -1j * s * p_low
 
     def psi(self, x) -> np.ndarray:
-        phase = np.exp(-1j * self.sign * float((ETA @ self.p) @ np.asarray(x, dtype=float)))
-        return self.amplitude * phase
+        return sum(psi for psi, _ in self._waves(x))
 
     def dpsi(self, x) -> np.ndarray:
         """Analytic d_nu psi, laid out [component, nu]."""
-        p_low = ETA @ self.p
-        return np.einsum("a,n->an", self.psi(x), -1j * self.sign * p_low)
+        return sum(np.einsum("a,n->an", psi, k) for psi, k in self._waves(x))
 
     def d2psi(self, x) -> np.ndarray:
         """Analytic d_nu d_mu psi, laid out [component, nu, mu]."""
-        p_low = -1j * self.sign * (ETA @ self.p)
-        return np.einsum("a,n,m->anm", self.psi(x), p_low, p_low)
+        return sum(np.einsum("a,n,m->anm", psi, k, k) for psi, k in self._waves(x))
 
 
-@dataclass(frozen=True)
-class WaveSuperposition:
-    """Finite superposition of plane waves with a common mass parameter."""
-
-    waves: tuple
-
-    def __post_init__(self):
-        waves = tuple(self.waves)
-        if not waves:
-            raise ValueError("empty superposition")
-        k0, h0, c0 = waves[0].kappa, waves[0].hbar, waves[0].c
-        for w in waves[1:]:
-            if not abs(w.kappa - k0) <= 1e-12 or w.hbar != h0 or w.c != c0:
-                raise ValueError("superposed waves must share kappa, hbar and c")
-        object.__setattr__(self, "waves", waves)
-
-    @property
-    def kappa(self) -> float:
-        return self.waves[0].kappa
-
-    @property
-    def hbar(self) -> float:
-        return self.waves[0].hbar
-
-    @property
-    def c(self) -> float:
-        return self.waves[0].c
-
-    def psi(self, x) -> np.ndarray:
-        return sum(w.psi(x) for w in self.waves)
-
-    def dpsi(self, x) -> np.ndarray:
-        return sum(w.dpsi(x) for w in self.waves)
-
-    def d2psi(self, x) -> np.ndarray:
-        return sum(w.d2psi(x) for w in self.waves)
-
-
-def superpose(*states) -> WaveSuperposition:
-    return WaveSuperposition(tuple(states))
+def superpose(*states) -> PlaneWaveState:
+    """One state holding the waves of every given state, in order; all share kappa, hbar and c."""
+    if not states:
+        raise ValueError("empty superposition")
+    first = states[0]
+    for st in states[1:]:
+        if not abs(st.kappa - first.kappa) <= 1e-12 or st.hbar != first.hbar or st.c != first.c:
+            raise ValueError("superposed waves must share kappa, hbar and c")
+    p, amplitude, sign = (np.concatenate([getattr(st, f) for st in states])
+                          for f in ("p", "amplitude", "sign"))
+    return PlaneWaveState(p, amplitude, first.kappa, sign, first.hbar, first.c)
 
 
 #: Mass-shell tolerance: p.p < -_SHELL_TOL is spacelike, |p.p| <= _SHELL_TOL is null.
@@ -339,7 +328,6 @@ class ConservationReport:
     current: float
     energy_momentum: float
     angular_momentum: float
-    t_antisym_planewave: float = None
     points: int = 0
 
     def max_residual(self) -> float:
@@ -349,24 +337,20 @@ class ConservationReport:
 def conservation_report(state) -> ConservationReport:
     """Evaluate the divergence laws analytically on a fixed sample grid.
 
-    Single plane waves have constant bilinears, so the derivative terms vanish
-    identically and the antisymmetric part of T is also checked; superpositions
-    exercise the full derivative structure.
+    A single plane wave has constant bilinears, so its derivative terms vanish
+    identically; a superposition exercises the full derivative structure.
     """
     pts = [np.array(q) for q in itertools.product((0.0, 0.7), repeat=4)]
-    single = len(state.waves) == 1
-    cur, em, ang, asyms = [], [], [], []  # per-point max residuals; NaN propagates to the max
+    cur, em, ang = [], [], []  # per-point max residuals; NaN propagates to the max
     for x in pts:
         jet = _jet(state, x)
         cur.append(abs(float(np.trace(_current(state, jet)[1]))) / state.hbar)
         em.append(np.abs(np.einsum("mmn->n", _denergy_momentum(state, x, jet))).max())
         divS = np.einsum("mlmn->ln", _spin_current(state, jet)[1])
         T_low = ETA @ _energy_momentum(state, jet)
-        asym = 0.5 * (T_low - T_low.T)
-        ang.append(np.abs(ETA @ divS - asym).max())
-        asyms.append(np.abs(asym).max())
-    r_cur, r_em, r_ang, t_asym = (float(np.max(r, initial=0.0)) for r in (cur, em, ang, asyms))
-    return ConservationReport(r_cur, r_em, r_ang, t_asym if single else None, len(pts))
+        ang.append(np.abs(ETA @ divS - 0.5 * (T_low - T_low.T)).max())
+    r_cur, r_em, r_ang = (float(np.max(r, initial=0.0)) for r in (cur, em, ang))
+    return ConservationReport(r_cur, r_em, r_ang, len(pts))
 
 
 @dataclass

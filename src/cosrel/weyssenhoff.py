@@ -93,7 +93,6 @@ def split_momentum(g, u, c: float = 1.0) -> SplitMomentum:
 class StressTensors:
     T: np.ndarray            # T[nu][mu] = g_mu u^nu  (row = contravariant index)
     S: np.ndarray            # S[nu][lam][mu] = s^nu_mu u^lam
-    T_sym: np.ndarray        # lowered symmetric part
     T_asym: np.ndarray       # lowered antisymmetric part
     trace: float
 
@@ -105,38 +104,7 @@ def stress_tensors(element: WeyssenhoffElement) -> StressTensors:
     S = np.einsum("nm,l->nlm", s, u)
     u_low = ETA @ u
     T_low = np.outer(g, u_low)
-    return StressTensors(T, S, 0.5 * (T_low + T_low.T), 0.5 * (T_low - T_low.T),
-                         float(g @ u))
-
-
-class FlowField:
-    """Analytic flow closures u(x), g(x), s(x).
-
-    Their Jacobians are taken by `lattice.central_difference`, laid out with the
-    derivative index last: du[mu][sig] = d_sig u^mu.
-    """
-
-    def __init__(self, u, g, s=None, c: float = 1.0):
-        self.u, self.g, self.s = u, g, s
-        self.c = c
-
-    def u_at(self, x):
-        return np.asarray(self.u(x), dtype=float)
-
-    def g_at(self, x):
-        return np.asarray(self.g(x), dtype=float)
-
-    def s_at(self, x):
-        return np.asarray(self.s(x), dtype=float)
-
-    def element_at(self, x, tol: float = None) -> "WeyssenhoffElement":
-        """Sample the flow as a fluid element; validates the pointwise invariants."""
-        s = self.s_at(x) if self.s else np.zeros((4, 4))
-        el = WeyssenhoffElement(np.asarray(x, dtype=float), self.u_at(x), self.g_at(x),
-                                s, c=self.c)
-        if tol is not None:
-            el.validate(tol)
-        return el
+    return StressTensors(T, S, 0.5 * (T_low - T_low.T), float(g @ u))
 
 
 @dataclass
@@ -147,20 +115,21 @@ class VorticityReport:
     chi_d: float
 
 
-def vorticity_compressibility(flow: FlowField, x) -> VorticityReport:
-    """Exterior derivatives and divergences of the covelocity and momentum 1-forms."""
-    du = central_difference(flow.u, x, 1)  # d_sig u^mu at [mu, sig]
+def vorticity_compressibility(u, g, x) -> VorticityReport:
+    """Exterior derivatives and divergences of the covelocity and momentum 1-forms of
+    the flow closures u(x) and g(x) (g covariant)."""
+    du = central_difference(u, x, 1)      # d_sig u^mu at [mu, sig]
     dul = (ETA @ du).T                    # [sig, nu] = d_sig u_nu
     om_k = -0.5 * (dul - dul.T)
     chi_k = float(np.trace(du))
-    dg = central_difference(flow.g, x, 1)  # d_sig g_mu at [mu, sig]
+    dg = central_difference(g, x, 1)      # d_sig g_mu at [mu, sig]
     dgl = dg.T                            # g is already covariant
     om_d = -0.5 * (dgl - dgl.T)
     g_up_div = float(np.trace(ETA @ dg))  # d_mu g^mu
     return VorticityReport(om_k, chi_k, om_d, g_up_div)
 
 
-def density_derivative(f, flow: FlowField, x) -> tuple[float, float]:
+def density_derivative(f, u, x) -> tuple[float, float]:
     """Both evaluations of d_tau f = div(f u) = df/dtau + chi_k f.
 
     The first value uses an independent finite-difference divergence of the
@@ -169,13 +138,12 @@ def density_derivative(f, flow: FlowField, x) -> tuple[float, float]:
     x = np.asarray(x, dtype=float)
 
     def product(y):
-        return f(y) * np.asarray(flow.u(y), dtype=float)
+        return f(y) * np.asarray(u(y), dtype=float)
 
     div_form = sum(np.diagonal(central_difference(product, x, 1)))  # trace, summed in axis order
     df = central_difference(f, x, 1)
-    u = flow.u_at(x)
-    chi_k = float(np.trace(central_difference(flow.u, x, 1)))
-    comoving_form = float(u @ df) + chi_k * f(x)
+    chi_k = float(np.trace(central_difference(u, x, 1)))
+    comoving_form = float(np.asarray(u(x), dtype=float) @ df) + chi_k * f(x)
     return float(div_form), comoving_form
 
 
@@ -196,15 +164,15 @@ def momentum_from_state(element: WeyssenhoffElement, a, tol: float = 1e-9) -> np
     return rho0 * (ETA @ element.u) + ETA @ pi
 
 
-def orbital_divergence(flow: FlowField, x) -> np.ndarray:
-    """d_lam of the orbital moment x^mu T^{nu lam} - x^nu T^{mu lam}, analytic."""
+def orbital_divergence(u, g, x) -> np.ndarray:
+    """d_lam of the orbital moment x^mu T^{nu lam} - x^nu T^{mu lam} of the flow u(x), g(x)."""
     x = np.asarray(x, dtype=float)
-    u, g = flow.u_at(x), flow.g_at(x)
-    du, dg = central_difference(flow.u, x, 1), central_difference(flow.g, x, 1)
-    g_up = ETA @ g
+    u_x = np.asarray(u(x), dtype=float)
+    du, dg = central_difference(u, x, 1), central_difference(g, x, 1)
+    g_up = ETA @ np.asarray(g(x), dtype=float)
     dg_up = ETA @ dg                             # [mu, sig] = d_sig g^mu
-    T_up = np.outer(g_up, u)                     # T^{mu lam}
-    divT = du @ g_up + np.einsum("ml,l->m", dg_up, u)  # d_lam T^{mu lam}
+    T_up = np.outer(g_up, u_x)                   # T^{mu lam}
+    divT = du @ g_up + np.einsum("ml,l->m", dg_up, u_x)  # d_lam T^{mu lam}
     return (T_up.T - T_up) + np.outer(x, divT) - np.outer(divT, x)
 
 
@@ -382,7 +350,12 @@ def _closure(s, rhs) -> list:
             alpha1 * p2 + alpha2 * t2, alpha1 * p3 + alpha2 * t3]
 
 
-def _rate(y, g, c, solver_tol, check):
+def _closure_gate(solver_tol, c, pi_low) -> float:
+    """The largest closure residual a state may have: solver_tol * max(1, max|c^2 pi|)."""
+    return solver_tol * max(1.0, c ** 2 * float(np.abs(pi_low).max()))
+
+
+def _rate(y, g, c, gate):
     """Right-hand side of the worldline equations on the flat state y (24 floats).
 
     y holds x^mu, u^mu and s^mu_nu (row-major); the rate is (u, a, s-dot), where
@@ -392,12 +365,12 @@ def _rate(y, g, c, solver_tol, check):
     unique one the flow propagates consistently, it is metric-orthogonal to u
     whenever the Frenkel constraint holds, and it reduces to the plain
     minimum-norm solution in the rest frame.  For a vanishing transverse
-    momentum it is exactly zero.  Returns (rate, residual): with `check`, the
-    residual max|s a + c^2 pi| is measured and raises ClosureError above
-    solver_tol * max(1, max|c^2 pi|); otherwise it is None.  Runge-Kutta stages
-    sit off the constraint manifold by the local truncation error, so the
-    integrator checks accepted states only.  Written out in scalar arithmetic
-    like `_closure`.
+    momentum it is exactly zero.  Returns (rate, residual): with a float `gate`
+    (see `_closure_gate`), the residual max|s a + c^2 pi| is measured and raises
+    ClosureError above the gate; with None it is not measured and is None.
+    Runge-Kutta stages sit off the constraint manifold by the local truncation
+    error, so the integrator gates recorded states only.  Written out in scalar
+    arithmetic like `_closure`.
     """
     u0, u1, u2, u3 = y[4:8]
     s = y[8:24]
@@ -423,14 +396,14 @@ def _rate(y, g, c, solver_tol, check):
     h3 = m * p3
     a0, a1, a2, a3 = _closure(s, [h0, h1, h2, h3])
     residual = None
-    if check:
+    if gate is not None:
         (s00, s01, s02, s03, s10, s11, s12, s13,
          s20, s21, s22, s23, s30, s31, s32, s33) = s
         residual = max(abs(s00 * a0 + s01 * a1 + s02 * a2 + s03 * a3 - h0),
                        abs(s10 * a0 + s11 * a1 + s12 * a2 + s13 * a3 - h1),
                        abs(s20 * a0 + s21 * a1 + s22 * a2 + s23 * a3 - h2),
                        abs(s30 * a0 + s31 * a1 + s32 * a2 + s33 * a3 - h3))
-        if not residual <= solver_tol * max(1.0, max(abs(h0), abs(h1), abs(h2), abs(h3))):
+        if not residual <= gate:
             raise ClosureError(residual)
     return [u0, u1, u2, u3, a0, a1, a2, a3,
             p0 * u0 - u0 * l0, p0 * v1 - u0 * l1, p0 * v2 - u0 * l2, p0 * v3 - u0 * l3,
@@ -439,12 +412,13 @@ def _rate(y, g, c, solver_tol, check):
             p3 * u0 - u3 * l0, p3 * v1 - u3 * l1, p3 * v2 - u3 * l2, p3 * v3 - u3 * l3], residual
 
 
-def _acceleration(u, s, g, c, solver_tol, check: bool = True):
-    """(a, pi, pi_low) of one state: an array adapter over `_rate`."""
+def _acceleration(u, s, g, c, solver_tol=None):
+    """(a, pi, pi_low) of one state through `_rate`; a solver_tol gates it (`_closure_gate`)."""
     u = np.asarray(u, dtype=float)
-    y = [0.0] * 4 + u.tolist() + np.asarray(s, dtype=float).ravel().tolist()
-    rate, _ = _rate(y, np.asarray(g, dtype=float).tolist(), c, solver_tol, check)
     pi_low = split_momentum(g, u, c).pi_low
+    gate = None if solver_tol is None else _closure_gate(solver_tol, c, pi_low)
+    y = [0.0] * 4 + u.tolist() + np.asarray(s, dtype=float).ravel().tolist()
+    rate, _ = _rate(y, np.asarray(g, dtype=float).tolist(), c, gate)
     return np.array(rate[4:8]), ETA @ pi_low, pi_low
 
 
@@ -535,18 +509,17 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     unless `project` is set.  The state is stepped as one flat list of floats (see
     `_rate`); the diagnostics are computed once on the stacked trajectory, and
     `drift_max` is checked on them in step order, also when a later step fails.
-    Each state stepped from must pass the closure gate solver_tol * max(1, max|c^2 pi|),
-    with pi taken at the initial state, or ClosureError is raised: a runaway, whose
-    |pi| grows with it, cannot widen its own gate.  Bad `steps` or `dtau` raise
-    ValueError (see tau_grid).
+    Every recorded state, the last one too, must pass the closure gate
+    solver_tol * max(1, max|c^2 pi|), with pi taken at the initial state, or
+    ClosureError is raised: a runaway, whose |pi| grows with it, cannot widen its
+    own gate.  Bad `steps` or `dtau` raise ValueError (see tau_grid).
     """
     initial.validate()
     tau = tau_grid(initial.tau, steps, dtau)
     c = initial.c
     g = initial.g.copy()
     gl = g.tolist()
-    pi_low = split_momentum(g, initial.u, c).pi_low
-    gate = solver_tol * max(1.0, c ** 2 * float(np.abs(pi_low).max()))
+    gate = _closure_gate(solver_tol, c, split_momentum(g, initial.u, c).pi_low)
     n = int(steps)
     states = np.empty((n + 1, 24))
     closure = np.empty(n + 1)
@@ -556,12 +529,10 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     done = 1
     try:
         for i in range(n):
-            k1, closure[i] = _rate(y, gl, c, math.inf, True)
-            if not closure[i] <= gate:
-                raise ClosureError(closure[i])
-            k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, c, solver_tol, False)
-            k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, c, solver_tol, False)
-            k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, c, solver_tol, False)
+            k1, closure[i] = _rate(y, gl, c, gate)
+            k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, c, None)
+            k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, c, None)
+            k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, c, None)
             y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
             if project:
                 u = np.array(y[4:8])
@@ -570,6 +541,7 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
                 y[4:] = u.tolist() + (P @ np.reshape(y[8:], (4, 4)) @ P).ravel().tolist()
             states[i + 1] = y
             done = i + 2
+        _, closure[n] = _rate(y, gl, c, gate)
     finally:
         us, ss = states[:done, 4:8], states[:done, 8:].reshape(done, 4, 4)
         diag = _diagnostics(us, ss, c)
@@ -581,8 +553,6 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
             if over.size:
                 raise RuntimeError(f"constraint drift {worst[over[0]]:.3e} exceeded "
                                    f"{drift_max:.3e} at step {over[0] + 1}")
-    # the last state is measured, never stepped from, so it is not gated
-    _, closure[n] = _rate(y, gl, c, math.inf, True)
     diag["closure_residual"] = closure
     params = {"steps": n, "dtau": float(dtau), "project": bool(project),
               "solver_tol": float(solver_tol)}

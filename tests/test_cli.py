@@ -119,16 +119,33 @@ def test_simulation_files_equal_the_writer_adapters(tmp_path):
     assert summary.read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
-def test_runaway_worldline_exits_one(tmp_path, capsys):
-    # weyssenhoff.05's spacelike-momentum element: u^0 grows to 6e6 over 2000 steps
+def _runaway_config(tmp_path, steps):
+    """weyssenhoff.05's spacelike-momentum element: u^0 grows to 6e6 over 2000 steps."""
     el = suites._random_element(np.random.default_rng(11))
     s = [(ETA @ el.s)[m, n] for m, n in weyssenhoff.SPIN_COMPONENTS]
     u, g, s = (" ".join(map(repr, np.ravel(a).tolist())) for a in (el.u, el.g, s))
     cfg = tmp_path / "wl.ini"
-    cfg.write_text(f"[worldline]\nu = {u}\ng = {g}\ns = {s}\nsteps = 2000\ndtau = 0.01\n")
-    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+    cfg.write_text(f"[worldline]\nu = {u}\ng = {g}\ns = {s}\nsteps = {steps}\ndtau = 0.01\n")
+    return str(cfg)
+
+
+def test_runaway_worldline_exits_one(tmp_path, capsys):
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", _runaway_config(tmp_path, 2000),
                  "--output", str(tmp_path / "t.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: spin closure unsolvable: residual ")
+
+
+def test_last_state_above_the_closure_gate_exits_one(tmp_path, capsys):
+    """State 641 of this run is the first above its gate: as the last state it fails too."""
+    out = tmp_path / "t.csv"
+    argv = ["--simulate", "weyssenhoff-worldline", "--output", str(out), "--config"]
+    assert main(argv + [_runaway_config(tmp_path, 640)]) == 0
+    out.unlink()
+    Path(f"{out}.json").unlink()
+    capsys.readouterr()
+    assert main(argv + [_runaway_config(tmp_path, 641)]) == 1
+    assert capsys.readouterr().err == "error: spin closure unsolvable: residual 3.281e-03\n"
+    assert not out.exists() and not Path(f"{out}.json").exists()
 
 
 def test_raising_suite_writes_the_full_report_and_exits_one(tmp_path, capsys):

@@ -1,0 +1,75 @@
+"""Each planted defect fails exactly the checks whose law it breaks.
+
+A row swaps one library function for a broken copy and names the check ids that
+must then report `passed: false` over all five suites; every other check must
+still pass.  The forms suite computes its lattice fields in forked workers, so
+each swap is made before the run and the workers inherit it.  Only cosserat.04
+reaches the one-sided boundary stencils of `Lattice.gradient` (the edge-order
+row): every forms check reads interior points, whose derivatives never touch them.
+"""
+
+import numpy as np
+import pytest
+
+from cosrel import deformation, lattice, weyssenhoff
+from cosrel.lattice import ext_d, wedge
+from cosrel.suites import run_suite
+
+#: small forms grids: a full five-suite run takes a fraction of a second
+OPTIONS = {"grids": (5, 9)}
+
+
+def _forward_gradient(self, data, axis):
+    """First-order forward differences (backward at the last point)."""
+    d = np.diff(data, axis=axis) / self.spacing[axis]
+    return np.concatenate([d, np.take(d, [-1], axis=axis)], axis=axis)
+
+
+def _edge_order_one_gradient(self, data, axis):
+    return np.gradient(data, self.spacing[axis], axis=axis, edge_order=1)
+
+
+def _dislocation_plus_wedge(E):
+    """The Lorentz part as d w + w ^ w: the sign of the structure term flipped."""
+    tra = ext_d(E.tra)
+    tra.data -= wedge(E.lor, E.tra).data
+    lor = ext_d(E.lor)
+    lor.data += wedge(E.lor, E.lor).data
+    return deformation.AlgebraForm(tra, lor)
+
+
+_closure = weyssenhoff._closure
+
+_DISLOCATION_CHECKS = {"forms.03-dislocation-order-p2", "forms.03-dislocation-order-p3",
+                       "forms.04-dislocation-norm-p2", "forms.04-dislocation-norm-p3",
+                       "forms.05-bianchi-order"}
+
+SABOTAGE = {
+    "forward-differences": (lattice.Lattice, "gradient", _forward_gradient,
+                            _DISLOCATION_CHECKS | {"cosserat.03-manufactured-order",
+                                                   "cosserat.04-integration-by-parts"}),
+    "merge-sign-plus-one": (lattice, "_merge_sign", lambda A, B: 1,
+                            _DISLOCATION_CHECKS | {"forms.02-wedge-antisymmetry"}),
+    "dislocation-plus-wedge": (deformation, "dislocation", _dislocation_plus_wedge,
+                               _DISLOCATION_CHECKS),
+    "edge-order-one": (lattice.Lattice, "gradient", _edge_order_one_gradient,
+                       {"cosserat.04-integration-by-parts"}),
+    "closure-times-1.01": (weyssenhoff, "_closure",
+                           lambda s, rhs: [1.01 * a for a in _closure(s, rhs)],
+                           {"weyssenhoff.error"}),
+}
+
+
+def _failing() -> set:
+    return {c.check_id for rep in run_suite("all", 0, OPTIONS) for c in rep.checks
+            if not c.passed}
+
+
+@pytest.mark.parametrize("row", SABOTAGE)
+def test_planted_defect_fails_exactly_its_checks(row, monkeypatch, fork_pools):
+    owner, name, broken, expected = SABOTAGE[row]
+    monkeypatch.setattr(lattice, "_cpus", lambda: 2)    # the forms fields run in a worker
+    assert _failing() == set()
+    monkeypatch.setattr(owner, name, broken)
+    assert _failing() == expected
+    assert len(fork_pools) == 2                         # one pool per run, forked with the swap

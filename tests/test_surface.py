@@ -18,8 +18,7 @@ from tracing import TARGETS  # noqa: E402
 
 #: The Weyssenhoff fluid, the paper's second Cosserat medium, has unit tests but no
 #: suite check yet (ROADMAP direction 5); it stays, and so does what it reaches.
-FLUID = {"FlowField", "VorticityReport", "vorticity_compressibility", "density_derivative",
-         "orbital_divergence"}
+FLUID = {"VorticityReport", "vorticity_compressibility", "density_derivative", "orbital_divergence"}
 
 
 def _mentions(node) -> set:

@@ -17,12 +17,10 @@ from conftest import same_bits
 
 from cosrel import suites, weyssenhoff
 from cosrel.minkowski import ETA
-from cosrel.weyssenhoff import (ClosureError, FlowField,
-                                WeyssenhoffElement, density_derivative, frenkel_projector,
-                                integrate_worldline, momentum_from_state, orbital_divergence,
-                                spin_matrix_from_components, split_momentum,
-                                stress_tensors, transverse_momentum,
-                                vorticity_compressibility)
+from cosrel.weyssenhoff import (ClosureError, WeyssenhoffElement, density_derivative,
+                                frenkel_projector, integrate_worldline, momentum_from_state,
+                                orbital_divergence, spin_matrix_from_components, split_momentum,
+                                stress_tensors, transverse_momentum, vorticity_compressibility)
 
 
 def spin_components(s) -> list:
@@ -143,9 +141,8 @@ def test_mu0_flagged_when_momentum_spacelike():
 
 
 def test_vorticity_uniform_flow():
-    flow = FlowField(u=lambda x: np.array([1.0, 0, 0, 0]),
-                     g=lambda x: np.array([1.0, 0, 0, 0]))
-    rep = vorticity_compressibility(flow, np.zeros(4))
+    rep = vorticity_compressibility(lambda x: np.array([1.0, 0, 0, 0]),
+                                    lambda x: np.array([1.0, 0, 0, 0]), np.zeros(4))
     assert np.abs(rep.kinematical).max() <= 1e-10
     assert abs(rep.chi_k) <= 1e-10
     assert np.abs(rep.dynamical).max() <= 1e-10
@@ -160,9 +157,8 @@ def test_vorticity_rotation_profile_hand_curl():
         gamma = 1.0 / math.sqrt(1 - vx * vx - vy * vy)
         return gamma * np.array([1.0, vx, vy, 0.0])
 
-    flow = FlowField(u=u, g=lambda x: u(x))
     x0 = np.array([0.0, 0.2, -0.1, 0.0])
-    rep = vorticity_compressibility(flow, x0)
+    rep = vorticity_compressibility(u, u, x0)
     # hand curl at the origin-adjacent point: d_1 u_2 - d_2 u_1 with lowered u
     h = 1e-6
 
@@ -188,9 +184,8 @@ def test_dynamical_compressibility_three_term_identity():
     def g_low(x):
         return rho0(x) * (ETA @ u(x))
 
-    flow = FlowField(u=u, g=g_low)
     x0 = np.array([0.1, 0.4, -0.3, 0.2])
-    rep = vorticity_compressibility(flow, x0)
+    rep = vorticity_compressibility(u, g_low, x0)
     h = 1e-6
     grad_rho = np.zeros(4)
     for sdir in range(4):
@@ -230,9 +225,7 @@ def test_stress_antisymmetric_part(rng):
 
 
 def test_density_derivative_zero_cases():
-    flow = FlowField(u=lambda x: np.array([1.0, 0.2, 0, 0]),
-                     g=lambda x: np.array([1.0, 0, 0, 0]))
-    d1, d2 = density_derivative(lambda x: 1.0, flow, np.zeros(4))
+    d1, d2 = density_derivative(lambda x: 1.0, lambda x: np.array([1.0, 0.2, 0, 0]), np.zeros(4))
     assert abs(d1) <= 1e-9 and abs(d2) <= 1e-9
 
 
@@ -241,9 +234,8 @@ def test_density_derivative_compressible_constant():
     def u(x):
         return np.array([1.0 + 0.2 * x[0], 0, 0, 0])
 
-    flow = FlowField(u=u, g=u)
     x0 = np.array([0.5, 0, 0, 0])
-    d1, d2 = density_derivative(lambda x: 3.0, flow, x0)
+    d1, d2 = density_derivative(lambda x: 3.0, u, x0)
     assert d1 == pytest.approx(0.6, abs=1e-8)
     assert d2 == pytest.approx(0.6, abs=1e-8)
 
@@ -260,10 +252,9 @@ def test_density_derivative_product_rule():
     def g(x):
         return 0.5 + 0.1 * math.sin(x[3])
 
-    flow = FlowField(u=u, g=lambda x: u(x))
     x0 = np.array([0.2, 0.7, -0.1, 0.4])
-    lhs_div, lhs_com = density_derivative(lambda x: f(x) * g(x), flow, x0)
-    df_div, df_com = density_derivative(f, flow, x0)
+    lhs_div, lhs_com = density_derivative(lambda x: f(x) * g(x), u, x0)
+    df_div, df_com = density_derivative(f, u, x0)
     h = 1e-6
     dg_dtau = 0.0
     ux = u(x0)
@@ -342,9 +333,8 @@ def test_orbital_divergence_identity_on_stationary_flow():
     def g_low(x):
         return np.array([1.1 + 0.2 * math.sin(x[1]), 0.3 * math.cos(x[2]), -0.2, 0.1 * x[1]])
 
-    flow = FlowField(u=u, g=g_low)
     for x0 in (np.array([0.0, 0.3, -0.5, 0.2]), np.array([1.0, -0.2, 0.4, 0.0])):
-        D = orbital_divergence(flow, x0)
+        D = orbital_divergence(u, g_low, x0)
         g_up = ETA @ g_low(x0)
         expected = np.outer(u0, g_up) - np.outer(g_up, u0)  # pi^nu u^mu - pi^mu u^nu
         assert np.abs(D - expected).max() <= 1e-9
@@ -433,7 +423,7 @@ def test_worldline_differentiated_frenkel_identity(rng):
     traj = integrate_worldline(el, 50, 0.01)
     for i in (0, 25, 50):
         u, s = traj.u[i], traj.s[i]
-        a, pi, pi_low = _acceleration(u, s, traj.g, el.c, 1e-3, check=False)
+        a, pi, pi_low = _acceleration(u, s, traj.g, el.c)
         sdot = _sdot(pi, pi_low, u)
         lhs = sdot @ u  # s-dot^mu_nu u^nu
         rhs = -(s @ a)
@@ -491,26 +481,6 @@ def test_trajectory_writers(tmp_path, rng):
     assert np.abs(back - traj.x[0]).max() <= 1e-15
     assert [float(v) for v in rows[4][9:15]] == spin_components(traj.s[3])
     assert json_path.read_bytes() == _summary_reference(traj)
-
-
-def test_flow_field_element_sampling():
-    def u(x):
-        return np.array([1.0, 0, 0, 0])
-
-    def g(x):
-        return np.array([1.0 + 0.1 * x[1], 0.2, 0, 0])
-
-    def s(x):
-        return spin_matrix_from_components([0, 0, 0, 0.3 * x[1], 0, 0])
-
-    flow = FlowField(u=u, g=g, s=s)
-    el = flow.element_at(np.array([0.0, 2.0, 0, 0]), tol=1e-9)
-    assert el.g[0] == pytest.approx(1.2)
-    assert spin_components(el.s)[3] == pytest.approx(0.6)
-    # kernel-violating flow is refused when validation is requested
-    bad = FlowField(u=lambda x: np.array([1.0, 0.9, 0, 0]), g=g)
-    with pytest.raises(ValueError):
-        bad.element_at(np.zeros(4), tol=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -622,7 +592,7 @@ def _closure_reference(s, rhs) -> list:
     return [alpha1 * v + alpha2 * w for v, w in zip(r1, r2)]
 
 
-def _rate_reference(y, g, c, solver_tol, check):
+def _rate_reference(y, g, c, gate):
     """The generic worldline right-hand side that `weyssenhoff._rate` writes out, over
     `_closure_reference`."""
     u0, u1, u2, u3 = u = y[4:8]
@@ -636,10 +606,10 @@ def _rate_reference(y, g, c, solver_tol, check):
     rhs = [-c2 * p for p in pi]
     a0, a1, a2, a3 = a = _closure_reference(s, rhs)
     residual = None
-    if check:
+    if gate is not None:
         residual = max(abs(p * a0 + q * a1 + r * a2 + t * a3 - h)
                        for (p, q, r, t), h in zip((s[0:4], s[4:8], s[8:12], s[12:16]), rhs))
-        if not residual <= solver_tol * max(1.0, max(map(abs, rhs))):
+        if not residual <= gate:
             raise ClosureError(residual)
     sdot = [pm * un - um * pn for pm, um in zip(pi, u) for un, pn in zip(u_low, pi_low)]
     return u + a + sdot, residual
@@ -671,14 +641,14 @@ def test_closure_matches_svd_oracle(seed, c, kind, size):
     u, s = el.u, el.s
     if kind == "stage":
         # a Runge-Kutta stage: off the Frenkel constraint, still of rank 2
-        a, pi, pi_low = weyssenhoff._acceleration(u, s, el.g, c, 1e-3, check=False)
+        a, pi, pi_low = weyssenhoff._acceleration(u, s, el.g, c)
         h = 0.1 * size
         u, s = u + h * a, s + h * _sdot(pi, pi_low, u)
     elif kind == "rank-4":
         raw = rng.standard_normal((4, 4))
         s = s + size * (ETA @ (raw - raw.T))
     with _fallback_calls() as fallback:
-        a = weyssenhoff._acceleration(u, s, el.g, c, 1e-3, check=False)[0]
+        a = weyssenhoff._acceleration(u, s, el.g, c)[0]
     oracle = _oracle_acceleration(u, s, el.g, c)
     assert np.abs(a - oracle).max() <= 1e-12 * np.abs(oracle).max()
     assert fallback.called == (kind == "rank-4")
@@ -698,10 +668,11 @@ def test_closure_gate_scales_by_the_largest_rhs_entry(m):
     """With s = 0 the residual is max|c^2 pi|, which is also the gate's scale above 1."""
     g = [1.3, 0.5, 0.5, 0.5]
     g[m] = 2.0
-    y = [0.0] * 4 + [1.0, 0.0, 0.0, 0.0] + [0.0] * 16
-    assert weyssenhoff._rate(y, g, 1.0, 1.0, True)[1] == 2.0
-    with pytest.raises(ClosureError):
-        weyssenhoff._rate(y, g, 1.0, 0.999, True)
+    u, s = [1.0, 0.0, 0.0, 0.0], np.zeros((4, 4))
+    weyssenhoff._acceleration(u, s, g, 1.0, 1.0)       # residual 2.0 at the gate 1.0 * 2.0
+    with pytest.raises(ClosureError) as exc:
+        weyssenhoff._acceleration(u, s, g, 1.0, 0.999)
+    assert exc.value.residual == 2.0
 
 def test_closure_rank_four_takes_fallback(rng):
     el = _bounded_element(rng)
@@ -808,7 +779,7 @@ def _kernel_state(rng, kind, c):
     y = np.concatenate([el.x, el.u, el.s.ravel()]).tolist()
     g = el.g.tolist()
     if kind == "stage":                        # an RK4 stage: off the constraints, rank 2
-        k1, _ = _rate_reference(y, g, c, 1e-3, False)
+        k1, _ = _rate_reference(y, g, c, None)
         h = rng.uniform(0.005, 0.1)
         y = [v + h * k for v, k in zip(y, k1)]
     elif kind == "rank-4":
@@ -828,7 +799,7 @@ def _kernel_state(rng, kind, c):
 
 def _kernel_outcome(rate, y, g, c, check):
     try:
-        out, residual = rate(y, g, c, 1e-3, check)
+        out, residual = rate(y, g, c, 1e-3 if check else None)
     except ClosureError as exc:
         return "ClosureError", np.array([exc.residual])
     return "rate", np.array(out + [np.nan if residual is None else residual])
@@ -858,14 +829,14 @@ def test_trajectory_is_bitwise_the_reference_kernel():
     y = np.concatenate([el.x, el.u, el.s.ravel()]).tolist()
     states, residuals = [y], []
     for _ in range(steps):
-        k1, residual = _rate_reference(y, g, c, 1e-3, True)
-        k2, _ = _rate_reference([v + half * k for v, k in zip(y, k1)], g, c, 1e-3, False)
-        k3, _ = _rate_reference([v + half * k for v, k in zip(y, k2)], g, c, 1e-3, False)
-        k4, _ = _rate_reference([v + dtau * k for v, k in zip(y, k3)], g, c, 1e-3, False)
+        k1, residual = _rate_reference(y, g, c, math.inf)
+        k2, _ = _rate_reference([v + half * k for v, k in zip(y, k1)], g, c, None)
+        k3, _ = _rate_reference([v + half * k for v, k in zip(y, k2)], g, c, None)
+        k4, _ = _rate_reference([v + dtau * k for v, k in zip(y, k3)], g, c, None)
         y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
         states.append(y)
         residuals.append(residual)
-    residuals.append(_rate_reference(y, g, c, math.inf, True)[1])
+    residuals.append(_rate_reference(y, g, c, math.inf)[1])
     states = np.array(states)
     assert traj.x.tobytes() == states[:, :4].tobytes()
     assert traj.u.tobytes() == states[:, 4:8].tobytes()
@@ -915,12 +886,16 @@ def test_drift_gate_precedes_a_later_closure_failure(rng):
 
 def test_runaway_fails_the_initial_closure_gate():
     """The gate's scale is max|c^2 pi| at the initial state, so the runaway of the
-    spacelike-momentum element of weyssenhoff.05 cannot widen it as |pi| grows."""
+    spacelike-momentum element of weyssenhoff.05 cannot widen it as |pi| grows.
+    State 645 is the first above the gate; it fails as the last state too."""
     el = suites._random_element(np.random.default_rng(11))
     gate = 1e-3 * max(1.0, el.c ** 2 * np.abs(split_momentum(el.g, el.u, el.c).pi_low).max())
-    closure = integrate_worldline(el, 645, 0.01).diagnostics["closure_residual"]
-    assert closure[:645].max() <= gate < closure[645]    # the last state is not stepped from
-    with pytest.raises(ClosureError, match=f"residual {closure[645]:.3e}$"):
+    closure = integrate_worldline(el, 644, 0.01).diagnostics["closure_residual"]
+    assert closure.max() <= gate
+    with pytest.raises(ClosureError) as last:
+        integrate_worldline(el, 645, 0.01)
+    assert last.value.residual > gate
+    with pytest.raises(ClosureError, match=f"residual {last.value.residual:.3e}$"):
         integrate_worldline(el, 646, 0.01)
 
 
