@@ -11,11 +11,12 @@ import configparser
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
 
-from . import suites, weyssenhoff
+from . import __version__, suites, weyssenhoff
 from .minkowski import ETA
 
 SIMULATION_KINDS = ("weyssenhoff-worldline",)
@@ -97,7 +98,8 @@ def _run_length(cfg, args) -> dict:
 
 
 def _suite_options(cfg, args) -> dict:
-    options = {"steps": suites.DEFAULT_STEPS, "dtau": suites.DEFAULT_DTAU}
+    options = {"grids": suites.DEFAULT_GRIDS, "steps": suites.DEFAULT_STEPS,
+               "dtau": suites.DEFAULT_DTAU}
     if cfg.has_option("forms", "grids"):
         options["grids"] = _grids(cfg.get("forms", "grids"), "[forms] grids")
     if args.grid is not None:
@@ -159,7 +161,12 @@ def _run_suites(args, seed: int, options: dict) -> int:
                   f"value={c.value:.3e} tol={c.tolerance:.3e}")
     passed = all(rep.passed for rep in reports)
     if args.json:
-        payload = {"seed": seed, "reports": [rep.as_dict() for rep in reports], "passed": passed}
+        run = {"options": {"grids": list(options["grids"]), "steps": options["steps"],
+                           "dtau": options["dtau"]},
+               "versions": {"cosrel": __version__, "python": platform.python_version(),
+                            "numpy": np.__version__}}
+        payload = {"seed": seed, "reports": [rep.as_dict() for rep in reports], "passed": passed,
+                   "run": run}
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -24,6 +24,8 @@ SUITE_NAMES = ("algebra", "forms", "cosserat", "dirac", "weyssenhoff")
 #: Worldline steps and step size of the weyssenhoff suite unless options set them.
 DEFAULT_STEPS = 400
 DEFAULT_DTAU = 0.01
+#: The forms suite's coarse and fine grid sizes unless options set them.
+DEFAULT_GRIDS = (17, 33)
 
 
 @dataclass
@@ -202,6 +204,12 @@ def _suite_algebra(rec: _Recorder, rng, options):
         rot, boo = algebra.polarize(x)
         rot2, boo2 = algebra.polarize(rot)
         diffs += [rot.w + boo.w - x.w, rot2.w - rot.w, boo2.w]
+    # a rotation generator is all rotation and a boost generator all boost, which
+    # tells the two outputs apart
+    for i in (1, 2, 3):
+        J, K = algebra.rotation_generator(i), algebra.boost_generator(i)
+        (rot, boo), (rot2, boo2) = algebra.polarize(J), algebra.polarize(K)
+        diffs += [rot.w - J.w, boo.w, rot2.w, boo2.w - K.w]
     rec.add("algebra.06-polarize-projection", "rotation-boost-split", _worst(*diffs), 1e-14)
 
     a, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(100, 2, 10))))
@@ -281,7 +289,7 @@ def _random_algebra_form(lat: Lattice, rng) -> deformation.AlgebraForm:
 
 
 def _suite_forms(rec: _Recorder, rng, options):
-    n0, n1 = options.get("grids", (17, 33))
+    n0, n1 = options.get("grids", DEFAULT_GRIDS)
     # the fourteen lattice norms are pure functions of their arguments and use no rng:
     # workers compute them while the checks are recorded, each collected as it is due.
     # forms.05's come first: its fine field is the longest, and started first it

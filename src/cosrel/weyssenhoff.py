@@ -430,11 +430,18 @@ def _diagnostics(u, s, c) -> dict:
             "spin_invariant": np.einsum("imn,imn->i", s_low, ETA @ s_low @ ETA)}
 
 
-#: trajectory table rows formatted per block by `Trajectory.write_csv`; bounds its memory
+#: trajectory rows per block of the post-processing: the diagnostics, the drift check,
+#: `Trajectory.drift_summary` and `Trajectory.write_csv` each hold the temporaries of one
+#: block at a time, so a run holds its returned arrays plus one block
 _WRITE_ROWS = 256
 _CSV_HEADER = (["tau"] + [f"x{m}" for m in range(4)] + [f"u{m}" for m in range(4)]
                + [f"s{m}{n}" for m, n in SPIN_COMPONENTS]
                + ["drift_u2", "drift_frenkel", "spin_invariant"])
+
+
+def _blocks(n: int):
+    """Row slices of at most _WRITE_ROWS rows that cover rows 0..n-1 in order."""
+    return (slice(start, start + _WRITE_ROWS) for start in range(0, n, _WRITE_ROWS))
 
 
 @dataclass
@@ -449,20 +456,23 @@ class Trajectory:
     params: dict = field(default_factory=dict)   # steps, dtau, project, solver_tol
 
     def drift_summary(self) -> dict:
-        return {k: float(np.abs(v).max()) for k, v in self.diagnostics.items()}
+        """max|v| of each diagnostic, NaN if it holds a NaN, taken block by block."""
+        return {k: float(np.max([np.abs(v[rows]).max() for rows in _blocks(len(v))]))
+                for k, v in self.diagnostics.items()}
 
     def write_csv(self, path):
         """The per-step table: tau, x, u, the six lowered spin components, the drift columns.
 
-        Blocks of _WRITE_ROWS rows, each float through repr once: csv.writer's bytes."""
+        Built and written in blocks of _WRITE_ROWS rows, each float through repr
+        once: csv.writer's bytes."""
         m, n = np.array(SPIN_COMPONENTS).T
         d = self.diagnostics
-        table = np.column_stack([self.tau, self.x, self.u, (ETA @ self.s)[:, m, n],
-                                 d["u_norm"], d["frenkel"], d["spin_invariant"]])
         with open(path, "w", newline="") as fh:
             fh.write(",".join(_CSV_HEADER) + "\r\n")
-            for start in range(0, len(table), _WRITE_ROWS):
-                block = table[start:start + _WRITE_ROWS].tolist()
+            for rows in _blocks(len(self.tau)):
+                block = np.column_stack([self.tau[rows], self.x[rows], self.u[rows],
+                                         (ETA @ self.s[rows])[:, m, n], d["u_norm"][rows],
+                                         d["frenkel"][rows], d["spin_invariant"][rows]]).tolist()
                 fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
 
     def regime(self) -> dict:
@@ -507,8 +517,9 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     space of s (minimum-norm only in the rest frame), the spin rate is the
     transverse-momentum bivector.  Constraint drift is recorded and not corrected
     unless `project` is set.  The state is stepped as one flat list of floats (see
-    `_rate`); the diagnostics are computed once on the stacked trajectory, and
-    `drift_max` is checked on them in step order, also when a later step fails.
+    `_rate`); the diagnostics are computed on blocks of _WRITE_ROWS recorded
+    states, and `drift_max` is checked on them in step order, also when a later
+    step fails.
     Every recorded state, the last one too, must pass the closure gate
     solver_tol * max(1, max|c^2 pi|), with pi taken at the initial state, or
     ClosureError is raised: a runaway, whose |pi| grows with it, cannot widen its
@@ -544,15 +555,21 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
         _, closure[n] = _rate(y, gl, c, gate)
     finally:
         us, ss = states[:done, 4:8], states[:done, 8:].reshape(done, 4, 4)
-        diag = _diagnostics(us, ss, c)
-        diag["spin_invariant"] -= diag["spin_invariant"][0]
-        if drift_max is not None:
-            worst = np.max(np.abs([diag["u_norm"], diag["frenkel"], diag["spin_invariant"]]),
-                           axis=0)[1:]
-            over = np.flatnonzero(worst > drift_max)
-            if over.size:
-                raise RuntimeError(f"constraint drift {worst[over[0]]:.3e} exceeded "
-                                   f"{drift_max:.3e} at step {over[0] + 1}")
+        diag = {key: np.empty(done) for key in ("u_norm", "frenkel", "spin_invariant")}
+        for rows in _blocks(done):
+            for key, value in _diagnostics(us[rows], ss[rows], c).items():
+                diag[key][rows] = value
+            if rows.start == 0:
+                spin_ref = diag["spin_invariant"][0]
+            diag["spin_invariant"][rows] -= spin_ref
+            if drift_max is not None:
+                worst = np.max(np.abs([diag["u_norm"][rows], diag["frenkel"][rows],
+                                       diag["spin_invariant"][rows]]), axis=0)
+                step = rows.start + np.flatnonzero(worst > drift_max)
+                step = step[step > 0]             # row 0 is the initial state, not a step
+                if step.size:
+                    raise RuntimeError(f"constraint drift {worst[step[0] - rows.start]:.3e} "
+                                       f"exceeded {drift_max:.3e} at step {step[0]}")
     diag["closure_residual"] = closure
     params = {"steps": n, "dtau": float(dtau), "project": bool(project),
               "solver_tol": float(solver_tol)}

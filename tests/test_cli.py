@@ -213,6 +213,16 @@ def test_grid_flag_parses(tmp_path):
     assert checks["forms.03-dislocation-order-p2"]["extra"]["grid"] == [9, 17]
 
 
+def test_report_says_what_ran(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["--suite", "weyssenhoff", "--grid", "5,9", "--steps", "10",
+                 "--json", str(out)]) == 0
+    run = json.loads(out.read_text())["run"]
+    assert run == {"options": {"grids": [5, 9], "steps": 10, "dtau": suites.DEFAULT_DTAU},
+                   "versions": {"cosrel": cosrel.__version__, "python": sys.version.split()[0],
+                                "numpy": np.__version__}}
+
+
 @pytest.mark.parametrize("grid", ["17", "a,b", "2,5", "9,17,33", "17.5,33", "9,9", "17,9"])
 def test_bad_grid_flag_is_usage_error(grid, capsys):
     assert main(["--suite", "forms", "--grid", grid]) == 2

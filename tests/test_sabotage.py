@@ -11,7 +11,7 @@ row): every forms check reads interior points, whose derivatives never touch the
 import numpy as np
 import pytest
 
-from cosrel import deformation, lattice, weyssenhoff
+from cosrel import algebra, deformation, lattice, weyssenhoff
 from cosrel.lattice import ext_d, wedge
 from cosrel.suites import run_suite
 
@@ -39,6 +39,7 @@ def _dislocation_plus_wedge(E):
 
 
 _closure = weyssenhoff._closure
+_polarize = algebra.polarize
 
 _DISLOCATION_CHECKS = {"forms.03-dislocation-order-p2", "forms.03-dislocation-order-p3",
                        "forms.04-dislocation-norm-p2", "forms.04-dislocation-norm-p3",
@@ -57,6 +58,8 @@ SABOTAGE = {
     "closure-times-1.01": (weyssenhoff, "_closure",
                            lambda s, rhs: [1.01 * a for a in _closure(s, rhs)],
                            {"weyssenhoff.error"}),
+    "polarize-swapped": (algebra, "polarize", lambda x: _polarize(x)[::-1],
+                         {"algebra.06-polarize-projection"}),
 }
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -864,6 +865,29 @@ def test_drift_gate_step_matches_oracle(rng):
         integrate_worldline(el, 400, 0.05, drift_max=1e-7)
 
 
+def test_drift_gate_step_past_the_first_block_matches_oracle(rng):
+    """The gate's first failing step lies in the second block of _WRITE_ROWS states;
+    it is reported also when a closure failure in the next block ends the run."""
+    el = _bounded_element(rng)
+    _, step = _oracle_worldline(el, 400, 0.05, drift_max=2e-7)
+    assert step is not None and step // weyssenhoff._WRITE_ROWS == 1
+    with pytest.raises(RuntimeError, match=f"at step {step}$"):
+        integrate_worldline(el, 400, 0.05, drift_max=2e-7)
+    real = weyssenhoff._closure
+    calls = []
+
+    def failing(s, rhs):      # four closure solves per step: fail inside step 600
+        calls.append(None)
+        if len(calls) > 4 * 600:
+            raise ClosureError(1.0)
+        return real(s, rhs)
+
+    with mock.patch.object(weyssenhoff, "_closure", failing):
+        with pytest.raises(RuntimeError, match=f"at step {step}$") as info:
+            integrate_worldline(el, 800, 0.05, drift_max=2e-7)
+    assert isinstance(info.value.__context__, ClosureError)
+
+
 def test_drift_gate_precedes_a_later_closure_failure(rng):
     el = _bounded_element(rng)
     real = weyssenhoff._closure
@@ -946,7 +970,8 @@ def _csv_reference(traj) -> tuple:
     return table.getvalue().encode(), rows
 
 
-@pytest.mark.parametrize("steps", [0, 1, weyssenhoff._WRITE_ROWS + 2])
+@pytest.mark.parametrize("steps", [0, 1, weyssenhoff._WRITE_ROWS - 1,
+                                   weyssenhoff._WRITE_ROWS + 2])
 def test_writers_are_byte_identical_to_csv_and_json(tmp_path, rng, steps):
     traj = integrate_worldline(_bounded_element(rng), steps, 0.01)
     traj.x[0, 1], traj.x[steps, 2] = np.nan, -0.0
@@ -976,3 +1001,34 @@ def test_json_summary_reports_run_and_regime(tmp_path, rng):
     assert payload["regime"] == {"mu0_defined": True, "g_square": sp.g_square}
     assert set(payload["drift_summary"]) == {"u_norm", "frenkel", "spin_invariant",
                                              "closure_residual"}
+
+
+def test_post_processing_holds_the_arrays_and_one_block(tmp_path):
+    """Integration, drift summary and writers hold the returned arrays (232 B per
+    recorded state: states, tau, closure residual and three diagnostics) plus the
+    temporaries of one _WRITE_ROWS block, whatever the step count.
+
+    The rate is a zero stand-in: tracing every float of the scalar kernel would
+    make the run some twenty times slower, and the kernel holds no per-step memory.
+    """
+    el = _bounded_element(np.random.default_rng(0))
+    allowance = 2048 * weyssenhoff._WRITE_ROWS        # bytes: one block of formatted rows
+    excess = []
+    tracemalloc.start()
+    try:
+        with mock.patch.object(weyssenhoff, "_rate", lambda y, g, c, gate: ([0.0] * 24, 0.0)):
+            for steps in (8 * weyssenhoff._WRITE_ROWS, 32 * weyssenhoff._WRITE_ROWS):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                traj = integrate_worldline(el, steps, 0.005)
+                traj.write_csv(tmp_path / "t.csv")
+                traj.write_json(tmp_path / "t.json")
+                peak = tracemalloc.get_traced_memory()[1] - base
+                held = sum(a.nbytes for a in (traj.tau, traj.x, traj.u, traj.s,
+                                              *traj.diagnostics.values()))
+                assert held == 232 * (steps + 1)
+                excess.append(peak - held)
+                del traj
+    finally:
+        tracemalloc.stop()
+    assert max(excess) <= allowance, excess
