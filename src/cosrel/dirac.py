@@ -358,13 +358,8 @@ class TakabayasiRecord:
     rho: float
     Omega: float
     Omega_hat: float
-    angle: float
     S_hat: np.ndarray
     S_form: np.ndarray
-    heat_current: np.ndarray
-    internal_stress: np.ndarray
-    pressure: float
-    mu0: float
 
 
 def spin_form_from_dual(u, S_hat) -> np.ndarray:
@@ -379,39 +374,12 @@ def dual_of_spin_form(u, S_low, c: float = 1.0) -> np.ndarray:
 
 
 def takabayasi(state, x) -> TakabayasiRecord:
-    """Scalar/pseudoscalar split, spin duality, heat current and internal stress."""
-    hbar, c = state.hbar, state.c
+    """Density, scalar and pseudoscalar bilinears, and the spin form with its dual axis."""
     jet = _jet(state, x)
-    Omega, dOmega = _bilinear(jet, np.eye(4))
-    Omega_hat, dOmega_hat = _bilinear(jet, 1j * GAMMA5)
-    Omega = float(_real_checked(Omega, _TOL, "scalar bilinear"))
-    Omega_hat = float(_real_checked(Omega_hat, _TOL, "pseudoscalar bilinear"))
-    j, dj = _current(state, jet)                   # dj: [sigma, mu]
-    rho, u = density_velocity(j, hbar, c)
-    if rho <= 0:
-        raise ValueError("vanishing density: the phase angle is undefined")
-    angle = float(np.arctan2(Omega_hat, Omega))
-    dA = (Omega * dOmega_hat.real - Omega_hat * dOmega.real) / (Omega ** 2 + Omega_hat ** 2)
-
-    j_low = ETA @ j
-    drho = (dj @ j_low) / ((hbar * c) ** 2 * rho)  # [sigma]
-    du = (dj / (hbar * rho) - np.einsum("m,s->sm", j, drho) / (hbar * rho ** 2))  # [sigma, mu]
-
+    Omega = float(_real_checked(_bilinear(jet, np.eye(4))[0], _TOL, "scalar bilinear"))
+    Omega_hat = float(_real_checked(_bilinear(jet, 1j * GAMMA5)[0], _TOL, "pseudoscalar bilinear"))
+    rho, u = density_velocity(_current(state, jet)[0], state.hbar, state.c)
     _, S2 = _spin(state, jet, u)
     S_low = ETA @ S2
     S_low = 0.5 * (S_low - S_low.T)  # numerical antisymmetrization only
-    S_hat = dual_of_spin_form(u, S_low, c)
-
-    A_dot = float(u @ dA)
-    u_dot = np.einsum("s,sm->m", u, du)
-    heat = -((0.5 * hbar * c) * A_dot * S_hat + S2 @ u_dot) / c ** 2
-    u_lowv = ETA @ u
-    theta = ((0.5 * hbar * c) * np.einsum("n,m->mn", dA, S_hat)
-             + np.einsum("ml,nl->mn", S2, du)
-             + (0.5 * hbar) * A_dot * np.einsum("m,n->mn", S_hat, u_lowv)
-             + np.einsum("ml,l,n->mn", S2, u_dot, u_lowv) / c ** 2)
-    pressure = float(np.trace(theta)) / 3.0
-    m0 = hbar * state.kappa / c
-    mu0 = m0 * rho * np.cos(angle) + pressure / c ** 2
-    return TakabayasiRecord(rho, Omega, Omega_hat, angle, S_hat, S_low,
-                            heat, theta, pressure, float(mu0))
+    return TakabayasiRecord(rho, Omega, Omega_hat, dual_of_spin_form(u, S_low, state.c), S_low)

@@ -5,8 +5,6 @@ lattice holds C(p,k) independent components per point, each with scalar, 4-vecto
 or 4x4-matrix values.  Derivatives use second-order central stencils on the
 interior and second-order one-sided stencils on the boundary (np.gradient with
 edge_order=2); identity checks are asserted on interior points only.
-Derivatives of closures are taken by `central_difference`, the one
-finite-difference rule of the package.
 """
 
 from __future__ import annotations
@@ -82,30 +80,6 @@ class Lattice:
     def jets(self, data: np.ndarray) -> np.ndarray:
         """Derivatives along every material axis, stacked on a jet axis after the grid axes."""
         return np.stack([self.gradient(data, a) for a in range(self.p)], axis=self.p)
-
-
-#: Relative step of `central_difference`.
-_FD_STEP = 1e-6
-
-
-def central_difference(fn, x, ndim: int) -> np.ndarray:
-    """Central differences of fn in the last ndim axes of x, stacked after fn's value axes.
-
-    Each entry x_i is moved by h = _FD_STEP * max(1, |x_i|), separately at every
-    index of the leading axes of x, which fn's value must broadcast against.
-    """
-    x = np.asarray(x, dtype=float)
-    tail = x.shape[x.ndim - ndim:]
-    cols = []
-    for idx in np.ndindex(*tail):
-        sel = (Ellipsis,) + idx
-        h = _FD_STEP * np.maximum(1.0, np.abs(x[sel]))
-        xp, xm = x.copy(), x.copy()
-        xp[sel] += h
-        xm[sel] -= h
-        cols.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2.0 * h))
-    out = np.stack(cols, axis=-1)
-    return out.reshape(out.shape[:-1] + tail)
 
 
 def multi_indices(p: int, k: int) -> tuple:

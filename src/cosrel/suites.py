@@ -486,13 +486,12 @@ def _suite_dirac(rec: _Recorder, rng, options):
         x = rng.uniform(-1, 1, size=4)
         res.append(dirac.dirac_residual(st, x))
         j = dirac.current_j(st, x)
-        rho, u = dirac.density_velocity(j, st.hbar, st.c)
+        _, u = dirac.density_velocity(j, st.hbar, st.c)
         speed.append(float(u @ ETA @ u) - st.c ** 2)
         _, S2 = dirac.spin_tensor(st, x)
         frenkel.append((ETA @ u) @ S2)
-        Om = float((st.psi(x).conj() @ dirac.GAMMA_UP[0] @ st.psi(x)).real)
-        Omh = float((1j * st.psi(x).conj() @ dirac.GAMMA_UP[0] @ dirac.GAMMA5 @ st.psi(x)).real)
-        modulus.append(Om ** 2 + Omh ** 2 - rho ** 2)
+        tk = dirac.takabayasi(st, x)
+        modulus.append(tk.Omega ** 2 + tk.Omega_hat ** 2 - tk.rho ** 2)
     rec.add("dirac.03-planewave-residual", "free-wave-equation", _worst(*res), 1e-12)
     rec.add("dirac.04-velocity-normalization", "unit-speed-constraint", _worst(*speed), 1e-10)
     rec.add("dirac.05-frenkel", "velocity-annihilates-spin", _worst(*frenkel), 1e-10)

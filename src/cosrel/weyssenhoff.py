@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import central_difference
 from .minkowski import ETA, lowered_antisymmetry_defect
 
 #: row-major upper-triangle order of the six independent lowered spin components
@@ -107,46 +106,6 @@ def stress_tensors(element: WeyssenhoffElement) -> StressTensors:
     return StressTensors(T, S, 0.5 * (T_low - T_low.T), float(g @ u))
 
 
-@dataclass
-class VorticityReport:
-    kinematical: np.ndarray   # 2-form coefficients, leading-minus convention
-    chi_k: float
-    dynamical: np.ndarray
-    chi_d: float
-
-
-def vorticity_compressibility(u, g, x) -> VorticityReport:
-    """Exterior derivatives and divergences of the covelocity and momentum 1-forms of
-    the flow closures u(x) and g(x) (g covariant)."""
-    du = central_difference(u, x, 1)      # d_sig u^mu at [mu, sig]
-    dul = (ETA @ du).T                    # [sig, nu] = d_sig u_nu
-    om_k = -0.5 * (dul - dul.T)
-    chi_k = float(np.trace(du))
-    dg = central_difference(g, x, 1)      # d_sig g_mu at [mu, sig]
-    dgl = dg.T                            # g is already covariant
-    om_d = -0.5 * (dgl - dgl.T)
-    g_up_div = float(np.trace(ETA @ dg))  # d_mu g^mu
-    return VorticityReport(om_k, chi_k, om_d, g_up_div)
-
-
-def density_derivative(f, u, x) -> tuple[float, float]:
-    """Both evaluations of d_tau f = div(f u) = df/dtau + chi_k f.
-
-    The first value uses an independent finite-difference divergence of the
-    product closure, the second the comoving-derivative form.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def product(y):
-        return f(y) * np.asarray(u(y), dtype=float)
-
-    div_form = sum(np.diagonal(central_difference(product, x, 1)))  # trace, summed in axis order
-    df = central_difference(f, x, 1)
-    chi_k = float(np.trace(central_difference(u, x, 1)))
-    comoving_form = float(np.asarray(u(x), dtype=float) @ df) + chi_k * f(x)
-    return float(div_form), comoving_form
-
-
 def transverse_momentum(element: WeyssenhoffElement, a, tol: float = 1e-9) -> np.ndarray:
     """pi^mu = -(1/c^2) s^mu_nu a^nu for an acceleration transverse to u."""
     a = np.asarray(a, dtype=float)
@@ -162,18 +121,6 @@ def momentum_from_state(element: WeyssenhoffElement, a, tol: float = 1e-9) -> np
     rho0 = split_momentum(element.g, element.u, element.c).rho0
     pi = transverse_momentum(element, a, tol)
     return rho0 * (ETA @ element.u) + ETA @ pi
-
-
-def orbital_divergence(u, g, x) -> np.ndarray:
-    """d_lam of the orbital moment x^mu T^{nu lam} - x^nu T^{mu lam} of the flow u(x), g(x)."""
-    x = np.asarray(x, dtype=float)
-    u_x = np.asarray(u(x), dtype=float)
-    du, dg = central_difference(u, x, 1), central_difference(g, x, 1)
-    g_up = ETA @ np.asarray(g(x), dtype=float)
-    dg_up = ETA @ dg                             # [mu, sig] = d_sig g^mu
-    T_up = np.outer(g_up, u_x)                   # T^{mu lam}
-    divT = du @ g_up + np.einsum("ml,l->m", dg_up, u_x)  # d_lam T^{mu lam}
-    return (T_up.T - T_up) + np.outer(x, divT) - np.outer(divT, x)
 
 
 def frenkel_projector(u, c: float = 1.0) -> np.ndarray:

@@ -293,11 +293,6 @@ def test_takabayasi_rest_frame():
     tk = takabayasi(st, np.zeros(4))
     assert tk.Omega == pytest.approx(1.0, abs=1e-13)
     assert abs(tk.Omega_hat) <= 1e-13
-    assert abs(tk.angle) <= 1e-13
-    assert np.abs(tk.heat_current).max() <= 1e-13
-    assert np.abs(tk.internal_stress).max() <= 1e-13
-    assert tk.pressure == pytest.approx(0.0, abs=1e-13)
-    assert tk.mu0 == pytest.approx(1.0, abs=1e-12)  # m0 rho with m0 = kappa
 
 
 def test_takabayasi_modulus_identity(rng):
@@ -307,6 +302,11 @@ def test_takabayasi_modulus_identity(rng):
         x = rng.uniform(-1, 1, 4)
         tk = takabayasi(st, x)
         assert tk.Omega ** 2 + tk.Omega_hat ** 2 == pytest.approx(tk.rho ** 2, abs=1e-10)
+        # independent oracle: Omega = Re(psibar psi), Omega_hat = Re(i psi* gamma0 gamma5 psi)
+        psi = st.psi(x)
+        psibar = psi.conj() @ GAMMA_UP[0]
+        assert abs(tk.Omega - (psibar @ psi).real) <= 1e-14
+        assert abs(tk.Omega_hat - (1j * psibar @ GAMMA5 @ psi).real) <= 1e-14
 
 
 def test_duality_roundtrip_with_epsilon_oracle(rng):
@@ -386,48 +386,3 @@ def test_plane_wave_state_checks_each_wave():
 def test_make_plane_wave_names_bad_units(name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
         make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1, **{name: value})
-
-
-def test_takabayasi_derivative_terms_match_finite_differences(rng):
-    # two-wave state: the heat current and internal stress carry genuine
-    # spacetime derivatives; check them against central differences of the
-    # pointwise bilinears
-    from cosrel.dirac import takabayasi as tk_at
-    p1 = np.array([np.sqrt(1.25), 0.5, 0, 0])
-    p2 = np.array([np.sqrt(1.13), 0, 0.2, -0.3])
-    state = superpose(make_plane_wave(p1, 0, 1), make_plane_wave(p2, 1, 1))
-    x0 = np.array([0.3, -0.2, 0.45, 0.1])
-    tk = tk_at(state, x0)
-    h = 1e-6
-
-    def angle_at(x):
-        psi = state.psi(x)
-        psibar = psi.conj() @ GAMMA_UP[0]
-        Om = float((psibar @ psi).real)
-        Omh = float((1j * psibar @ GAMMA5 @ psi).real)
-        return np.arctan2(Omh, Om)
-
-    def u_at(x):
-        return density_velocity(current_j(state, x))[1]
-
-    dA = np.zeros(4)
-    du = np.zeros((4, 4))  # [sigma, mu]
-    for s in range(4):
-        xp, xm = x0.copy(), x0.copy()
-        xp[s] += h
-        xm[s] -= h
-        dA[s] = (angle_at(xp) - angle_at(xm)) / (2 * h)
-        du[s] = (u_at(xp) - u_at(xm)) / (2 * h)
-    u = u_at(x0)
-    A_dot = float(u @ dA)
-    u_dot = np.einsum("s,sm->m", u, du)
-    _, S2 = spin_tensor(state, x0)
-    q_expected = -(0.5 * A_dot * tk.S_hat + S2 @ u_dot)  # hbar = c = 1
-    assert np.abs(tk.heat_current - q_expected).max() <= 1e-7
-    u_low = ETA @ u
-    theta_expected = (0.5 * np.einsum("n,m->mn", dA, tk.S_hat)
-                      + np.einsum("ml,nl->mn", S2, du)
-                      + 0.5 * A_dot * np.outer(tk.S_hat, u_low)
-                      + np.outer(S2 @ u_dot, u_low))
-    assert np.abs(tk.internal_stress - theta_expected).max() <= 1e-6
-    assert tk.pressure == pytest.approx(np.trace(theta_expected) / 3.0, abs=1e-6)

@@ -2,16 +2,20 @@
 
 A row swaps one library function for a broken copy and names the check ids that
 must then report `passed: false` over all five suites; every other check must
-still pass.  The forms suite computes its lattice fields in forked workers, so
-each swap is made before the run and the workers inherit it.  Only cosserat.04
-reaches the one-sided boundary stencils of `Lattice.gradient` (the edge-order
-row): every forms check reads interior points, whose derivatives never touch them.
+still pass.  A Dirac row runs the dirac suite alone, a fraction of the time of
+all five, since its defect reaches no other suite.  The forms suite computes its
+lattice fields in forked workers, so each swap is made before the run and the
+workers inherit it.  Only cosserat.04 reaches the one-sided boundary stencils of
+`Lattice.gradient` (the edge-order row): every forms check reads interior points,
+whose derivatives never touch them.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from cosrel import algebra, deformation, lattice, weyssenhoff
+from cosrel import algebra, deformation, dirac, lattice, weyssenhoff
 from cosrel.lattice import ext_d, wedge
 from cosrel.suites import run_suite
 
@@ -38,8 +42,15 @@ def _dislocation_plus_wedge(E):
     return deformation.AlgebraForm(tra, lor)
 
 
+def _omega_off_by_1e9(state, x):
+    """The Takabayasi record with its scalar bilinear Omega scaled by 1 + 1e-9."""
+    tk = _takabayasi(state, x)
+    return dataclasses.replace(tk, Omega=tk.Omega * (1 + 1e-9))
+
+
 _closure = weyssenhoff._closure
 _polarize = algebra.polarize
+_takabayasi = dirac.takabayasi
 
 _DISLOCATION_CHECKS = {"forms.03-dislocation-order-p2", "forms.03-dislocation-order-p3",
                        "forms.04-dislocation-norm-p2", "forms.04-dislocation-norm-p3",
@@ -60,19 +71,27 @@ SABOTAGE = {
                            {"weyssenhoff.error"}),
     "polarize-swapped": (algebra, "polarize", lambda x: _polarize(x)[::-1],
                          {"algebra.06-polarize-projection"}),
+    "omega-times-1+1e-9": (dirac, "takabayasi", _omega_off_by_1e9,
+                           {"dirac.06-takabayasi-identity"}),
+    "eps-up-is-eps-low": (dirac, "EPS_UP", dirac.EPS_LOW, {"dirac.08-duality-roundtrip"}),
 }
 
+#: rows whose defect reaches only the dirac suite, which they run alone
+DIRAC_ROWS = {"omega-times-1+1e-9", "eps-up-is-eps-low"}
 
-def _failing() -> set:
-    return {c.check_id for rep in run_suite("all", 0, OPTIONS) for c in rep.checks
+
+def _failing(suite) -> set:
+    return {c.check_id for rep in run_suite(suite, 0, OPTIONS) for c in rep.checks
             if not c.passed}
 
 
 @pytest.mark.parametrize("row", SABOTAGE)
 def test_planted_defect_fails_exactly_its_checks(row, monkeypatch, fork_pools):
     owner, name, broken, expected = SABOTAGE[row]
+    suite = "dirac" if row in DIRAC_ROWS else "all"
     monkeypatch.setattr(lattice, "_cpus", lambda: 2)    # the forms fields run in a worker
-    assert _failing() == set()
+    assert _failing(suite) == set()
     monkeypatch.setattr(owner, name, broken)
-    assert _failing() == expected
-    assert len(fork_pools) == 2                         # one pool per run, forked with the swap
+    assert _failing(suite) == expected
+    if suite == "all":
+        assert len(fork_pools) == 2                     # one pool per run, forked with the swap

@@ -16,10 +16,6 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from tracing import TARGETS  # noqa: E402
 
-#: The Weyssenhoff fluid, the paper's second Cosserat medium, has unit tests but no
-#: suite check yet (ROADMAP direction 5); it stays, and so does what it reaches.
-FLUID = {"VorticityReport", "vorticity_compressibility", "density_derivative", "orbital_divergence"}
-
 
 def _mentions(node) -> set:
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
@@ -64,12 +60,6 @@ def _roots() -> set:
 
 def test_every_public_name_is_reached():
     edges, public = _definitions()
-    reached = _reached(edges, _roots() | FLUID)
+    reached = _reached(edges, _roots())
     assert sorted(n for n in public if n.split(".")[1] not in reached) == []
 
-
-def test_the_fluid_allowlist_is_exact():
-    # each allowlisted name exists, and none is reached without the allowlist
-    edges, public = _definitions()
-    assert FLUID <= {n.split(".")[1] for n in public if n.startswith("weyssenhoff.")}
-    assert FLUID.isdisjoint(_reached(edges, _roots()))

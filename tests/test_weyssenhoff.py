@@ -18,10 +18,10 @@ from conftest import same_bits
 
 from cosrel import suites, weyssenhoff
 from cosrel.minkowski import ETA
-from cosrel.weyssenhoff import (ClosureError, WeyssenhoffElement, density_derivative,
-                                frenkel_projector, integrate_worldline, momentum_from_state,
-                                orbital_divergence, spin_matrix_from_components, split_momentum,
-                                stress_tensors, transverse_momentum, vorticity_compressibility)
+from cosrel.weyssenhoff import (ClosureError, WeyssenhoffElement, frenkel_projector,
+                                integrate_worldline, momentum_from_state,
+                                spin_matrix_from_components, split_momentum, stress_tensors,
+                                transverse_momentum)
 
 
 def spin_components(s) -> list:
@@ -141,63 +141,6 @@ def test_mu0_flagged_when_momentum_spacelike():
     assert sp.g_square < 0
 
 
-def test_vorticity_uniform_flow():
-    rep = vorticity_compressibility(lambda x: np.array([1.0, 0, 0, 0]),
-                                    lambda x: np.array([1.0, 0, 0, 0]), np.zeros(4))
-    assert np.abs(rep.kinematical).max() <= 1e-10
-    assert abs(rep.chi_k) <= 1e-10
-    assert np.abs(rep.dynamical).max() <= 1e-10
-    assert abs(rep.chi_d) <= 1e-10
-
-
-def test_vorticity_rotation_profile_hand_curl():
-    w = 0.3  # slow rigid rotation in the 1-2 plane, normalized to u.u = c^2
-
-    def u(x):
-        vx, vy = -w * x[2], w * x[1]
-        gamma = 1.0 / math.sqrt(1 - vx * vx - vy * vy)
-        return gamma * np.array([1.0, vx, vy, 0.0])
-
-    x0 = np.array([0.0, 0.2, -0.1, 0.0])
-    rep = vorticity_compressibility(u, u, x0)
-    # hand curl at the origin-adjacent point: d_1 u_2 - d_2 u_1 with lowered u
-    h = 1e-6
-
-    def u_low(x):
-        return ETA @ u(x)
-
-    d1u2 = (u_low(x0 + [0, h, 0, 0])[2] - u_low(x0 - [0, h, 0, 0])[2]) / (2 * h)
-    d2u1 = (u_low(x0 + [0, 0, h, 0])[1] - u_low(x0 - [0, 0, h, 0])[1]) / (2 * h)
-    assert rep.kinematical[1, 2] == pytest.approx(-0.5 * (d1u2 - d2u1), abs=1e-6)
-    assert abs(rep.chi_k) <= 1e-6
-
-
-def test_dynamical_compressibility_three_term_identity():
-    # g = rho0(x) u(x) with analytic factors: div g = u.grad(rho0) + rho0 chi_k
-    def rho0(x):
-        return 1.0 + 0.3 * np.sin(x[1]) + 0.1 * x[2]
-
-    def u(x):
-        vz = 0.2 * np.sin(x[1])
-        gamma = 1.0 / math.sqrt(1 - vz * vz)
-        return gamma * np.array([1.0, 0, 0, vz])
-
-    def g_low(x):
-        return rho0(x) * (ETA @ u(x))
-
-    x0 = np.array([0.1, 0.4, -0.3, 0.2])
-    rep = vorticity_compressibility(u, g_low, x0)
-    h = 1e-6
-    grad_rho = np.zeros(4)
-    for sdir in range(4):
-        xp, xm = x0.copy(), x0.copy()
-        xp[sdir] += h
-        xm[sdir] -= h
-        grad_rho[sdir] = (rho0(xp) - rho0(xm)) / (2 * h)
-    expected = float(u(x0) @ grad_rho) + rho0(x0) * rep.chi_k
-    assert rep.chi_d == pytest.approx(expected, abs=1e-8)
-
-
 def test_stress_rest_frame_layouts():
     el = _rest_element(rho0=1.3, pis=(0.0, 0, 0), s12=0.0)
     st = stress_tensors(el)
@@ -223,50 +166,6 @@ def test_stress_antisymmetric_part(rng):
         assert st.trace == pytest.approx(sp.rho0 * el.c ** 2, abs=1e-12)
         # spin flux: S[nu][lam][mu] = s^nu_mu u^lam
         assert np.abs(st.S - np.einsum("nm,l->nlm", el.s, el.u)).max() == 0.0
-
-
-def test_density_derivative_zero_cases():
-    d1, d2 = density_derivative(lambda x: 1.0, lambda x: np.array([1.0, 0.2, 0, 0]), np.zeros(4))
-    assert abs(d1) <= 1e-9 and abs(d2) <= 1e-9
-
-
-def test_density_derivative_compressible_constant():
-    # u with nonzero divergence: d_tau(const) = chi_k const
-    def u(x):
-        return np.array([1.0 + 0.2 * x[0], 0, 0, 0])
-
-    x0 = np.array([0.5, 0, 0, 0])
-    d1, d2 = density_derivative(lambda x: 3.0, u, x0)
-    assert d1 == pytest.approx(0.6, abs=1e-8)
-    assert d2 == pytest.approx(0.6, abs=1e-8)
-
-
-def test_density_derivative_product_rule():
-    def u(x):
-        vz = 0.3 * math.sin(x[1])
-        gamma = 1.0 / math.sqrt(1 - vz * vz)
-        return gamma * np.array([1.0, 0, 0, vz])
-
-    def f(x):
-        return 1.0 + 0.2 * math.cos(x[1] + 0.3 * x[3])
-
-    def g(x):
-        return 0.5 + 0.1 * math.sin(x[3])
-
-    x0 = np.array([0.2, 0.7, -0.1, 0.4])
-    lhs_div, lhs_com = density_derivative(lambda x: f(x) * g(x), u, x0)
-    df_div, df_com = density_derivative(f, u, x0)
-    h = 1e-6
-    dg_dtau = 0.0
-    ux = u(x0)
-    for s in range(4):
-        xp, xm = x0.copy(), x0.copy()
-        xp[s] += h
-        xm[s] -= h
-        dg_dtau += ux[s] * (g(xp) - g(xm)) / (2 * h)
-    rhs = df_com * g(x0) + f(x0) * dg_dtau
-    assert lhs_com == pytest.approx(rhs, abs=1e-8)
-    assert lhs_div == pytest.approx(rhs, abs=1e-7)
 
 
 def test_transverse_momentum_zero_cases():
@@ -321,24 +220,6 @@ def test_momentum_from_state_rest_numeric():
     g = momentum_from_state(el, a)
     expected = np.array([1.3, 0.0, sigma * alpha, 0.0])  # lowering flips the spatial pi
     assert np.abs(g - expected).max() <= 1e-13
-
-
-def test_orbital_divergence_identity_on_stationary_flow():
-    # time-independent g, constant u: the x-moment divergence reduces to the
-    # antisymmetric momentum bivector
-    u0 = np.array([1.0, 0, 0, 0])
-
-    def u(x):
-        return u0
-
-    def g_low(x):
-        return np.array([1.1 + 0.2 * math.sin(x[1]), 0.3 * math.cos(x[2]), -0.2, 0.1 * x[1]])
-
-    for x0 in (np.array([0.0, 0.3, -0.5, 0.2]), np.array([1.0, -0.2, 0.4, 0.0])):
-        D = orbital_divergence(u, g_low, x0)
-        g_up = ETA @ g_low(x0)
-        expected = np.outer(u0, g_up) - np.outer(g_up, u0)  # pi^nu u^mu - pi^mu u^nu
-        assert np.abs(D - expected).max() <= 1e-9
 
 
 def test_explicit_speed_of_light():
