@@ -149,16 +149,15 @@ def superpose(*states) -> PlaneWaveState:
     return PlaneWaveState(p, amplitude, first.kappa, sign, first.hbar, first.c)
 
 
-#: Mass-shell tolerance: p.p < -_SHELL_TOL is spacelike, |p.p| <= _SHELL_TOL is null.
+#: Mass-shell tolerance: p with p.p <= _SHELL_TOL is spacelike or null and has no massive shell.
 _SHELL_TOL = 1e-10
 
 
 def make_plane_wave(p, spin_index: int, sign: int = 1, hbar: float = 1.0,
                     c: float = 1.0) -> PlaneWaveState:
-    """Plane-wave solution with unit amplitude norm.
+    """Massive plane-wave solution with unit amplitude norm.
 
-    Timelike p: the amplitude is the boost of a rest-frame basis spinor.  Null p
-    (massless limit): the amplitude is taken from the kernel of gamma.p.
+    p must be timelike; the amplitude is the boost of a rest-frame basis spinor.
     """
     _check_units(hbar, c)
     p = four_vector(p)
@@ -167,23 +166,14 @@ def make_plane_wave(p, spin_index: int, sign: int = 1, hbar: float = 1.0,
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     psq = float(p @ ETA @ p)
-    if psq < -_SHELL_TOL:
-        raise ValueError(f"p is spacelike (p.p = {psq:.3e}); no mass shell")
+    if not psq > _SHELL_TOL:
+        raise ValueError(f"p is spacelike or null (p.p = {psq:.3e}); no massive shell")
     if sign == 1 and p[0] <= 0:
         raise ValueError("positive-frequency wave needs p^0 > 0")
-    sl = slash(p)
-    if psq > _SHELL_TOL:
-        kappa = float(np.sqrt(psq))
-        rest = np.zeros(4, dtype=_C)
-        rest[spin_index if sign == 1 else 2 + spin_index] = 1.0
-        w = (sl + sign * kappa * np.eye(4)) @ rest
-    else:
-        kappa = 0.0
-        _, svals, vh = np.linalg.svd(sl)
-        null = vh[2 + spin_index].conj()
-        if svals[2 + spin_index] > 1e-8 * max(1.0, svals[0]):
-            raise ValueError("gamma.p has no two-dimensional kernel; p not null enough")
-        w = null
+    kappa = float(np.sqrt(psq))
+    rest = np.zeros(4, dtype=_C)
+    rest[spin_index if sign == 1 else 2 + spin_index] = 1.0
+    w = (slash(p) + sign * kappa * np.eye(4)) @ rest
     nrm = float(np.sqrt(np.vdot(w, w).real))
     if nrm < 1e-14:
         raise ValueError("degenerate amplitude for the requested spin/sign")
@@ -199,11 +189,15 @@ def _jet(state, x) -> tuple:
     return psi, psi.conj() @ GAMMA_UP[0], dpsi, dpsi.conj().T @ GAMMA_UP[0]
 
 
-def _bilinear(jet, K) -> tuple[np.ndarray, np.ndarray]:
-    """psibar K psi for a kernel stack K (..., 4, 4), and its gradient laid out [sigma, ...]."""
+def _bilinear(psibar, K, psi) -> np.ndarray:
+    """psibar K psi for a kernel stack K (..., 4, 4)."""
+    return np.einsum("a,...ab,b->...", psibar, K, psi)
+
+
+def _dbilinear(jet, K) -> np.ndarray:
+    """d_sigma (psibar K psi) by the product rule, laid out [sigma, ...]."""
     psi, psibar, dpsi, dpsibar = jet
-    return (np.einsum("a,...ab,b->...", psibar, K, psi),
-            np.einsum("sa,...ab,b->s...", dpsibar, K, psi)
+    return (np.einsum("sa,...ab,b->s...", dpsibar, K, psi)
             + np.einsum("a,...ab,bs->s...", psibar, K, dpsi))
 
 
@@ -226,18 +220,6 @@ def _real_checked(arr: np.ndarray, tol: float, what: str) -> np.ndarray:
     if not imag <= tol * scale:
         raise ValueError(f"{what} has imaginary residue {imag:.3e} (tolerance {tol:.1e})")
     return arr.real.copy()
-
-
-def _current(state, jet) -> tuple[np.ndarray, np.ndarray]:
-    """j^mu = hbar c psibar gamma^mu psi and d_sigma j^mu [sigma, mu]."""
-    j, dj = _bilinear(jet, GAMMA_UP)
-    hc = state.hbar * state.c
-    return _real_checked(hc * j, 1e-13, "vector current"), (hc * dj).real
-
-
-def current_j(state, x) -> np.ndarray:
-    """Probability/number current hbar c psibar gamma^mu psi (real four-vector)."""
-    return _current(state, _jet(state, x))[0]
 
 
 def density_velocity(j, hbar: float = 1.0, c: float = 1.0) -> tuple[float, np.ndarray]:
@@ -276,49 +258,29 @@ def _denergy_momentum(state, x, jet) -> np.ndarray:
     return dT.real
 
 
-def _spin_kernel() -> np.ndarray:
-    """[lam, mu, nu, a, b] matrices g^mu g^lam g_nu - g_nu g^lam g^mu."""
-    return (np.einsum("mac,lcd,ndb->lmnab", GAMMA_UP, GAMMA_UP, GAMMA_DN)
-            - np.einsum("nac,lcd,mdb->lmnab", GAMMA_DN, GAMMA_UP, GAMMA_UP))
+#: [lam, mu, nu, a, b] matrices g^mu g^lam g_nu, and the Hermitian kernel: it minus its
+#: mirror g_nu g^lam g^mu = g^0 (g^mu g^lam g_nu)^+ g^0.  Entries are exact (0, +-1, +-i).
+_SPIN_PRODUCT = np.einsum("mac,lcd,ndb->lmnab", GAMMA_UP, GAMMA_UP, GAMMA_DN)
+_SPIN_KERNEL = _SPIN_PRODUCT - GAMMA_UP[0] @ _SPIN_PRODUCT.conj().swapaxes(-1, -2) @ GAMMA_UP[0]
+for _k in (_SPIN_PRODUCT, _SPIN_KERNEL):
+    _k.setflags(write=False)
 
 
-_SPIN_KERNEL = _spin_kernel()
-_SPIN_KERNEL.setflags(write=False)
+def _currents(state, psi, psibar) -> tuple[np.ndarray, np.ndarray]:
+    """j^mu = hbar c psibar g^mu psi and S^{lam mu}_nu = -(i hbar c / 8) psibar K psi.
 
-
-def _spin_current(state, jet) -> tuple[np.ndarray, np.ndarray]:
-    """S^{lam mu}_nu = -(i hbar c / 8) psibar K psi, K = _SPIN_KERNEL, and its gradient.
-
-    The gradient is laid out [sigma, lam, mu, nu].
+    K = _SPIN_KERNEL.  Both are refused with an imaginary residue, and S^{lam mu}_nu
+    is checked against the real part of the reduced single-product form
+    -(i hbar c / 4) psibar g^mu g^lam g_nu psi.
     """
-    S3, dS3 = _bilinear(jet, _SPIN_KERNEL)
-    pre = -0.125j * state.hbar * state.c
-    return _real_checked(pre * S3, _TOL, "spin tensor"), (pre * dS3).real
-
-
-def _spin(state, jet, u) -> tuple[np.ndarray, np.ndarray]:
-    """S^{lam mu}_nu, checked against its reduced form, and S^mu_nu = u_lam S^{lam mu}_nu."""
-    psi, psibar = jet[:2]
-    S3, _ = _spin_current(state, jet)
-    reduced = -0.25j * state.hbar * state.c * np.einsum(
-        "a,mab,lbc,ncd,d->lmn", psibar, GAMMA_UP, GAMMA_UP, GAMMA_DN, psi)
-    scale = max(1.0, float(np.abs(S3).max()))
+    hc, pre = state.hbar * state.c, -0.125j * state.hbar * state.c
+    j = _real_checked(hc * _bilinear(psibar, GAMMA_UP, psi), 1e-13, "vector current")
+    S3 = _real_checked(pre * _bilinear(psibar, _SPIN_KERNEL, psi), _TOL, "spin tensor")
+    reduced = -0.25j * hc * _bilinear(psibar, _SPIN_PRODUCT, psi)
     mismatch = float(np.abs(reduced.real - S3).max())
-    if mismatch > _TOL * scale:
+    if mismatch > _TOL * max(1.0, float(np.abs(S3).max())):
         raise ValueError(f"reduced spin form disagrees with Hermitian form: {mismatch:.3e}")
-    return S3, np.einsum("l,lmn->mn", ETA @ u, S3)
-
-
-def spin_tensor(state, x) -> tuple[np.ndarray, np.ndarray]:
-    """Spin current S^{lam mu}_nu and the intrinsic tensor S^mu_nu = u_lam S^{lam mu}_nu.
-
-    The conserved real tensor is the Hermitian combination
-    -(i hbar c / 8) psibar (g^mu g^lam g_nu - g_nu g^lam g^mu) psi; the reduced
-    single-product form agrees with it in the real part, which is verified here.
-    """
-    jet = _jet(state, x)
-    _, u = density_velocity(_current(state, jet)[0], state.hbar, state.c)
-    return _spin(state, jet, u)
+    return j, S3
 
 
 @dataclass
@@ -341,12 +303,14 @@ def conservation_report(state) -> ConservationReport:
     identically; a superposition exercises the full derivative structure.
     """
     pts = [np.array(q) for q in itertools.product((0.0, 0.7), repeat=4)]
+    hc, pre = state.hbar * state.c, -0.125j * state.hbar * state.c
     cur, em, ang = [], [], []  # per-point max residuals; NaN propagates to the max
     for x in pts:
         jet = _jet(state, x)
-        cur.append(abs(float(np.trace(_current(state, jet)[1]))) / state.hbar)
+        _currents(state, *jet[:2])  # the reality and reduced-form checks of j and S3
+        cur.append(abs(float(np.trace((hc * _dbilinear(jet, GAMMA_UP)).real))) / state.hbar)
         em.append(np.abs(np.einsum("mmn->n", _denergy_momentum(state, x, jet))).max())
-        divS = np.einsum("mlmn->ln", _spin_current(state, jet)[1])
+        divS = np.einsum("mlmn->ln", (pre * _dbilinear(jet, _SPIN_KERNEL)).real)
         T_low = ETA @ _energy_momentum(state, jet)
         ang.append(np.abs(ETA @ divS - 0.5 * (T_low - T_low.T)).max())
     r_cur, r_em, r_ang = (float(np.max(r, initial=0.0)) for r in (cur, em, ang))
@@ -355,11 +319,18 @@ def conservation_report(state) -> ConservationReport:
 
 @dataclass
 class TakabayasiRecord:
+    """Bilinears at one point: density, scalar, pseudoscalar, spin axis and lowered spin form,
+    current j = rho u, spin current S3 = S^{lam mu}_nu and S^mu_nu = u_lam S3."""
+
     rho: float
     Omega: float
     Omega_hat: float
     S_hat: np.ndarray
     S_form: np.ndarray
+    j: np.ndarray
+    u: np.ndarray
+    S3: np.ndarray
+    S: np.ndarray
 
 
 def spin_form_from_dual(u, S_hat) -> np.ndarray:
@@ -374,12 +345,16 @@ def dual_of_spin_form(u, S_low, c: float = 1.0) -> np.ndarray:
 
 
 def takabayasi(state, x) -> TakabayasiRecord:
-    """Density, scalar and pseudoscalar bilinears, and the spin form with its dual axis."""
-    jet = _jet(state, x)
-    Omega = float(_real_checked(_bilinear(jet, np.eye(4))[0], _TOL, "scalar bilinear"))
-    Omega_hat = float(_real_checked(_bilinear(jet, 1j * GAMMA5)[0], _TOL, "pseudoscalar bilinear"))
-    rho, u = density_velocity(_current(state, jet)[0], state.hbar, state.c)
-    _, S2 = _spin(state, jet, u)
-    S_low = ETA @ S2
+    """Every bilinear at x from one psi and psibar; no derivative is built."""
+    psi = state.psi(x)
+    psibar = psi.conj() @ GAMMA_UP[0]
+    Omega = float(_real_checked(_bilinear(psibar, np.eye(4), psi), _TOL, "scalar bilinear"))
+    Omega_hat = float(_real_checked(_bilinear(psibar, 1j * GAMMA5, psi), _TOL,
+                                    "pseudoscalar bilinear"))
+    j, S3 = _currents(state, psi, psibar)
+    rho, u = density_velocity(j, state.hbar, state.c)
+    S = np.einsum("l,lmn->mn", ETA @ u, S3)
+    S_low = ETA @ S
     S_low = 0.5 * (S_low - S_low.T)  # numerical antisymmetrization only
-    return TakabayasiRecord(rho, Omega, Omega_hat, dual_of_spin_form(u, S_low, state.c), S_low)
+    return TakabayasiRecord(rho, Omega, Omega_hat, dual_of_spin_form(u, S_low, state.c), S_low,
+                            j, u, S3, S)

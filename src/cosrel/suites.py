@@ -485,12 +485,9 @@ def _suite_dirac(rec: _Recorder, rng, options):
         st = dirac.make_plane_wave(p, int(rng.integers(2)), 1 if rng.uniform() < 0.5 else -1)
         x = rng.uniform(-1, 1, size=4)
         res.append(dirac.dirac_residual(st, x))
-        j = dirac.current_j(st, x)
-        _, u = dirac.density_velocity(j, st.hbar, st.c)
-        speed.append(float(u @ ETA @ u) - st.c ** 2)
-        _, S2 = dirac.spin_tensor(st, x)
-        frenkel.append((ETA @ u) @ S2)
         tk = dirac.takabayasi(st, x)
+        speed.append(float(tk.u @ ETA @ tk.u) - st.c ** 2)
+        frenkel.append((ETA @ tk.u) @ tk.S)
         modulus.append(tk.Omega ** 2 + tk.Omega_hat ** 2 - tk.rho ** 2)
     rec.add("dirac.03-planewave-residual", "free-wave-equation", _worst(*res), 1e-12)
     rec.add("dirac.04-velocity-normalization", "unit-speed-constraint", _worst(*speed), 1e-10)
@@ -509,8 +506,7 @@ def _suite_dirac(rec: _Recorder, rng, options):
         st = dirac.make_plane_wave(_boosted_momentum(rng), int(rng.integers(2)))
         x = rng.uniform(-1, 1, size=4)
         tk = dirac.takabayasi(st, x)
-        rho, u = dirac.density_velocity(dirac.current_j(st, x))
-        diffs.append(dirac.spin_form_from_dual(u, tk.S_hat) - tk.S_form)
+        diffs.append(dirac.spin_form_from_dual(tk.u, tk.S_hat) - tk.S_form)
     rec.add("dirac.08-duality-roundtrip", "spin-axis-duality", _worst(*diffs), 1e-12)
 
 

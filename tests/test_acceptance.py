@@ -283,10 +283,10 @@ def test_criterion_6_dirac_suite():
         st = dirac.make_plane_wave(p, int(rng.integers(2)), 1 if rng.uniform() < 0.5 else -1)
         x = rng.uniform(-1, 1, 4)
         worst_res = max(worst_res, dirac.dirac_residual(st, x))
-        j = dirac.current_j(st, x)
+        tk = dirac.takabayasi(st, x)
+        j, S3, S2 = tk.j, tk.S3, tk.S
         rho, u = dirac.density_velocity(j)
         worst_u = max(worst_u, abs(float(u @ ETA @ u) - 1.0))
-        S3, S2 = dirac.spin_tensor(st, x)
         worst_us = max(worst_us, float(np.abs((ETA @ u) @ S2).max()))
         psibar = st.psi(x).conj() @ dirac.GAMMA_UP[0]
         reduced = -0.25j * np.einsum("a,mab,lbc,ncd,d->lmn", psibar,

@@ -48,9 +48,24 @@ def _omega_off_by_1e9(state, x):
     return dataclasses.replace(tk, Omega=tk.Omega * (1 + 1e-9))
 
 
+def _residual_mass_flipped(state, x):
+    """dirac_residual with the sign of the mass term flipped in both equations."""
+    psi, psibar, dpsi, dpsibar = dirac._jet(state, x)
+    lhs = 1j * np.einsum("mab,bm->a", dirac.GAMMA_UP, dpsi) + state.kappa * psi
+    lhs_bar = 1j * np.einsum("ma,mab->b", dpsibar, dirac.GAMMA_UP) - state.kappa * psibar
+    return float(np.maximum(np.linalg.norm(lhs), np.linalg.norm(lhs_bar)))
+
+
+def _spin_with_raised_u(state, x):
+    """The Takabayasi record with S = u^lam S^{lam mu}_nu: u left unlowered."""
+    tk = _takabayasi(state, x)
+    return dataclasses.replace(tk, S=np.einsum("l,lmn->mn", tk.u, tk.S3))
+
+
 _closure = weyssenhoff._closure
 _polarize = algebra.polarize
 _takabayasi = dirac.takabayasi
+_gamma_dn_1_times_i = dirac.GAMMA_DN * np.array([1, 1j, 1, 1])[:, None, None]
 
 _DISLOCATION_CHECKS = {"forms.03-dislocation-order-p2", "forms.03-dislocation-order-p3",
                        "forms.04-dislocation-norm-p2", "forms.04-dislocation-norm-p3",
@@ -74,10 +89,15 @@ SABOTAGE = {
     "omega-times-1+1e-9": (dirac, "takabayasi", _omega_off_by_1e9,
                            {"dirac.06-takabayasi-identity"}),
     "eps-up-is-eps-low": (dirac, "EPS_UP", dirac.EPS_LOW, {"dirac.08-duality-roundtrip"}),
+    "gamma-dn-1-times-i": (dirac, "GAMMA_DN", _gamma_dn_1_times_i, {"dirac.01-clifford"}),
+    "residual-mass-sign-flipped": (dirac, "dirac_residual", _residual_mass_flipped,
+                                   {"dirac.03-planewave-residual"}),
+    "spin-with-raised-u": (dirac, "takabayasi", _spin_with_raised_u, {"dirac.05-frenkel"}),
 }
 
 #: rows whose defect reaches only the dirac suite, which they run alone
-DIRAC_ROWS = {"omega-times-1+1e-9", "eps-up-is-eps-low"}
+DIRAC_ROWS = {"omega-times-1+1e-9", "eps-up-is-eps-low", "gamma-dn-1-times-i",
+              "residual-mass-sign-flipped", "spin-with-raised-u"}
 
 
 def _failing(suite) -> set:
