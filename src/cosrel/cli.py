@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, suites, weyssenhoff
+from . import __version__, weyssenhoff
 from .minkowski import ETA
 
 SIMULATION_KINDS = ("weyssenhoff-worldline",)
@@ -98,6 +98,10 @@ def _run_length(cfg, args) -> dict:
 
 
 def _suite_options(cfg, args) -> dict:
+    from . import suites  # here, not above: a run without a suite never compiles suites.py
+    names = suites.SUITE_NAMES + ("all",)
+    if args.suite not in names:
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {names}")
     options = {"grids": suites.DEFAULT_GRIDS, "steps": suites.DEFAULT_STEPS,
                "dtau": suites.DEFAULT_DTAU}
     if cfg.has_option("forms", "grids"):
@@ -152,6 +156,7 @@ def _element_from_config(kind, cfg) -> tuple:
 
 
 def _run_suites(args, seed: int, options: dict) -> int:
+    from . import suites
     reports = suites.run_suite(args.suite, seed=seed, options=options)
     for rep in reports:
         print(f"suite {rep.suite}: {'PASS' if rep.passed else 'FAIL'} (seed {rep.seed})")
@@ -188,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cosrel",
         description="Verification suites and simulations for the relativistic "
                     "Cosserat toolkit.")
-    parser.add_argument("--suite", choices=suites.SUITE_NAMES + ("all",),
-                        help="run a named verification suite")
+    parser.add_argument("--suite", metavar="NAME",
+                        help="run a named verification suite, or all of them")
     parser.add_argument("--simulate", metavar="KIND",
                         help="run a simulation (weyssenhoff-worldline)")
     parser.add_argument("--config", metavar="PATH", help="key = value config file (INI sections)")

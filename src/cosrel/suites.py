@@ -1,8 +1,11 @@
 """Named verification suites: each runs a module's invariant battery and reports residuals.
 
-Every check carries a stable id and a law tag (or "plumbing"), a measured
-residual, its tolerance and a pass flag.  Randomized checks draw from a seeded
-generator recorded in the report, so reports are deterministic for a fixed seed.
+Every check carries a stable id and a law tag, a measured residual, its
+tolerance and a pass flag.  A suite is a generator of checks: it draws its
+random inputs from a seeded generator recorded in the report, so reports are
+deterministic for a fixed seed, and yields one entry per check whose function
+makes every library call that check needs.  A check that raises therefore fails
+alone, and shifts neither the draws nor the ids of the checks after it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ DEFAULT_DTAU = 0.01
 #: The forms suite's coarse and fine grid sizes unless options set them.
 DEFAULT_GRIDS = (17, 33)
 
+#: The errors a check may raise: each fails its own check, and the run goes on.
+_FAILURES = (ArithmeticError, RuntimeError, ValueError)
+
 
 @dataclass
 class Check:
@@ -39,12 +45,9 @@ class Check:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        d = {"id": self.check_id, "law": self.law, "value": self.value,
-             "tolerance": self.tolerance, "passed": self.passed,
-             "runtime_ms": self.runtime_ms}
-        if self.extra:
-            d["extra"] = self.extra
-        return d
+        return {"id": self.check_id, "law": self.law, "value": self.value,
+                "tolerance": self.tolerance, "passed": self.passed,
+                "runtime_ms": self.runtime_ms, **({"extra": self.extra} if self.extra else {})}
 
 
 @dataclass
@@ -75,36 +78,6 @@ def _order(coarse, fine) -> float:
     return float(np.log2(ratio)) if 0.0 < ratio < math.inf else math.nan
 
 
-class _Recorder:
-    """Collects a suite's checks and times them by lap.
-
-    Each check's runtime_ms is the time since the previous check was recorded
-    (the first one's, since the recorder was made), so a suite's runtimes sum to
-    its run time and work shared by several checks counts once, in the first.
-    Where forked workers compute a check's fields while earlier checks run, its
-    runtime_ms is the time spent waiting for them, not their compute time.
-    """
-
-    def __init__(self):
-        self.checks = []
-        self._lap = time.perf_counter()
-
-    def _ms(self) -> float:
-        now = time.perf_counter()
-        ms, self._lap = (now - self._lap) * 1000.0, now
-        return ms
-
-    def add(self, check_id, law, value, tol, extra=None):
-        self.checks.append(Check(check_id, law, float(value), float(tol),
-                                 bool(value <= tol), self._ms(), extra or {}))
-
-    def bracket(self, check_id, law, lo, value, hi, extra):
-        """Pass iff the order estimate `value` falls in [lo, hi]; tolerance is hi."""
-        data = {"low": lo, "high": hi, "order_estimate": float(value), **extra}
-        self.checks.append(Check(check_id, law, float(value), float(hi), lo <= value <= hi,
-                                 self._ms(), data))
-
-
 # --------------------------------------------------------------------------
 # algebra suite
 
@@ -120,106 +93,89 @@ def _algebra_stack(coeffs) -> tuple:
     return coeffs @ _BASIS_V, np.tensordot(coeffs, _BASIS_W, 1)
 
 
-def _random_algebra(rng) -> algebra.AlgebraElement:
-    return algebra.AlgebraElement(*_algebra_stack(rng.uniform(-1.0, 1.0, size=10)))
-
-
 def _expected_bracket_table() -> dict:
-    """Structure constants assembled independently from the commutation tables."""
-    eps = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-           (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
-    names = algebra.BASIS_NAMES
-    table = {}
+    """Structure constants assembled independently from the commutation tables:
+    [J_i, J_j] = e_ijk J_k, [J_i, K_j] = e_ijk K_k, [K_i, K_j] = -e_ijk J_k,
+    [d_i, J_j] = e_ijk d_k for i > 0, [d_0, K_k] = -d_k and [d_k, K_k] = -d_0."""
+    def eps(i, j, k):  # the Levi-Civita symbol on 1, 2, 3
+        return (i - j) * (j - k) * (k - i) // 2
+
+    rules = {"JJ": ("J", 1), "JK": ("K", 1), "KK": ("J", -1), "dJ": ("d", 1)}
+    names, table = algebra.BASIS_NAMES, {}
     for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if i >= j:
-                continue
-            coeffs = {}
-            if a.startswith("d") and b.startswith("d"):
-                pass
-            elif a.startswith("d") and b[0] in "JK":
-                mu, k = int(a[1]), int(b[1])
-                if b[0] == "J":
-                    if mu != 0:
-                        for l in range(1, 4):
-                            e = eps.get((mu, k, l), 0)
-                            if e:
-                                coeffs[f"d{l}"] = e
-                else:
-                    if mu == 0:
-                        coeffs[f"d{k}"] = -1
-                    elif mu == k:
-                        coeffs["d0"] = -1
-            else:
-                i1, j1 = int(a[1]), int(b[1])
-                for l in range(1, 4):
-                    e = eps.get((i1, j1, l), 0)
-                    if not e:
-                        continue
-                    if a[0] == "J" and b[0] == "J":
-                        coeffs[f"J{l}"] = e
-                    elif a[0] == "J" and b[0] == "K":
-                        coeffs[f"K{l}"] = e
-                    elif a[0] == "K" and b[0] == "K":
-                        coeffs[f"J{l}"] = -e
-            table[(a, b)] = coeffs
+        for b in names[i + 1:]:
+            pair, m, k = a[0] + b[0], int(a[1]), int(b[1])
+            out, sign = rules.get(pair, ("", 0))
+            table[(a, b)] = {f"{out}{l}": e for l in (1, 2, 3) if m and (e := sign * eps(m, k, l))}
+            if pair == "dK":
+                table[(a, b)] = {f"d{k}": -1} if m == 0 else {"d0": -1} if m == k else {}
     return table
 
 
-def _suite_algebra(rec: _Recorder, rng, options):
-    gens = {n: g for n, g in zip(algebra.BASIS_NAMES, algebra.basis())}
-    table = _expected_bracket_table()
-    diffs = []
-    for (a, b), coeffs in table.items():
-        got = algebra.bracket(gens[a], gens[b])
-        diffs.append(got.v - sum((c * gens[n].v for n, c in coeffs.items()), np.zeros(4)))
-        diffs.append(got.w - sum((c * gens[n].w for n, c in coeffs.items()), np.zeros((4, 4))))
-    rec.add("algebra.01-bracket-table", "basis-commutators", _worst(*diffs), 0,
-            {"pairs": len(table)})
+def _suite_algebra(rng, options):
+    # Samples are drawn as (N, ..., 10) coefficient blocks, in the order a per-sample
+    # loop would draw them, and checked on stacks.
+    triples, singles, draws, elements, pairs = (rng.uniform(-1, 1, size=shape) for shape in (
+        (1000, 3, 10), (1000, 10), (200, 12), (100, 10), (100, 2, 10)))
 
-    # Samples are drawn as one (N, ..., 10) coefficient block, in the order a
-    # per-sample loop would draw them, and checked on stacks.
-    x, y, z = (_algebra_stack(c) for c in np.moveaxis(rng.uniform(-1, 1, size=(1000, 3, 10)), 1, 0))
-    br = algebra.bracket_batch
-    total = [sum(parts) for parts in zip(br(br(x, y), z), br(br(y, z), x), br(br(z, x), y))]
-    rec.add("algebra.02-jacobi", "jacobi-identity", _worst(*total), 1e-12)
+    def bracket_table():
+        gens = dict(zip(algebra.BASIS_NAMES, algebra.basis()))
+        table = _expected_bracket_table()
+        diffs = []
+        for (a, b), coeffs in table.items():
+            got = algebra.bracket(gens[a], gens[b])
+            diffs.append(got.v - sum((c * gens[n].v for n, c in coeffs.items()), np.zeros(4)))
+            diffs.append(got.w - sum((c * gens[n].w for n, c in coeffs.items()), np.zeros((4, 4))))
+        return _worst(*diffs), {"pairs": len(table)}
+    yield "algebra.01-bracket-table", "basis-commutators", -math.inf, 0, bracket_table
 
-    _, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(1000, 10))))
-    rec.add("algebra.03-exp-orthogonality", "exp-lands-in-lorentz-group",
-            _worst(np.swapaxes(L, -1, -2) @ ETA @ L - ETA), 1e-10)
-    rec.add("algebra.04-exp-determinant", "exp-lands-in-lorentz-group",
-            _worst(np.linalg.det(L) - 1.0), 1e-9)
+    def jacobi():
+        br, total = algebra.bracket_batch, []
+        for quarter in np.split(triples, 4):  # a quarter of the stacks at a time bounds the memory
+            x, y, z = (_algebra_stack(c) for c in np.moveaxis(quarter, 1, 0))
+            total += map(sum, zip(br(br(x, y), z), br(br(y, z), x), br(br(z, x), y)))
+        return _worst(*total), {}
+    yield "algebra.02-jacobi", "jacobi-identity", -math.inf, 1e-12, jacobi
 
-    draws = rng.uniform(-1, 1, size=(200, 12))
-    v, w = _algebra_stack(draws[:, :10])
-    scales = np.stack([draws[:, 10], draws[:, 11], draws[:, 10] + draws[:, 11]])  # s, t, s + t
-    a, L = algebra.exp_batch(scales[..., None] * v, scales[..., None, None] * w)
-    left_a, left_L = compose_batch((a[0], L[0]), (a[1], L[1]))
-    rec.add("algebra.05-subgroup-law", "one-parameter-subgroup",
-            _worst(left_a - a[2], left_L - L[2]), 1e-9)
+    lorentz = functools.cache(lambda: algebra.exp_batch(*_algebra_stack(singles))[1])
+    yield ("algebra.03-exp-orthogonality", "exp-lands-in-lorentz-group", -math.inf, 1e-10,
+           lambda: (_worst(np.swapaxes(lorentz(), -1, -2) @ ETA @ lorentz() - ETA), {}))
+    yield ("algebra.04-exp-determinant", "exp-lands-in-lorentz-group", -math.inf, 1e-9,
+           lambda: (_worst(np.linalg.det(lorentz()) - 1.0), {}))
 
-    diffs = []
-    for _ in range(100):
-        x = _random_algebra(rng)
-        rot, boo = algebra.polarize(x)
-        rot2, boo2 = algebra.polarize(rot)
-        diffs += [rot.w + boo.w - x.w, rot2.w - rot.w, boo2.w]
-    # a rotation generator is all rotation and a boost generator all boost, which
-    # tells the two outputs apart
-    for i in (1, 2, 3):
-        J, K = algebra.rotation_generator(i), algebra.boost_generator(i)
-        (rot, boo), (rot2, boo2) = algebra.polarize(J), algebra.polarize(K)
-        diffs += [rot.w - J.w, boo.w, rot2.w, boo2.w - K.w]
-    rec.add("algebra.06-polarize-projection", "rotation-boost-split", _worst(*diffs), 1e-14)
+    def subgroup():
+        v, w = _algebra_stack(draws[:, :10])
+        scales = np.stack([draws[:, 10], draws[:, 11], draws[:, 10] + draws[:, 11]])  # s, t, s + t
+        a, L = algebra.exp_batch(scales[..., None] * v, scales[..., None, None] * w)
+        left_a, left_L = compose_batch((a[0], L[0]), (a[1], L[1]))
+        return _worst(left_a - a[2], left_L - L[2]), {}
+    yield "algebra.05-subgroup-law", "one-parameter-subgroup", -math.inf, 1e-9, subgroup
 
-    a, L = algebra.exp_batch(*_algebra_stack(rng.uniform(-1, 1, size=(100, 2, 10))))
-    g, h = (a[:, 0], L[:, 0]), (a[:, 1], L[:, 1])
-    adj = lorentz_adjoint(L[:, 0])
-    worst = _worst(lorentz_adjoint(adj) - L[:, 0], L[:, 0] @ adj - np.eye(4),
-                   homogeneous_batch(*compose_batch(g, h))
-                   - homogeneous_batch(*g) @ homogeneous_batch(*h))
-    rec.add("algebra.07-adjoint-homomorphism", "adjoint-inverse-and-matrix-view",
-            worst, 1e-10)
+    def projection():
+        diffs = []
+        for coeffs in elements:
+            x = algebra.AlgebraElement(*_algebra_stack(coeffs))
+            rot, boo = algebra.polarize(x)
+            rot2, boo2 = algebra.polarize(rot)
+            diffs += [rot.w + boo.w - x.w, rot2.w - rot.w, boo2.w]
+        # a rotation generator is all rotation and a boost generator all boost, which
+        # tells the two outputs apart
+        for i in (1, 2, 3):
+            J, K = algebra.rotation_generator(i), algebra.boost_generator(i)
+            (rot, boo), (rot2, boo2) = algebra.polarize(J), algebra.polarize(K)
+            diffs += [rot.w - J.w, boo.w, rot2.w, boo2.w - K.w]
+        return _worst(*diffs), {}
+    yield "algebra.06-polarize-projection", "rotation-boost-split", -math.inf, 1e-14, projection
+
+    def homomorphism():
+        a, L = algebra.exp_batch(*_algebra_stack(pairs))
+        g, h = (a[:, 0], L[:, 0]), (a[:, 1], L[:, 1])
+        adj = lorentz_adjoint(L[:, 0])
+        return _worst(lorentz_adjoint(adj) - L[:, 0], L[:, 0] @ adj - np.eye(4),
+                      homogeneous_batch(*compose_batch(g, h))
+                      - homogeneous_batch(*g) @ homogeneous_batch(*h)), {}
+    yield ("algebra.07-adjoint-homomorphism", "adjoint-inverse-and-matrix-view", -math.inf,
+           1e-10, homomorphism)
 
 
 # --------------------------------------------------------------------------
@@ -276,64 +232,91 @@ def _random_algebra_form(lat: Lattice, rng) -> deformation.AlgebraForm:
     om = np.zeros(lat.shape + (p, 4, 4))
     gens = [algebra.rotation_matrix_generator(i) for i in (1, 2, 3)] \
         + [algebra.boost_matrix_generator(i) for i in (1, 2, 3)]
+
+    def mode(low, high):
+        amp, ph = rng.uniform(low, high), rng.uniform(0, 6)
+        ks = rng.uniform(0.5, 1.5, size=p)
+        return amp * np.sin(sum(k * c for k, c in zip(ks, coords)) + ph)
+
     for a in range(p):
         for m in range(4):
-            amp, ph = rng.uniform(0.1, 0.4), rng.uniform(0, 6)
-            ks = rng.uniform(0.5, 1.5, size=p)
-            xi[..., a, m] = amp * np.sin(sum(k * c for k, c in zip(ks, coords)) + ph)
+            xi[..., a, m] = mode(0.1, 0.4)
         for G in gens:
-            amp, ph = rng.uniform(0.05, 0.25), rng.uniform(0, 6)
-            ks = rng.uniform(0.5, 1.5, size=p)
-            om[..., a, :, :] += (amp * np.sin(sum(k * c for k, c in zip(ks, coords)) + ph))[..., None, None] * G
+            om[..., a, :, :] += mode(0.05, 0.25)[..., None, None] * G
     return deformation.AlgebraForm(FormField(lat, 1, xi), FormField(lat, 1, om))
 
 
-def _suite_forms(rec: _Recorder, rng, options):
+def _outcome(call, *args):
+    """call(*args), or the failure it raised: a field's failure fails only its readers."""
+    try:
+        return call(*args)
+    except _FAILURES as exc:
+        return exc
+
+
+def _suite_forms(rng, options):
     n0, n1 = options.get("grids", DEFAULT_GRIDS)
-    # the fourteen lattice norms are pure functions of their arguments and use no rng:
-    # workers compute them while the checks are recorded, each collected as it is due.
-    # forms.05's come first: its fine field is the longest, and started first it
-    # leaves the shorter dislocation fields to balance the workers' loads
-    norms_of = [functools.partial(_bianchi_norm, n) for n in (n0, n1)]
-    norms_of += [functools.partial(_dislocation_norm, p, n, which)
-                 for p in (2, 3) for which in range(3) for n in (n0, n1)]
-    with _forked_results(norms_of, ahead=len(norms_of)) as results:
-        lat = _lattice(2, 15)
-        data = rng.standard_normal(lat.shape + (1,))
-        f = FormField(lat, 0, data)
-        rec.add("forms.01-dd-zero", "nilpotent-exterior-derivative",
-                ext_d(ext_d(f)).interior_max(), 1e-12)
+    data, a, b = (rng.standard_normal((15, 15, k)) for k in (1, 2, 2))
+    # the fourteen lattice norms are pure functions of their arguments and use no rng: workers
+    # compute them while the checks run, each collected when a check first reads it.  forms.05's
+    # come first: its fine field is the longest, and started first it leaves the shorter
+    # dislocation fields to balance the workers' loads
+    calls = [functools.partial(_outcome, _bianchi_norm, n) for n in (n0, n1)]
+    calls += [functools.partial(_outcome, _dislocation_norm, p, n, which)
+              for p in (2, 3) for which in range(3) for n in (n0, n1)]
+    with _forked_results(calls, ahead=len(calls)) as results:
+        got = []
 
-        a = FormField(lat, 1, rng.standard_normal(lat.shape + (2,)))
-        b = FormField(lat, 1, rng.standard_normal(lat.shape + (2,)))
-        asym = wedge(a, b) + wedge(b, a)
-        rec.add("forms.02-wedge-antisymmetry", "graded-antisymmetry", asym.max_norm(), 1e-12)
+        def norm(k):
+            """Field k's norm; the fields are collected in order, each keeping its outcome."""
+            while len(got) <= k:
+                try:
+                    got.append(next(results))
+                except _FAILURES as exc:  # the pool broke, and no later field will come
+                    got.extend([exc] * (len(calls) - len(got)))
+            if isinstance(got[k], Exception):
+                raise got[k]
+            return got[k]
 
-        nc, nf = next(results), next(results)
-        rec.bracket("forms.05-bianchi-order", "second-compatibility-identity", 1.7,
-                    _order(nc, nf), 2.3, {"field": "incompatibility", "grid": [n0, n1], "norm": nf})
-        for p in (2, 3):
-            norms = np.array([[next(results) for n in (n0, n1)] for which in range(3)])
+        def dislocation_norms(p):  # rows: the three fields; columns: the coarse and fine grid
+            return np.array([norm(k) for k in range(6 * p - 10, 6 * p - 4)]).reshape(3, 2)
+
+        def dislocation_order(p):
+            norms = dislocation_norms(p)
             ratio = norms[:, 0] / norms[:, 1]
-            lo, hi, worst_fine = float(ratio.min()), float(ratio.max()), _worst(norms[:, 1])
-            order = float(np.min([_order(coarse, fine) for coarse, fine in norms]))
-            rec.bracket(f"forms.03-dislocation-order-p{p}", "nabla-squared-vanishes", 1.7, order,
-                        2.3, {"field": "dislocation", "grid": [n0, n1], "norm": worst_fine,
-                              "ratio_range": [lo, hi]})
-            rec.add(f"forms.04-dislocation-norm-p{p}", "nabla-squared-vanishes", worst_fine, 1e-3)
+            return (float(np.min([_order(coarse, fine) for coarse, fine in norms])),
+                    {"field": "dislocation", "grid": [n0, n1], "norm": _worst(norms[:, 1]),
+                     "ratio_range": [float(ratio.min()), float(ratio.max())]})
 
-    lat2 = _lattice(2, 21)
-    coords = lat2.coords()
-    xi = np.zeros(lat2.shape + (2, 4))
-    xi[..., 0, 1] = coords[1]  # translation-valued rho^2 d rho^1
-    E = deformation.AlgebraForm(FormField(lat2, 1, xi),
-                                FormField(lat2, 1, np.zeros(lat2.shape + (2, 4, 4))))
-    Om = deformation.dislocation(E)
-    hand = np.zeros(lat2.shape + (1, 4))
-    hand[..., 0, 1] = -1.0
-    rec.add("forms.06-hand-dislocation", "torsion-of-a-linear-shear",
-            _worst(Om.tra.data - hand), 1e-10,
-            {"residual_closedness": deformation.closedness_residual(E)})
+        def antisymmetry():
+            fa, fb = (FormField(_lattice(2, 15), 1, arr) for arr in (a, b))
+            return (wedge(fa, fb) + wedge(fb, fa)).max_norm(), {}
+
+        yield ("forms.01-dd-zero", "nilpotent-exterior-derivative", -math.inf, 1e-12,
+               lambda: (ext_d(ext_d(FormField(_lattice(2, 15), 0, data))).interior_max(), {}))
+        yield "forms.02-wedge-antisymmetry", "graded-antisymmetry", -math.inf, 1e-12, antisymmetry
+        yield ("forms.05-bianchi-order", "second-compatibility-identity", 1.7, 2.3,
+               lambda: (_order(norm(0), norm(1)),
+                        {"field": "incompatibility", "grid": [n0, n1], "norm": norm(1)}))
+        for p in (2, 3):
+            yield (f"forms.03-dislocation-order-p{p}", "nabla-squared-vanishes", 1.7, 2.3,
+                   functools.partial(dislocation_order, p))
+            yield (f"forms.04-dislocation-norm-p{p}", "nabla-squared-vanishes", -math.inf, 1e-3,
+                   lambda p=p: (_worst(dislocation_norms(p)[:, 1]), {}))
+
+    def hand_dislocation():
+        lat = _lattice(2, 21)
+        coords = lat.coords()
+        xi = np.zeros(lat.shape + (2, 4))
+        xi[..., 0, 1] = coords[1]  # translation-valued rho^2 d rho^1
+        E = deformation.AlgebraForm(FormField(lat, 1, xi),
+                                    FormField(lat, 1, np.zeros(lat.shape + (2, 4, 4))))
+        hand = np.zeros(lat.shape + (1, 4))
+        hand[..., 0, 1] = -1.0
+        return (_worst(deformation.dislocation(E).tra.data - hand),
+                {"residual_closedness": deformation.closedness_residual(E)})
+    yield ("forms.06-hand-dislocation", "torsion-of-a-linear-shear", -math.inf, 1e-10,
+           hand_dislocation)
 
 
 # --------------------------------------------------------------------------
@@ -354,115 +337,95 @@ def _bump_state(lat: Lattice) -> kinematics.KinematicalState:
     return kinematics.prolong(lat, fn)
 
 
-def _random_phi(lat: Lattice, rng) -> dynamics.DynamicalState:
-    return dynamics.DynamicalState(lat, *map(rng.standard_normal, kinematics.jet_slot_shapes(lat)))
-
-
-def _random_eulerian_variation(lat: Lattice, rng) -> dynamics.EulerianVariation:
-    p = lat.p
-    def anti(shape):
-        raw = rng.standard_normal(shape)
-        low = 0.5 * (raw - np.swapaxes(raw, -1, -2))
-        return np.einsum("ij,...jk->...ik", ETA, low)  # raise first index
-    return dynamics.EulerianVariation(
-        rng.standard_normal(lat.shape + (4,)), anti(lat.shape + (4, 4)),
-        rng.standard_normal(lat.shape + (p, 4)), anti(lat.shape + (p, 4, 4)))
-
-
-def _invariant_phi(lat: Lattice, s: kinematics.KinematicalState, rng) -> dynamics.DynamicalState:
-    """Fundamental form with F = 0 and the couple chosen by the internal-couple identity."""
-    p = lat.p
-    sigma = rng.standard_normal(lat.shape + (p, 4))
-    mu = rng.standard_normal(lat.shape + (p, 4, 4))
-    phi0 = dynamics.DynamicalState(lat, np.zeros(lat.shape + (4,)),
-                                   np.zeros(lat.shape + (4, 4)), sigma, mu)
-    Mbar0, _ = dynamics.barred_moments(phi0, s)
-    e_low_t = np.einsum("...jk,jl->...kl", s.e, ETA)          # (e^T eta) per point
-    M = np.einsum("...ij,...jk->...ik", -Mbar0, np.linalg.inv(e_low_t))
-    return dynamics.DynamicalState(lat, phi0.F, M, sigma, mu)
+def _solved_couple(s: kinematics.KinematicalState, F, sigma, mu, Mbar=0.0):
+    """The form (F, M, sigma, mu) with M solved so that its barred couple moment is Mbar."""
+    zero = dynamics.DynamicalState(s.lattice, F, np.zeros(s.lattice.shape + (4, 4)), sigma, mu)
+    inv = np.linalg.inv(np.einsum("...jk,jl->...kl", s.e, ETA))          # (e^T eta)^-1 per point
+    M = np.einsum("...ij,...jk->...ik", Mbar - dynamics.barred_moments(zero, s)[0], inv)
+    return dynamics.DynamicalState(s.lattice, F, M, sigma, mu)
 
 
 def _manufactured_standard(lat: Lattice):
     """Analytic sigma/mubar with hand divergences on the canonical state (p = 2)."""
-    coords = lat.coords()
-    r1, r2 = coords[0], coords[1]
-    p = lat.p
+    r1, r2 = lat.coords()
     cvec = np.array([1.0, -0.7, 0.4, 0.2])
     dvec = np.array([0.3, 1.1, -0.5, 0.6])
-    sigma = np.zeros(lat.shape + (p, 4))
+    sigma = np.zeros(lat.shape + (2, 4))
     sigma[..., 0, :] = np.sin(r1 + 0.5 * r2)[..., None] * cvec
     sigma[..., 1, :] = np.cos(0.4 * r1 - r2)[..., None] * dvec
-    div_sigma = (np.cos(r1 + 0.5 * r2)[..., None] * cvec
-                 + np.sin(0.4 * r1 - r2)[..., None] * dvec)
+    div_sigma = np.cos(r1 + 0.5 * r2)[..., None] * cvec + np.sin(0.4 * r1 - r2)[..., None] * dvec
     A1 = np.zeros((4, 4)); A1[0, 1], A1[1, 0] = 1.0, -1.0
     A2 = np.zeros((4, 4)); A2[2, 3], A2[3, 2] = 1.0, -1.0
-    mubar = np.zeros(lat.shape + (p, 4, 4))
+    mubar = np.zeros(lat.shape + (2, 4, 4))
     mubar[..., 0, :, :] = np.sin(r1) [..., None, None] * A1 + (r2 ** 2)[..., None, None] * A2
     mubar[..., 1, :, :] = np.cos(r2)[..., None, None] * A1
-    div_mubar = (np.cos(r1)[..., None, None] * A1
-                 - np.sin(r2)[..., None, None] * A1)
+    div_mubar = np.cos(r1)[..., None, None] * A1 - np.sin(r2)[..., None, None] * A1
     return sigma, div_sigma, mubar, div_mubar
 
 
-def _phi_realizing(lat, s, sigma, F_target, mubar_target, Mbar_target) -> dynamics.DynamicalState:
+def _phi_realizing(s, sigma, F_target, mubar_target, Mbar_target) -> dynamics.DynamicalState:
     """Solve for raw (M, mu) so the barred moments hit the analytic targets."""
-    e_low_t = np.einsum("...jk,jl->...kl", s.e, ETA)
-    inv = np.linalg.inv(e_low_t)
+    inv = np.linalg.inv(np.einsum("...jk,jl->...kl", s.e, ETA))
     x_low = s.x @ ETA
     sig_x = 0.5 * (np.einsum("...ai,...j->...aij", sigma, x_low)
                    - np.einsum("...aj,...i->...aij", sigma, x_low))
     mu = np.einsum("...aij,...jk->...aik", mubar_target - sig_x, inv)
-    phi0 = dynamics.DynamicalState(lat, F_target, np.zeros(lat.shape + (4, 4)), sigma, mu)
-    Mbar0, _ = dynamics.barred_moments(phi0, s)
-    M = np.einsum("...ij,...jk->...ik", Mbar_target - Mbar0, inv)
-    return dynamics.DynamicalState(lat, F_target, M, sigma, mu)
+    return _solved_couple(s, F_target, sigma, mu, Mbar_target)
 
 
-def _suite_cosserat(rec: _Recorder, rng, options):
-    lat = _lattice(2, 9)
-    s = _bump_state(lat)
-
-    phi_inv = _invariant_phi(lat, s, rng)
-    rF, rM = dynamics.poincare_invariance_residual(phi_inv, s)
-    rec.add("cosserat.01-invariant-construction", "rigid-motion-work-vanishes",
-            _worst(rF, rM), 1e-12)
-
-    phi = _random_phi(lat, rng)
-    var_e = _random_eulerian_variation(lat, rng)
-    var_l = dynamics.lagrangian_of(var_e, s)
-    d1 = dynamics.virtual_work_density(phi, s, var_l)
-    d2 = dynamics.virtual_work_density(phi, s, var_e)
-    rec.add("cosserat.02-picture-crosscheck", "work-density-picture-independence",
-            _worst(d1 - d2) / _worst(1.0, d1), 1e-12)
-
+def _suite_cosserat(rng, options):
+    # 9 x 9 lattice, p = 2: the invariant form's sigma and mu, a form's and a variation's slots
+    jet = ((4,), (4, 4), (2, 4), (2, 4, 4))
+    sigma, mu, *draws = [rng.standard_normal((9, 9) + tail) for tail in jet[2:] + jet + jet]
+    state = functools.cache(lambda: _bump_state(_lattice(2, 9)))
     grids = (9, 17)
-    norm, mism = {}, {}  # one build per grid serves cosserat.03 and .04; its time is .03's
-    for n in grids:
-        latn = _lattice(2, n)
-        sn = _bump_state(latn)
-        sigma_n, div_sigma_n, mubar_n, div_mubar_n = _manufactured_standard(latn)
-        phin = _phi_realizing(latn, sn, sigma_n, div_sigma_n, mubar_n, div_mubar_n)
-        r1, r2 = dynamics.cosserat_residual(phin, sn)
-        sel = latn.interior()
-        norm[n] = _worst(r1[sel], r2[sel])
-        coords = latn.coords()
-        dxi0 = np.stack([np.sin(coords[0]), np.cos(0.7 * coords[1]),
-                         coords[0] * coords[1], 0.5 * np.ones(latn.shape)], axis=-1)
-        G = np.zeros((4, 4)); G[0, 1] = G[1, 0] = 1.0
-        dI0 = np.cos(coords[0] + coords[1])[..., None, None] * G
-        bulk, boundary = dynamics.total_virtual_work(phin, sn, dxi0, dI0)
-        direct = dynamics.direct_virtual_work(phin, sn, dxi0, dI0)
-        mism[n] = abs(bulk + boundary - direct)
-    order = _order(norm[grids[0]], norm[grids[1]])
-    rec.bracket("cosserat.03-manufactured-order", "stress-couple-balance", 1.7, order, 2.3,
-                {"field": "balance-residual", "grid": list(grids), "norm": norm[grids[1]]})
-    order = _order(mism[grids[0]], mism[grids[1]])
-    rec.bracket("cosserat.04-integration-by-parts", "bulk-plus-flux-split", 1.5, order, 2.7,
-                {"mismatch": mism[grids[1]], "grid": list(grids)})
 
-    _, r2 = dynamics.cosserat_residual(phi, s)
-    rec.add("cosserat.05-couple-residual-antisymmetry", "couple-balance-antisymmetry",
-            _worst(r2 + np.swapaxes(r2, -1, -2)), 1e-12)
+    def invariant():  # F = 0 and the couple chosen by the internal-couple identity
+        phi = _solved_couple(state(), np.zeros((9, 9, 4)), sigma, mu)
+        return _worst(*dynamics.poincare_invariance_residual(phi, state())), {}
+    yield ("cosserat.01-invariant-construction", "rigid-motion-work-vanishes", -math.inf, 1e-12,
+           invariant)
+
+    def pictures():
+        s = state()
+        phi = dynamics.DynamicalState(s.lattice, *draws[:4])
+        dxi, dI, dxij, dIj = draws[4:]  # the rotation slots made antisymmetric, then raised
+        var_e = dynamics.EulerianVariation(dxi, ETA @ (0.5 * (dI - np.swapaxes(dI, -1, -2))), dxij,
+                                           ETA @ (0.5 * (dIj - np.swapaxes(dIj, -1, -2))))
+        d1 = dynamics.virtual_work_density(phi, s, dynamics.lagrangian_of(var_e, s))
+        d2 = dynamics.virtual_work_density(phi, s, var_e)
+        return _worst(d1 - d2) / _worst(1.0, d1), {}
+    yield ("cosserat.02-picture-crosscheck", "work-density-picture-independence", -math.inf,
+           1e-12, pictures)
+
+    @functools.cache
+    def manufactured(n):
+        """The state on grid n and the form whose barred moments are the analytic targets."""
+        lat = _lattice(2, n)
+        s = _bump_state(lat)
+        return s, _phi_realizing(s, *_manufactured_standard(lat))
+
+    def manufactured_order():
+        norm = []
+        for s, phi in map(manufactured, grids):
+            sel = s.lattice.interior()
+            norm.append(_worst(*(r[sel] for r in dynamics.cosserat_residual(phi, s))))
+        return _order(*norm), {"field": "balance-residual", "grid": list(grids), "norm": norm[1]}
+    yield "cosserat.03-manufactured-order", "stress-couple-balance", 1.7, 2.3, manufactured_order
+
+    def integration_by_parts():
+        mism = []
+        for s, phi in map(manufactured, grids):
+            coords = s.lattice.coords()
+            dxi0 = np.stack([np.sin(coords[0]), np.cos(0.7 * coords[1]),
+                             coords[0] * coords[1], 0.5 * np.ones(s.lattice.shape)], axis=-1)
+            G = np.zeros((4, 4)); G[0, 1] = G[1, 0] = 1.0
+            dI0 = np.cos(coords[0] + coords[1])[..., None, None] * G
+            bulk, boundary = dynamics.total_virtual_work(phi, s, dxi0, dI0)
+            mism.append(abs(bulk + boundary - dynamics.direct_virtual_work(phi, s, dxi0, dI0)))
+        return _order(*mism), {"mismatch": mism[1], "grid": list(grids)}
+    yield ("cosserat.04-integration-by-parts", "bulk-plus-flux-split", 1.5, 2.7,
+           integration_by_parts)
 
 
 # --------------------------------------------------------------------------
@@ -474,97 +437,118 @@ def _boosted_momentum(rng):
     return np.array([np.sqrt(1.0 + v @ v), *v])
 
 
-def _suite_dirac(rec: _Recorder, rng, options):
-    rec.add("dirac.01-clifford", "clifford-anticommutation", dirac.clifford_defect(), 1e-14)
-    rec.add("dirac.02-hermiticity", "gamma-hermiticity-pattern", dirac.hermiticity_defect(),
-            1e-14)
+def _suite_dirac(rng, options):
+    # 25 waves (momentum, spin, sign) at x, two momentum seeds, then 10 waves (momentum, spin) at x
+    draws = [(_boosted_momentum(rng), int(rng.integers(2)), 1 if rng.uniform() < 0.5 else -1,
+              rng.uniform(-1, 1, size=4)) for _ in range(25)]
+    seeds = int(rng.integers(2 ** 31)), int(rng.integers(2 ** 31))
+    duals = [(_boosted_momentum(rng), int(rng.integers(2)), rng.uniform(-1, 1, size=4))
+             for _ in range(10)]
+    waves = functools.cache(lambda: [(dirac.make_plane_wave(p, k, sign), x)
+                                     for p, k, sign, x in draws])
+    records = functools.cache(lambda: [(st, dirac.takabayasi(st, x)) for st, x in waves()])
 
-    res, speed, frenkel, modulus = [], [], [], []
-    for _ in range(25):
-        p = _boosted_momentum(rng)
-        st = dirac.make_plane_wave(p, int(rng.integers(2)), 1 if rng.uniform() < 0.5 else -1)
-        x = rng.uniform(-1, 1, size=4)
-        res.append(dirac.dirac_residual(st, x))
-        tk = dirac.takabayasi(st, x)
-        speed.append(float(tk.u @ ETA @ tk.u) - st.c ** 2)
-        frenkel.append((ETA @ tk.u) @ tk.S)
-        modulus.append(tk.Omega ** 2 + tk.Omega_hat ** 2 - tk.rho ** 2)
-    rec.add("dirac.03-planewave-residual", "free-wave-equation", _worst(*res), 1e-12)
-    rec.add("dirac.04-velocity-normalization", "unit-speed-constraint", _worst(*speed), 1e-10)
-    rec.add("dirac.05-frenkel", "velocity-annihilates-spin", _worst(*frenkel), 1e-10)
-    rec.add("dirac.06-takabayasi-identity", "scalar-pseudoscalar-modulus", _worst(*modulus), 1e-10)
+    def two_waves():
+        p1, p2 = (_boosted_momentum(np.random.default_rng(seed)) for seed in seeds)
+        rep = dirac.conservation_report(
+            dirac.superpose(dirac.make_plane_wave(p1, 0), dirac.make_plane_wave(p2, 1)))
+        return rep.max_residual(), {"points": rep.points}
 
-    p1 = _boosted_momentum(np.random.default_rng(int(rng.integers(2 ** 31))))
-    p2 = _boosted_momentum(np.random.default_rng(int(rng.integers(2 ** 31))))
-    two = dirac.superpose(dirac.make_plane_wave(p1, 0), dirac.make_plane_wave(p2, 1))
-    rep = dirac.conservation_report(two)
-    rec.add("dirac.07-two-wave-conservation", "local-balance-laws", rep.max_residual(),
-            1e-10, {"points": rep.points})
+    def duality():
+        diffs = []
+        for p, k, x in duals:
+            tk = dirac.takabayasi(dirac.make_plane_wave(p, k), x)
+            diffs.append(dirac.spin_form_from_dual(tk.u, tk.S_hat) - tk.S_form)
+        return _worst(*diffs), {}
 
-    diffs = []
-    for _ in range(10):
-        st = dirac.make_plane_wave(_boosted_momentum(rng), int(rng.integers(2)))
-        x = rng.uniform(-1, 1, size=4)
-        tk = dirac.takabayasi(st, x)
-        diffs.append(dirac.spin_form_from_dual(tk.u, tk.S_hat) - tk.S_form)
-    rec.add("dirac.08-duality-roundtrip", "spin-axis-duality", _worst(*diffs), 1e-12)
+    yield ("dirac.01-clifford", "clifford-anticommutation", -math.inf, 1e-14,
+           lambda: (dirac.clifford_defect(), {}))
+    yield ("dirac.02-hermiticity", "gamma-hermiticity-pattern", -math.inf, 1e-14,
+           lambda: (dirac.hermiticity_defect(), {}))
+    yield ("dirac.03-planewave-residual", "free-wave-equation", -math.inf, 1e-12,
+           lambda: (_worst(*[dirac.dirac_residual(st, x) for st, x in waves()]), {}))
+    yield ("dirac.04-velocity-normalization", "unit-speed-constraint", -math.inf, 1e-10,
+           lambda: (_worst(*[float(tk.u @ ETA @ tk.u) - st.c ** 2 for st, tk in records()]), {}))
+    yield ("dirac.05-frenkel", "velocity-annihilates-spin", -math.inf, 1e-10,
+           lambda: (_worst(*[(ETA @ tk.u) @ tk.S for _, tk in records()]), {}))
+    yield ("dirac.06-takabayasi-identity", "scalar-pseudoscalar-modulus", -math.inf, 1e-10,
+           lambda: (_worst(*[tk.Omega ** 2 + tk.Omega_hat ** 2 - tk.rho ** 2
+                             for _, tk in records()]), {}))
+    yield "dirac.07-two-wave-conservation", "local-balance-laws", -math.inf, 1e-10, two_waves
+    yield "dirac.08-duality-roundtrip", "spin-axis-duality", -math.inf, 1e-12, duality
 
 
 # --------------------------------------------------------------------------
 # weyssenhoff suite
 
 
-def _random_element(rng, c=1.0) -> weyssenhoff.WeyssenhoffElement:
-    v = rng.uniform(-0.4, 0.4, size=3)
+def _element_draws(rng) -> tuple:
+    """The draws of one random element: boost velocity, raw spin, rho0 and a raw acceleration."""
+    return (rng.uniform(-0.4, 0.4, size=3), rng.standard_normal((4, 4)), rng.uniform(0.5, 2.0),
+            rng.standard_normal(4))
+
+
+def _element(draws, c=1.0) -> weyssenhoff.WeyssenhoffElement:
+    """The random element built from `_element_draws`."""
+    v, raw_low, rho0, raw_a = draws
     gamma = 1.0 / np.sqrt(1 - (v @ v) / c ** 2)
     u = gamma * np.array([c, *v])
     P = weyssenhoff.frenkel_projector(u, c)
-    raw_low = rng.standard_normal((4, 4))
-    raw_low = 0.5 * (raw_low - raw_low.T)
-    s = P @ (ETA @ raw_low) @ P
-    rho0 = rng.uniform(0.5, 2.0)
-    a_seed = P @ rng.standard_normal(4)
+    s = P @ (ETA @ (0.5 * (raw_low - raw_low.T))) @ P
     pi = weyssenhoff.transverse_momentum(
-        weyssenhoff.WeyssenhoffElement(np.zeros(4), u, rho0 * (ETA @ u), s, c=c), a_seed)
+        weyssenhoff.WeyssenhoffElement(np.zeros(4), u, rho0 * (ETA @ u), s, c=c), P @ raw_a)
     g = rho0 * (ETA @ u) + ETA @ pi
     return weyssenhoff.WeyssenhoffElement(np.zeros(4), u, g, s, c=c)
 
 
-def _suite_weyssenhoff(rec: _Recorder, rng, options):
-    trace, asym, split = [], [], []
-    for _ in range(50):
-        el = _random_element(rng)
-        st = weyssenhoff.stress_tensors(el)
-        sp = weyssenhoff.split_momentum(el.g, el.u, el.c)
-        trace.append(st.trace - sp.rho0 * el.c ** 2)
-        u_low = ETA @ el.u
-        asym.append(st.T_asym - 0.5 * (np.outer(sp.pi_low, u_low) - np.outer(u_low, sp.pi_low)))
-        a, _, _ = weyssenhoff._acceleration(el.u, el.s, el.g, el.c, 1e-6)
-        g2 = weyssenhoff.momentum_from_state(el, a, tol=1e-6)
-        sp2 = weyssenhoff.split_momentum(g2, el.u, el.c)
-        split += [sp2.rho0 - sp.rho0, sp2.pi_low - sp.pi_low]
-    rec.add("weyssenhoff.01-trace-identity", "stress-trace-is-rest-energy", _worst(*trace), 1e-12)
-    rec.add("weyssenhoff.02-antisymmetric-part", "transverse-momentum-bivector", _worst(*asym),
-            1e-12)
-    rec.add("weyssenhoff.03-split-rebuild", "momentum-split-roundtrip", _worst(*split), 1e-12)
+def _suite_weyssenhoff(rng, options):
+    draws = [_element_draws(rng) for _ in range(50)]
+    n, dt = options.get("steps", DEFAULT_STEPS), options.get("dtau", DEFAULT_DTAU)
+    elements = functools.cache(lambda: [_element(d) for d in draws])
+    stresses = functools.cache(lambda: [weyssenhoff.stress_tensors(el) for el in elements()])
+    splits = functools.cache(lambda: [weyssenhoff.split_momentum(el.g, el.u, el.c)
+                                      for el in elements()])
 
-    c = 1.0
-    u0 = np.array([c, 0, 0, 0])
-    el = weyssenhoff.WeyssenhoffElement(np.zeros(4), u0, ETA @ u0 * 1.3,
-                                        weyssenhoff.spin_matrix_from_components([0, 0, 0, 0.5, 0, 0]))
-    n = options.get("steps", DEFAULT_STEPS)
-    dt = options.get("dtau", DEFAULT_DTAU)
-    traj = weyssenhoff.integrate_worldline(el, n, dt)
-    dev = _worst(traj.u - u0, traj.x - np.outer(traj.tau, u0))
-    rec.add("weyssenhoff.04-aligned-momentum-is-inertial", "stationary-spin-solution", dev, 1e-10)
+    def antisymmetric_part():
+        asym = []
+        for el, st, sp in zip(elements(), stresses(), splits()):
+            u_low = ETA @ el.u
+            asym.append(st.T_asym - 0.5 * (np.outer(sp.pi_low, u_low)
+                                           - np.outer(u_low, sp.pi_low)))
+        return _worst(*asym), {}
 
-    el = _random_element(np.random.default_rng(11))
-    t1 = weyssenhoff.integrate_worldline(el, n, dt)
-    t2 = weyssenhoff.integrate_worldline(el, 2 * n, dt / 2)
-    d1, d2 = (_worst(t.drift_summary()["u_norm"], t.drift_summary()["frenkel"]) for t in (t1, t2))
-    order = _order(d1, d2)
-    rec.bracket("weyssenhoff.05-drift-order", "integrator-constraint-drift", 3.7, order, 100.0,
-                {"coarse": d1, "fine": d2})
+    def split_rebuild():
+        diffs = []
+        for el, sp in zip(elements(), splits()):
+            a, _, _ = weyssenhoff._acceleration(el.u, el.s, el.g, el.c, 1e-6)
+            g2 = weyssenhoff.momentum_from_state(el, a, tol=1e-6)
+            sp2 = weyssenhoff.split_momentum(g2, el.u, el.c)
+            diffs += [sp2.rho0 - sp.rho0, sp2.pi_low - sp.pi_low]
+        return _worst(*diffs), {}
+
+    def inertial():
+        u0 = np.array([1.0, 0, 0, 0])
+        s = weyssenhoff.spin_matrix_from_components([0, 0, 0, 0.5, 0, 0])
+        el = weyssenhoff.WeyssenhoffElement(np.zeros(4), u0, ETA @ u0 * 1.3, s)
+        traj = weyssenhoff.integrate_worldline(el, n, dt)
+        return _worst(traj.u - u0, traj.x - np.outer(traj.tau, u0)), {}
+
+    def drift_order():
+        el = _element(_element_draws(np.random.default_rng(11)))
+        runs = (weyssenhoff.integrate_worldline(el, k * n, dt / k) for k in (1, 2))
+        d1, d2 = (_worst(t.drift_summary()["u_norm"], t.drift_summary()["frenkel"]) for t in runs)
+        return _order(d1, d2), {"coarse": d1, "fine": d2}
+
+    yield ("weyssenhoff.01-trace-identity", "stress-trace-is-rest-energy", -math.inf, 1e-12,
+           lambda: (_worst(*[st.trace - sp.rho0 * el.c ** 2
+                             for el, st, sp in zip(elements(), stresses(), splits())]), {}))
+    yield ("weyssenhoff.02-antisymmetric-part", "transverse-momentum-bivector", -math.inf,
+           1e-12, antisymmetric_part)
+    yield ("weyssenhoff.03-split-rebuild", "momentum-split-roundtrip", -math.inf, 1e-12,
+           split_rebuild)
+    yield ("weyssenhoff.04-aligned-momentum-is-inertial", "stationary-spin-solution", -math.inf,
+           1e-10, inertial)
+    yield "weyssenhoff.05-drift-order", "integrator-constraint-drift", 3.7, 100.0, drift_order
 
 
 _SUITES = {
@@ -579,9 +563,10 @@ _SUITES = {
 def run_suite(name: str, seed: int = 0, options: dict = None) -> list[SuiteReport]:
     """Run one named suite (or 'all'); returns one report per suite executed.
 
-    A suite that raises ArithmeticError, RuntimeError or ValueError keeps the checks
-    it recorded and gets one failed check `<suite>.error` (value NaN, tolerance 0)
-    whose extra.error names the exception; the next suite still runs.
+    A check passes iff low <= value <= tolerance; a bracket check (low > -inf) puts
+    low, high and its order estimate in extra.  A check that raises one of _FAILURES
+    keeps its id, law and tolerance, with value NaN and extra.error naming the error.
+    Each runtime_ms is a lap of one clock, since the suite's previous check ended.
     """
     options = dict(options or {})
     names = list(SUITE_NAMES) if name == "all" else [name]
@@ -589,12 +574,17 @@ def run_suite(name: str, seed: int = 0, options: dict = None) -> list[SuiteRepor
     for n in names:
         if n not in _SUITES:
             raise KeyError(f"unknown suite {n!r}; choose from {SUITE_NAMES + ('all',)}")
-        rec = _Recorder()
-        rng = np.random.default_rng(seed)
-        try:
-            _SUITES[n](rec, rng, options)
-        except (ArithmeticError, RuntimeError, ValueError) as exc:
-            rec.add(f"{n}.error", "plumbing", math.nan, 0.0,
-                    {"error": f"{type(exc).__name__}: {exc}"})
-        reports.append(SuiteReport(n, seed, rec.checks, all(c.passed for c in rec.checks)))
+        checks, lap = [], time.perf_counter()
+        for check_id, law, low, tol, measure in _SUITES[n](np.random.default_rng(seed), options):
+            try:
+                value, extra = measure()
+                if low > -math.inf:
+                    extra = {"low": low, "high": tol, "order_estimate": float(value), **extra}
+            except _FAILURES as exc:
+                value, extra = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
+            now = time.perf_counter()
+            checks.append(Check(check_id, law, float(value), float(tol),
+                                bool(low <= value <= tol), (now - lap) * 1000.0, extra))
+            lap = now
+        reports.append(SuiteReport(n, seed, checks, all(c.passed for c in checks)))
     return reports

@@ -121,7 +121,7 @@ def test_simulation_files_equal_the_writer_adapters(tmp_path):
 
 def _runaway_config(tmp_path, steps):
     """weyssenhoff.05's spacelike-momentum element: u^0 grows to 6e6 over 2000 steps."""
-    el = suites._random_element(np.random.default_rng(11))
+    el = suites._element(suites._element_draws(np.random.default_rng(11)))
     s = [(ETA @ el.s)[m, n] for m, n in weyssenhoff.SPIN_COMPONENTS]
     u, g, s = (" ".join(map(repr, np.ravel(a).tolist())) for a in (el.u, el.g, s))
     cfg = tmp_path / "wl.ini"
@@ -155,9 +155,36 @@ def test_raising_suite_writes_the_full_report_and_exits_one(tmp_path, capsys):
         assert main(["--suite", "weyssenhoff", "--json", str(out)]) == 1
     (report,) = json.loads(out.read_text())["reports"]
     assert report["passed"] is False
-    assert [c["id"] for c in report["checks"]] == ["weyssenhoff.error"]
-    assert report["checks"][0]["extra"]["error"].startswith("ClosureError: spin closure unsolvable")
-    assert "suite weyssenhoff: FAIL" in capsys.readouterr().out
+    assert [c["id"] for c in report["checks"]] == [
+        "weyssenhoff.01-trace-identity", "weyssenhoff.02-antisymmetric-part",
+        "weyssenhoff.03-split-rebuild", "weyssenhoff.04-aligned-momentum-is-inertial",
+        "weyssenhoff.05-drift-order"]
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["id"] for c in failed] == ["weyssenhoff.03-split-rebuild", "weyssenhoff.05-drift-order"]
+    for c in failed:
+        assert c["extra"]["error"].startswith("ClosureError: spin closure unsolvable")
+    out = capsys.readouterr().out
+    assert "suite weyssenhoff: FAIL" in out and out.count("[FAIL]") == 2
+
+
+def test_unknown_suite_is_usage_error(capsys):
+    assert main(["--suite", "bogus"]) == 2
+    assert capsys.readouterr().err == ("error: unknown suite 'bogus'; choose from ('algebra', "
+                                       "'forms', 'cosserat', 'dirac', 'weyssenhoff', 'all')\n")
+
+
+def test_only_a_suite_run_imports_the_suites(tmp_path):
+    # compiling suites.py costs a run resident memory, so a simulation does without it
+    code = ("import sys\nfrom cosrel.cli import main\n"
+            "assert 'cosrel.suites' not in sys.modules\n"
+            f"main(['--simulate', 'weyssenhoff-worldline', '--config', {str(tmp_path / 'wl.ini')!r}, "
+            f"'--steps', '5', '--output', {str(tmp_path / 't.csv')!r}])\n"
+            "assert 'cosrel.suites' not in sys.modules\n"
+            f"main(['--suite', 'dirac', '--json', {str(tmp_path / 'r.json')!r}])\n"
+            "assert 'cosrel.suites' in sys.modules\n")
+    (tmp_path / "wl.ini").write_text("[worldline]\nu = 1 0 0 0\n")
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
 
 
 def test_simulation_flag_overrides_config(tmp_path):
@@ -481,9 +508,9 @@ def test_vanished_refinement_error_fails_its_check(tmp_path, monkeypatch, capsys
     out = tmp_path / "rep.json"
     assert main(["--suite", "cosserat", "--json", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "suite cosserat: FAIL (seed 0)" and len(lines) == 6
+    assert lines[0] == "suite cosserat: FAIL (seed 0)" and len(lines) == 5
     checks = {c["id"]: c for c in json.loads(out.read_text())["reports"][0]["checks"]}
-    assert len(checks) == 5
+    assert len(checks) == 4
     failed = checks.pop("cosserat.04-integration-by-parts")
     assert np.isnan(failed["value"]) and failed["passed"] is False
     assert failed["extra"]["mismatch"] == 0.0

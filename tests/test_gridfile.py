@@ -1,6 +1,8 @@
 """The grid-file codec: exact text, refusal of malformed files, round trips."""
 
 import concurrent.futures
+import concurrent.futures.process
+import math
 import multiprocessing
 import os
 
@@ -264,10 +266,12 @@ def _worker_dies(*args):
 @pytest.mark.parametrize("fault, error", [
     ("no-directory", FileNotFoundError), ("device-full", OSError),
     ("worker-raises", ValueError), ("worker-dies", concurrent.futures.BrokenExecutor),
-    ("suite-worker-raises", ValueError)])
+    ("suite-worker-raises", ValueError),
+    ("suite-worker-dies", concurrent.futures.process.BrokenProcessPool)])
 def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, pools, fault, error):
     """Every fault leaves no worker of the shared pool behind.  The grid writer's
-    faults reach the caller; the forms suite's is its failed `forms.error` check."""
+    faults reach the caller.  In the forms suite, the five checks that read worker
+    fields fail, each with its extra.error, and the suite's other checks pass."""
     path = tmp_path / "f.txt"
     if fault == "no-directory":
         path = tmp_path / "missing" / "f.txt"
@@ -279,12 +283,24 @@ def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, pools, fau
         monkeypatch.setattr(lattice, "_text", _worker_raises)
     elif fault == "worker-dies":
         monkeypatch.setattr(lattice, "_text", _worker_dies)
-    if fault == "suite-worker-raises":
+    if fault.startswith("suite-"):
+        broken = _worker_raises if fault == "suite-worker-raises" else _worker_dies
         monkeypatch.setattr(lattice, "_cpus", lambda: 2)
-        monkeypatch.setattr(suites, "_dislocation_norm", _worker_raises)
+        monkeypatch.setattr(suites, "_bianchi_norm", broken)
+        monkeypatch.setattr(suites, "_dislocation_norm", broken)
         (report,) = suites.run_suite("forms", options={"grids": (5, 9)})
         assert not report.passed
-        assert report.checks[-1].extra == {"error": f"{error.__name__}: computation failed"}
+        assert [(c.check_id, c.passed) for c in report.checks] == [
+            ("forms.01-dd-zero", True), ("forms.02-wedge-antisymmetry", True),
+            ("forms.05-bianchi-order", False), ("forms.03-dislocation-order-p2", False),
+            ("forms.04-dislocation-norm-p2", False), ("forms.03-dislocation-order-p3", False),
+            ("forms.04-dislocation-norm-p3", False), ("forms.06-hand-dislocation", True)]
+        for check in report.checks[2:7]:
+            assert math.isnan(check.value) and set(check.extra) == {"error"}
+            if fault == "suite-worker-raises":
+                assert check.extra["error"] == f"{error.__name__}: computation failed"
+            else:
+                assert check.extra["error"].startswith(f"{error.__name__}: ")
     else:
         with pytest.raises(error):
             _write(path, monkeypatch, 2, {"coefficients": _values(36)})

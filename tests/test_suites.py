@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 
 from cosrel import algebra, deformation, dirac, kinematics, lattice, suites, weyssenhoff
-from cosrel.suites import (SUITE_NAMES, _algebra_stack, _bump_state, _lattice, _random_algebra,
-                           _smooth_group_field, run_suite)
+from cosrel.suites import (SUITE_NAMES, _algebra_stack, _bump_state, _lattice, _smooth_group_field,
+                           run_suite)
 from test_acceptance import _displacement_closure
 from test_cli import _strip_runtime
 
@@ -71,17 +71,27 @@ def _scaled_closure(s, rhs, closure=weyssenhoff._closure):
     return [1.01 * a for a in closure(s, rhs)]
 
 
+_WEYSSENHOFF_IDS = ["weyssenhoff.01-trace-identity", "weyssenhoff.02-antisymmetric-part",
+                    "weyssenhoff.03-split-rebuild", "weyssenhoff.04-aligned-momentum-is-inertial",
+                    "weyssenhoff.05-drift-order"]
+
+
 def test_a_raising_suite_is_a_failed_check_and_the_run_goes_on(monkeypatch):
-    # a 1% error in the spin closure makes weyssenhoff.01's closure solves raise
+    # a 1% error in the spin closure makes the closure solves of weyssenhoff.03 and .05
+    # raise; .01, .02 and .04 do not solve the closure, and every other suite runs
     monkeypatch.setattr(weyssenhoff, "_closure", _scaled_closure)
     reports = run_suite("all", seed=0, options={"grids": (9, 17), "steps": 150, "dtau": 0.02})
     assert [r.suite for r in reports] == list(SUITE_NAMES)
     assert [r.passed for r in reports] == [True, True, True, True, False]
-    (check,) = reports[-1].checks
-    assert (check.check_id, check.law, check.tolerance, check.passed) == \
-        ("weyssenhoff.error", "plumbing", 0.0, False)
-    assert math.isnan(check.value)
-    assert check.extra == {"error": "ClosureError: spin closure unsolvable: residual 7.461e-03"}
+    checks = reports[-1].checks
+    assert [c.check_id for c in checks] == _WEYSSENHOFF_IDS
+    assert [c.passed for c in checks] == [True, True, False, True, False]
+    for check, law, tol, residual in ((checks[2], "momentum-split-roundtrip", 1e-12, "7.461e-03"),
+                                      (checks[4], "integrator-constraint-drift", 100.0,
+                                       "2.276e-02")):
+        assert (check.law, check.tolerance) == (law, tol) and math.isnan(check.value)
+        assert check.extra == {"error": f"ClosureError: spin closure unsolvable: residual {residual}"}
+    assert checks[3].value < 1e-13      # the aligned element has pi = 0: no closure term to scale
 
 
 def test_a_raising_suite_keeps_the_checks_it_recorded(monkeypatch):
@@ -90,11 +100,33 @@ def test_a_raising_suite_keeps_the_checks_it_recorded(monkeypatch):
 
     monkeypatch.setattr(weyssenhoff, "integrate_worldline", runaway)
     (rep,) = run_suite("weyssenhoff")
-    assert [(c.check_id, c.passed) for c in rep.checks] == [
-        ("weyssenhoff.01-trace-identity", True), ("weyssenhoff.02-antisymmetric-part", True),
-        ("weyssenhoff.03-split-rebuild", True), ("weyssenhoff.error", False)]
-    assert rep.checks[-1].extra == {"error": "ClosureError: spin closure unsolvable: residual 5.000e-01"}
+    assert [(c.check_id, c.passed) for c in rep.checks] == list(zip(
+        _WEYSSENHOFF_IDS, [True, True, True, False, False]))
+    for check, tol in zip(rep.checks[3:], (1e-10, 100.0)):
+        assert math.isnan(check.value) and check.tolerance == tol
+        assert check.extra == {"error": "ClosureError: spin closure unsolvable: residual 5.000e-01"}
     assert not rep.passed
+
+
+def _raises(*args):
+    raise ValueError("computation failed")
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pooled"])
+def test_a_raising_field_fails_only_the_check_that_reads_it(monkeypatch, fork_pools, cpus):
+    # forms.05 reads the two incompatibility fields alone; the dislocation fields after
+    # them are still collected in order and their checks pass
+    monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+    monkeypatch.setattr(suites, "_bianchi_norm", _raises)
+    (rep,) = run_suite("forms", options={"grids": (5, 9)})
+    assert [(c.check_id, c.passed) for c in rep.checks] == [
+        ("forms.01-dd-zero", True), ("forms.02-wedge-antisymmetry", True),
+        ("forms.05-bianchi-order", False), ("forms.03-dislocation-order-p2", True),
+        ("forms.04-dislocation-norm-p2", True), ("forms.03-dislocation-order-p3", True),
+        ("forms.04-dislocation-norm-p3", True), ("forms.06-hand-dislocation", True)]
+    assert rep.checks[2].extra == {"error": "ValueError: computation failed"}
+    assert len(fork_pools) == cpus - 1
+    assert multiprocessing.active_children() == []
 
 
 def test_seeded_determinism_of_report_values():
@@ -188,11 +220,11 @@ def test_algebra_blocks_follow_the_per_sample_stream():
     v, w = _algebra_stack(draws[:, :10])
     for k in range(5):
         for (vs, ws) in (x, y, z):
-            el = _random_algebra(looped)
-            assert np.array_equal(vs[k], el.v) and np.array_equal(ws[k], el.w)
+            el = _algebra_stack(looped.uniform(-1, 1, size=10))
+            assert np.array_equal(vs[k], el[0]) and np.array_equal(ws[k], el[1])
     for k in range(4):
-        el = _random_algebra(looped)
-        assert np.array_equal(v[k], el.v) and np.array_equal(w[k], el.w)
+        el = _algebra_stack(looped.uniform(-1, 1, size=10))
+        assert np.array_equal(v[k], el[0]) and np.array_equal(w[k], el[1])
         assert np.array_equal(draws[k, 10:], looped.uniform(-1, 1, size=2))
 
 
@@ -200,12 +232,16 @@ def test_algebra_blocks_follow_the_per_sample_stream():
                                           (1e-3, np.nan), (np.inf, 1e-3), (1e-3, np.inf)],
                          ids=["zero-coarse", "zero-fine", "zero-both", "nan-coarse", "nan-fine",
                               "inf-coarse", "inf-fine"])
-def test_order_of_an_unmeasurable_ratio_fails_its_bracket(coarse, fine):
-    rec = suites._Recorder()
-    order = suites._order(coarse, fine)
-    rec.bracket("x.01-order", "law", 1.7, order, 2.3, {})
-    assert np.isnan(order)
-    assert not rec.checks[0].passed
+def test_order_of_an_unmeasurable_ratio_fails_its_bracket(monkeypatch, coarse, fine):
+    def suite(rng, options):
+        yield "x.01-order", "law", 1.7, 2.3, lambda: (suites._order(coarse, fine), {})
+
+    monkeypatch.setitem(suites._SUITES, "algebra", suite)
+    (rep,) = run_suite("algebra")
+    (check,) = rep.checks
+    assert np.isnan(check.value) and np.isnan(check.extra["order_estimate"])
+    assert (check.extra["low"], check.extra["high"], check.tolerance) == (1.7, 2.3, 2.3)
+    assert not check.passed and not rep.passed
 
 
 @pytest.mark.parametrize("coarse, fine", [(4.0, 1.0), (3.1e-5, 7.9e-6), (1e-300, 3e-301),

@@ -793,7 +793,7 @@ def test_runaway_fails_the_initial_closure_gate():
     """The gate's scale is max|c^2 pi| at the initial state, so the runaway of the
     spacelike-momentum element of weyssenhoff.05 cannot widen it as |pi| grows.
     State 645 is the first above the gate; it fails as the last state too."""
-    el = suites._random_element(np.random.default_rng(11))
+    el = suites._element(suites._element_draws(np.random.default_rng(11)))
     gate = 1e-3 * max(1.0, el.c ** 2 * np.abs(split_momentum(el.g, el.u, el.c).pi_low).max())
     closure = integrate_worldline(el, 644, 0.01).diagnostics["closure_residual"]
     assert closure.max() <= gate
