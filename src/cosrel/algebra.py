@@ -2,52 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
 
 import numpy as np
-
-from .minkowski import DEFAULT_TOL, four_vector, lowered_antisymmetry_defect
-from .poincare import PoincareElement
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """(v, w): infinitesimal translation v^mu and infinitesimal Lorentz map w^mu_nu."""
-
-    v: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", four_vector(self.v))
-        w = np.array(self.w, dtype=float)
-        if w.shape != (4, 4) or not np.isfinite(w).all():
-            raise ValueError("w must be a finite 4x4 matrix")
-        object.__setattr__(self, "w", w)
-
-    def lorentz_defect(self) -> float:
-        """Max-norm antisymmetry defect of the index-lowered w (zero on so(1,3))."""
-        return lowered_antisymmetry_defect(self.w)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.v + other.v, self.w + other.w)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.v - other.v, self.w - other.w)
-
-    def __rmul__(self, t: float) -> "AlgebraElement":
-        return AlgebraElement(t * self.v, t * self.w)
-
-
-def _zero_w():
-    return np.zeros((4, 4))
-
-
-def translation_generator(mu: int) -> AlgebraElement:
-    v = np.zeros(4)
-    v[mu] = 1.0
-    return AlgebraElement(v, _zero_w())
 
 
 def rotation_matrix_generator(i: int) -> np.ndarray:
@@ -67,48 +24,36 @@ def boost_matrix_generator(i: int) -> np.ndarray:
     return K
 
 
-def rotation_generator(i: int) -> AlgebraElement:
-    return AlgebraElement(np.zeros(4), rotation_matrix_generator(i))
-
-
-def boost_generator(i: int) -> AlgebraElement:
-    return AlgebraElement(np.zeros(4), boost_matrix_generator(i))
-
-
-def basis() -> list[AlgebraElement]:
-    """The ten generators, ordered (delta_0..delta_3, J_1..J_3, K_1..K_3)."""
-    gens = [translation_generator(mu) for mu in range(4)]
-    gens += [rotation_generator(i) for i in (1, 2, 3)]
-    gens += [boost_generator(i) for i in (1, 2, 3)]
-    return gens
-
-
 BASIS_NAMES = ["d0", "d1", "d2", "d3", "J1", "J2", "J3", "K1", "K2", "K3"]
 
 
-def bracket_batch(x: tuple, y: tuple) -> tuple:
+def basis() -> tuple[np.ndarray, np.ndarray]:
+    """The ten generators as (10, 4) and (10, 4, 4) (v, w) stacks, in BASIS_NAMES order."""
+    v, w = np.zeros((10, 4)), np.zeros((10, 4, 4))
+    v[:4] = np.eye(4)
+    w[4:7] = [rotation_matrix_generator(i) for i in (1, 2, 3)]
+    w[7:] = [boost_matrix_generator(i) for i in (1, 2, 3)]
+    return v, w
+
+
+def bracket(x: tuple, y: tuple) -> tuple:
     """[(v, w), (v', w')] = (w v' - w' v, w w' - w' w) over (..., 4) and (..., 4, 4) stacks."""
     (v, w), (v2, w2) = x, y
     return (w @ v2[..., None])[..., 0] - (w2 @ v[..., None])[..., 0], w @ w2 - w2 @ w
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """[(v, w), (v', w')] = (w v' - w' v, w w' - w' w)."""
-    return AlgebraElement(*bracket_batch((x.v, x.w), (y.v, y.w)))
-
-
-def polarize(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
-    """Split the Lorentz part into rotation and boost: (w - w^T)/2 and (w + w^T)/2.
+def polarize(w) -> tuple[np.ndarray, np.ndarray]:
+    """Split Lorentz parts into rotation and boost, (w - w^T)/2 and (w + w^T)/2, over a
+    (..., 4, 4) stack.
 
     The transpose is the Cartan involution in the orthonormal frame; the two
-    outputs carry zero translation and sum to x's Lorentz part.
+    outputs sum to w.
     """
-    rot = 0.5 * (x.w - x.w.T)
-    boost = 0.5 * (x.w + x.w.T)
-    return AlgebraElement(np.zeros(4), rot), AlgebraElement(np.zeros(4), boost)
+    wT = np.swapaxes(w, -1, -2)
+    return 0.5 * (w - wT), 0.5 * (w + wT)
 
 
-#: Below this alpha^2 + beta^2 the two divided differences of exp_batch are summed as
+#: Below this alpha^2 + beta^2 the two divided differences of exp are summed as
 #: series; at the switch the direct quotients are good to ~6e-15 relative, the series
 #: to ~4e-16.
 _SERIES_BELOW = 1.0
@@ -122,7 +67,7 @@ def _sinc(x, f):
     return np.where(nz, f(x) / np.where(nz, x, 1.0), 1.0)
 
 
-def exp_batch(v, w) -> tuple[np.ndarray, np.ndarray]:
+def exp(v, w) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form exponential of (v, w) in iso(1,3) over (..., 4) and (..., 4, 4) stacks.
 
     Returns (a, L), the blocks of the 5x5 exponential [[1, 0], [a, L]]:
@@ -180,18 +125,3 @@ def exp_batch(v, w) -> tuple[np.ndarray, np.ndarray]:
     for k in (q, 0.5 * A2 - a2 * d, c1):
         a = w @ a + k[..., None, None] * vc
     return a[..., 0], L
-
-
-def exp(x: AlgebraElement) -> PoincareElement:
-    """One-parameter subgroup value at t=1: the one-element case of exp_batch.
-
-    The Lorentz part must lie in so(1,3) up to DEFAULT_TOL relative to its
-    largest entry; anything else is refused, as the closed form covers so(1,3)
-    only.
-    """
-    defect = x.lorentz_defect()
-    if not defect <= DEFAULT_TOL * max(1.0, float(np.abs(x.w).max())):
-        raise ValueError(f"w is not in so(1,3): antisymmetry defect {defect:.3e}")
-    a, L = exp_batch(x.v, x.w)
-    return PoincareElement(a, L)
-

@@ -233,16 +233,12 @@ def density_velocity(j, hbar: float = 1.0, c: float = 1.0) -> tuple[float, np.nd
 
 
 def _energy_momentum(state, jet) -> np.ndarray:
+    """Canonical T^mu_nu = (i hbar c / 2)(psibar g^mu d_nu psi - d_nu psibar g^mu psi)."""
     psi, psibar, dpsi, dpsibar = jet
     T = 0.5j * state.hbar * state.c * (
         np.einsum("a,mab,bn->mn", psibar, GAMMA_UP, dpsi)
         - np.einsum("na,mab,b->mn", dpsibar, GAMMA_UP, psi))
     return _real_checked(T, _TOL, "energy-momentum tensor")
-
-
-def energy_momentum(state, x) -> np.ndarray:
-    """Canonical T^mu_nu = (i hbar c / 2)(psibar g^mu d_nu psi - d_nu psibar g^mu psi)."""
-    return _energy_momentum(state, _jet(state, x))
 
 
 def _denergy_momentum(state, x, jet) -> np.ndarray:

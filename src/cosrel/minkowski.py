@@ -13,10 +13,6 @@ import numpy as np
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 ETA.setflags(write=False)
 
-#: Default validation tolerance (max-norm), sized for double precision with
-#: ~10 multiply-accumulate chains.
-DEFAULT_TOL = 1e-9
-
 
 def four_vector(components) -> np.ndarray:
     """Return a validated copy of a 4-vector (finite entries only)."""
@@ -46,7 +42,7 @@ def lowered_antisymmetry_defect(w) -> float:
     return float(np.abs(low + np.swapaxes(low, -1, -2)).max())
 
 
-def require_lorentz(L, tol: float = DEFAULT_TOL, what: str = "matrix"):
+def require_lorentz(L, tol: float, what: str):
     """Refuse a (..., 4, 4) stack unless every L is Lorentz within tol; a NaN defect is refused."""
     defect = lorentz_defect(L)
     if not defect <= tol:

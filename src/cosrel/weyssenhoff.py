@@ -132,8 +132,11 @@ class ClosureError(RuntimeError):
     """Raised when the transverse momentum is outside the range of the spin matrix."""
 
     def __init__(self, residual: float):
-        super().__init__(f"spin closure unsolvable: residual {residual:.3e}")
+        super().__init__(residual)  # args hold the residual, so a pickled copy rebuilds
         self.residual = residual
+
+    def __str__(self) -> str:
+        return f"spin closure unsolvable: residual {self.residual:.3e}"
 
 
 #: Relative size below which a pivot or singular value of the spin matrix counts as zero.

@@ -22,13 +22,13 @@ def _report(name, ok, detail=""):
     assert ok, f"{name} failed: {detail}"
 
 
-_BASIS = algebra.basis()
+_BASIS_V, _BASIS_W = algebra.basis()
 
 
 def _random_algebra(rng, scale=1.0):
+    """The (v, w) slices of an element with uniform basis coefficients in [-scale, scale]."""
     coeffs = rng.uniform(-scale, scale, 10)
-    return algebra.AlgebraElement(sum(c * g.v for c, g in zip(coeffs, _BASIS)),
-                                  sum(c * g.w for c, g in zip(coeffs, _BASIS)))
+    return coeffs @ _BASIS_V, np.tensordot(coeffs, _BASIS_W, 1)
 
 
 def test_criterion_1_bracket_tables_and_jacobi():
@@ -36,20 +36,13 @@ def test_criterion_1_bracket_tables_and_jacobi():
     # integer bracket table, built from independent structure constants
     eps = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
            (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
-    gens = {}
-    for mu in range(4):
-        gens[f"d{mu}"] = algebra.translation_generator(mu)
-    for i in (1, 2, 3):
-        gens[f"J{i}"] = algebra.rotation_generator(i)
-    for i in (1, 2, 3):
-        gens[f"K{i}"] = algebra.boost_generator(i)
-    names = list(gens)  # translations, rotations, boosts: pairs match the table layout
+    names = algebra.BASIS_NAMES  # translations, rotations, boosts: pairs match the table layout
+    V, W = dict(zip(names, _BASIS_V)), dict(zip(names, _BASIS_W))
     pairs = 0
     exact = True
     for i, na in enumerate(names):
         for nb in names[i + 1:]:
-            a, b = gens[na], gens[nb]
-            got = algebra.bracket(a, b)
+            got_v, got_w = algebra.bracket((V[na], W[na]), (V[nb], W[nb]))
             want_v = np.zeros(4)
             want_w = np.zeros((4, 4))
             if na[0] == "d" and nb[0] in "JK":
@@ -57,12 +50,12 @@ def test_criterion_1_bracket_tables_and_jacobi():
                 if nb[0] == "J" and mu != 0:
                     for l in (1, 2, 3):
                         if (mu, k, l) in eps:
-                            want_v += eps[(mu, k, l)] * gens[f"d{l}"].v
+                            want_v += eps[(mu, k, l)] * V[f"d{l}"]
                 if nb[0] == "K":
                     if mu == 0:
-                        want_v -= gens[f"d{k}"].v
+                        want_v -= V[f"d{k}"]
                     elif mu == k:
-                        want_v -= gens["d0"].v
+                        want_v -= V["d0"]
             elif na[0] in "JK" and nb[0] in "JK":
                 i1, j1 = int(na[1]), int(nb[1])
                 for l in (1, 2, 3):
@@ -70,21 +63,22 @@ def test_criterion_1_bracket_tables_and_jacobi():
                     if not e:
                         continue
                     if na[0] == "J" and nb[0] == "J":
-                        want_w += e * gens[f"J{l}"].w
+                        want_w += e * W[f"J{l}"]
                     elif na[0] == "J" and nb[0] == "K":
-                        want_w += e * gens[f"K{l}"].w
+                        want_w += e * W[f"K{l}"]
                     elif na[0] == "K" and nb[0] == "K":
-                        want_w -= e * gens[f"J{l}"].w
-            exact &= np.array_equal(got.v, want_v) and np.array_equal(got.w, want_w)
+                        want_w -= e * W[f"J{l}"]
+            exact &= np.array_equal(got_v, want_v) and np.array_equal(got_w, want_w)
             pairs += 1
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(1000):
         x, y, z = (_random_algebra(rng) for _ in range(3))
-        tot = (algebra.bracket(algebra.bracket(x, y), z)
-               + algebra.bracket(algebra.bracket(y, z), x)
-               + algebra.bracket(algebra.bracket(z, x), y))
-        worst = max(worst, np.abs(tot.v).max(), np.abs(tot.w).max())
+        # the v and w parts are summed apart: + on the (v, w) tuples would concatenate them
+        parts = zip(algebra.bracket(algebra.bracket(x, y), z),
+                    algebra.bracket(algebra.bracket(y, z), x),
+                    algebra.bracket(algebra.bracket(z, x), y))
+        worst = max(worst, *(np.abs(sum(p)).max() for p in parts))
     elapsed = time.perf_counter() - t0
     _report("1-bracket-tables",
             exact and pairs == 45 and worst <= 1e-12 and elapsed < 1.0,
@@ -96,17 +90,16 @@ def test_criterion_2_group_algebra_consistency():
     rng = np.random.default_rng(1)
     worst_orth = worst_det = 0.0
     for _ in range(1000):
-        g = algebra.exp(_random_algebra(rng))
-        worst_orth = max(worst_orth, np.abs(g.L.T @ ETA @ g.L - ETA).max())
-        worst_det = max(worst_det, abs(np.linalg.det(g.L) - 1.0))
+        _, L = algebra.exp(*_random_algebra(rng))
+        worst_orth = max(worst_orth, np.abs(L.T @ ETA @ L - ETA).max())
+        worst_det = max(worst_det, abs(np.linalg.det(L) - 1.0))
     worst_law = 0.0
     for _ in range(200):
-        x = _random_algebra(rng)
+        v, w = _random_algebra(rng)
         s, t = rng.uniform(-1, 1, 2)
-        left = compose(algebra.exp(s * x), algebra.exp(t * x))
-        right = algebra.exp((s + t) * x)
-        worst_law = max(worst_law, np.abs(left.a - right.a).max(),
-                        np.abs(left.L - right.L).max())
+        left = compose(algebra.exp(s * v, s * w), algebra.exp(t * v, t * w))
+        right = algebra.exp((s + t) * v, (s + t) * w)
+        worst_law = max(worst_law, *(np.abs(lp - rp).max() for lp, rp in zip(left, right)))
     elapsed = time.perf_counter() - t0
     _report("2-group-algebra",
             worst_orth <= 1e-10 and worst_det <= 1e-9 and worst_law <= 1e-9

@@ -85,26 +85,26 @@ def _random_lorentz(rng, scale=1.0):
 def test_validated_lorentz_preserves_inner(rng):
     for _ in range(50):
         L = _random_lorentz(rng)
-        require_lorentz(L)
+        require_lorentz(L, 1e-9, "matrix")
         v, w = rng.standard_normal(4), rng.standard_normal(4)
         assert abs(_inner(L @ v, L @ w) - _inner(v, w)) <= 1e-8
 
 
 def test_lorentz_matrix_rejects_non_lorentz(rng):
     with pytest.raises(ValueError):
-        require_lorentz(np.diag([2.0, 1.0, 1.0, 1.0]))
+        require_lorentz(np.diag([2.0, 1.0, 1.0, 1.0]), 1e-9, "matrix")
     # on a stack the defect is the worst slice's
     stack = np.stack([_random_lorentz(rng) for _ in range(5)])
-    require_lorentz(stack)
+    require_lorentz(stack, 1e-9, "matrix")
     stack[3] = np.diag([2.0, 1.0, 1.0, 1.0])
     assert lorentz_defect(stack) == lorentz_defect(stack[3]) == 3.0
     with pytest.raises(ValueError):
-        require_lorentz(stack)
+        require_lorentz(stack, 1e-9, "matrix")
 
 
 def test_proper_isochronous_rejects_non_lorentz_input():
     with pytest.raises(ValueError):
-        require_lorentz(np.ones((4, 4)))
+        require_lorentz(np.ones((4, 4)), 1e-9, "matrix")
 
 
 def test_proper_isochronous_rejects_nan_input():
@@ -114,4 +114,4 @@ def test_proper_isochronous_rejects_nan_input():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not a Lorentz matrix"):
-            require_lorentz(L)
+            require_lorentz(L, 1e-9, "matrix")

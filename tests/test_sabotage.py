@@ -58,9 +58,15 @@ def _residual_mass_flipped(state, x):
 
 
 def _exp_lorentz_off_by_1e6(v, w):
-    """exp_batch with its Lorentz part scaled by 1 + 1e-6."""
-    a, L = _exp_batch(v, w)
+    """exp with its Lorentz part scaled by 1 + 1e-6."""
+    a, L = _exp(v, w)
     return a, L * (1 + 1e-6)
+
+
+def _bracket_translation_flipped(x, y):
+    """bracket with the sign of its translation part negated."""
+    v, w = _bracket(x, y)
+    return -v, w
 
 
 def _spin_with_raised_u(state, x):
@@ -70,7 +76,8 @@ def _spin_with_raised_u(state, x):
 
 
 _closure = weyssenhoff._closure
-_exp_batch = algebra.exp_batch
+_bracket = algebra.bracket
+_exp = algebra.exp
 _polarize = algebra.polarize
 _takabayasi = dirac.takabayasi
 _gamma_dn_1_times_i = dirac.GAMMA_DN * np.array([1, 1j, 1, 1])[:, None, None]
@@ -100,7 +107,10 @@ SABOTAGE = {
                              lambda s, rhs: [(1 + 1e-6) * a for a in _closure(s, rhs)],
                              {"weyssenhoff.03-split-rebuild", "weyssenhoff.05-drift-order"}),
     # a non-Lorentz L: the algebra checks read it; GroupField and the frame field refuse it
-    "exp-lorentz-times-1+1e-6": (algebra, "exp_batch", _exp_lorentz_off_by_1e6,
+    # algebra.01 reads 2.0 ([d0, K1] = +d1) and algebra.02 9.17 at seed 0
+    "bracket-translation-flipped": (algebra, "bracket", _bracket_translation_flipped,
+                                    {"algebra.01-bracket-table", "algebra.02-jacobi"}),
+    "exp-lorentz-times-1+1e-6": (algebra, "exp", _exp_lorentz_off_by_1e6,
                                  {"algebra.03-exp-orthogonality", "algebra.04-exp-determinant",
                                   "algebra.05-subgroup-law", "algebra.07-adjoint-homomorphism",
                                   "forms.03-dislocation-order-p2", "forms.03-dislocation-order-p3",

@@ -1,7 +1,10 @@
 """Every public top-level name in src/cosrel is reached from the CLI or the benchmark.
 
-The reference graph is name-level: a top-level definition reaches every name
-(or attribute) its source mentions.  The roots are `cli.main`, the names that
+The reference graph is name-level: a top-level definition reaches every name it
+reads, every name it imports with `from ... import`, and every attribute it reads
+off a cosrel module.  An attribute of anything else (`np.exp`, a dataclass
+field such as `rep.energy_momentum`) reaches nothing, so a name collision
+cannot keep a library function alive.  The roots are `cli.main`, the names that
 `bench/run.py` and `bench/workloads.py` mention, and the functions the
 benchmark's tracer wraps.  A public name that no root reaches is surface that
 no check, command or benchmark reports on.
@@ -17,9 +20,23 @@ sys.path.insert(0, str(ROOT / "bench"))
 from tracing import TARGETS  # noqa: E402
 
 
+#: The library's module names: an attribute counts as a reference only on one of these.
+_MODULES = {path.stem for path in (ROOT / "src" / "cosrel").glob("*.py")}
+
+
 def _mentions(node) -> set:
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+    """The names node reads: loaded names, `from ... import` names and attributes of a
+    cosrel module (`weyssenhoff.split_momentum`, not `np.exp` or `rep.energy_momentum`)."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.ImportFrom):
+            found.update(alias.name for alias in n.names)
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and n.value.id in _MODULES):
+            found.add(n.attr)
+    return found
 
 
 def _definitions():

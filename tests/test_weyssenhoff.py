@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -555,6 +556,15 @@ def test_closure_gate_scales_by_the_largest_rhs_entry(m):
     with pytest.raises(ClosureError) as exc:
         weyssenhoff._acceleration(u, s, g, 1.0, 0.999)
     assert exc.value.residual == 2.0
+
+
+def test_closure_error_survives_pickling():
+    """A ClosureError raised in a worker process reaches its parent whole."""
+    exc = ClosureError(0.5)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is ClosureError and back.residual == 0.5
+    assert str(back) == str(exc) == "spin closure unsolvable: residual 5.000e-01"
+
 
 def test_closure_rank_four_takes_fallback(rng):
     el = _bounded_element(rng)
