@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,11 @@ _MAGIC = ("cosrel-grid", "1")
 _KIND_KEYS = {"algebra-form": ("degree",), "group": ()}
 #: floats formatted per piece of an array body; bounds the writer's memory
 _CHUNK = 65536
-#: bytes read per piece while the end of a long line is sought
+#: bytes read at a time while a grid file is scanned; a longer line is parsed in pieces
 _BLOCK = 65536
+#: bytes of a long data line parsed per piece, cut at whitespace
+_PIECE = 1 << 20
+_SPACE = re.compile(rb"\s")
 
 
 def _cpus() -> int:
@@ -265,10 +269,11 @@ def _pooled(pool, count: int, depth: int):
 def _forked_results(calls: list, ahead: int = 2, fork: bool = True):
     """An iterator over the results of calls (zero-argument callables), in order.
 
-    With fork set, more than one available CPU and more than one call, up to one
-    worker process per CPU is forked on entry and inherits calls; at most `ahead`
-    calls per worker are in flight.  Otherwise, and where forking is unsafe, the
-    calls run in this process as the iterator is read.  A call's exception is
+    The grid writer formats its pieces here, the grid reader parses its pieces and the
+    forms suite computes its fields.  With fork set, more than one available CPU and
+    more than one call, up to one worker process per CPU is forked on entry and
+    inherits calls; at most `ahead` calls per worker are in flight.  Otherwise, and
+    where forking is unsafe, the calls run in this process as the iterator is read.  A call's exception is
     raised where its result is read.  The workers are joined when the block is
     left, by an exception too.
     """
@@ -338,57 +343,136 @@ def _integer(header: dict, key: str) -> int:
 
 
 def _lines(fh):
-    """The non-blank lines of binary file fh. A line longer than _BLOCK is read in one piece
-    once its end is found; joined from buffer-sized pieces, it would take twice its size."""
+    """The non-blank lines of binary file fh, each as its bytes or, when it is longer than
+    _BLOCK, as its byte offsets [start, cut, ..., end].  A long line is scanned once in
+    _BLOCK-sized blocks and never held whole; each cut is the first whitespace byte at
+    least _PIECE bytes past the previous one."""
     while line := fh.readline(_BLOCK):
-        if len(line) == _BLOCK and line[-1:] != b"\n":
-            start = fh.tell() - _BLOCK
-            while fh.readline(_BLOCK)[-1:] not in (b"\n", b""):
-                pass
-            end = fh.tell()
-            fh.seek(start)
-            line = fh.read(end - start)
-        if not line.isspace():
-            yield line
+        if len(line) < _BLOCK or line[-1:] == b"\n":
+            if not line.isspace():
+                yield line
+            continue
+        at = fh.tell() - _BLOCK
+        cuts, blank = [at], True
+        while line:
+            blank = blank and line.isspace()
+            while space := _SPACE.search(line, max(cuts[-1] + _PIECE - at, 0)):
+                cuts.append(at + space.start())
+            at += len(line)
+            line = b"" if line[-1:] == b"\n" else fh.readline(_BLOCK)
+        if not blank:
+            yield cuts + [at]
+
+
+def _span(path, start: int, end: int) -> bytes:
+    """Bytes start..end of the file at path, read from a handle of its own."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        text = fh.read(end - start)
+    if len(text) != end - start:
+        raise ValueError("grid file shrank while it was read")
+    return text
+
+
+def _values(text: bytes):
+    """The floats of a whitespace-separated piece of a data line, or None if it holds
+    anything else."""
+    if text.isspace():      # fromstring reads whitespace alone as [-1.]
+        return np.empty(0)
+    try:
+        values = np.fromstring(text, dtype=float, sep=" ")
+    except ValueError:
+        return None
+    return None if b"(" in text else values     # fromstring reads nan(...) as NaN
+
+
+def _piece(path, start: int, end: int):
+    return _values(_span(path, start, end))
+
+
+def _gathered(name: str, dims: list, pieces, size_bound: int) -> np.ndarray:
+    """The array of a data line from the values of its pieces, copied into place in order.
+
+    A line of size_bound bytes holds at most that many values, so a larger shape is not
+    allocated: its line is refused for its count."""
+    need = math.prod(dims)
+    flat = np.empty(need if need <= size_bound else 0)
+    size = 0
+    for values in pieces:
+        if values is None:
+            raise ValueError(f"non-numeric data in array {name!r}")
+        if size + values.size <= flat.size:
+            flat[size:size + values.size] = values
+        size += values.size
+    if size != need:
+        raise ValueError(f"array {name!r} holds {size} values, "
+                         f"its shape {tuple(dims)} needs {need}")
+    return flat.reshape(dims)
+
+
+def _words(line: bytes, what: str) -> list:
+    """The words of a header or array line; what is the refusal of a non-UTF-8 one."""
+    try:
+        return line.decode().split()
+    except UnicodeDecodeError:
+        raise ValueError(what) from None
 
 
 def read_grid(path, kind: str, names) -> tuple[Lattice, dict, list]:
     """Read a grid file of the given kind: (lattice, integer meta, arrays in names order).
 
-    Any malformed file is refused with a one-line ValueError.
+    The file is scanned once.  A data line of at most _BLOCK bytes is parsed as it is
+    read; a longer one is cut at whitespace into pieces of about _PIECE bytes, which
+    `_forked_results` parses after the scan, each call reading its own bytes of the file,
+    and each piece's values are copied into the line's array as they arrive.  So no line
+    is held whole, and the values are those of a parse of the whole line.  Any malformed
+    file is refused with a one-line ValueError, the first fault in the file's order.
     """
-    header, arrays = {}, {}
+    header, arrays, bodies, fault = {}, [], [], None
+
+    def text(line) -> bytes:
+        return line if isinstance(line, bytes) else _span(path, line[0], line[-1])
+
     with open(path, "rb") as fh:
         lines = _lines(fh)
-        magic = next(lines, b"").decode().split()
-        if len(magic) != 3 or tuple(magic[:2]) != _MAGIC:
-            raise ValueError("not a cosrel grid file (version 1)")
-        if magic[2] != kind:
-            raise ValueError(f"expected kind {kind!r}, found {magic[2]!r}")
-        for line in lines:
-            parts = line.decode().split()
-            if parts[0] != "array":
-                if arrays:
-                    raise ValueError(f"header key {parts[0]!r} after the first array")
-                header[parts[0]] = parts[1:]
-                continue
-            if len(parts) < 2:
-                raise ValueError("array line without a name")
-            name = parts[1]
-            dims = _numbers(parts[2:], int, f"dimension of array {name!r}")
-            if any(n < 0 for n in dims):
-                raise ValueError(f"negative dimension of array {name!r}")
-            line = next(lines, b"")
-            try:    # blank lines are skipped: fromstring would read one as [-1.]
-                flat = np.fromstring(line, dtype=float, sep=" ")
-            except ValueError:
-                flat = None
-            if flat is None or b"(" in line:     # fromstring reads nan(...) as NaN
-                raise ValueError(f"non-numeric data in array {name!r}")
-            if flat.size != math.prod(dims):
-                raise ValueError(f"array {name!r} holds {flat.size} values, "
-                                 f"its shape {tuple(dims)} needs {math.prod(dims)}")
-            arrays[name] = flat.reshape(dims)
+        try:
+            magic = _words(text(next(lines, b"")), "not a cosrel grid file (version 1)")
+            if len(magic) != 3 or tuple(magic[:2]) != _MAGIC:
+                raise ValueError("not a cosrel grid file (version 1)")
+            if magic[2] != kind:
+                raise ValueError(f"expected kind {kind!r}, found {magic[2]!r}")
+            for line in lines:
+                parts = _words(text(line), "non-UTF-8 header or array line in grid file")
+                if not parts:   # not blank as bytes, but blank as text: \x1c, a no-break space
+                    raise ValueError("grid file line of non-ASCII whitespace only")
+                if parts[0] != "array":
+                    if arrays:
+                        raise ValueError(f"header key {parts[0]!r} after the first array")
+                    header[parts[0]] = parts[1:]
+                    continue
+                if len(parts) < 2:
+                    raise ValueError("array line without a name")
+                name = parts[1]
+                dims = _numbers(parts[2:], int, f"dimension of array {name!r}")
+                if any(n < 0 for n in dims):
+                    raise ValueError(f"negative dimension of array {name!r}")
+                data = next(lines, b"")     # blank lines are skipped
+                if isinstance(data, bytes):
+                    arrays.append((name, _gathered(name, dims, [_values(data)], len(data))))
+                else:
+                    bodies.append((len(arrays), name, dims, data))
+                    arrays.append((name, None))
+        except ValueError as error:     # raised once the long lines before it are parsed
+            fault = error
+    pieces = [functools.partial(_piece, path, start, end)
+              for *_, cuts in bodies for start, end in itertools.pairwise(cuts)]
+    with _forked_results(pieces) as results:
+        for k, name, dims, cuts in bodies:
+            arrays[k] = (name, _gathered(name, dims, itertools.islice(results, len(cuts) - 1),
+                                         cuts[-1] - cuts[0]))
+    if fault is not None:
+        raise fault
+    arrays = dict(arrays)
     for key in ("p", "shape", "spacing", "origin") + _KIND_KEYS[kind]:
         if key not in header:
             raise ValueError(f"grid file header has no {key!r} line")

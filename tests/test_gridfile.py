@@ -5,6 +5,8 @@ import concurrent.futures.process
 import math
 import multiprocessing
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,9 @@ _FORM_TEXT = ("cosrel-grid 1 algebra-form\np 1\nshape 3\nspacing 0.1\norigin 0.0
               "array translation 3 1 4\n"
               "0.0 1.0 0.0 0.0 0.0 -2.5 0.0 0.0 0.0 0.3333333333333333 0.0 0.0\n"
               f"array lorentz 3 1 4 4\n{' '.join(['0.0'] * 48)}\n")
+_BLANK_LINES = "\n" + _GROUP_TEXT.replace("\n", "\n\n")
+#: whitespace-only lines 40 bytes long, and no newline at the end of the file
+_LONG_LINES = _GROUP_TEXT.replace("\n", "\n" + " " * 40 + "\n").rstrip()
 
 
 def _pinned_group() -> GroupField:
@@ -54,7 +59,7 @@ def test_scalar_form_text_is_pinned(tmp_path):
 
 def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text("\n" + _GROUP_TEXT.replace("\n", "\n\n"))
+    path.write_text(_BLANK_LINES)
     back = read_group_field(path)
     want = _pinned_group()
     assert back.lattice == want.lattice
@@ -101,7 +106,17 @@ _REFUSED = {
     "header-after-array": _edit(_A_BLOCK, _A_BLOCK + "degree 1\n"),
     "array-shape-off-lattice": _edit(_A_BLOCK, _A_BLOCK.replace("3 3 4", "9 4")),
     "nan-lorentz-entry": _edit("4 4\n1.0", "4 4\nnan"),
+    "binary-file": b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR",
+    "non-utf8-header": _GROUP_TEXT.encode().replace(b"origin -1.0", b"origin \xff1.0"),
+    "non-ascii-space-line": _edit("p 2\n", "p 2\n\u00a0\n"),
 }
+#: the refusals of lines that are not UTF-8 text
+_MESSAGES = {"binary-file": "not a cosrel grid file (version 1)",
+             "non-utf8-header": "non-UTF-8 header or array line in grid file"}
+
+
+def _put(path, text):
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
 
 
 @pytest.mark.parametrize("block", [5, 16, 17])
@@ -110,25 +125,26 @@ def test_lines_longer_than_the_read_block(tmp_path, monkeypatch, block):
     only, or unterminated at the end of the file read as they do with the full block."""
     monkeypatch.setattr(lattice, "_BLOCK", block)
     path = tmp_path / "g.txt"
-    path.write_text(_GROUP_TEXT.replace("\n", "\n" + " " * 40 + "\n").rstrip())
+    path.write_text(_LONG_LINES)
     back = read_group_field(path)
     want = _pinned_group()
     assert back.lattice == want.lattice
     np.testing.assert_array_equal(back.a, want.a)
     np.testing.assert_array_equal(back.L, want.L)
     for text in _REFUSED.values():
-        path.write_text(text)
+        _put(path, text)
         with pytest.raises(ValueError):
             read_group_field(path)
 
 
-@pytest.mark.parametrize("text", _REFUSED.values(), ids=_REFUSED.keys())
-def test_malformed_group_file_refused(tmp_path, text):
+@pytest.mark.parametrize("row", _REFUSED)
+def test_malformed_group_file_refused(tmp_path, row):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    _put(path, _REFUSED[row])
     with pytest.raises(ValueError) as info:
         read_group_field(path)
     assert "\n" not in str(info.value)
+    assert str(info.value) == _MESSAGES.get(row, str(info.value))
 
 
 @pytest.mark.parametrize("old,new", [("degree 1\n", ""), ("degree 1", "degree one"),
@@ -206,6 +222,7 @@ def test_round_trip_is_exact(tmp_path_factory, field):
 # --- bodies formatted by worker processes ------------------------------------
 
 _CHUNK = 4     # so that a 3 x 3 x 4 array spans nine pieces
+_BLOCK, _PIECE = 16, 8      # so that every data line of the pinned texts is read in pieces
 _SPECIAL = [-0.0, 5e-324, 1e-05, 1e16, np.nan, np.inf, -np.inf]
 
 
@@ -213,6 +230,8 @@ _SPECIAL = [-0.0, 5e-324, 1e-05, 1e16, np.nan, np.inf, -np.inf]
 def pools(monkeypatch, fork_pools):
     """Small pieces, a list of the worker pools started, and a 60 s limit."""
     monkeypatch.setattr(lattice, "_CHUNK", _CHUNK)
+    monkeypatch.setattr(lattice, "_BLOCK", _BLOCK)
+    monkeypatch.setattr(lattice, "_PIECE", _PIECE)
     return fork_pools
 
 
@@ -306,3 +325,121 @@ def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, pools, fau
             _write(path, monkeypatch, 2, {"coefficients": _values(36)})
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
+
+
+# --- data lines parsed in pieces, by worker processes ---------------------------
+
+def _read(path, kind="group"):
+    """(lattice, meta, shapes, bits) of a grid file read with read_grid, or its refusal."""
+    names = ["a", "L"] if kind == "group" else ["translation", "lorentz"]
+    try:
+        lat, meta, arrays = lattice.read_grid(path, kind, names)
+    except ValueError as error:
+        assert "\n" not in str(error)
+        return str(error)
+    return lat, meta, [a.shape for a in arrays], [_bits(a) for a in arrays]
+
+
+def _whole_lines(path, kind="group"):
+    """_read with one piece per line, in this process."""
+    with mock.patch.multiple(lattice, _BLOCK=1 << 16, _PIECE=1 << 20, _cpus=lambda: 1):
+        return _read(path, kind)
+
+
+_READ = {"pinned": _GROUP_TEXT, "blank-lines": _BLANK_LINES, "long-lines": _LONG_LINES,
+         **_REFUSED}
+
+
+@pytest.mark.parametrize("row", _READ)
+def test_pooled_read_is_the_whole_line_read(tmp_path, monkeypatch, pools, row):
+    """Values bitwise equal, or the same one-line refusal, with no worker left behind."""
+    path = tmp_path / "g.txt"
+    _put(path, _READ[row])
+    whole = _whole_lines(path)
+    monkeypatch.setattr(lattice, "_cpus", lambda: 2)
+    pooled = _read(path)
+    assert pooled == whole
+    if not isinstance(pooled, str):
+        assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def _truncated(path):
+    """_forked_results that first cuts the last five bytes off the file at path."""
+    forked = lattice._forked_results
+
+    def truncating(calls, *args, **kwargs):
+        os.truncate(path, os.path.getsize(path) - 5)
+        return forked(calls, *args, **kwargs)
+    return truncating
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    ("worker-raises", ValueError, "computation failed"),
+    ("worker-dies", concurrent.futures.BrokenExecutor, None),
+    ("truncated", ValueError, "grid file shrank while it was read")])
+def test_failed_pooled_read_leaves_no_process(tmp_path, monkeypatch, pools, fault, error, message):
+    path = tmp_path / "g.txt"
+    path.write_text(_GROUP_TEXT)
+    monkeypatch.setattr(lattice, "_cpus", lambda: 2)
+    if fault == "truncated":
+        monkeypatch.setattr(lattice, "_forked_results", _truncated(path))
+    else:
+        monkeypatch.setattr(lattice, "_piece", _worker_raises if fault == "worker-raises"
+                            else _worker_dies)
+    with pytest.raises(error) as info:
+        read_group_field(path)
+    assert str(info.value) == (message or str(info.value))
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+_INSERTS = [" ", "  ", "\n", "\t", "\r", "\x0b", "0", "1", "-", ".", "e", "nan", "inf", "(", "x",
+            "_", ",", "\x00", "\xff", "\xc2\xa0", "\x1c", "array a 3 3 4\n", "degree 1\n",
+            " " * 20, "\n\n"]
+
+
+@st.composite
+def _mutated(draw):
+    """(kind, text): a pinned text with a few bytes inserted, deleted or overwritten."""
+    kind = draw(st.sampled_from(["group", "algebra-form"]))
+    text = (_GROUP_TEXT if kind == "group" else _FORM_TEXT).encode()
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        insert = draw(st.sampled_from(_INSERTS)).encode("latin-1")
+        text = text[:at] + insert + text[at + cut:]
+    return kind, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated(), st.integers(1, 40), st.integers(1, 40))
+def test_pieced_read_is_the_whole_line_read(tmp_path_factory, mutated, block, piece):
+    """Small blocks and pieces change no value and no refusal.  The block size varies too:
+    the scan that finds the cuts reads a line in blocks."""
+    kind, text = mutated
+    path = tmp_path_factory.mktemp("grid") / "g.txt"
+    path.write_bytes(text)
+    with mock.patch.multiple(lattice, _BLOCK=block, _PIECE=piece, _cpus=lambda: 1):
+        pieced = _read(path, kind)
+    assert pieced == _whole_lines(path, kind)
+
+
+def test_in_process_read_holds_the_arrays_and_a_few_pieces(tmp_path, monkeypatch, fork_pools):
+    """On one CPU, no pool starts and a long data line is never held whole: the read's
+    peak is its array, a block and a few pieces."""
+    monkeypatch.setattr(lattice, "_cpus", lambda: 1)
+    monkeypatch.setattr(lattice, "_PIECE", 1 << 14)
+    values = _values(1 << 16)
+    path = tmp_path / "f.txt"
+    lattice.write_grid(path, "algebra-form", Lattice((3,), (0.5,)), {"degree": 0}, {"c": values})
+    assert os.path.getsize(path) > 64 * lattice._PIECE
+    tracemalloc.start()
+    try:
+        _, _, (back,) = lattice.read_grid(path, "algebra-form", ["c"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _bits(back) == _bits(values)
+    assert peak < back.nbytes + lattice._BLOCK + 4 * lattice._PIECE
+    assert fork_pools == []

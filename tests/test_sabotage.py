@@ -75,7 +75,21 @@ def _spin_with_raised_u(state, x):
     return dataclasses.replace(tk, S=np.einsum("l,lmn->mn", tk.u, tk.S3))
 
 
+def _trace_off_by_1e9(element):
+    """stress_tensors with the stress trace scaled by 1 + 1e-9."""
+    st = _stress_tensors(element)
+    return dataclasses.replace(st, trace=st.trace * (1 + 1e-9))
+
+
+def _pi_unlowered(g, u, c=1.0):
+    """split_momentum with pi = g - rho0 u: u left unlowered."""
+    sp = _split_momentum(g, u, c)
+    return dataclasses.replace(sp, pi_low=np.asarray(g, dtype=float) - sp.rho0 * np.asarray(u))
+
+
 _closure = weyssenhoff._closure
+_stress_tensors = weyssenhoff.stress_tensors
+_split_momentum = weyssenhoff.split_momentum
 _bracket = algebra.bracket
 _exp = algebra.exp
 _polarize = algebra.polarize
@@ -102,6 +116,13 @@ SABOTAGE = {
     "closure-times-1.01": (weyssenhoff, "_closure",
                            lambda s, rhs: [1.01 * a for a in _closure(s, rhs)],
                            {"weyssenhoff.03-split-rebuild", "weyssenhoff.05-drift-order"}),
+    # weyssenhoff.01 reads 1.96e-9 at seed 0
+    "stress-trace-times-1+1e-9": (weyssenhoff, "stress_tensors", _trace_off_by_1e9,
+                                  {"weyssenhoff.01-trace-identity"}),
+    # weyssenhoff.02 reads 0.886 at seed 0; .03 rebuilds through the same split, and the
+    # worldline's `_rate` splits g itself
+    "pi-unlowered": (weyssenhoff, "split_momentum", _pi_unlowered,
+                     {"weyssenhoff.02-antisymmetric-part"}),
     # .03 raises (residual 2.299e-06); .05 runs through with an order of 4.9e-4
     "closure-times-1+1e-6": (weyssenhoff, "_closure",
                              lambda s, rhs: [(1 + 1e-6) * a for a in _closure(s, rhs)],
