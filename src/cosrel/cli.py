@@ -27,8 +27,9 @@ _UNREAD = {"suite": ("output",), "simulate": ("grid", "seed")}
 def _load_config(path):
     """The parsed --config file, `%` taken literally; an empty config without a path.
 
-    A file that cannot be read or decoded, or that configparser rejects (no
-    section header, a line that is not key = value, a repeated key), raises
+    A file that cannot be read or decoded, that configparser rejects (no section
+    header, a line that is not key = value, a repeated key), or that holds a
+    section or key no mode reads (a typo would run on the default) raises
     ValueError with a one-line message.
     """
     cfg = configparser.ConfigParser(interpolation=None)
@@ -37,6 +38,11 @@ def _load_config(path):
             raise ValueError(f"config file not readable: {path}")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"config file not parsable: {' '.join(str(exc).split())}") from None
+    reads = {"worldline": "c x u g rho0 s steps dtau solver_tol drift_max", "forms": "grids"}
+    for name, sec in cfg.items():          # [DEFAULT] first: no mode reads it either
+        unread = [key for key in sec if key not in reads.get(name, "").split()]
+        if unread or name not in reads and name != cfg.default_section:
+            raise ValueError(f"[{name}]{' ' + unread[0] if unread else ''} is not read by any mode")
     return cfg
 
 
@@ -138,14 +144,10 @@ def _element_from_config(kind, cfg) -> tuple:
     else:
         (rho0,) = _numbers(sec, "rho0", 1, "1.0")
         g = rho0 * (ETA @ u)
-    project = sec.get("projection", "off").lower()    # on/true/1/yes or off/false/0/no
-    if project not in cfg.BOOLEAN_STATES:
-        raise ValueError(f"[worldline] projection needs on or off, got {project!r}")
     element = weyssenhoff.WeyssenhoffElement(x, u, g, s, c=c)
     params = {
         "steps": 1000,
         "dtau": 0.01,
-        "project": cfg.BOOLEAN_STATES[project],
         "solver_tol": _bounded(sec.get("solver_tol", "1e-3"), "[worldline] solver_tol",
                                "a finite tolerance > 0", lambda t: math.isfinite(t) and t > 0),
     }
@@ -232,7 +234,7 @@ def main(argv=None) -> int:
         options.update(_run_length(cfg, args))
         seed = 0 if args.seed is None else _whole(args.seed, "--seed", "seed")
         # both modes start at tau 0; weyssenhoff.05's fine run ends where this grid ends
-        weyssenhoff.tau_grid(0.0, options["steps"], options["dtau"])
+        weyssenhoff.tau_grid(options["steps"], options["dtau"])
         mode = "suite" if args.suite else "simulate"
         for name in _UNREAD[mode]:
             if getattr(args, name) is not None:

@@ -39,7 +39,6 @@ class WeyssenhoffElement:
     u: np.ndarray
     g: np.ndarray
     s: np.ndarray
-    tau: float = 0.0
     c: float = 1.0
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ class WeyssenhoffElement:
     def validate(self, tol: float = 1e-9):
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"c must be finite and positive, got {self.c!r}")
-        state = np.concatenate([self.x, self.u, self.g, self.s.ravel(), [self.tau]])
+        state = np.concatenate([self.x, self.u, self.g, self.s.ravel()])
         if not np.all(np.isfinite(state)):
             raise ValueError("element state has non-finite entries")
         defects = self.invariant_defects()
@@ -140,7 +139,12 @@ class ClosureError(RuntimeError):
 
 
 #: Relative size below which a pivot or singular value of the spin matrix counts as zero.
-_RANK_TOL = 1e-12
+#: It covers the Frenkel defect validate() accepts, max|s u| <= 1e-9: that leaves s two
+#: singular values of up to ~2e-9 beyond rank 2 and a third pivot of at most 2.1e-9 / |s|
+#: of the first (measured), so every accepted spin with |s| >= 2.1e-3 is solved as rank 2,
+#: not blown up by inverting them.  `_closure`'s r22 test keeps the roundoff cut
+#: _RANK_TOL ** 2, as a boost, not a spin defect, lowers r22 / r11.
+_RANK_TOL = 1e-6
 
 
 def _svd_lstsq(s, rhs) -> list:
@@ -176,7 +180,7 @@ def _closure(s, rhs) -> list:
     Gram-Schmidt QR of B (the normal equations would square its conditioning
     for a boosted u).  s = 0 gives a = 0.  A state that is not numerically
     rank 2 (third pivot above _RANK_TOL relative), or whose column space meets
-    its kernel, goes through the SVD.
+    its kernel (r22 at most _RANK_TOL ** 2 of r11), goes through the SVD.
 
     Written out in scalar arithmetic on named locals: the worldline calls it
     four times per RK4 step.  Ties pick r1 as `max` does (the first column)
@@ -291,7 +295,7 @@ def _closure(s, rhs) -> list:
     w2 = b22 - r12 * e2
     w3 = b23 - r12 * e3
     r22 = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
-    if not r22 > _RANK_TOL * r11:
+    if not r22 > _RANK_TOL ** 2 * r11:
         return _svd_lstsq(s, rhs)
     h0, h1, h2, h3 = rhs
     alpha2 = (w0 * h0 + w1 * h1 + w2 * h2 + w3 * h3) / (r22 * r22)
@@ -403,7 +407,7 @@ class Trajectory:
     g: np.ndarray            # constant covariant momentum density
     c: float
     diagnostics: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)   # steps, dtau, project, solver_tol
+    params: dict = field(default_factory=dict)   # steps, dtau, solver_tol
 
     def drift_summary(self) -> dict:
         """max|v| of each diagnostic, NaN if it holds a NaN, taken block by block."""
@@ -439,8 +443,8 @@ class Trajectory:
             fh.write("\n")
 
 
-def tau_grid(tau0: float, steps, dtau) -> np.ndarray:
-    """The steps + 1 proper times tau0 + k dtau; a bad step count or step size is refused.
+def tau_grid(steps, dtau) -> np.ndarray:
+    """The steps + 1 proper times k dtau from 0; a bad step count or step size is refused.
 
     `steps` must be an integer >= 0 and `dtau` finite, and every grid time must
     be finite (a finite dtau can still overflow, e.g. 1e308 over 3 steps).
@@ -450,33 +454,32 @@ def tau_grid(tau0: float, steps, dtau) -> np.ndarray:
     if not math.isfinite(dtau):
         raise ValueError(f"dtau must be finite, got {dtau!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        tau = tau0 + dtau * np.arange(int(steps) + 1)
+        tau = dtau * np.arange(int(steps) + 1)
     if not np.all(np.isfinite(tau)):
-        raise ValueError(f"tau grid overflows: {steps} steps of dtau {dtau!r} from tau {tau0!r}")
+        raise ValueError(f"tau grid overflows: {steps} steps of dtau {dtau!r}")
     return tau
 
 
 def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
-                        project: bool = False, solver_tol: float = 1e-3,
-                        drift_max: float = None) -> Trajectory:
+                        solver_tol: float = 1e-3, drift_max: float = None) -> Trajectory:
     """Classical RK4 worldline of a single spinning element with g held constant.
 
     The energy-momentum density is conserved exactly (particle reduction with
     vanishing kinematic compressibility); u and s evolve through the spin
     closure: a is the least-squares solution of -(1/c^2) s a = pi in the column
     space of s (minimum-norm only in the rest frame), the spin rate is the
-    transverse-momentum bivector.  Constraint drift is recorded and not corrected
-    unless `project` is set.  The state is stepped as one flat list of floats (see
-    `_rate`); the diagnostics are computed on blocks of _WRITE_ROWS recorded
-    states, and `drift_max` is checked on them in step order, also when a later
-    step fails.
+    transverse-momentum bivector.  Constraint drift is recorded, never corrected:
+    reporting it is the run's purpose.  Proper time starts at 0.  The state is
+    stepped as one flat list of floats (see `_rate`); the diagnostics are computed
+    on blocks of _WRITE_ROWS recorded states, and `drift_max` is checked on them
+    in step order, also when a later step fails.
     Every recorded state, the last one too, must pass the closure gate
     solver_tol * max(1, max|c^2 pi|), with pi taken at the initial state, or
     ClosureError is raised: a runaway, whose |pi| grows with it, cannot widen its
     own gate.  Bad `steps` or `dtau` raise ValueError (see tau_grid).
     """
     initial.validate()
-    tau = tau_grid(initial.tau, steps, dtau)
+    tau = tau_grid(steps, dtau)
     c = initial.c
     g = initial.g.copy()
     gl = g.tolist()
@@ -495,11 +498,6 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
             k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, c, None)
             k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, c, None)
             y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
-            if project:
-                u = np.array(y[4:8])
-                u *= c / math.sqrt(float(u @ ETA @ u))
-                P = frenkel_projector(u, c)
-                y[4:] = u.tolist() + (P @ np.reshape(y[8:], (4, 4)) @ P).ravel().tolist()
             states[i + 1] = y
             done = i + 2
         _, closure[n] = _rate(y, gl, c, gate)
@@ -521,6 +519,5 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
                     raise RuntimeError(f"constraint drift {worst[step[0] - rows.start]:.3e} "
                                        f"exceeded {drift_max:.3e} at step {step[0]}")
     diag["closure_residual"] = closure
-    params = {"steps": n, "dtau": float(dtau), "project": bool(project),
-              "solver_tol": float(solver_tol)}
+    params = {"steps": n, "dtau": float(dtau), "solver_tol": float(solver_tol)}
     return Trajectory(tau, states[:, :4], us, ss, g, c, diag, params)

@@ -87,7 +87,7 @@ def test_simulation_writes_trajectory_and_summary(tmp_path, capsys):
         weyssenhoff.spin_matrix_from_components([0, 0, 0, 0.5, 0, 0]))
     drift = weyssenhoff.integrate_worldline(el, 40, 0.01).drift_summary()
     payload = {"g": [1.5, 0.0, 0.0, 0.0], "c": 1.0, "drift_summary": drift,
-               "run": {"steps": 40, "dtau": 0.01, "project": False, "solver_tol": 1e-3},
+               "run": {"steps": 40, "dtau": 0.01, "solver_tol": 1e-3},
                "regime": {"mu0_defined": True, "g_square": 2.25}}
     summary = (tmp_path / "traj.csv.json").read_text()
     assert summary == json.dumps(payload, indent=1, sort_keys=True) + "\n"
@@ -319,27 +319,49 @@ def test_empty_drift_max_disables_the_gate(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("key, lines", [
-    ("x", "x = 0 0 0\nu = 1 0 0 0"),
-    ("g", "u = 1 0 0 0\ng = 1 0 0"),
-    ("rho0", "u = 1 0 0 0\nrho0 = abc"),
-    ("c", "c = abc\nu = 1 0 0 0"),
-    ("u", "rho0 = 1.0"),
-    ("s", "u = 1 0 0 0\ns = 0 0 0"),
-    ("s", "u = 1 0 0 0\ns = 0 0 0 0.5 0 0 0"),
-    ("projection", "u = 1 0 0 0\nprojection = maybe"),
+@pytest.mark.parametrize("key, lines, need", [
+    ("x", "x = 0 0 0\nu = 1 0 0 0", "needs"),
+    ("g", "u = 1 0 0 0\ng = 1 0 0", "needs"),
+    ("rho0", "u = 1 0 0 0\nrho0 = abc", "needs"),
+    ("c", "c = abc\nu = 1 0 0 0", "needs"),
+    ("u", "rho0 = 1.0", "needs"),
+    ("s", "u = 1 0 0 0\ns = 0 0 0", "needs"),
+    ("s", "u = 1 0 0 0\ns = 0 0 0 0.5 0 0 0", "needs"),
+    ("projection", "u = 1 0 0 0\nprojection = on", "is not read by any mode"),
+    ("dtua", "u = 1 0 0 0\ndtua = 0.5", "is not read by any mode"),
 ], ids=["x-3", "g-3", "rho0-abc", "c-abc", "u-missing", "s-3", "s-7",
-        "projection-maybe"])
-def test_unusable_worldline_value_is_refused_by_key(tmp_path, key, lines, capsys):
+        "projection-unread", "dtau-typo"])
+def test_unusable_worldline_value_is_refused_by_key(tmp_path, key, lines, need, capsys):
     cfg = tmp_path / "wl.ini"
     cfg.write_text(f"[worldline]\n{lines}\n")
     out = tmp_path / "t.csv"
     assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
                  "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: [worldline] {key} needs")
+    assert err.startswith(f"error: [worldline] {key} {need}")
     assert err.count("\n") == 1
     assert not out.exists() and not (tmp_path / "t.csv.json").exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[forms]\ngrid = 5 9\n", "[forms] grid"),
+    ("[worldline]\nu = 1 0 0 0\nsteps = 5\ndtua = 0.5\n", "[worldline] dtua"),
+    ("[worldline]\nu = 1 0 0 0\n[grids]\nforms = 5 9\n", "[grids] forms"),
+    ("[worldline]\nu = 1 0 0 0\n[Forms]\n", "[Forms]"),
+    ("[DEFAULT]\nsteps = 5\n[worldline]\nu = 1 0 0 0\n", "[DEFAULT] steps"),
+], ids=["forms-key", "worldline-key", "section-with-key", "empty-section", "default-section"])
+@pytest.mark.parametrize("mode", _STEP_MODES, ids=["suite", "simulate"])
+def test_config_entry_no_mode_reads_is_usage_error(tmp_path, mode, text, where, capsys):
+    """Under either mode, a section or key that no mode reads is exit 2 before anything runs."""
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(text)
+    out = tmp_path / "t.csv"
+    with mock.patch("cosrel.weyssenhoff.integrate_worldline") as simulate:
+        assert main([*mode, "--config", str(cfg), "--output", str(out)]) == 2
+    simulate.assert_not_called()
+    err = capsys.readouterr().err
+    assert err == f"error: {where} is not read by any mode\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wl.ini"]
 
 
 @pytest.mark.parametrize("mode, text, need", [
@@ -439,6 +461,30 @@ def test_readme_flags_name_every_option():
     named = re.findall(r"`(--[a-z-]+)[^`]*`", sentence)
     options = {opt for action in build_parser()._actions for opt in action.option_strings}
     assert sorted(named) == sorted(options - {"-h", "--help"})
+
+
+def test_readme_worldline_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    cfg = tmp_path / "worldline.ini"
+    cfg.write_text(block)
+    out = tmp_path / "traj.csv"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(out)]) == 0, capsys.readouterr().err
+    assert out.exists() and Path(f"{out}.json").exists()
+
+
+def test_spin_noise_validate_accepts_runs(tmp_path, capsys):
+    """Six lowered spin components off by ~1e-11 (a Frenkel defect of 1.5e-11, which
+    validate accepts): the run integrates instead of blowing up in the closure."""
+    el = suites._element(suites._element_draws(np.random.default_rng(1)))
+    s = [(ETA @ el.s)[m, n] for m, n in weyssenhoff.SPIN_COMPONENTS]
+    s += 1e-11 * np.random.default_rng(5).standard_normal(6)
+    u, g, s = (" ".join(map(repr, np.ravel(a).tolist())) for a in (el.u, el.g, s))
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(f"[worldline]\nu = {u}\ng = {g}\ns = {s}\nsteps = 2000\ndtau = 0.005\n")
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(tmp_path / "t.csv")]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines", ["c = 0\nu = 0 0 0 0", "c = -1\nu = 1 0 0 0"])
