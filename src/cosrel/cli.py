@@ -1,7 +1,6 @@
 """Command-line front end: verification suites and worldline simulations.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage or configuration error.
-The COSREL_CONFIG environment variable overrides the --config path.
 """
 
 from __future__ import annotations
@@ -22,6 +21,9 @@ from .minkowski import ETA
 SIMULATION_KINDS = ("weyssenhoff-worldline",)
 #: the flags each mode refuses, because only the other mode reads them
 _UNREAD = {"suite": ("output",), "simulate": ("grid", "seed")}
+#: the keys a mode reads, by config section; any other section or key is refused
+_CONFIG_KEYS = {"worldline": ("c", "x", "u", "g", "rho0", "s", "steps", "dtau"),
+                "forms": ("grids",)}
 
 
 def _load_config(path):
@@ -38,10 +40,9 @@ def _load_config(path):
             raise ValueError(f"config file not readable: {path}")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"config file not parsable: {' '.join(str(exc).split())}") from None
-    reads = {"worldline": "c x u g rho0 s steps dtau solver_tol drift_max", "forms": "grids"}
     for name, sec in cfg.items():          # [DEFAULT] first: no mode reads it either
-        unread = [key for key in sec if key not in reads.get(name, "").split()]
-        if unread or name not in reads and name != cfg.default_section:
+        unread = [key for key in sec if key not in _CONFIG_KEYS.get(name, ())]
+        if unread or name not in _CONFIG_KEYS and name != cfg.default_section:
             raise ValueError(f"[{name}]{' ' + unread[0] if unread else ''} is not read by any mode")
     return cfg
 
@@ -128,8 +129,16 @@ def _require_writable(path, flag: str):
         os.remove(path)
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths a and b name one file: one existing file, or else the same real path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _element_from_config(kind, cfg) -> tuple:
-    """The unvalidated initial element and the integration options of a --simulate run."""
+    """The unvalidated initial element and the default run length of a --simulate run."""
     if kind not in SIMULATION_KINDS:
         raise ValueError(f"unknown simulation kind {kind!r}; choose from {SIMULATION_KINDS}")
     if not cfg.has_section("worldline"):
@@ -144,17 +153,7 @@ def _element_from_config(kind, cfg) -> tuple:
     else:
         (rho0,) = _numbers(sec, "rho0", 1, "1.0")
         g = rho0 * (ETA @ u)
-    element = weyssenhoff.WeyssenhoffElement(x, u, g, s, c=c)
-    params = {
-        "steps": 1000,
-        "dtau": 0.01,
-        "solver_tol": _bounded(sec.get("solver_tol", "1e-3"), "[worldline] solver_tol",
-                               "a finite tolerance > 0", lambda t: math.isfinite(t) and t > 0),
-    }
-    if sec.get("drift_max", "").strip():
-        params["drift_max"] = _bounded(sec["drift_max"], "[worldline] drift_max",
-                                       "a drift bound >= 0 or no value", lambda d: d >= 0)
-    return element, params
+    return weyssenhoff.WeyssenhoffElement(x, u, g, s, c=c), {"steps": 1000, "dtau": 0.01}
 
 
 def _run_suites(args, seed: int, options: dict) -> int:
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.config = os.environ.get("COSREL_CONFIG") or args.config
     if (args.suite is None) == (args.simulate is None):
         parser.print_usage(sys.stderr)
         print("error: pass exactly one of --suite or --simulate", file=sys.stderr)
@@ -231,6 +229,9 @@ def main(argv=None) -> int:
             draft, options = _element_from_config(args.simulate, cfg)
             out = args.output or "trajectory.csv"
             outputs = {"--output": out, "--json": args.json or out + ".json"}
+            if _same_file(*outputs.values()):
+                raise ValueError(f"--output {out} and the summary path {outputs['--json']} "
+                                 "name one file")
         options.update(_run_length(cfg, args))
         seed = 0 if args.seed is None else _whole(args.seed, "--seed", "seed")
         # both modes start at tau 0; weyssenhoff.05's fine run ends where this grid ends

@@ -64,6 +64,15 @@ class WeyssenhoffElement:
         bad = {k: v for k, v in defects.items() if not v <= tol}
         if bad:
             raise ValueError(f"element violates invariants: {bad}")
+        # the closure's rank cut is relative: a Frenkel defect leaves a third pivot of up
+        # to 2.1 defect / |s| of the first (see _RANK_TOL), |s| = sqrt(s_mn s^mn / 2)
+        s_low = ETA @ self.s
+        spin = math.sqrt(max(0.0, 0.5 * float(np.einsum("mn,mn->", s_low, ETA @ s_low @ ETA))))
+        bound = _RANK_TOL * spin / 2.1
+        if not defects["frenkel"] <= bound:
+            raise ValueError(f"Frenkel defect {defects['frenkel']:.3e} above {bound:.3e}, the "
+                             f"most a spin of |s| = {spin:.3e} can carry and still be solved "
+                             "as rank 2")
 
 
 @dataclass
@@ -139,12 +148,15 @@ class ClosureError(RuntimeError):
 
 
 #: Relative size below which a pivot or singular value of the spin matrix counts as zero.
-#: It covers the Frenkel defect validate() accepts, max|s u| <= 1e-9: that leaves s two
-#: singular values of up to ~2e-9 beyond rank 2 and a third pivot of at most 2.1e-9 / |s|
-#: of the first (measured), so every accepted spin with |s| >= 2.1e-3 is solved as rank 2,
-#: not blown up by inverting them.  `_closure`'s r22 test keeps the roundoff cut
-#: _RANK_TOL ** 2, as a boost, not a spin defect, lowers r22 / r11.
+#: A Frenkel defect max|s u| leaves s a third pivot of at most 2.1 max|s u| / |s| of the
+#: first (measured), so validate() refuses a defect above _RANK_TOL |s| / 2.1 as well as
+#: one above 1e-9: every accepted spin is solved as rank 2, not blown up by inverting
+#: its defect.  `_closure`'s r22 test keeps the roundoff cut _RANK_TOL ** 2, as a boost,
+#: not a spin defect, lowers r22 / r11.
 _RANK_TOL = 1e-6
+#: The closure gate of a worldline run, relative to max(1, max|c^2 pi|) at its initial
+#: state (see `_closure_gate`).
+_SOLVER_TOL = 1e-3
 
 
 def _svd_lstsq(s, rhs) -> list:
@@ -384,7 +396,7 @@ def _diagnostics(u, s, c) -> dict:
             "spin_invariant": np.einsum("imn,imn->i", s_low, ETA @ s_low @ ETA)}
 
 
-#: trajectory rows per block of the post-processing: the diagnostics, the drift check,
+#: trajectory rows per block of the post-processing: the diagnostics,
 #: `Trajectory.drift_summary` and `Trajectory.write_csv` each hold the temporaries of one
 #: block at a time, so a run holds its returned arrays plus one block
 _WRITE_ROWS = 256
@@ -460,8 +472,7 @@ def tau_grid(steps, dtau) -> np.ndarray:
     return tau
 
 
-def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
-                        solver_tol: float = 1e-3, drift_max: float = None) -> Trajectory:
+def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float) -> Trajectory:
     """Classical RK4 worldline of a single spinning element with g held constant.
 
     The energy-momentum density is conserved exactly (particle reduction with
@@ -471,10 +482,9 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     transverse-momentum bivector.  Constraint drift is recorded, never corrected:
     reporting it is the run's purpose.  Proper time starts at 0.  The state is
     stepped as one flat list of floats (see `_rate`); the diagnostics are computed
-    on blocks of _WRITE_ROWS recorded states, and `drift_max` is checked on them
-    in step order, also when a later step fails.
+    after the last step, on blocks of _WRITE_ROWS recorded states.
     Every recorded state, the last one too, must pass the closure gate
-    solver_tol * max(1, max|c^2 pi|), with pi taken at the initial state, or
+    _SOLVER_TOL * max(1, max|c^2 pi|), with pi taken at the initial state, or
     ClosureError is raised: a runaway, whose |pi| grows with it, cannot widen its
     own gate.  Bad `steps` or `dtau` raise ValueError (see tau_grid).
     """
@@ -483,41 +493,27 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     c = initial.c
     g = initial.g.copy()
     gl = g.tolist()
-    gate = _closure_gate(solver_tol, c, split_momentum(g, initial.u, c).pi_low)
+    gate = _closure_gate(_SOLVER_TOL, c, split_momentum(g, initial.u, c).pi_low)
     n = int(steps)
     states = np.empty((n + 1, 24))
     closure = np.empty(n + 1)
     y = np.concatenate([initial.x, initial.u, initial.s.ravel()]).tolist()
     states[0] = y
     half, sixth = 0.5 * dtau, dtau / 6.0
-    done = 1
-    try:
-        for i in range(n):
-            k1, closure[i] = _rate(y, gl, c, gate)
-            k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, c, None)
-            k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, c, None)
-            k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, c, None)
-            y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
-            states[i + 1] = y
-            done = i + 2
-        _, closure[n] = _rate(y, gl, c, gate)
-    finally:
-        us, ss = states[:done, 4:8], states[:done, 8:].reshape(done, 4, 4)
-        diag = {key: np.empty(done) for key in ("u_norm", "frenkel", "spin_invariant")}
-        for rows in _blocks(done):
-            for key, value in _diagnostics(us[rows], ss[rows], c).items():
-                diag[key][rows] = value
-            if rows.start == 0:
-                spin_ref = diag["spin_invariant"][0]
-            diag["spin_invariant"][rows] -= spin_ref
-            if drift_max is not None:
-                worst = np.max(np.abs([diag["u_norm"][rows], diag["frenkel"][rows],
-                                       diag["spin_invariant"][rows]]), axis=0)
-                step = rows.start + np.flatnonzero(worst > drift_max)
-                step = step[step > 0]             # row 0 is the initial state, not a step
-                if step.size:
-                    raise RuntimeError(f"constraint drift {worst[step[0] - rows.start]:.3e} "
-                                       f"exceeded {drift_max:.3e} at step {step[0]}")
+    for i in range(n):
+        k1, closure[i] = _rate(y, gl, c, gate)
+        k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, c, None)
+        k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, c, None)
+        k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, c, None)
+        y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
+        states[i + 1] = y
+    _, closure[n] = _rate(y, gl, c, gate)
+    us, ss = states[:, 4:8], states[:, 8:].reshape(n + 1, 4, 4)
+    diag = {key: np.empty(n + 1) for key in ("u_norm", "frenkel", "spin_invariant")}
+    for rows in _blocks(n + 1):
+        for key, value in _diagnostics(us[rows], ss[rows], c).items():
+            diag[key][rows] = value
+    diag["spin_invariant"] -= diag["spin_invariant"][0]
     diag["closure_residual"] = closure
-    params = {"steps": n, "dtau": float(dtau), "solver_tol": float(solver_tol)}
+    params = {"steps": n, "dtau": float(dtau), "solver_tol": _SOLVER_TOL}
     return Trajectory(tau, states[:, :4], us, ss, g, c, diag, params)

@@ -10,7 +10,7 @@ import pytest
 
 import cosrel
 from cosrel import suites, weyssenhoff
-from cosrel.cli import build_parser, main
+from cosrel.cli import _CONFIG_KEYS, build_parser, main
 from cosrel.lattice import Lattice
 from cosrel.minkowski import ETA
 
@@ -220,15 +220,17 @@ def test_nan_initial_data_refused(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
-def test_env_var_overrides_config_path(tmp_path):
+def test_config_path_comes_from_the_flag_only(tmp_path):
+    """No environment variable stands in for --config."""
     good = tmp_path / "good.ini"
     good.write_text("[worldline]\nu = 1 0 0 0\nrho0 = 1.0\nsteps = 8\ndtau = 0.01\n")
     out = tmp_path / "t.csv"
     proc = _run(["--simulate", "weyssenhoff-worldline",
                  "--config", str(tmp_path / "missing.ini"), "--output", str(out)],
                 env={"COSREL_CONFIG": str(good)})
-    assert proc.returncode == 0
-    assert out.exists()
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: config file not readable: {tmp_path / 'missing.ini'}\n"
+    assert not out.exists()
 
 
 def test_grid_flag_parses(tmp_path):
@@ -299,24 +301,16 @@ def test_bad_config_step_is_usage_error(tmp_path, mode, line, capsys):
                                   "solver_tol = inf", "solver_tol = x", "drift_max = nan",
                                   "drift_max = -1e-9", "drift_max = x"])
 def test_bad_config_gate_is_usage_error(tmp_path, line, capsys):
+    """The closure gate is the constant weyssenhoff._SOLVER_TOL and there is no drift gate:
+    a config that sets either, to any value, is refused as an unread key."""
     cfg = tmp_path / "wl.ini"
     cfg.write_text(f"[worldline]\nu = 1 0 0 0\nsteps = 5\n{line}\n")
     out = tmp_path / "t.csv"
     assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
                  "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"[worldline] {line.split()[0]} needs" in err
+    assert err == f"error: [worldline] {line.split()[0]} is not read by any mode\n"
     assert not out.exists()
-
-
-def test_empty_drift_max_disables_the_gate(tmp_path):
-    cfg = tmp_path / "wl.ini"
-    cfg.write_text("[worldline]\nu = 1 0 0 0\nsteps = 5\ndrift_max =\n")
-    out = tmp_path / "t.csv"
-    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
-                 "--output", str(out)]) == 0
-    assert out.exists()
 
 
 @pytest.mark.parametrize("key, lines, need", [
@@ -434,6 +428,37 @@ def test_existing_output_is_probed_without_change(tmp_path, capsys):
     assert out.read_text() == "old\n"
 
 
+def _symlink(d):
+    (d / "t.csv").write_text("old\n")
+    (d / "s.json").symlink_to(d / "t.csv")
+
+
+@pytest.mark.parametrize("make, args", [
+    (lambda d: None, ["--json", "{dir}/t.csv"]),
+    (lambda d: None, ["--json", "{dir}/./sub/../t.csv"]),
+    (_symlink, ["--json", "{dir}/s.json"]),
+    (lambda d: (d / "t.csv.json").symlink_to(d / "t.csv"), []),
+    (lambda d: ((d / "t.csv").write_text("old\n"), (d / "h.json").hardlink_to(d / "t.csv")),
+     ["--json", "{dir}/h.json"]),
+], ids=["two-flags", "same-real-path", "json-symlink", "default-summary-symlink", "hard-link"])
+def test_output_and_summary_naming_one_file_is_usage_error(tmp_path, make, args, capsys):
+    """The summary would overwrite the trajectory: refused before anything is written."""
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\nsteps = 5\n")
+    (tmp_path / "sub").mkdir()
+    make(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = ["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+            "--output", str(tmp_path / "t.csv"), *[a.format(dir=tmp_path) for a in args]]
+    with mock.patch("cosrel.weyssenhoff.integrate_worldline") as run:
+        assert main(argv) == 2
+    run.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --output {tmp_path / 't.csv'} and the summary path ")
+    assert err.endswith(" name one file\n") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
 @pytest.mark.parametrize("args, flag", [
     (["--simulate", "weyssenhoff-worldline", "--grid", "abc"], "--grid"),
     (["--simulate", "weyssenhoff-worldline", "--grid", "9,17"], "--grid"),
@@ -463,6 +488,18 @@ def test_readme_flags_name_every_option():
     assert sorted(named) == sorted(options - {"-h", "--help"})
 
 
+def test_readme_config_keys_name_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sentence,) = re.findall(r"^The keys any mode reads are (.*?)\.\s", readme, flags=re.M | re.S)
+    named = {}
+    for name in re.findall(r"`([^`]+)`", sentence):
+        if name.startswith("["):
+            keys = named.setdefault(name.strip("[]"), [])
+        else:
+            keys.append(name)
+    assert named == {section: list(keys) for section, keys in _CONFIG_KEYS.items()}
+
+
 def test_readme_worldline_config_runs(tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
@@ -472,6 +509,31 @@ def test_readme_worldline_config_runs(tmp_path, capsys):
     assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
                  "--output", str(out)]) == 0, capsys.readouterr().err
     assert out.exists() and Path(f"{out}.json").exists()
+
+
+def test_spin_defect_the_closure_would_invert_is_refused(tmp_path, capsys):
+    """A Frenkel defect of 0.9e-9 on a spin of |s| = 5e-4 passes the absolute 1e-9 bound but
+    not _RANK_TOL |s| / 2.1 = 2.38e-10.  Without that bound this run exited 1 with
+    `spin closure unsolvable: residual 8.638e+06`."""
+    el = suites._element(suites._element_draws(np.random.default_rng(1)))
+    s_low = ETA @ el.s
+    k = 5e-4 / np.sqrt(0.5 * np.einsum("mn,mn->", s_low, ETA @ s_low @ ETA))
+    rho0 = weyssenhoff.split_momentum(el.g, el.u).rho0
+    g = rho0 * (ETA @ el.u) + k * (el.g - rho0 * (ETA @ el.u))
+    raw = np.random.default_rng(101).standard_normal((4, 4))
+    noise = ETA @ (raw - raw.T)
+    s_low = ETA @ (k * el.s + 0.9e-9 * noise / np.abs(noise @ el.u).max())
+    s = [s_low[m, n] for m, n in weyssenhoff.SPIN_COMPONENTS]
+    u, g, s = (" ".join(map(repr, np.ravel(a).tolist())) for a in (el.u, g, s))
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(f"[worldline]\nu = {u}\ng = {g}\ns = {s}\nsteps = 1000\ndtau = 1e-6\n")
+    out = tmp_path / "t.csv"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("refused: Frenkel defect 9.000e-10 above 2.381e-10, ")
+    assert err[1].startswith("residuals: ") and len(err) == 2
+    assert not out.exists()
 
 
 def test_spin_noise_validate_accepts_runs(tmp_path, capsys):

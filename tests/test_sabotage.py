@@ -1,6 +1,7 @@
 """Each planted defect fails exactly the checks whose law it breaks.
 
-A row swaps one library function for a broken copy and names the check ids that
+A row swaps one library function for a broken copy, at each module that binds
+it when the owner is a tuple of modules, and names the check ids that
 must then report `passed: false` over all five suites; every other check must
 still pass, and the report must hold every check id of the clean run.  A Dirac
 row runs the dirac suite alone, a fraction of the time of all five, since its
@@ -16,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cosrel import algebra, deformation, dirac, lattice, weyssenhoff
+from cosrel import algebra, deformation, dirac, lattice, suites, weyssenhoff
 from cosrel.lattice import ext_d, wedge
 from cosrel.suites import run_suite
 
@@ -41,6 +42,20 @@ def _dislocation_plus_wedge(E):
     lor = ext_d(E.lor)
     lor.data += wedge(E.lor, E.lor).data
     return deformation.AlgebraForm(tra, lor)
+
+
+def _ext_d_off_by_1e6(f):
+    """ext_d with its output scaled by 1 + 1e-6."""
+    out = ext_d(f)
+    out.data *= 1 + 1e-6
+    return out
+
+
+def _ext_d_plus_1e9(f):
+    """ext_d with 1e-9 added to every output entry."""
+    out = ext_d(f)
+    out.data += 1e-9
+    return out
 
 
 def _omega_off_by_1e9(state, x):
@@ -101,6 +116,9 @@ _DISLOCATION_CHECKS = {"forms.03-dislocation-order-p2", "forms.03-dislocation-or
                        "forms.04-dislocation-norm-p2", "forms.04-dislocation-norm-p3",
                        "forms.05-bianchi-order"}
 
+#: every module that binds ext_d: deformation and suites import it by name
+_EXT_D_OWNERS = (lattice, deformation, suites)
+
 SABOTAGE = {
     "forward-differences": (lattice.Lattice, "gradient", _forward_gradient,
                             _DISLOCATION_CHECKS | {"cosserat.03-manufactured-order",
@@ -111,6 +129,13 @@ SABOTAGE = {
                                _DISLOCATION_CHECKS),
     "edge-order-one": (lattice.Lattice, "gradient", _edge_order_one_gradient,
                        {"cosserat.04-integration-by-parts"}),
+    # forms.06 reads 1.0e-6 at seed 0; forms.01 stays at roundoff (2.8e-14), as a scaled
+    # d d f is still 0
+    "ext-d-times-1+1e-6": (_EXT_D_OWNERS, "ext_d", _ext_d_off_by_1e6,
+                           {"forms.06-hand-dislocation"}),
+    # forms.01 and .06 both read 1.0e-9
+    "ext-d-plus-1e-9": (_EXT_D_OWNERS, "ext_d", _ext_d_plus_1e9,
+                        {"forms.01-dd-zero", "forms.06-hand-dislocation"}),
     # weyssenhoff.03's closure solves and .05's integration raise ClosureError (residuals
     # 7.461e-03 and 2.276e-02); .04's element has pi = 0, so it cannot see the closure
     "closure-times-1.01": (weyssenhoff, "_closure",
@@ -181,7 +206,8 @@ def test_planted_defect_fails_exactly_its_checks(row, monkeypatch, fork_pools):
     monkeypatch.setattr(lattice, "_cpus", lambda: 2)    # the forms fields run in a worker
     clean_ids, failing = _run(suite)
     assert failing == set()
-    monkeypatch.setattr(owner, name, broken)
+    for one in owner if isinstance(owner, tuple) else (owner,):
+        monkeypatch.setattr(one, name, broken)
     ids, failing = _run(suite)
     assert ids == clean_ids
     assert failing == expected
