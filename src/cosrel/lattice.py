@@ -9,13 +9,9 @@ edge_order=2); identity checks are asserted on interior points only.
 
 from __future__ import annotations
 
-import collections
-import contextlib
-import functools
 import itertools
 import math
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,128 +200,34 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
 
 # --- flat grid-file format -------------------------------------------------
 #
-# Text layout (whitespace separated, blank lines ignored):
-#   line 1:  "cosrel-grid 1 <kind>"        kind: algebra-form | group
+# Text header lines, then raw array bodies:
+#   line 1:  "cosrel-grid 2 <kind>"        kind: algebra-form | group
 #   header:  "p", "shape", "spacing", "origin", then kind-specific keys
-#   arrays:  "array <name> <dims...>" followed by one line of row-major floats
+#   arrays:  "array <name> <dims...>\n" followed directly by its 8 * prod(dims) bytes,
+#            row-major little-endian IEEE-754 float64
 
-_MAGIC = ("cosrel-grid", "1")
+_MAGIC = ("cosrel-grid", "2")
 #: integer header keys each kind must carry, besides the lattice keys
 _KIND_KEYS = {"algebra-form": ("degree",), "group": ()}
-#: floats formatted per piece of an array body; bounds the writer's memory
-_CHUNK = 65536
-#: bytes read at a time while a grid file is scanned; a longer line is parsed in pieces
-_BLOCK = 65536
-#: bytes of a long data line parsed per piece, cut at whitespace
-_PIECE = 1 << 20
-_SPACE = re.compile(rb"\s")
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _text(flat, start: int) -> str:
-    return " ".join(map(repr, flat[start:start + _CHUNK].tolist()))
-
-
-#: in a worker process, the calls of the pool that forked it, inherited at fork
-_worker_calls = None
-
-
-def _inherit(calls):
-    global _worker_calls
-    _worker_calls = calls
-
-
-def _worker_call(k: int):
-    return _worker_calls[k]()
-
-
-def _pooled(pool, count: int, depth: int):
-    """The results of worker calls 0..count-1, in order, with at most depth in flight.
-
-    The first depth calls are submitted before this returns, which forks the
-    workers, so a caller that opens a file afterwards forks no buffer of it.
-    """
-    tasks = iter(range(count))
-    pending = collections.deque(pool.submit(_worker_call, k)
-                                for k in itertools.islice(tasks, depth))
-
-    def results():
-        while pending:
-            result = pending.popleft().result()
-            for k in itertools.islice(tasks, 1):
-                pending.append(pool.submit(_worker_call, k))
-            yield result
-    return results()
-
-
-@contextlib.contextmanager
-def _forked_results(calls: list, ahead: int = 2, fork: bool = True):
-    """An iterator over the results of calls (zero-argument callables), in order.
-
-    The grid writer formats its pieces here, the grid reader parses its pieces and the
-    forms suite computes its fields.  With fork set, more than one available CPU and
-    more than one call, up to one worker process per CPU is forked on entry and
-    inherits calls; at most `ahead` calls per worker are in flight.  Otherwise, and
-    where forking is unsafe, the calls run in this process as the iterator is read.  A call's exception is
-    raised where its result is read.  The workers are joined when the block is
-    left, by an exception too.
-    """
-    workers = min(_cpus(), len(calls)) if fork else 1
-    pool = None
-    if workers > 1:
-        import multiprocessing
-        import threading
-        from concurrent.futures import ProcessPoolExecutor
-        # fork is unsafe beside other threads and missing on some platforms, and a
-        # daemon process may not start children
-        if (threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_inherit, initargs=(calls,))
-    try:
-        if pool is None:
-            yield (call() for call in calls)
-        else:
-            yield _pooled(pool, len(calls), ahead * workers)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+#: the byte order and width of an array body
+_BODY = np.dtype("<f8")
+#: the bytes a header or array line may hold, its newline included; a longer line is refused
+_LINE = 4096
 
 
 def write_grid(path, kind: str, lattice: Lattice, meta: dict, arrays: dict):
-    """Write a grid file: lattice header, `key value` meta lines, then named arrays.
-
-    Each array body is formatted in pieces of _CHUNK floats.  When the arrays hold
-    more than _CHUNK floats together, the workers of `_forked_results` format the
-    pieces, forked before the file is opened; they are written in order, so the
-    bytes are those of a serial write.  The workers are joined before this returns
-    or raises.
-    """
-    bodies = [np.asarray(arr, dtype=float) for arr in arrays.values()]
-    flats = [body.reshape(-1) for body in bodies]
-    pieces = [functools.partial(_text, flat, start)
-              for flat in flats for start in range(0, flat.size, _CHUNK)]
-    with _forked_results(pieces, fork=sum(flat.size for flat in flats) > _CHUNK) as texts, \
-            open(path, "w") as fh:
-        fh.write(f"{' '.join(_MAGIC)} {kind}\np {lattice.p}\n")
-        for key in ("shape", "spacing", "origin"):
-            fh.write(f"{key} {' '.join(map(str, getattr(lattice, key)))}\n")
-        for key, value in meta.items():
-            fh.write(f"{key} {value}\n")
-        for name, body in zip(arrays, bodies):
-            fh.write(f"array {name} {' '.join(map(str, body.shape))}\n")
-            for start in range(0, body.size, _CHUNK):
-                if start:
-                    fh.write(" ")
-                fh.write(next(texts))
-            fh.write("\n")
+    """Write a grid file: lattice header, `key value` meta lines, then named arrays,
+    each body written from the array's buffer."""
+    lines = [f"{' '.join(_MAGIC)} {kind}", f"p {lattice.p}"]
+    lines += [f"{key} {' '.join(map(str, getattr(lattice, key)))}"
+              for key in ("shape", "spacing", "origin")]
+    lines += [f"{key} {value}" for key, value in meta.items()]
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in lines).encode())
+        for name, arr in arrays.items():
+            body = np.ascontiguousarray(arr, dtype=_BODY)
+            fh.write(f"array {name} {' '.join(map(str, body.shape))}\n".encode())
+            fh.write(body)
 
 
 def _numbers(tokens, cast, what: str) -> list:
@@ -342,76 +244,15 @@ def _integer(header: dict, key: str) -> int:
     return values[0]
 
 
-def _lines(fh):
-    """The non-blank lines of binary file fh, each as its bytes or, when it is longer than
-    _BLOCK, as its byte offsets [start, cut, ..., end].  A long line is scanned once in
-    _BLOCK-sized blocks and never held whole; each cut is the first whitespace byte at
-    least _PIECE bytes past the previous one."""
-    while line := fh.readline(_BLOCK):
-        if len(line) < _BLOCK or line[-1:] == b"\n":
-            if not line.isspace():
-                yield line
-            continue
-        at = fh.tell() - _BLOCK
-        cuts, blank = [at], True
-        while line:
-            blank = blank and line.isspace()
-            while space := _SPACE.search(line, max(cuts[-1] + _PIECE - at, 0)):
-                cuts.append(at + space.start())
-            at += len(line)
-            line = b"" if line[-1:] == b"\n" else fh.readline(_BLOCK)
-        if not blank:
-            yield cuts + [at]
-
-
-def _span(path, start: int, end: int) -> bytes:
-    """Bytes start..end of the file at path, read from a handle of its own."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        text = fh.read(end - start)
-    if len(text) != end - start:
-        raise ValueError("grid file shrank while it was read")
-    return text
-
-
-def _values(text: bytes):
-    """The floats of a whitespace-separated piece of a data line, or None if it holds
-    anything else."""
-    if text.isspace():      # fromstring reads whitespace alone as [-1.]
-        return np.empty(0)
-    try:
-        values = np.fromstring(text, dtype=float, sep=" ")
-    except ValueError:
+def _words(fh, what: str) -> list | None:
+    """The words of the next header or array line of fh, or None at the end of the file;
+    what is the refusal of a line that is not UTF-8 text."""
+    line = fh.readline(_LINE)
+    if not line:
         return None
-    return None if b"(" in text else values     # fromstring reads nan(...) as NaN
-
-
-def _piece(path, start: int, end: int):
-    return _values(_span(path, start, end))
-
-
-def _gathered(name: str, dims: list, pieces, size_bound: int) -> np.ndarray:
-    """The array of a data line from the values of its pieces, copied into place in order.
-
-    A line of size_bound bytes holds at most that many values, so a larger shape is not
-    allocated: its line is refused for its count."""
-    need = math.prod(dims)
-    flat = np.empty(need if need <= size_bound else 0)
-    size = 0
-    for values in pieces:
-        if values is None:
-            raise ValueError(f"non-numeric data in array {name!r}")
-        if size + values.size <= flat.size:
-            flat[size:size + values.size] = values
-        size += values.size
-    if size != need:
-        raise ValueError(f"array {name!r} holds {size} values, "
-                         f"its shape {tuple(dims)} needs {need}")
-    return flat.reshape(dims)
-
-
-def _words(line: bytes, what: str) -> list:
-    """The words of a header or array line; what is the refusal of a non-UTF-8 one."""
+    if line[-1:] != b"\n":
+        raise ValueError(f"grid file line longer than {_LINE} bytes" if len(line) == _LINE
+                         else "grid file ends inside a header or array line")
     try:
         return line.decode().split()
     except UnicodeDecodeError:
@@ -421,58 +262,40 @@ def _words(line: bytes, what: str) -> list:
 def read_grid(path, kind: str, names) -> tuple[Lattice, dict, list]:
     """Read a grid file of the given kind: (lattice, integer meta, arrays in names order).
 
-    The file is scanned once.  A data line of at most _BLOCK bytes is parsed as it is
-    read; a longer one is cut at whitespace into pieces of about _PIECE bytes, which
-    `_forked_results` parses after the scan, each call reading its own bytes of the file,
-    and each piece's values are copied into the line's array as they arrive.  So no line
-    is held whole, and the values are those of a parse of the whole line.  Any malformed
-    file is refused with a one-line ValueError, the first fault in the file's order.
+    An array is allocated only once the file is seen to hold its body, which is then
+    read into it whole, so the reader's memory is its arrays.  Any malformed file is
+    refused with a one-line ValueError, the first fault in the file's order.
     """
-    header, arrays, bodies, fault = {}, [], [], None
-
-    def text(line) -> bytes:
-        return line if isinstance(line, bytes) else _span(path, line[0], line[-1])
-
+    header, arrays = {}, {}
     with open(path, "rb") as fh:
-        lines = _lines(fh)
-        try:
-            magic = _words(text(next(lines, b"")), "not a cosrel grid file (version 1)")
-            if len(magic) != 3 or tuple(magic[:2]) != _MAGIC:
-                raise ValueError("not a cosrel grid file (version 1)")
-            if magic[2] != kind:
-                raise ValueError(f"expected kind {kind!r}, found {magic[2]!r}")
-            for line in lines:
-                parts = _words(text(line), "non-UTF-8 header or array line in grid file")
-                if not parts:   # not blank as bytes, but blank as text: \x1c, a no-break space
-                    raise ValueError("grid file line of non-ASCII whitespace only")
-                if parts[0] != "array":
-                    if arrays:
-                        raise ValueError(f"header key {parts[0]!r} after the first array")
-                    header[parts[0]] = parts[1:]
-                    continue
-                if len(parts) < 2:
-                    raise ValueError("array line without a name")
-                name = parts[1]
-                dims = _numbers(parts[2:], int, f"dimension of array {name!r}")
-                if any(n < 0 for n in dims):
-                    raise ValueError(f"negative dimension of array {name!r}")
-                data = next(lines, b"")     # blank lines are skipped
-                if isinstance(data, bytes):
-                    arrays.append((name, _gathered(name, dims, [_values(data)], len(data))))
-                else:
-                    bodies.append((len(arrays), name, dims, data))
-                    arrays.append((name, None))
-        except ValueError as error:     # raised once the long lines before it are parsed
-            fault = error
-    pieces = [functools.partial(_piece, path, start, end)
-              for *_, cuts in bodies for start, end in itertools.pairwise(cuts)]
-    with _forked_results(pieces) as results:
-        for k, name, dims, cuts in bodies:
-            arrays[k] = (name, _gathered(name, dims, itertools.islice(results, len(cuts) - 1),
-                                         cuts[-1] - cuts[0]))
-    if fault is not None:
-        raise fault
-    arrays = dict(arrays)
+        size = os.fstat(fh.fileno()).st_size
+        magic = _words(fh, "not a cosrel grid file (version 2)")
+        if magic is None or len(magic) != 3 or tuple(magic[:2]) != _MAGIC:
+            raise ValueError("not a cosrel grid file (version 2)")
+        if magic[2] != kind:
+            raise ValueError(f"expected kind {kind!r}, found {magic[2]!r}")
+        while (parts := _words(fh, "non-UTF-8 header or array line in grid file")) is not None:
+            if not parts:   # blank, or non-ASCII whitespace only: \x1c, a no-break space
+                raise ValueError("blank header or array line in grid file")
+            if parts[0] != "array":
+                if arrays:
+                    raise ValueError(f"header key {parts[0]!r} after the first array")
+                header[parts[0]] = parts[1:]
+                continue
+            if len(parts) < 2:
+                raise ValueError("array line without a name")
+            name = parts[1]
+            dims = _numbers(parts[2:], int, f"dimension of array {name!r}")
+            if any(n < 0 for n in dims):
+                raise ValueError(f"negative dimension of array {name!r}")
+            need, left = _BODY.itemsize * math.prod(dims), size - fh.tell()
+            if need > left:
+                raise ValueError(f"array {name!r} of shape {tuple(dims)} needs {need} bytes, "
+                                 f"the grid file holds {left} more")
+            body = np.empty(dims, dtype=_BODY)
+            if fh.readinto(body) != need:
+                raise ValueError("grid file shrank while it was read")
+            arrays[name] = body.astype(float, copy=False)
     for key in ("p", "shape", "spacing", "origin") + _KIND_KEYS[kind]:
         if key not in header:
             raise ValueError(f"grid file header has no {key!r} line")
@@ -485,4 +308,3 @@ def read_grid(path, kind: str, names) -> tuple[Lattice, dict, list]:
         if name not in arrays:
             raise ValueError(f"grid file has no array {name!r}")
     return lattice, {key: _integer(header, key) for key in _KIND_KEYS[kind]}, [arrays[n] for n in names]
-

@@ -10,15 +10,17 @@ alone, and shifts neither the draws nor the ids of the checks after it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import algebra, deformation, dirac, dynamics, kinematics, weyssenhoff
-from .lattice import FormField, Lattice, _forked_results, ext_d, wedge
+from .lattice import FormField, Lattice, ext_d, wedge
 from .minkowski import ETA, lorentz_adjoint
 from .poincare import compose, homogeneous
 
@@ -244,6 +246,62 @@ def _outcome(call, *args):
         return exc
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+#: in a worker process, the calls of the pool that forked it, inherited at fork
+_worker_calls = None
+
+
+def _inherit(calls):
+    global _worker_calls
+    _worker_calls = calls
+
+
+def _worker_call(k: int):
+    return _worker_calls[k]()
+
+
+@contextlib.contextmanager
+def _forked_results(calls: list):
+    """An iterator over the results of calls (zero-argument callables), in order.
+
+    The forms suite computes its lattice fields here.  With more than one available
+    CPU and more than one call, up to one worker process per CPU is forked on entry,
+    inherits calls and is given all of them at once.  On one CPU, beside other
+    threads, in a daemon process or where `fork` is not available, no worker starts
+    and the calls run in this process as the iterator is read.  A call's exception is
+    raised where its result is read.  The workers are joined when the block is left,
+    by an exception too.
+    """
+    workers = min(_cpus(), len(calls))
+    pool = None
+    if workers > 1:
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+        # fork is unsafe beside other threads and missing on some platforms, and a
+        # daemon process may not start children
+        if (threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_inherit, initargs=(calls,))
+    try:
+        if pool is None:
+            yield (call() for call in calls)
+        else:
+            futures = [pool.submit(_worker_call, k) for k in range(len(calls))]
+            yield (future.result() for future in futures)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
 def _suite_forms(rng, options):
     n0, n1 = options.get("grids", DEFAULT_GRIDS)
     data, a, b = (rng.standard_normal((15, 15, k)) for k in (1, 2, 2))
@@ -254,7 +312,7 @@ def _suite_forms(rng, options):
     calls = [functools.partial(_outcome, _bianchi_norm, n) for n in (n0, n1)]
     calls += [functools.partial(_outcome, _dislocation_norm, p, n, which)
               for p in (2, 3) for which in range(3) for n in (n0, n1)]
-    with _forked_results(calls, ahead=len(calls)) as results:
+    with _forked_results(calls) as results:
         got = []
 
         def norm(k):

@@ -581,7 +581,7 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_pool():
-    """The grid writer imports its worker pool when it uses one, not with the package."""
+    """The forms suite imports its worker pool when it uses one, not with the package."""
     code = ("import sys, cosrel.cli; print([m for m in sys.modules "
             "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')])")
     proc = _run_python("-c", code)
@@ -592,7 +592,7 @@ def test_import_loads_no_process_pool():
 def test_forms_suite_prints_the_same_bytes_pooled_and_in_process():
     """A line buffered before the workers fork is printed once, and the report lines
     are those of an in-process run."""
-    code = ("import sys; from cosrel import cli, lattice; lattice._cpus = lambda: {}; "
+    code = ("import sys; from cosrel import cli, suites; suites._cpus = lambda: {}; "
             "print('before the suite'); "
             "code = cli.main(['--suite', 'forms', '--grid', '9,17']); "
             "import multiprocessing; assert multiprocessing.active_children() == []; "

@@ -90,6 +90,12 @@ def _spin_with_raised_u(state, x):
     return dataclasses.replace(tk, S=np.einsum("l,lmn->mn", tk.u, tk.S3))
 
 
+def _position_rate_off_by_1e6(y, g, c, gate):
+    """The worldline rate with its position rate, dx/dtau = u, scaled by 1 + 1e-6."""
+    rate, residual = _rate(y, g, c, gate)
+    return [(1 + 1e-6) * v for v in rate[:4]] + rate[4:], residual
+
+
 def _trace_off_by_1e9(element):
     """stress_tensors with the stress trace scaled by 1 + 1e-9."""
     st = _stress_tensors(element)
@@ -103,6 +109,7 @@ def _pi_unlowered(g, u, c=1.0):
 
 
 _closure = weyssenhoff._closure
+_rate = weyssenhoff._rate
 _stress_tensors = weyssenhoff.stress_tensors
 _split_momentum = weyssenhoff.split_momentum
 _bracket = algebra.bracket
@@ -152,6 +159,10 @@ SABOTAGE = {
     "closure-times-1+1e-6": (weyssenhoff, "_closure",
                              lambda s, rhs: [(1 + 1e-6) * a for a in _closure(s, rhs)],
                              {"weyssenhoff.03-split-rebuild", "weyssenhoff.05-drift-order"}),
+    # weyssenhoff.04 reads 4.0e-6 at seed 0: its inertial worldline no longer moves at u;
+    # no other rate reads x, so .05 still reads 3.98
+    "position-rate-times-1+1e-6": (weyssenhoff, "_rate", _position_rate_off_by_1e6,
+                                   {"weyssenhoff.04-aligned-momentum-is-inertial"}),
     # a non-Lorentz L: the algebra checks read it; GroupField and the frame field refuse it
     # algebra.01 reads 2.0 ([d0, K1] = +d1) and algebra.02 9.17 at seed 0
     "bracket-translation-flipped": (algebra, "bracket", _bracket_translation_flipped,
@@ -203,7 +214,7 @@ def _run(suite) -> tuple:
 def test_planted_defect_fails_exactly_its_checks(row, monkeypatch, fork_pools):
     owner, name, broken, expected = SABOTAGE[row]
     suite = "dirac" if row in DIRAC_ROWS else "all"
-    monkeypatch.setattr(lattice, "_cpus", lambda: 2)    # the forms fields run in a worker
+    monkeypatch.setattr(suites, "_cpus", lambda: 2)    # the forms fields run in a worker
     clean_ids, failing = _run(suite)
     assert failing == set()
     for one in owner if isinstance(owner, tuple) else (owner,):
@@ -213,3 +224,10 @@ def test_planted_defect_fails_exactly_its_checks(row, monkeypatch, fork_pools):
     assert failing == expected
     if suite == "all":
         assert len(fork_pools) == 2                     # one pool per run, forked with the swap
+
+
+def test_every_check_has_a_planted_defect():
+    """The rows' expected sets cover every check id of a clean run: no check goes unsabotaged."""
+    ids, failing = _run("all")
+    assert failing == set()
+    assert set().union(*(expected for *_, expected in SABOTAGE.values())) == set(ids)

@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import multiprocessing
+import os
 import time
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cosrel import algebra, deformation, dirac, kinematics, lattice, suites, weyssenhoff
+from cosrel import algebra, deformation, dirac, kinematics, suites, weyssenhoff
 from cosrel.suites import (SUITE_NAMES, _algebra_stack, _bump_state, _lattice, _smooth_group_field,
                            run_suite)
 from test_acceptance import _displacement_closure
@@ -116,7 +117,7 @@ def _raises(*args):
 def test_a_raising_field_fails_only_the_check_that_reads_it(monkeypatch, fork_pools, cpus):
     # forms.05 reads the two incompatibility fields alone; the dislocation fields after
     # them are still collected in order and their checks pass
-    monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+    monkeypatch.setattr(suites, "_cpus", lambda: cpus)
     monkeypatch.setattr(suites, "_bianchi_norm", _raises)
     (rep,) = run_suite("forms", options={"grids": (5, 9)})
     assert [(c.check_id, c.passed) for c in rep.checks] == [
@@ -126,6 +127,34 @@ def test_a_raising_field_fails_only_the_check_that_reads_it(monkeypatch, fork_po
         ("forms.04-dislocation-norm-p3", True), ("forms.06-hand-dislocation", True)]
     assert rep.checks[2].extra == {"error": "ValueError: computation failed"}
     assert len(fork_pools) == cpus - 1
+    assert multiprocessing.active_children() == []
+
+
+def _dies(*args):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("broken, error", [(_raises, "ValueError: computation failed"),
+                                           (_dies, "BrokenProcessPool: ")], ids=["raises", "dies"])
+def test_a_failing_worker_fails_every_check_that_reads_its_fields(monkeypatch, fork_pools,
+                                                                  broken, error):
+    """A worker that raises, or dies and breaks the pool, fails the five checks that read
+    worker fields, each with its extra.error; the suite's other checks pass, and no
+    worker is left behind."""
+    monkeypatch.setattr(suites, "_cpus", lambda: 2)
+    monkeypatch.setattr(suites, "_bianchi_norm", broken)
+    monkeypatch.setattr(suites, "_dislocation_norm", broken)
+    (rep,) = run_suite("forms", options={"grids": (5, 9)})
+    assert not rep.passed
+    assert [(c.check_id, c.passed) for c in rep.checks] == [
+        ("forms.01-dd-zero", True), ("forms.02-wedge-antisymmetry", True),
+        ("forms.05-bianchi-order", False), ("forms.03-dislocation-order-p2", False),
+        ("forms.04-dislocation-norm-p2", False), ("forms.03-dislocation-order-p3", False),
+        ("forms.04-dislocation-norm-p3", False), ("forms.06-hand-dislocation", True)]
+    for check in rep.checks[2:7]:
+        assert math.isnan(check.value) and set(check.extra) == {"error"}
+        assert check.extra["error"].startswith(error)
+    assert len(fork_pools) == 1
     assert multiprocessing.active_children() == []
 
 
@@ -256,7 +285,7 @@ def test_pooled_forms_suite_equals_the_in_process_suite(monkeypatch, fork_pools,
     options = {"grids": grids} if grids else {}
     reports = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+        monkeypatch.setattr(suites, "_cpus", lambda: cpus)
         reports[cpus] = _strip_runtime([rep.as_dict() for rep in run_suite("forms", seed, options)])
         assert len(fork_pools) == cpus - 1
     assert reports[2] == reports[1]
