@@ -1,6 +1,8 @@
 """The grid-file codec: exact bytes, refusal of malformed files, round trips."""
 
+import io
 import math
+import multiprocessing
 import os
 import re
 import struct
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import same_bits
-from cosrel import lattice
+from cosrel import lattice, suites
 from cosrel.deformation import (AlgebraForm, GroupField, read_algebra_form, read_group_field,
                                 write_algebra_form, write_group_field)
 from cosrel.lattice import FormField, Lattice
@@ -51,6 +53,42 @@ def test_group_field_bytes_are_pinned(tmp_path):
     back = read_group_field(path)
     assert back.lattice == want.lattice
     assert same_bits(back.a, want.a) and same_bits(back.L, want.L.copy())
+
+
+def _text_lines(data: bytes) -> str:
+    """The header and array lines of a grid file, each body skipped by its line's dims."""
+    lines, at = [], 0
+    while at < len(data):
+        end = data.index(b"\n", at) + 1
+        lines.append(data[at:end].decode())
+        at = end
+        if lines[-1].startswith("array "):
+            at += lattice._BODY.itemsize * math.prod(map(int, lines[-1].split()[2:]))
+    return "".join(lines)
+
+
+def test_group_field_text_is_pinned(tmp_path):
+    """The text lines, for a lattice whose spacing and origin need every digit."""
+    lat = Lattice((3, 3), (0.1, 1 / 3), (-1e-300, 2.5))
+    path = tmp_path / "g.grid"
+    write_group_field(path, GroupField(lat, np.zeros((3, 3, 4)), np.broadcast_to(np.eye(4), (3, 3, 4, 4))))
+    assert _text_lines(path.read_bytes()) == (
+        "cosrel-grid 2 group\np 2\nshape 3 3\nspacing 0.1 0.3333333333333333\n"
+        "origin -1e-300 2.5\narray a 3 3 4\narray L 3 3 4 4\n")
+    assert read_group_field(path).lattice == lat
+
+
+def test_scalar_form_text_is_pinned(tmp_path):
+    """The text lines of a one-component 2-form on a plane, carried as the translation
+    part of an algebra form."""
+    lat = Lattice((4, 3), (0.5, 0.25))
+    path = tmp_path / "f.grid"
+    write_algebra_form(path, AlgebraForm.zeros(lat, 2))
+    assert _text_lines(path.read_bytes()) == (
+        "cosrel-grid 2 algebra-form\np 2\nshape 4 3\nspacing 0.5 0.25\norigin 0.0 0.0\n"
+        "degree 2\narray translation 4 3 1 4\narray lorentz 4 3 1 4 4\n")
+    back = read_algebra_form(path)
+    assert back.lattice == lat and back.degree == 2
 
 
 def test_scalar_form_bytes_are_pinned(tmp_path):
@@ -137,6 +175,35 @@ def test_malformed_group_file_refused(tmp_path, row):
     assert peak < 1 << 20
 
 
+def _outcome(path):
+    """The lattice and array bytes of a group file read with read_group_field, or its refusal."""
+    try:
+        back = read_group_field(path)
+    except ValueError as error:
+        return str(error)
+    return back.lattice, back.a.tobytes(), back.L.tobytes()
+
+
+@pytest.mark.parametrize("block", [5, 16, 17])
+def test_lines_longer_than_the_read_block(tmp_path, monkeypatch, block):
+    """Header lines and bodies longer than the file's buffered read block are read, or
+    refused with the same line, as they are with the default block."""
+    path = tmp_path / "g.grid"
+    rows = {"pinned": _GROUP_BYTES, **_REFUSED}
+    default = {}
+    for row, data in rows.items():
+        path.write_bytes(data)
+        default[row] = _outcome(path)
+
+    def buffered(file, mode):
+        assert mode == "rb"
+        return io.BufferedReader(io.FileIO(file), buffer_size=block)
+    monkeypatch.setattr(lattice, "open", buffered, raising=False)
+    for row, data in rows.items():
+        path.write_bytes(data)
+        assert _outcome(path) == default[row], row
+
+
 @pytest.mark.parametrize("old,new", [(b"degree 1\n", b""), (b"degree 1", b"degree one"),
                                      (b"degree 1", b"degree 1 2")],
                          ids=["no-degree", "non-integer-degree", "two-degrees"])
@@ -158,23 +225,36 @@ def test_nan_frame_state_refused(tmp_path):
         read_group_field(path)
 
 
-def test_file_that_shrinks_while_read_is_refused(tmp_path, monkeypatch):
-    """The reader sizes the file once; a body cut short after that is refused."""
+@pytest.mark.parametrize("fault, error, message", [
+    ("no-file", FileNotFoundError, None),
+    ("truncated", ValueError, "grid file shrank while it was read")])
+def test_failed_pooled_read_leaves_no_process(tmp_path, monkeypatch, fork_pools, fault, error, message):
+    """The reader's faults reach the caller, and it starts no worker even where the forms
+    suite would (two CPUs).  The reader sizes the file once; a body cut short after that
+    is refused."""
+    monkeypatch.setattr(suites, "_cpus", lambda: 2)
     path = tmp_path / "g.grid"
-    path.write_bytes(_GROUP_BYTES[:-8])
-    fstat = os.fstat
+    if fault == "truncated":
+        path.write_bytes(_GROUP_BYTES[:-8])
+        fstat = os.fstat
 
-    def before_the_cut(fd):
-        st = fstat(fd)
-        return os.stat_result(st[:6] + (len(_GROUP_BYTES),) + st[7:])
-    monkeypatch.setattr(os, "fstat", before_the_cut)
-    with pytest.raises(ValueError, match="^grid file shrank while it was read$"):
+        def before_the_cut(fd):
+            st = fstat(fd)
+            return os.stat_result(st[:6] + (len(_GROUP_BYTES),) + st[7:])
+        monkeypatch.setattr(os, "fstat", before_the_cut)
+    with pytest.raises(error) as info:
         read_group_field(path)
+    assert str(info.value) == (message or str(info.value))
+    assert fork_pools == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fault, error", [("no-directory", FileNotFoundError),
                                           ("device-full", OSError)])
-def test_write_fault_reaches_the_caller(tmp_path, fault, error):
+def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, fork_pools, fault, error):
+    """The writer's faults reach the caller, and it starts no worker even where the forms
+    suite would (two CPUs)."""
+    monkeypatch.setattr(suites, "_cpus", lambda: 2)
     path = tmp_path / "missing" / "g.grid"
     if fault == "device-full":
         if not os.path.exists("/dev/full"):
@@ -182,6 +262,8 @@ def test_write_fault_reaches_the_caller(tmp_path, fault, error):
         path = "/dev/full"
     with pytest.raises(error):
         write_group_field(path, _pinned_group())
+    assert fork_pools == []
+    assert multiprocessing.active_children() == []
 
 
 def test_codec_holds_only_its_arrays(tmp_path, fork_pools):
