@@ -253,7 +253,8 @@ def main(argv=None) -> int:
             print(f"refused: {exc}", file=sys.stderr)
             print(f"residuals: {element.invariant_defects()}", file=sys.stderr)
         return 2
-    # run: an output path that cannot be written is exit 2, a failed check or integration 1
+    # run: an output path that cannot be written is exit 2; a failed check or integration,
+    # or an array that does not fit in memory, is 1
     try:
         if element is None:
             return _run_suites(args, seed, options)
@@ -261,6 +262,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,9 @@
 """Gamma-matrix algebra, plane-wave states, conserved currents and their decomposition.
 
 All spacetime derivatives of plane-wave states (one or more waves) are analytic;
-nothing here differentiates on a grid.  hbar and c are explicit state scalars
-(default 1), so the dimensional prefactors of the currents stay traceable.
+nothing here differentiates on a grid.  Units are natural (Planck's constant and
+the speed of light are 1), so every current carries its bare prefactor: j = rho u
+with u.u = 1, and the reduced spin current is -(i/4) psibar g^mu g^lam g_nu psi.
 """
 
 from __future__ import annotations
@@ -72,12 +73,6 @@ def slash(p) -> np.ndarray:
     return np.einsum("m,mab->ab", p_low, GAMMA_UP)
 
 
-def _check_units(hbar, c):
-    for name, value in (("hbar", hbar), ("c", c)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PlaneWaveState:
     """psi(x) = sum_k w_k exp(-i s_k p_k.x) with s_k = +1/-1 and (gamma.p_k - s_k kappa) w_k = 0.
@@ -90,11 +85,8 @@ class PlaneWaveState:
     amplitude: np.ndarray
     kappa: float
     sign: np.ndarray = 1
-    hbar: float = 1.0
-    c: float = 1.0
 
     def __post_init__(self):
-        _check_units(self.hbar, self.c)
         p = np.asarray(self.p, dtype=float).reshape(-1, 4)
         amplitude = np.asarray(self.amplitude, dtype=_C).reshape(-1, 4)
         if not len(p):
@@ -137,29 +129,27 @@ class PlaneWaveState:
 
 
 def superpose(*states) -> PlaneWaveState:
-    """One state holding the waves of every given state, in order; all share kappa, hbar and c."""
+    """One state holding the waves of every given state, in order; all share kappa."""
     if not states:
         raise ValueError("empty superposition")
     first = states[0]
     for st in states[1:]:
-        if not abs(st.kappa - first.kappa) <= 1e-12 or st.hbar != first.hbar or st.c != first.c:
-            raise ValueError("superposed waves must share kappa, hbar and c")
+        if not abs(st.kappa - first.kappa) <= 1e-12:
+            raise ValueError("superposed waves must share kappa")
     p, amplitude, sign = (np.concatenate([getattr(st, f) for st in states])
                           for f in ("p", "amplitude", "sign"))
-    return PlaneWaveState(p, amplitude, first.kappa, sign, first.hbar, first.c)
+    return PlaneWaveState(p, amplitude, first.kappa, sign)
 
 
 #: Mass-shell tolerance: p with p.p <= _SHELL_TOL is spacelike or null and has no massive shell.
 _SHELL_TOL = 1e-10
 
 
-def make_plane_wave(p, spin_index: int, sign: int = 1, hbar: float = 1.0,
-                    c: float = 1.0) -> PlaneWaveState:
+def make_plane_wave(p, spin_index: int, sign: int = 1) -> PlaneWaveState:
     """Massive plane-wave solution with unit amplitude norm.
 
     p must be timelike; the amplitude is the boost of a rest-frame basis spinor.
     """
-    _check_units(hbar, c)
     p = four_vector(p)
     if spin_index not in (0, 1):
         raise ValueError("spin_index must be 0 or 1")
@@ -180,7 +170,7 @@ def make_plane_wave(p, spin_index: int, sign: int = 1, hbar: float = 1.0,
     w = w / nrm
     lead = w[np.argmax(np.abs(w) > 1e-12)]
     w = w * (lead.conjugate() / abs(lead))  # fixed phase: leading component real positive
-    return PlaneWaveState(p, w, kappa, sign, hbar, c)
+    return PlaneWaveState(p, w, kappa, sign)
 
 
 def _jet(state, x) -> tuple:
@@ -222,20 +212,20 @@ def _real_checked(arr: np.ndarray, tol: float, what: str) -> np.ndarray:
     return arr.real.copy()
 
 
-def density_velocity(j, hbar: float = 1.0, c: float = 1.0) -> tuple[float, np.ndarray]:
-    """Scalar density and unit-speed velocity: j/hbar = rho u with u.u = c^2."""
+def density_velocity(j) -> tuple[float, np.ndarray]:
+    """Scalar density and unit-speed velocity: j = rho u with u.u = 1."""
     j = np.asarray(j, dtype=float)
     jsq = float(j @ ETA @ j)
     if not jsq > 0:
         raise ValueError(f"current is not timelike (j.j = {jsq:.3e})")
-    rho = np.sqrt(jsq) / (hbar * c)
-    return rho, j / (hbar * rho)
+    rho = np.sqrt(jsq)
+    return rho, j / rho
 
 
-def _energy_momentum(state, jet) -> np.ndarray:
-    """Canonical T^mu_nu = (i hbar c / 2)(psibar g^mu d_nu psi - d_nu psibar g^mu psi)."""
+def _energy_momentum(jet) -> np.ndarray:
+    """Canonical T^mu_nu = (i / 2)(psibar g^mu d_nu psi - d_nu psibar g^mu psi)."""
     psi, psibar, dpsi, dpsibar = jet
-    T = 0.5j * state.hbar * state.c * (
+    T = 0.5j * (
         np.einsum("a,mab,bn->mn", psibar, GAMMA_UP, dpsi)
         - np.einsum("na,mab,b->mn", dpsibar, GAMMA_UP, psi))
     return _real_checked(T, _TOL, "energy-momentum tensor")
@@ -246,7 +236,7 @@ def _denergy_momentum(state, x, jet) -> np.ndarray:
     psi, psibar, dpsi, dpsibar = jet
     d2 = state.d2psi(x)
     d2bar = np.einsum("anm,ab->nmb", d2.conj(), GAMMA_UP[0])
-    dT = 0.5j * state.hbar * state.c * (
+    dT = 0.5j * (
         np.einsum("sa,mab,bn->smn", dpsibar, GAMMA_UP, dpsi)
         + np.einsum("a,mab,bns->smn", psibar, GAMMA_UP, d2)
         - np.einsum("nsa,mab,b->smn", d2bar, GAMMA_UP, psi)
@@ -262,17 +252,16 @@ for _k in (_SPIN_PRODUCT, _SPIN_KERNEL):
     _k.setflags(write=False)
 
 
-def _currents(state, psi, psibar) -> tuple[np.ndarray, np.ndarray]:
-    """j^mu = hbar c psibar g^mu psi and S^{lam mu}_nu = -(i hbar c / 8) psibar K psi.
+def _currents(psi, psibar) -> tuple[np.ndarray, np.ndarray]:
+    """j^mu = psibar g^mu psi and S^{lam mu}_nu = -(i / 8) psibar K psi.
 
     K = _SPIN_KERNEL.  Both are refused with an imaginary residue, and S^{lam mu}_nu
     is checked against the real part of the reduced single-product form
-    -(i hbar c / 4) psibar g^mu g^lam g_nu psi.
+    -(i / 4) psibar g^mu g^lam g_nu psi.
     """
-    hc, pre = state.hbar * state.c, -0.125j * state.hbar * state.c
-    j = _real_checked(hc * _bilinear(psibar, GAMMA_UP, psi), 1e-13, "vector current")
-    S3 = _real_checked(pre * _bilinear(psibar, _SPIN_KERNEL, psi), _TOL, "spin tensor")
-    reduced = -0.25j * hc * _bilinear(psibar, _SPIN_PRODUCT, psi)
+    j = _real_checked(_bilinear(psibar, GAMMA_UP, psi), 1e-13, "vector current")
+    S3 = _real_checked(-0.125j * _bilinear(psibar, _SPIN_KERNEL, psi), _TOL, "spin tensor")
+    reduced = -0.25j * _bilinear(psibar, _SPIN_PRODUCT, psi)
     mismatch = float(np.abs(reduced.real - S3).max())
     if mismatch > _TOL * max(1.0, float(np.abs(S3).max())):
         raise ValueError(f"reduced spin form disagrees with Hermitian form: {mismatch:.3e}")
@@ -299,15 +288,14 @@ def conservation_report(state) -> ConservationReport:
     identically; a superposition exercises the full derivative structure.
     """
     pts = [np.array(q) for q in itertools.product((0.0, 0.7), repeat=4)]
-    hc, pre = state.hbar * state.c, -0.125j * state.hbar * state.c
     cur, em, ang = [], [], []  # per-point max residuals; NaN propagates to the max
     for x in pts:
         jet = _jet(state, x)
-        _currents(state, *jet[:2])  # the reality and reduced-form checks of j and S3
-        cur.append(abs(float(np.trace((hc * _dbilinear(jet, GAMMA_UP)).real))) / state.hbar)
+        _currents(*jet[:2])  # the reality and reduced-form checks of j and S3
+        cur.append(abs(float(np.trace(_dbilinear(jet, GAMMA_UP).real))))
         em.append(np.abs(np.einsum("mmn->n", _denergy_momentum(state, x, jet))).max())
-        divS = np.einsum("mlmn->ln", (pre * _dbilinear(jet, _SPIN_KERNEL)).real)
-        T_low = ETA @ _energy_momentum(state, jet)
+        divS = np.einsum("mlmn->ln", (-0.125j * _dbilinear(jet, _SPIN_KERNEL)).real)
+        T_low = ETA @ _energy_momentum(jet)
         ang.append(np.abs(ETA @ divS - 0.5 * (T_low - T_low.T)).max())
     r_cur, r_em, r_ang = (float(np.max(r, initial=0.0)) for r in (cur, em, ang))
     return ConservationReport(r_cur, r_em, r_ang, len(pts))
@@ -334,10 +322,10 @@ def spin_form_from_dual(u, S_hat) -> np.ndarray:
     return 0.5 * np.einsum("mnkl,k,l->mn", EPS_LOW, u, S_hat)
 
 
-def dual_of_spin_form(u, S_low, c: float = 1.0) -> np.ndarray:
+def dual_of_spin_form(u, S_low) -> np.ndarray:
     """Invert the duality for the transverse axis vector S_hat."""
     u_low = ETA @ np.asarray(u, dtype=float)
-    return -np.einsum("abmn,a,mn->b", EPS_UP, u_low, S_low) / c ** 2
+    return -np.einsum("abmn,a,mn->b", EPS_UP, u_low, S_low)
 
 
 def takabayasi(state, x) -> TakabayasiRecord:
@@ -347,10 +335,10 @@ def takabayasi(state, x) -> TakabayasiRecord:
     Omega = float(_real_checked(_bilinear(psibar, np.eye(4), psi), _TOL, "scalar bilinear"))
     Omega_hat = float(_real_checked(_bilinear(psibar, 1j * GAMMA5, psi), _TOL,
                                     "pseudoscalar bilinear"))
-    j, S3 = _currents(state, psi, psibar)
-    rho, u = density_velocity(j, state.hbar, state.c)
+    j, S3 = _currents(psi, psibar)
+    rho, u = density_velocity(j)
     S = np.einsum("l,lmn->mn", ETA @ u, S3)
     S_low = ETA @ S
     S_low = 0.5 * (S_low - S_low.T)  # numerical antisymmetrization only
-    return TakabayasiRecord(rho, Omega, Omega_hat, dual_of_spin_form(u, S_low, state.c), S_low,
+    return TakabayasiRecord(rho, Omega, Omega_hat, dual_of_spin_form(u, S_low), S_low,
                             j, u, S3, S)

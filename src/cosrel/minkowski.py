@@ -1,8 +1,9 @@
 """Minkowski metric algebra: the metric, four-vectors and the Lorentz-group tests.
 
-Conventions used throughout the package: signature (+,-,-,-), the first index of
-every matrix is the contravariant one, and the speed of light is an explicit
-parameter (default 1.0) wherever it enters a formula.
+Conventions used throughout the package: signature (+,-,-,-) and the first index
+of every matrix is the contravariant one.  The speed of light is a parameter
+(default 1.0) of the worldline formulas only; the Dirac module works in natural
+units.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ def lorentz_adjoint(L) -> np.ndarray:
 
 
 def lorentz_defect(L) -> float:
-    """Max-norm of L^T eta L - eta over a (..., 4, 4) stack (zero iff every L is Lorentz)."""
+    """Max-norm of L^T eta L - eta over a (..., 4, 4) stack (zero iff every L is Lorentz).
+
+    An entry that overflows or is not finite gives an infinite or NaN defect, silently.
+    """
     L = np.asarray(L, dtype=float)
-    return float(np.abs(np.swapaxes(L, -1, -2) @ ETA @ L - ETA).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(np.swapaxes(L, -1, -2) @ ETA @ L - ETA).max())
 
 
 def lowered_antisymmetry_defect(w) -> float:

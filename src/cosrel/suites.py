@@ -33,7 +33,7 @@ DEFAULT_DTAU = 0.01
 DEFAULT_GRIDS = (17, 33)
 
 #: The errors a check may raise: each fails its own check, and the run goes on.
-_FAILURES = (ArithmeticError, RuntimeError, ValueError)
+_FAILURES = (ArithmeticError, MemoryError, RuntimeError, ValueError)
 
 
 @dataclass
@@ -238,14 +238,6 @@ def _random_algebra_form(lat: Lattice, rng) -> deformation.AlgebraForm:
     return deformation.AlgebraForm(FormField(lat, 1, xi), FormField(lat, 1, om))
 
 
-def _outcome(call, *args):
-    """call(*args), or the failure it raised: a field's failure fails only its readers."""
-    try:
-        return call(*args)
-    except _FAILURES as exc:
-        return exc
-
-
 def _cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -269,14 +261,15 @@ def _worker_call(k: int):
 
 @contextlib.contextmanager
 def _forked_results(calls: list):
-    """An iterator over the results of calls (zero-argument callables), in order.
+    """One reader per call (zero-argument callables): reader k returns call k's result.
 
     The forms suite computes its lattice fields here.  With more than one available
     CPU and more than one call, up to one worker process per CPU is forked on entry,
     inherits calls and is given all of them at once.  On one CPU, beside other
     threads, in a daemon process or where `fork` is not available, no worker starts
-    and the calls run in this process as the iterator is read.  A call's exception is
-    raised where its result is read.  The workers are joined when the block is left,
+    and each call runs in this process when its reader is first called.  A call's
+    exception is raised by its reader, every time it is called; a broken pool fails
+    every call it has not finished.  The workers are joined when the block is left,
     by an exception too.
     """
     workers = min(_cpus(), len(calls))
@@ -293,10 +286,9 @@ def _forked_results(calls: list):
                                        initializer=_inherit, initargs=(calls,))
     try:
         if pool is None:
-            yield (call() for call in calls)
+            yield [functools.cache(call) for call in calls]
         else:
-            futures = [pool.submit(_worker_call, k) for k in range(len(calls))]
-            yield (future.result() for future in futures)
+            yield [pool.submit(_worker_call, k).result for k in range(len(calls))]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -306,25 +298,16 @@ def _suite_forms(rng, options):
     n0, n1 = options.get("grids", DEFAULT_GRIDS)
     data, a, b = (rng.standard_normal((15, 15, k)) for k in (1, 2, 2))
     # the fourteen lattice norms are pure functions of their arguments and use no rng: workers
-    # compute them while the checks run, each collected when a check first reads it.  forms.05's
-    # come first: its fine field is the longest, and started first it leaves the shorter
-    # dislocation fields to balance the workers' loads
-    calls = [functools.partial(_outcome, _bianchi_norm, n) for n in (n0, n1)]
-    calls += [functools.partial(_outcome, _dislocation_norm, p, n, which)
+    # compute them while the checks run, each read by the checks that need it, and a field that
+    # fails fails only its readers.  forms.05's come first: its fine field is the longest, and
+    # started first it leaves the shorter dislocation fields to balance the workers' loads
+    calls = [functools.partial(_bianchi_norm, n) for n in (n0, n1)]
+    calls += [functools.partial(_dislocation_norm, p, n, which)
               for p in (2, 3) for which in range(3) for n in (n0, n1)]
-    with _forked_results(calls) as results:
-        got = []
+    with _forked_results(calls) as readers:
 
         def norm(k):
-            """Field k's norm; the fields are collected in order, each keeping its outcome."""
-            while len(got) <= k:
-                try:
-                    got.append(next(results))
-                except _FAILURES as exc:  # the pool broke, and no later field will come
-                    got.extend([exc] * (len(calls) - len(got)))
-            if isinstance(got[k], Exception):
-                raise got[k]
-            return got[k]
+            return readers[k]()
 
         def dislocation_norms(p):  # rows: the three fields; columns: the coarse and fine grid
             return np.array([norm(k) for k in range(6 * p - 10, 6 * p - 4)]).reshape(3, 2)
@@ -516,7 +499,7 @@ def _suite_dirac(rng, options):
     yield ("dirac.03-planewave-residual", "free-wave-equation", -math.inf, 1e-12,
            lambda: (_worst(*[dirac.dirac_residual(st, x) for st, x in waves()]), {}))
     yield ("dirac.04-velocity-normalization", "unit-speed-constraint", -math.inf, 1e-10,
-           lambda: (_worst(*[float(tk.u @ ETA @ tk.u) - st.c ** 2 for st, tk in records()]), {}))
+           lambda: (_worst(*[float(tk.u @ ETA @ tk.u) - 1.0 for _, tk in records()]), {}))
     yield ("dirac.05-frenkel", "velocity-annihilates-spin", -math.inf, 1e-10,
            lambda: (_worst(*[(ETA @ tk.u) @ tk.S for _, tk in records()]), {}))
     yield ("dirac.06-takabayasi-identity", "scalar-pseudoscalar-modulus", -math.inf, 1e-10,
@@ -536,17 +519,16 @@ def _element_draws(rng) -> tuple:
             rng.standard_normal(4))
 
 
-def _element(draws, c=1.0) -> weyssenhoff.WeyssenhoffElement:
-    """The random element built from `_element_draws`."""
+def _element(draws) -> weyssenhoff.WeyssenhoffElement:
+    """The random element built from `_element_draws`, at c = 1."""
     v, raw_low, rho0, raw_a = draws
-    gamma = 1.0 / np.sqrt(1 - (v @ v) / c ** 2)
-    u = gamma * np.array([c, *v])
-    P = weyssenhoff.frenkel_projector(u, c)
+    u = 1.0 / np.sqrt(1 - v @ v) * np.array([1.0, *v])
+    P = weyssenhoff.frenkel_projector(u)
     s = P @ (ETA @ (0.5 * (raw_low - raw_low.T))) @ P
     pi = weyssenhoff.transverse_momentum(
-        weyssenhoff.WeyssenhoffElement(np.zeros(4), u, rho0 * (ETA @ u), s, c=c), P @ raw_a)
+        weyssenhoff.WeyssenhoffElement(np.zeros(4), u, rho0 * (ETA @ u), s), P @ raw_a)
     g = rho0 * (ETA @ u) + ETA @ pi
-    return weyssenhoff.WeyssenhoffElement(np.zeros(4), u, g, s, c=c)
+    return weyssenhoff.WeyssenhoffElement(np.zeros(4), u, g, s)
 
 
 def _suite_weyssenhoff(rng, options):

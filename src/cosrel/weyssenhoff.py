@@ -458,15 +458,19 @@ class Trajectory:
 def tau_grid(steps, dtau) -> np.ndarray:
     """The steps + 1 proper times k dtau from 0; a bad step count or step size is refused.
 
-    `steps` must be an integer >= 0 and `dtau` finite, and every grid time must
-    be finite (a finite dtau can still overflow, e.g. 1e308 over 3 steps).
+    `steps` must be an integer >= 0 and `dtau` finite, the grid must fit in memory,
+    and every grid time must be finite (a finite dtau can still overflow, e.g. 1e308
+    over 3 steps).
     """
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     if not math.isfinite(dtau):
         raise ValueError(f"dtau must be finite, got {dtau!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        tau = dtau * np.arange(int(steps) + 1)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau = dtau * np.arange(int(steps) + 1)
+    except MemoryError:
+        raise ValueError(f"tau grid of {steps} steps does not fit in memory") from None
     if not np.all(np.isfinite(tau)):
         raise ValueError(f"tau grid overflows: {steps} steps of dtau {dtau!r}")
     return tau

@@ -572,6 +572,55 @@ def test_overflowing_tau_grid_is_usage_error(tmp_path, args, capsys):
         assert not out.exists()
 
 
+def test_unallocatable_tau_grid_is_usage_error(tmp_path, capsys):
+    """A grid of 10^13 steps (73 TiB) cannot be allocated: refused in one line, in either mode."""
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\n")
+    out = tmp_path / "t.csv"
+    runs = [["--suite", "weyssenhoff"],
+            ["--simulate", "weyssenhoff-worldline", "--config", str(cfg), "--output", str(out)]]
+    for argv in runs:
+        assert main([*argv, "--steps", "10000000000000"]) == 2, argv
+        assert capsys.readouterr().err == ("error: tau grid of 10000000000000 steps "
+                                           "does not fit in memory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_unallocatable_forms_fields_fail_their_checks(tmp_path, cpus):
+    """The fine fields of a 10^6-point grid (7 TiB and more) cannot be allocated: each check
+    that reads one fails with the MemoryError, the others pass, and the report is whole."""
+    out = tmp_path / "rep.json"
+    code = (f"import sys; from cosrel import cli, suites; suites._cpus = lambda: {cpus}; "
+            f"sys.exit(cli.main(['--suite', 'forms', '--grid', '3,1000000', "
+            f"'--json', {str(out)!r}]))")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 1 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "suite forms: FAIL (seed 0)" and len(lines) == 9
+    checks = json.loads(out.read_text())["reports"][0]["checks"]
+    failed = {c["id"]: c["extra"]["error"] for c in checks if not c["passed"]}
+    assert sorted(failed) == ["forms.03-dislocation-order-p2", "forms.03-dislocation-order-p3",
+                              "forms.04-dislocation-norm-p2", "forms.04-dislocation-norm-p3",
+                              "forms.05-bianchi-order"]
+    assert all(error.startswith("MemoryError: Unable to allocate") for error in failed.values())
+
+
+def test_memory_error_of_a_simulation_exits_one(tmp_path, monkeypatch, capsys):
+    def integrate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 PiB")
+
+    monkeypatch.setattr(weyssenhoff, "integrate_worldline", integrate)
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text("[worldline]\nu = 1 0 0 0\n")
+    out = tmp_path / "t.csv"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 1.00 PiB\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, cosrel.cli; "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")

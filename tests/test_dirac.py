@@ -15,7 +15,7 @@ from cosrel.minkowski import ETA
 
 def _energy_momentum(state, x):
     """Canonical T^mu_nu at x, on the jet conservation_report evaluates it from."""
-    return dirac._energy_momentum(state, dirac._jet(state, x))
+    return dirac._energy_momentum(dirac._jet(state, x))
 
 
 def _boosted(rng, kappa=1.0):
@@ -103,12 +103,6 @@ def test_current_rest_frame():
     assert np.abs(j - np.array([1.0, 0, 0, 0])).max() <= 1e-14
 
 
-def test_current_with_units():
-    st = make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1, hbar=2.0, c=3.0)
-    j = takabayasi(st, np.zeros(4)).j
-    assert j[0] == pytest.approx(6.0, abs=1e-12)
-
-
 def test_current_rotation_covariance():
     st = make_plane_wave(np.array([np.sqrt(1.25), 0.5, 0, 0]), 0, 1)
     theta = 0.8
@@ -160,7 +154,7 @@ def test_energy_momentum_rest_frame():
     st = make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1)
     T = _energy_momentum(st, np.zeros(4))
     expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0  # hbar c kappa (w+w) at units 1
+    expected[0, 0] = 1.0  # kappa (w+w)
     assert np.abs(T - expected).max() <= 1e-13
 
 
@@ -169,7 +163,7 @@ def test_energy_momentum_planewave_form(rng):
     x = rng.uniform(-1, 1, 4)
     T = _energy_momentum(st, x)
     j = takabayasi(st, x).j
-    expected = np.einsum("m,n->mn", j, ETA @ st.p[0])  # hbar c S^mu p_nu
+    expected = np.einsum("m,n->mn", j, ETA @ st.p[0])  # S^mu p_nu
     assert np.abs(T - expected).max() <= 1e-12
 
 
@@ -205,11 +199,11 @@ def test_antisymmetric_part_of_T_matches_independent_form(rng):
 def test_spin_tensor_rest_frame_block():
     st = make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1)
     S2 = takabayasi(st, np.zeros(4)).S
-    # single spatial block on the third axis, magnitude hbar c / 4 per component
+    # single spatial block on the third axis, magnitude 1/4 per component
     expected = np.zeros((4, 4))
     expected[1, 2], expected[2, 1] = -0.25, 0.25
     assert np.abs(S2 - expected).max() <= 1e-13
-    # the paired current over the antisymmetric index pair carries hbar c / 2
+    # the paired current over the antisymmetric index pair carries 1/2
     assert abs(S2[2, 1] - S2[1, 2]) == pytest.approx(0.5, abs=1e-13)
 
 
@@ -363,9 +357,7 @@ def test_superposition_requires_matching_mass():
 
 _BAD_SCALARS = [("p", [np.nan, 0, 0, 0]), ("p", [np.inf, 0, 0, 0]),
                 ("amplitude", [1, 0, 0, np.nan]), ("amplitude", [1, 0, 1j * np.inf, 0]),
-                ("kappa", np.nan), ("kappa", np.inf), ("kappa", -1.0),
-                ("hbar", -1.0), ("hbar", 0.0), ("hbar", np.nan), ("hbar", np.inf),
-                ("c", np.nan), ("c", 0.0), ("c", -1.0), ("c", -np.inf)]
+                ("kappa", np.nan), ("kappa", np.inf), ("kappa", -1.0)]
 #: per-wave refusals: no wave, a sign other than +1/-1, an amplitude stack of another length
 _BAD_WAVES = [("p", []), ("sign", 3), ("sign", 0), ("sign", np.nan), ("sign", [1, -1]),
               ("amplitude", [[1, 0, 0, 0], [0, 1, 0, 0]])]
@@ -377,7 +369,7 @@ _WAVE_RULES = {"p": "plane wave p must hold at least one wave",
 @pytest.mark.parametrize("name,value", _BAD_SCALARS + _BAD_WAVES)
 def test_plane_wave_state_refuses_bad_scalars(name, value):
     a = make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1)
-    fields = {"p": a.p, "amplitude": a.amplitude, "kappa": a.kappa, "sign": 1, "hbar": 1.0, "c": 1.0}
+    fields = {"p": a.p, "amplitude": a.amplitude, "kappa": a.kappa, "sign": 1}
     fields[name] = value
     rule = rf"\b{name} must be finite" if (name, value) in _BAD_SCALARS else f"^{_WAVE_RULES[name]}"
     with pytest.raises(ValueError, match=rule):
@@ -395,9 +387,3 @@ def test_plane_wave_state_checks_each_wave():
         PlaneWaveState(two.p, two.amplitude, two.kappa, [1, 3])
     with pytest.raises(ValueError, match="^amplitude must have one row per wave: 1 rows for 2 waves$"):
         PlaneWaveState(two.p, a.amplitude, two.kappa)
-
-
-@pytest.mark.parametrize("name,value", [(n, v) for n, v in _BAD_SCALARS if n in ("hbar", "c")])
-def test_make_plane_wave_names_bad_units(name, value):
-    with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
-        make_plane_wave(np.array([1.0, 0, 0, 0]), 0, 1, **{name: value})

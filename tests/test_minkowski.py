@@ -6,6 +6,9 @@ import pytest
 from conftest import series_exp
 from cosrel.minkowski import ETA, four_vector, lorentz_adjoint, lorentz_defect, require_lorentz
 from cosrel.algebra import boost_matrix_generator, rotation_matrix_generator
+from cosrel.deformation import GroupField
+from cosrel.kinematics import KinematicalState, jet_slot_shapes
+from cosrel.lattice import Lattice
 
 
 def test_metric_square_and_symmetry():
@@ -115,3 +118,26 @@ def test_proper_isochronous_rejects_nan_input():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not a Lorentz matrix"):
             require_lorentz(L, 1e-9, "matrix")
+
+
+def _group_field(lat, L):
+    return GroupField(lat, np.zeros(lat.shape + (4,)), L)
+
+
+def _frame_state(lat, e):
+    x, _, xj, ej = (np.zeros(shape) for shape in jet_slot_shapes(lat))
+    return KinematicalState(lat, x, e, xj, ej)
+
+
+@pytest.mark.parametrize("build", [_group_field, _frame_state])
+@pytest.mark.parametrize("entry", [np.inf, 1e300])
+def test_field_with_huge_matrix_entry_is_refused_without_warning(build, entry):
+    # an infinite entry makes inf - inf in the matmul, a huge one overflows it: both are
+    # refused by the defect test alone, with no RuntimeWarning on the way
+    lat = Lattice((3, 3), (0.5, 0.5))
+    L = np.broadcast_to(np.eye(4), lat.shape + (4, 4)).copy()
+    L[1, 2, 2, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not a Lorentz matrix"):
+            build(lat, L)
