@@ -78,19 +78,15 @@ def _whole(value, source: str, noun: str = "step count") -> int:
     return int(value)
 
 
-def _bounded(value, source: str, need: str, ok) -> float:
-    """value as a float; refused, naming source, if it is not numeric or fails ok."""
+def _dtau(value, source: str) -> float:
+    """value as a finite float; anything else is refused, naming source."""
     try:
         number = float(value)
     except ValueError:
         number = math.nan
-    if not ok(number):
-        raise ValueError(f"{source} needs {need}, got {value}")
+    if not math.isfinite(number):
+        raise ValueError(f"{source} needs a finite step size, got {value}")
     return number
-
-
-def _dtau(value, source: str) -> float:
-    return _bounded(value, source, "a finite step size", math.isfinite)
 
 
 def _run_length(cfg, args) -> dict:
@@ -144,7 +140,10 @@ def _element_from_config(kind, cfg) -> tuple:
     if not cfg.has_section("worldline"):
         raise ValueError("config needs a [worldline] section with initial conditions")
     sec = cfg["worldline"]
-    (c,) = _numbers(sec, "c", 1, "1.0")
+    # the worldline works in natural units; the key stays readable for configs that write it
+    if _numbers(sec, "c", 1, "1") != [1.0]:
+        raise ValueError("[worldline] c must be 1 (the worldline works in natural units), "
+                         f"got {sec['c']!r}")
     x = np.array(_numbers(sec, "x", 4, "0 0 0 0"))
     u = np.array(_numbers(sec, "u", 4))
     s = weyssenhoff.spin_matrix_from_components(_numbers(sec, "s", 6, "0 0 0 0 0 0"))
@@ -153,7 +152,7 @@ def _element_from_config(kind, cfg) -> tuple:
     else:
         (rho0,) = _numbers(sec, "rho0", 1, "1.0")
         g = rho0 * (ETA @ u)
-    return weyssenhoff.WeyssenhoffElement(x, u, g, s, c=c), {"steps": 1000, "dtau": 0.01}
+    return weyssenhoff.WeyssenhoffElement(x, u, g, s), {"steps": 1000, "dtau": 0.01}
 
 
 def _run_suites(args, seed: int, options: dict) -> int:

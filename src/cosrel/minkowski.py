@@ -1,9 +1,8 @@
 """Minkowski metric algebra: the metric, four-vectors and the Lorentz-group tests.
 
 Conventions used throughout the package: signature (+,-,-,-) and the first index
-of every matrix is the contravariant one.  The speed of light is a parameter
-(default 1.0) of the worldline formulas only; the Dirac module works in natural
-units.
+of every matrix is the contravariant one.  Natural units: the speed of light
+is 1 in the Dirac and the worldline formulas alike.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 Index conventions: u and acceleration are contravariant, the momentum density g
 is stored covariant (g_mu), the spin density s is the mixed matrix s^mu_nu whose
 index-lowered form is antisymmetric and annihilates u (Frenkel constraint).
+Natural units, as in the Dirac module: the speed of light is 1, so u.u = 1 and
+the momentum split is g = rho0 u + pi.
 """
 
 from __future__ import annotations
@@ -39,29 +41,28 @@ class WeyssenhoffElement:
     u: np.ndarray
     g: np.ndarray
     s: np.ndarray
-    c: float = 1.0
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).reshape(4)
-        self.u = np.asarray(self.u, dtype=float).reshape(4)
-        self.g = np.asarray(self.g, dtype=float).reshape(4)
-        self.s = np.asarray(self.s, dtype=float).reshape(4, 4)
+        """Each slot as a float array; a slot of another shape is refused, not reshaped."""
+        for name, shape in (("x", (4,)), ("u", (4,)), ("g", (4,)), ("s", (4, 4))):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"element {name} must have shape {shape}, got {value.shape}")
+            setattr(self, name, value)
 
     def invariant_defects(self) -> dict:
         return {
-            "u_norm": abs(float(self.u @ ETA @ self.u) - self.c ** 2),
+            "u_norm": abs(float(self.u @ ETA @ self.u) - 1.0),
             "frenkel": float(np.abs(self.s @ self.u).max()),
             "spin_antisymmetry": lowered_antisymmetry_defect(self.s),
         }
 
-    def validate(self, tol: float = 1e-9):
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be finite and positive, got {self.c!r}")
+    def validate(self):
         state = np.concatenate([self.x, self.u, self.g, self.s.ravel()])
         if not np.all(np.isfinite(state)):
             raise ValueError("element state has non-finite entries")
         defects = self.invariant_defects()
-        bad = {k: v for k, v in defects.items() if not v <= tol}
+        bad = {k: v for k, v in defects.items() if not v <= 1e-9}
         if bad:
             raise ValueError(f"element violates invariants: {bad}")
         # the closure's rank cut is relative: a Frenkel defect leaves a third pivot of up
@@ -84,15 +85,15 @@ class SplitMomentum:
     g_square: float
 
 
-def split_momentum(g, u, c: float = 1.0) -> SplitMomentum:
+def split_momentum(g, u) -> SplitMomentum:
     """g = rho0 u + pi with u-transverse pi; both rest-mass densities."""
     g = np.asarray(g, dtype=float)
     u = np.asarray(u, dtype=float)
-    rho0 = float(g @ u) / c ** 2
+    rho0 = float(g @ u)
     pi_low = g - rho0 * (ETA @ u)
     gsq = float(g @ ETA @ g)
     defined = gsq >= 0.0
-    mu0 = math.sqrt(gsq) / c if defined else math.nan
+    mu0 = math.sqrt(gsq) if defined else math.nan
     return SplitMomentum(rho0, pi_low, mu0, defined, gsq)
 
 
@@ -115,25 +116,25 @@ def stress_tensors(element: WeyssenhoffElement) -> StressTensors:
 
 
 def transverse_momentum(element: WeyssenhoffElement, a, tol: float = 1e-9) -> np.ndarray:
-    """pi^mu = -(1/c^2) s^mu_nu a^nu for an acceleration transverse to u."""
+    """pi^mu = -s^mu_nu a^nu for an acceleration transverse to u."""
     a = np.asarray(a, dtype=float)
     ua = float(element.u @ ETA @ a)
-    scale = max(1.0, float(np.abs(a).max()) * element.c)
+    scale = max(1.0, float(np.abs(a).max()))
     if abs(ua) > tol * scale:
         raise ValueError(f"acceleration not transverse to u: u.a = {ua:.3e}")
-    return -(element.s @ a) / element.c ** 2
+    return -(element.s @ a)
 
 
 def momentum_from_state(element: WeyssenhoffElement, a, tol: float = 1e-9) -> np.ndarray:
     """Covariant momentum density rho0 u_mu + pi_mu rebuilt from spin and acceleration."""
-    rho0 = split_momentum(element.g, element.u, element.c).rho0
+    rho0 = split_momentum(element.g, element.u).rho0
     pi = transverse_momentum(element, a, tol)
     return rho0 * (ETA @ element.u) + ETA @ pi
 
 
-def frenkel_projector(u, c: float = 1.0) -> np.ndarray:
+def frenkel_projector(u) -> np.ndarray:
     """eta-orthogonal projector onto the subspace transverse to u."""
-    return np.eye(4) - np.outer(u, ETA @ u) / c ** 2
+    return np.eye(4) - np.outer(u, ETA @ u)
 
 
 class ClosureError(RuntimeError):
@@ -154,7 +155,7 @@ class ClosureError(RuntimeError):
 #: its defect.  `_closure`'s r22 test keeps the roundoff cut _RANK_TOL ** 2, as a boost,
 #: not a spin defect, lowers r22 / r11.
 _RANK_TOL = 1e-6
-#: The closure gate of a worldline run, relative to max(1, max|c^2 pi|) at its initial
+#: The closure gate of a worldline run, relative to max(1, max|pi|) at its initial
 #: state (see `_closure_gate`).
 _SOLVER_TOL = 1e-3
 
@@ -316,23 +317,23 @@ def _closure(s, rhs) -> list:
             alpha1 * p2 + alpha2 * t2, alpha1 * p3 + alpha2 * t3]
 
 
-def _closure_gate(solver_tol, c, pi_low) -> float:
-    """The largest closure residual a state may have: solver_tol * max(1, max|c^2 pi|)."""
-    return solver_tol * max(1.0, c ** 2 * float(np.abs(pi_low).max()))
+def _closure_gate(solver_tol, pi_low) -> float:
+    """The largest closure residual a state may have: solver_tol * max(1, max|pi|)."""
+    return solver_tol * max(1.0, float(np.abs(pi_low).max()))
 
 
-def _rate(y, g, c, gate):
+def _rate(y, g, gate):
     """Right-hand side of the worldline equations on the flat state y (24 floats).
 
     y holds x^mu, u^mu and s^mu_nu (row-major); the rate is (u, a, s-dot), where
-    a solves the spin closure s a = -c^2 pi in the column space of s (see
+    a solves the spin closure s a = -pi in the column space of s (see
     `_closure`) and s-dot = pi (x) u_low - u (x) pi_low.  Solutions differ by the
     spin kernel (which contains u); the column-space representative is the
     unique one the flow propagates consistently, it is metric-orthogonal to u
     whenever the Frenkel constraint holds, and it reduces to the plain
     minimum-norm solution in the rest frame.  For a vanishing transverse
     momentum it is exactly zero.  Returns (rate, residual): with a float `gate`
-    (see `_closure_gate`), the residual max|s a + c^2 pi| is measured and raises
+    (see `_closure_gate`), the residual max|s a + pi| is measured and raises
     ClosureError above the gate; with None it is not measured and is None.
     Runge-Kutta stages sit off the constraint manifold by the local truncation
     error, so the integrator gates recorded states only.  Written out in scalar
@@ -341,8 +342,7 @@ def _rate(y, g, c, gate):
     u0, u1, u2, u3 = y[4:8]
     s = y[8:24]
     g0, g1, g2, g3 = g
-    c2 = c ** 2
-    rho0 = (g0 * u0 + g1 * u1 + g2 * u2 + g3 * u3) / c2
+    rho0 = g0 * u0 + g1 * u1 + g2 * u2 + g3 * u3
     # pi_low = g - rho0 u_low, pi = its raised form, u_low = (u0, v1, v2, v3)
     l0 = g0 - rho0 * u0
     l1 = g1 + rho0 * u1
@@ -355,11 +355,11 @@ def _rate(y, g, c, gate):
     v1 = -u1
     v2 = -u2
     v3 = -u3
-    m = -c2
-    h0 = m * p0
-    h1 = m * p1
-    h2 = m * p2
-    h3 = m * p3
+    # h = -pi as a product with -1.0, which keeps the sign of a NaN that a minus would flip
+    h0 = -1.0 * p0
+    h1 = -1.0 * p1
+    h2 = -1.0 * p2
+    h3 = -1.0 * p3
     a0, a1, a2, a3 = _closure(s, [h0, h1, h2, h3])
     residual = None
     if gate is not None:
@@ -378,20 +378,20 @@ def _rate(y, g, c, gate):
             p3 * u0 - u3 * l0, p3 * v1 - u3 * l1, p3 * v2 - u3 * l2, p3 * v3 - u3 * l3], residual
 
 
-def _acceleration(u, s, g, c, solver_tol=None):
+def _acceleration(u, s, g, solver_tol=None):
     """(a, pi, pi_low) of one state through `_rate`; a solver_tol gates it (`_closure_gate`)."""
     u = np.asarray(u, dtype=float)
-    pi_low = split_momentum(g, u, c).pi_low
-    gate = None if solver_tol is None else _closure_gate(solver_tol, c, pi_low)
+    pi_low = split_momentum(g, u).pi_low
+    gate = None if solver_tol is None else _closure_gate(solver_tol, pi_low)
     y = [0.0] * 4 + u.tolist() + np.asarray(s, dtype=float).ravel().tolist()
-    rate, _ = _rate(y, np.asarray(g, dtype=float).tolist(), c, gate)
+    rate, _ = _rate(y, np.asarray(g, dtype=float).tolist(), gate)
     return np.array(rate[4:8]), ETA @ pi_low, pi_low
 
 
-def _diagnostics(u, s, c) -> dict:
+def _diagnostics(u, s) -> dict:
     """Unit-speed defect, Frenkel residual and spin invariant s_mn s^mn of stacked states."""
     s_low = ETA @ s
-    return {"u_norm": np.einsum("im,mn,in->i", u, ETA, u) - c ** 2,
+    return {"u_norm": np.einsum("im,mn,in->i", u, ETA, u) - 1.0,
             "frenkel": np.abs(s @ u[:, :, None]).max(axis=(1, 2)),
             "spin_invariant": np.einsum("imn,imn->i", s_low, ETA @ s_low @ ETA)}
 
@@ -417,7 +417,6 @@ class Trajectory:
     u: np.ndarray
     s: np.ndarray
     g: np.ndarray            # constant covariant momentum density
-    c: float
     diagnostics: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)   # steps, dtau, solver_tol
 
@@ -443,12 +442,12 @@ class Trajectory:
 
     def regime(self) -> dict:
         """The momentum regime: whether mu0 is defined (g.g >= 0), and g.g."""
-        sp = split_momentum(self.g, self.u[0], self.c)
+        sp = split_momentum(self.g, self.u[0])
         return {"mu0_defined": sp.mu0_defined, "g_square": sp.g_square}
 
     def write_json(self, path):
-        """The run summary: g, c, drift_summary, run and regime."""
-        payload = {"g": self.g.tolist(), "c": self.c, "drift_summary": self.drift_summary(),
+        """The run summary: g, drift_summary, run and regime."""
+        payload = {"g": self.g.tolist(), "drift_summary": self.drift_summary(),
                    "run": self.params, "regime": self.regime()}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
@@ -481,23 +480,22 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float) ->
 
     The energy-momentum density is conserved exactly (particle reduction with
     vanishing kinematic compressibility); u and s evolve through the spin
-    closure: a is the least-squares solution of -(1/c^2) s a = pi in the column
+    closure: a is the least-squares solution of -s a = pi in the column
     space of s (minimum-norm only in the rest frame), the spin rate is the
     transverse-momentum bivector.  Constraint drift is recorded, never corrected:
     reporting it is the run's purpose.  Proper time starts at 0.  The state is
     stepped as one flat list of floats (see `_rate`); the diagnostics are computed
     after the last step, on blocks of _WRITE_ROWS recorded states.
     Every recorded state, the last one too, must pass the closure gate
-    _SOLVER_TOL * max(1, max|c^2 pi|), with pi taken at the initial state, or
+    _SOLVER_TOL * max(1, max|pi|), with pi taken at the initial state, or
     ClosureError is raised: a runaway, whose |pi| grows with it, cannot widen its
     own gate.  Bad `steps` or `dtau` raise ValueError (see tau_grid).
     """
     initial.validate()
     tau = tau_grid(steps, dtau)
-    c = initial.c
     g = initial.g.copy()
     gl = g.tolist()
-    gate = _closure_gate(_SOLVER_TOL, c, split_momentum(g, initial.u, c).pi_low)
+    gate = _closure_gate(_SOLVER_TOL, split_momentum(g, initial.u).pi_low)
     n = int(steps)
     states = np.empty((n + 1, 24))
     closure = np.empty(n + 1)
@@ -505,19 +503,19 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float) ->
     states[0] = y
     half, sixth = 0.5 * dtau, dtau / 6.0
     for i in range(n):
-        k1, closure[i] = _rate(y, gl, c, gate)
-        k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, c, None)
-        k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, c, None)
-        k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, c, None)
+        k1, closure[i] = _rate(y, gl, gate)
+        k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, None)
+        k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, None)
+        k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, None)
         y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
         states[i + 1] = y
-    _, closure[n] = _rate(y, gl, c, gate)
+    _, closure[n] = _rate(y, gl, gate)
     us, ss = states[:, 4:8], states[:, 8:].reshape(n + 1, 4, 4)
     diag = {key: np.empty(n + 1) for key in ("u_norm", "frenkel", "spin_invariant")}
     for rows in _blocks(n + 1):
-        for key, value in _diagnostics(us[rows], ss[rows], c).items():
+        for key, value in _diagnostics(us[rows], ss[rows]).items():
             diag[key][rows] = value
     diag["spin_invariant"] -= diag["spin_invariant"][0]
     diag["closure_residual"] = closure
     params = {"steps": n, "dtau": float(dtau), "solver_tol": _SOLVER_TOL}
-    return Trajectory(tau, states[:, :4], us, ss, g, c, diag, params)
+    return Trajectory(tau, states[:, :4], us, ss, g, diag, params)

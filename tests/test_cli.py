@@ -86,7 +86,7 @@ def test_simulation_writes_trajectory_and_summary(tmp_path, capsys):
         np.zeros(4), u, 1.5 * (ETA @ u),
         weyssenhoff.spin_matrix_from_components([0, 0, 0, 0.5, 0, 0]))
     drift = weyssenhoff.integrate_worldline(el, 40, 0.01).drift_summary()
-    payload = {"g": [1.5, 0.0, 0.0, 0.0], "c": 1.0, "drift_summary": drift,
+    payload = {"g": [1.5, 0.0, 0.0, 0.0], "drift_summary": drift,
                "run": {"steps": 40, "dtau": 0.01, "solver_tol": 1e-3},
                "regime": {"mu0_defined": True, "g_square": 2.25}}
     summary = (tmp_path / "traj.csv.json").read_text()
@@ -549,15 +549,34 @@ def test_spin_noise_validate_accepts_runs(tmp_path, capsys):
                  "--output", str(tmp_path / "t.csv")]) == 0, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lines", ["c = 0\nu = 0 0 0 0", "c = -1\nu = 1 0 0 0"])
+@pytest.mark.parametrize("value", ["1", "1.0"])
+def test_speed_of_light_one_runs(tmp_path, value):
+    """The worldline works in natural units; a config may still write c = 1."""
+    cfg = tmp_path / "wl.ini"
+    cfg.write_text(f"[worldline]\nc = {value}\nu = 1 0 0 0\nsteps = 5\n")
+    out = tmp_path / "t.csv"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                 "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize("lines", ["c = 0\nu = 0 0 0 0", "c = -1\nu = 1 0 0 0",
+                                   "c = 2\nu = 1 0 0 0", "c = nan\nu = 1 0 0 0",
+                                   "c = inf\nu = 1 0 0 0", "c = abc\nu = 1 0 0 0"])
 def test_bad_speed_of_light_is_refused(tmp_path, lines, capsys):
+    """Any c but 1 is a usage error in the settings phase: one line naming the key."""
     cfg = tmp_path / "wl.ini"
     cfg.write_text(f"[worldline]\n{lines}\nsteps = 5\n")
     out = tmp_path / "t.csv"
     assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
                  "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("refused: c must be finite and positive")
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: [worldline] c ") and err.count("\n") == 1
+    value = lines.split("\n")[0].split(" = ")[1]
+    if value != "abc":
+        assert err == ("error: [worldline] c must be 1 (the worldline works in natural units), "
+                       f"got '{value}'\n")
+    assert not out.exists() and not (tmp_path / "t.csv.json").exists()
 
 
 @pytest.mark.parametrize("args", [["--dtau=1e308", "--steps=3"], ["--dtau=1e304", "--steps=100000"]])

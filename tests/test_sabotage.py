@@ -35,6 +35,11 @@ def _edge_order_one_gradient(self, data, axis):
     return np.gradient(data, self.spacing[axis], axis=axis, edge_order=1)
 
 
+def _spacing_0_gradient(self, data, axis):
+    """The axis-0 spacing on every axis."""
+    return np.gradient(data, self.spacing[0], axis=axis, edge_order=2)
+
+
 def _dislocation_plus_wedge(E):
     """The Lorentz part as d w + w ^ w: the sign of the structure term flipped."""
     tra = ext_d(E.tra)
@@ -90,9 +95,9 @@ def _spin_with_raised_u(state, x):
     return dataclasses.replace(tk, S=np.einsum("l,lmn->mn", tk.u, tk.S3))
 
 
-def _position_rate_off_by_1e6(y, g, c, gate):
+def _position_rate_off_by_1e6(y, g, gate):
     """The worldline rate with its position rate, dx/dtau = u, scaled by 1 + 1e-6."""
-    rate, residual = _rate(y, g, c, gate)
+    rate, residual = _rate(y, g, gate)
     return [(1 + 1e-6) * v for v in rate[:4]] + rate[4:], residual
 
 
@@ -102,9 +107,9 @@ def _trace_off_by_1e9(element):
     return dataclasses.replace(st, trace=st.trace * (1 + 1e-9))
 
 
-def _pi_unlowered(g, u, c=1.0):
+def _pi_unlowered(g, u):
     """split_momentum with pi = g - rho0 u: u left unlowered."""
-    sp = _split_momentum(g, u, c)
+    sp = _split_momentum(g, u)
     return dataclasses.replace(sp, pi_low=np.asarray(g, dtype=float) - sp.rho0 * np.asarray(u))
 
 
@@ -136,6 +141,9 @@ SABOTAGE = {
                                _DISLOCATION_CHECKS),
     "edge-order-one": (lattice.Lattice, "gradient", _edge_order_one_gradient,
                        {"cosserat.04-integration-by-parts"}),
+    # forms.06 reads 0.600 on its (0.05, 0.08) lattice; every other suite lattice is a cube
+    "gradient-spacing-0": (lattice.Lattice, "gradient", _spacing_0_gradient,
+                           {"forms.06-hand-dislocation"}),
     # forms.06 reads 1.0e-6 at seed 0; forms.01 stays at roundoff (2.8e-14), as a scaled
     # d d f is still 0
     "ext-d-times-1+1e-6": (_EXT_D_OWNERS, "ext_d", _ext_d_off_by_1e6,

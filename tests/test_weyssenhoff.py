@@ -31,26 +31,26 @@ def spin_components(s) -> list:
     return [float(s_low[m, n]) for m, n in weyssenhoff.SPIN_COMPONENTS]
 
 
-def _rest_element(rho0=1.3, pis=(0.0, 0.0, 0.0), s12=0.5, c=1.0):
-    u = np.array([c, 0, 0, 0])
+def _rest_element(rho0=1.3, pis=(0.0, 0.0, 0.0), s12=0.5):
+    u = np.array([1.0, 0, 0, 0])
     g = rho0 * (ETA @ u) + np.array([0.0, *pis])
     s = spin_matrix_from_components([0, 0, 0, s12, 0, 0])
-    return WeyssenhoffElement(np.zeros(4), u, g, s, c=c)
+    return WeyssenhoffElement(np.zeros(4), u, g, s)
 
 
-def _moving_element(rng, c=1.0):
+def _moving_element(rng):
     v = rng.uniform(-0.4, 0.4, 3)
-    gamma = 1.0 / math.sqrt(1 - float(v @ v) / c ** 2)
-    u = gamma * np.array([c, *v])
-    P = frenkel_projector(u, c)
+    gamma = 1.0 / math.sqrt(1 - float(v @ v))
+    u = gamma * np.array([1.0, *v])
+    P = frenkel_projector(u)
     raw = rng.standard_normal((4, 4))
     s = P @ (ETA @ (0.5 * (raw - raw.T))) @ P
     rho0 = rng.uniform(0.5, 2.0)
     a_seed = P @ rng.standard_normal(4)
-    el0 = WeyssenhoffElement(np.zeros(4), u, rho0 * (ETA @ u), s, c=c)
+    el0 = WeyssenhoffElement(np.zeros(4), u, rho0 * (ETA @ u), s)
     pi = transverse_momentum(el0, a_seed)
     g = rho0 * (ETA @ u) + ETA @ pi
-    return WeyssenhoffElement(np.zeros(4), u, g, s, c=c)
+    return WeyssenhoffElement(np.zeros(4), u, g, s)
 
 
 def test_spin_component_roundtrip(rng):
@@ -69,11 +69,22 @@ def test_spin_matrix_refuses_other_component_counts(count):
 
 def test_element_invariants():
     el = _rest_element()
-    el.validate(1e-12)
+    assert max(el.invariant_defects().values()) <= 1e-12
+    el.validate()
     bad = WeyssenhoffElement(np.zeros(4), np.array([1.0, 0.5, 0, 0]),
                              np.array([1.0, 0, 0, 0]), np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        bad.validate(1e-9)
+        bad.validate()
+
+
+@pytest.mark.parametrize("slot, value", [("x", [[0.0, 0.0], [0.0, 0.0]]), ("u", np.ones(5)),
+                                         ("g", np.ones((1, 4))), ("s", np.zeros(16))])
+def test_element_refuses_a_slot_of_another_shape(slot, value):
+    """A slot is not reshaped: a (2, 2) x or a flat s of 16 entries is refused, naming it."""
+    slots = {"x": np.zeros(4), "u": [1.0, 0, 0, 0], "g": [1.3, 0, 0, 0], "s": np.zeros((4, 4)),
+             slot: value}
+    with pytest.raises(ValueError, match=f"^element {slot} must have shape "):
+        WeyssenhoffElement(**slots)
 
 
 @pytest.mark.parametrize("slot", ["x", "u", "g", "s"])
@@ -81,16 +92,7 @@ def test_non_finite_element_refused(slot):
     el = _rest_element()
     getattr(el, slot).flat[0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        el.validate(1e-9)
-
-
-@pytest.mark.parametrize("c,u", [(0.0, [0.0, 0, 0, 0]), (-1.0, [1.0, 0, 0, 0]),
-                                 (math.nan, [1.0, 0, 0, 0]), (math.inf, [1.0, 0, 0, 0])])
-def test_bad_speed_of_light_refused(c, u):
-    # c = 0 with u = 0 and c = -1 with u.u = 1 satisfy every invariant
-    el = WeyssenhoffElement(np.zeros(4), np.array(u), np.array(u), np.zeros((4, 4)), c=c)
-    with pytest.raises(ValueError, match="c must be finite and positive"):
-        el.validate(1e-9)
+        el.validate()
 
 
 def test_nan_invariant_defect_refused():
@@ -101,12 +103,12 @@ def test_nan_invariant_defect_refused():
     with np.errstate(over="ignore", invalid="ignore"):
         assert math.isnan(el.invariant_defects()["frenkel"])
         with pytest.raises(ValueError, match="frenkel"):
-            el.validate(1e-9)
+            el.validate()
 
 
 def test_split_collinear_momentum():
     el = _rest_element(rho0=2.0, s12=0.0)
-    sp = split_momentum(el.g, el.u, el.c)
+    sp = split_momentum(el.g, el.u)
     assert sp.rho0 == pytest.approx(2.0, abs=1e-14)
     assert np.abs(sp.pi_low).max() <= 1e-14
     assert sp.mu0 == pytest.approx(2.0, abs=1e-14)
@@ -116,17 +118,17 @@ def test_split_collinear_momentum():
 def test_split_rest_frame_recovery():
     pis = (0.3, -0.2, 0.1)
     el = _rest_element(rho0=1.5, pis=pis, s12=0.0)
-    sp = split_momentum(el.g, el.u, el.c)
+    sp = split_momentum(el.g, el.u)
     assert sp.rho0 == pytest.approx(1.5, abs=1e-14)
     assert np.abs(sp.pi_low - np.array([0, *pis])).max() <= 1e-14
     assert abs(float(el.u @ sp.pi_low)) <= 1e-14
 
 
 def test_momentum_density_identity(rng):
-    # g.g = rho0^2 c^2 + pi.pi for any split (pi spacelike makes mu0 <= rho0)
+    # g.g = rho0^2 + pi.pi for any split (pi spacelike makes mu0 <= rho0)
     for _ in range(20):
         el = _moving_element(rng)
-        sp = split_momentum(el.g, el.u, el.c)
+        sp = split_momentum(el.g, el.u)
         pi_up = ETA @ sp.pi_low
         gg = float(el.g @ ETA @ el.g)
         assert gg == pytest.approx(sp.rho0 ** 2 + float(sp.pi_low @ pi_up), abs=1e-12)
@@ -136,7 +138,7 @@ def test_momentum_density_identity(rng):
 
 def test_mu0_flagged_when_momentum_spacelike():
     el = _rest_element(rho0=0.5, pis=(2.0, 0, 0), s12=0.0)
-    sp = split_momentum(el.g, el.u, el.c)
+    sp = split_momentum(el.g, el.u)
     assert not sp.mu0_defined
     assert math.isnan(sp.mu0)
     assert sp.g_square < 0
@@ -160,11 +162,11 @@ def test_stress_antisymmetric_part(rng):
     for _ in range(10):
         el = _moving_element(rng)
         st = stress_tensors(el)
-        sp = split_momentum(el.g, el.u, el.c)
+        sp = split_momentum(el.g, el.u)
         u_low = ETA @ el.u
         expected = 0.5 * (np.outer(sp.pi_low, u_low) - np.outer(u_low, sp.pi_low))
         assert np.abs(st.T_asym - expected).max() <= 1e-13
-        assert st.trace == pytest.approx(sp.rho0 * el.c ** 2, abs=1e-12)
+        assert st.trace == pytest.approx(sp.rho0, abs=1e-12)
         # spin flux: S[nu][lam][mu] = s^nu_mu u^lam
         assert np.abs(st.S - np.einsum("nm,l->nlm", el.s, el.u)).max() == 0.0
 
@@ -181,7 +183,7 @@ def test_transverse_momentum_rest_frame_contraction():
     el = _rest_element(s12=sigma)
     a = np.array([0.0, alpha, 0.0, 0.0])
     pi = transverse_momentum(el, a)
-    # oracle: explicit 4x4 contraction of -(1/c^2) s^mu_nu a^nu
+    # oracle: explicit 4x4 contraction of -s^mu_nu a^nu
     oracle = -(el.s @ a)
     assert np.abs(pi - oracle).max() == 0.0
     expected = np.zeros(4)
@@ -198,11 +200,11 @@ def test_transverse_momentum_requires_orthogonal_acceleration():
 def test_momentum_from_state_roundtrip(rng):
     for _ in range(10):
         el = _moving_element(rng)
-        P = frenkel_projector(el.u, el.c)
+        P = frenkel_projector(el.u)
         a = P @ rng.standard_normal(4)
         g2 = momentum_from_state(el, a)
-        sp = split_momentum(g2, el.u, el.c)
-        sp_direct = split_momentum(el.g, el.u, el.c)
+        sp = split_momentum(g2, el.u)
+        sp_direct = split_momentum(el.g, el.u)
         assert sp.rho0 == pytest.approx(sp_direct.rho0, abs=1e-12)
         pi = transverse_momentum(el, a)
         assert np.abs(sp.pi_low - ETA @ pi).max() <= 1e-12
@@ -221,26 +223,6 @@ def test_momentum_from_state_rest_numeric():
     g = momentum_from_state(el, a)
     expected = np.array([1.3, 0.0, sigma * alpha, 0.0])  # lowering flips the spatial pi
     assert np.abs(g - expected).max() <= 1e-13
-
-
-def test_explicit_speed_of_light():
-    # every formula carries c explicitly; exercise c = 2
-    c = 2.0
-    el = _rest_element(rho0=1.3, pis=(0.5, 0, 0), s12=0.4, c=c)
-    el.validate(1e-12)
-    sp = split_momentum(el.g, el.u, c)
-    assert sp.rho0 == pytest.approx(1.3, abs=1e-14)
-    st = stress_tensors(el)
-    assert st.trace == pytest.approx(1.3 * c ** 2, abs=1e-12)
-    assert st.T[0, 0] == pytest.approx(1.3 * c ** 2, abs=1e-12)
-    a = np.array([0.0, 0.3, 0, 0])
-    pi = transverse_momentum(el, a)
-    assert np.abs(pi - (-(el.s @ a) / c ** 2)).max() == 0.0
-    el_free = WeyssenhoffElement(np.zeros(4), np.array([c, 0, 0, 0]),
-                                 1.1 * (ETA @ np.array([c, 0, 0, 0])), np.zeros((4, 4)), c=c)
-    traj = integrate_worldline(el_free, 50, 0.01)
-    assert np.abs(traj.u - el_free.u).max() <= 1e-12
-    assert traj.drift_summary()["u_norm"] <= 1e-12
 
 
 @pytest.mark.parametrize("steps,dtau", [(-1, 0.01), (2.5, 0.01), ("3", 0.01), (None, 0.01),
@@ -306,7 +288,7 @@ def test_worldline_differentiated_frenkel_identity(rng):
     traj = integrate_worldline(el, 50, 0.01)
     for i in (0, 25, 50):
         u, s = traj.u[i], traj.s[i]
-        a, pi, pi_low = _acceleration(u, s, traj.g, el.c)
+        a, pi, pi_low = _acceleration(u, s, traj.g)
         sdot = _sdot(pi, pi_low, u)
         lhs = sdot @ u  # s-dot^mu_nu u^nu
         rhs = -(s @ a)
@@ -376,10 +358,10 @@ def test_trajectory_writers(tmp_path, rng):
 # the scalar RK4 kernel against the SVD + lstsq closure it replaced
 
 
-def _oracle_acceleration(u, s, g, c):
+def _oracle_acceleration(u, s, g):
     """Column-space least squares through the SVD of s: the reference closure."""
-    rho0 = float(g @ u) / c ** 2
-    rhs = -c ** 2 * (ETA @ (g - rho0 * (ETA @ u)))
+    rho0 = float(g @ u)
+    rhs = -(ETA @ (g - rho0 * (ETA @ u)))
     U, sv, _ = np.linalg.svd(s)
     cols = sv > 1e-12 * max(sv[0], 1e-300)
     if not np.any(cols):
@@ -395,10 +377,10 @@ def _sdot(pi, pi_low, u):
     return np.outer(pi, u_low) - np.outer(u, pi_low)
 
 
-def _oracle_rhs(y, g, c):
+def _oracle_rhs(y, g):
     x, u, s = y
-    a = _oracle_acceleration(u, s, g, c)
-    rho0 = float(g @ u) / c ** 2
+    a = _oracle_acceleration(u, s, g)
+    rho0 = float(g @ u)
     pi_low = g - rho0 * (ETA @ u)
     return u.copy(), a, np.outer(ETA @ pi_low, ETA @ u) - np.outer(u, pi_low)
 
@@ -408,10 +390,10 @@ def _oracle_worldline(el, steps, dtau):
     y = (el.x.copy(), el.u.copy(), el.s.copy())
     ys = [y]
     for _ in range(steps):
-        k1 = _oracle_rhs(y, el.g, el.c)
-        k2 = _oracle_rhs(tuple(y[j] + 0.5 * dtau * k1[j] for j in range(3)), el.g, el.c)
-        k3 = _oracle_rhs(tuple(y[j] + 0.5 * dtau * k2[j] for j in range(3)), el.g, el.c)
-        k4 = _oracle_rhs(tuple(y[j] + dtau * k3[j] for j in range(3)), el.g, el.c)
+        k1 = _oracle_rhs(y, el.g)
+        k2 = _oracle_rhs(tuple(y[j] + 0.5 * dtau * k1[j] for j in range(3)), el.g)
+        k3 = _oracle_rhs(tuple(y[j] + 0.5 * dtau * k2[j] for j in range(3)), el.g)
+        k4 = _oracle_rhs(tuple(y[j] + dtau * k3[j] for j in range(3)), el.g)
         y = tuple(y[j] + dtau / 6.0 * (k1[j] + 2 * k2[j] + 2 * k3[j] + k4[j]) for j in range(3))
         ys.append(y)
     return tuple(np.array([y[j] for y in ys]) for j in range(3))
@@ -470,18 +452,17 @@ def _closure_reference(s, rhs) -> list:
     return [alpha1 * v + alpha2 * w for v, w in zip(r1, r2)]
 
 
-def _rate_reference(y, g, c, gate):
+def _rate_reference(y, g, gate):
     """The generic worldline right-hand side that `weyssenhoff._rate` writes out, over
     `_closure_reference`."""
     u0, u1, u2, u3 = u = y[4:8]
     s = y[8:24]
     g0, g1, g2, g3 = g
-    c2 = c ** 2
-    rho0 = (g0 * u0 + g1 * u1 + g2 * u2 + g3 * u3) / c2
+    rho0 = g0 * u0 + g1 * u1 + g2 * u2 + g3 * u3
     u_low = (u0, -u1, -u2, -u3)
     pi_low = (g0 - rho0 * u0, g1 + rho0 * u1, g2 + rho0 * u2, g3 + rho0 * u3)
     pi = (pi_low[0], -pi_low[1], -pi_low[2], -pi_low[3])
-    rhs = [-c2 * p for p in pi]
+    rhs = [-1.0 * p for p in pi]
     a0, a1, a2, a3 = a = _closure_reference(s, rhs)
     residual = None
     if gate is not None:
@@ -493,17 +474,17 @@ def _rate_reference(y, g, c, gate):
     return u + a + sdot, residual
 
 
-def _bounded_element(rng, c=1.0):
-    """Boosted spinning element with timelike momentum density, |pi| = 0.3 rho0 c."""
+def _bounded_element(rng):
+    """Boosted spinning element with timelike momentum density, |pi| = 0.3 rho0."""
     v = rng.uniform(-0.4, 0.4, 3)
-    u = np.array([c, *v]) / math.sqrt(1.0 - float(v @ v) / c ** 2)
-    P = frenkel_projector(u, c)
+    u = np.array([1.0, *v]) / math.sqrt(1.0 - float(v @ v))
+    P = frenkel_projector(u)
     raw = rng.standard_normal((4, 4))
     s = P @ (ETA @ (0.5 * (raw - raw.T))) @ P
     rho0 = rng.uniform(0.5, 2.0)
-    pi = -(s @ (P @ rng.standard_normal(4))) / c ** 2
-    pi *= 0.3 * rho0 * c / math.sqrt(-float(pi @ ETA @ pi))
-    return WeyssenhoffElement(np.zeros(4), u, rho0 * (ETA @ u) + ETA @ pi, s, c=c)
+    pi = -(s @ (P @ rng.standard_normal(4)))
+    pi *= 0.3 * rho0 / math.sqrt(-float(pi @ ETA @ pi))
+    return WeyssenhoffElement(np.zeros(4), u, rho0 * (ETA @ u) + ETA @ pi, s)
 
 
 def _fallback_calls():
@@ -511,45 +492,45 @@ def _fallback_calls():
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([1.0, 2.0]),
+@given(seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["on-manifold", "stage", "rank-4"]), size=st.floats(0.05, 1.0))
-def test_closure_matches_svd_oracle(seed, c, kind, size):
+def test_closure_matches_svd_oracle(seed, kind, size):
     rng = np.random.default_rng(seed)
-    el = _bounded_element(rng, c)
+    el = _bounded_element(rng)
     u, s = el.u, el.s
     if kind == "stage":
         # a Runge-Kutta stage: off the Frenkel constraint, still of rank 2
-        a, pi, pi_low = weyssenhoff._acceleration(u, s, el.g, c)
+        a, pi, pi_low = weyssenhoff._acceleration(u, s, el.g)
         h = 0.1 * size
         u, s = u + h * a, s + h * _sdot(pi, pi_low, u)
     elif kind == "rank-4":
         raw = rng.standard_normal((4, 4))
         s = s + size * (ETA @ (raw - raw.T))
     with _fallback_calls() as fallback:
-        a = weyssenhoff._acceleration(u, s, el.g, c)[0]
-    oracle = _oracle_acceleration(u, s, el.g, c)
+        a = weyssenhoff._acceleration(u, s, el.g)[0]
+    oracle = _oracle_acceleration(u, s, el.g)
     assert np.abs(a - oracle).max() <= 1e-12 * np.abs(oracle).max()
     assert fallback.called == (kind == "rank-4")
 
 
 def test_closure_zero_spin():
     u = np.array([1.0, 0, 0, 0])
-    a, pi, _ = weyssenhoff._acceleration(u, np.zeros((4, 4)), 1.3 * (ETA @ u), 1.0, 1e-3)
+    a, pi, _ = weyssenhoff._acceleration(u, np.zeros((4, 4)), 1.3 * (ETA @ u), 1e-3)
     assert np.abs(pi).max() == 0.0
     assert np.array_equal(a, np.zeros(4))
     with pytest.raises(ClosureError):
-        weyssenhoff._acceleration(u, np.zeros((4, 4)), np.array([1.3, 0.2, 0, 0]), 1.0, 1e-3)
+        weyssenhoff._acceleration(u, np.zeros((4, 4)), np.array([1.3, 0.2, 0, 0]), 1e-3)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_closure_gate_scales_by_the_largest_rhs_entry(m):
-    """With s = 0 the residual is max|c^2 pi|, which is also the gate's scale above 1."""
+    """With s = 0 the residual is max|pi|, which is also the gate's scale above 1."""
     g = [1.3, 0.5, 0.5, 0.5]
     g[m] = 2.0
     u, s = [1.0, 0.0, 0.0, 0.0], np.zeros((4, 4))
-    weyssenhoff._acceleration(u, s, g, 1.0, 1.0)       # residual 2.0 at the gate 1.0 * 2.0
+    weyssenhoff._acceleration(u, s, g, 1.0)       # residual 2.0 at the gate 1.0 * 2.0
     with pytest.raises(ClosureError) as exc:
-        weyssenhoff._acceleration(u, s, g, 1.0, 0.999)
+        weyssenhoff._acceleration(u, s, g, 0.999)
     assert exc.value.residual == 2.0
 
 
@@ -567,9 +548,9 @@ def test_closure_rank_four_takes_fallback(rng):
     s = ETA @ (raw - raw.T)                     # generic antisymmetric: Pfaffian != 0
     assert np.linalg.svd(s, compute_uv=False)[3] > 1e-3
     with _fallback_calls() as fallback:
-        a = weyssenhoff._acceleration(el.u, s, el.g, el.c, 1e-3)[0]
+        a = weyssenhoff._acceleration(el.u, s, el.g, 1e-3)[0]
     assert fallback.call_count == 1
-    oracle = _oracle_acceleration(el.u, s, el.g, el.c)
+    oracle = _oracle_acceleration(el.u, s, el.g)
     assert np.abs(a - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -596,9 +577,9 @@ def test_closure_solves_every_accepted_spin_as_rank_two(magnitude):
     noisy, clean = _noisy_spin_element(np.random.default_rng(7), magnitude, 0.9e-9)
     noisy.validate()
     with _fallback_calls() as fallback:
-        a = weyssenhoff._acceleration(noisy.u, noisy.s, noisy.g, noisy.c, 1e-3)[0]
+        a = weyssenhoff._acceleration(noisy.u, noisy.s, noisy.g, 1e-3)[0]
     assert not fallback.called
-    a_clean = weyssenhoff._acceleration(clean.u, clean.s, clean.g, clean.c, 1e-3)[0]
+    a_clean = weyssenhoff._acceleration(clean.u, clean.s, clean.g, 1e-3)[0]
     assert np.abs(a - a_clean).max() <= 1e-6 * np.abs(a_clean).max()
     traj = integrate_worldline(noisy, 1000, 0.002 * magnitude)
     assert traj.drift_summary()["frenkel"] <= 2e-9
@@ -649,7 +630,7 @@ def test_nan_spin_goes_through_the_fallback():
     s = el.s.copy()
     s[1, 2] = np.nan
     with _fallback_calls() as fallback, pytest.raises(np.linalg.LinAlgError):
-        weyssenhoff._acceleration(el.u, s, el.g, el.c, 1e-3)
+        weyssenhoff._acceleration(el.u, s, el.g, 1e-3)
     assert fallback.call_count == 1
 
 
@@ -658,7 +639,7 @@ def test_nan_spin_outside_a_zero_first_column_is_refused():
     s = np.zeros((4, 4))
     s[2, 1] = np.nan
     with _fallback_calls() as fallback, pytest.raises(np.linalg.LinAlgError):
-        weyssenhoff._acceleration((1.0, 0, 0, 0), s, (1.3, 0, 0, 0), 1.0, 1e-3)
+        weyssenhoff._acceleration((1.0, 0, 0, 0), s, (1.3, 0, 0, 0), 1e-3)
     assert fallback.call_count == 1
 
 
@@ -703,13 +684,13 @@ def _tied_spin(rng, which):
     return s[rng.permutation(4)]
 
 
-def _kernel_state(rng, kind, c):
+def _kernel_state(rng, kind):
     """Flat state y and covariant g for the kernel oracle: one of the closure's input classes."""
-    el = _bounded_element(rng, c)
+    el = _bounded_element(rng)
     y = np.concatenate([el.x, el.u, el.s.ravel()]).tolist()
     g = el.g.tolist()
     if kind == "stage":                        # an RK4 stage: off the constraints, rank 2
-        k1, _ = _rate_reference(y, g, c, None)
+        k1, _ = _rate_reference(y, g, None)
         h = rng.uniform(0.005, 0.1)
         y = [v + h * k for v, k in zip(y, k1)]
     elif kind == "rank-4":
@@ -727,25 +708,25 @@ def _kernel_state(rng, kind, c):
     return y, g
 
 
-def _kernel_outcome(rate, y, g, c, check):
+def _kernel_outcome(rate, y, g, check):
     try:
-        out, residual = rate(y, g, c, 1e-3 if check else None)
+        out, residual = rate(y, g, 1e-3 if check else None)
     except ClosureError as exc:
         return "ClosureError", np.array([exc.residual])
     return "rate", np.array(out + [np.nan if residual is None else residual])
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([1.0, 2.0]), check=st.booleans(),
+@given(seed=st.integers(0, 2 ** 32 - 1), check=st.booleans(),
        kind=st.sampled_from(["rank-2", "stage", "rank-3", "rank-4", "zero-spin", "first-tie",
                              "second-tie"]))
-def test_kernel_is_bitwise_the_reference(seed, c, check, kind):
+def test_kernel_is_bitwise_the_reference(seed, check, kind):
     rng = np.random.default_rng(seed)
-    y, g = _kernel_state(rng, kind, c)
+    y, g = _kernel_state(rng, kind)
     rhs = rng.standard_normal(4).tolist()
     assert same_bits(weyssenhoff._closure(y[8:], rhs), _closure_reference(y[8:], rhs))
-    got_kind, got = _kernel_outcome(weyssenhoff._rate, y, g, c, check)
-    want_kind, want = _kernel_outcome(_rate_reference, y, g, c, check)
+    got_kind, got = _kernel_outcome(weyssenhoff._rate, y, g, check)
+    want_kind, want = _kernel_outcome(_rate_reference, y, g, check)
     assert got_kind == want_kind
     assert same_bits(got, want)
 
@@ -753,20 +734,20 @@ def test_kernel_is_bitwise_the_reference(seed, c, check, kind):
 def test_trajectory_is_bitwise_the_reference_kernel():
     """500 steps through the scalar kernel against the RK4 loop over the reference kernel."""
     el = _bounded_element(np.random.default_rng(0))
-    steps, dtau, c, g = 500, 0.005, el.c, el.g.tolist()
+    steps, dtau, g = 500, 0.005, el.g.tolist()
     traj = integrate_worldline(el, steps, dtau)
     half, sixth = 0.5 * dtau, dtau / 6.0
     y = np.concatenate([el.x, el.u, el.s.ravel()]).tolist()
     states, residuals = [y], []
     for _ in range(steps):
-        k1, residual = _rate_reference(y, g, c, math.inf)
-        k2, _ = _rate_reference([v + half * k for v, k in zip(y, k1)], g, c, None)
-        k3, _ = _rate_reference([v + half * k for v, k in zip(y, k2)], g, c, None)
-        k4, _ = _rate_reference([v + dtau * k for v, k in zip(y, k3)], g, c, None)
+        k1, residual = _rate_reference(y, g, math.inf)
+        k2, _ = _rate_reference([v + half * k for v, k in zip(y, k1)], g, None)
+        k3, _ = _rate_reference([v + half * k for v, k in zip(y, k2)], g, None)
+        k4, _ = _rate_reference([v + dtau * k for v, k in zip(y, k3)], g, None)
         y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
         states.append(y)
         residuals.append(residual)
-    residuals.append(_rate_reference(y, g, c, math.inf)[1])
+    residuals.append(_rate_reference(y, g, math.inf)[1])
     states = np.array(states)
     assert traj.x.tobytes() == states[:, :4].tobytes()
     assert traj.u.tobytes() == states[:, 4:8].tobytes()
@@ -787,11 +768,11 @@ def test_worldline_matches_oracle_rk4(rng):
 
 
 def test_runaway_fails_the_initial_closure_gate():
-    """The gate's scale is max|c^2 pi| at the initial state, so the runaway of the
+    """The gate's scale is max|pi| at the initial state, so the runaway of the
     spacelike-momentum element of weyssenhoff.05 cannot widen it as |pi| grows.
     State 645 is the first above the gate; it fails as the last state too."""
     el = suites._element(suites._element_draws(np.random.default_rng(11)))
-    gate = 1e-3 * max(1.0, el.c ** 2 * np.abs(split_momentum(el.g, el.u, el.c).pi_low).max())
+    gate = 1e-3 * max(1.0, np.abs(split_momentum(el.g, el.u).pi_low).max())
     closure = integrate_worldline(el, 644, 0.01).diagnostics["closure_residual"]
     assert closure.max() <= gate
     with pytest.raises(ClosureError) as last:
@@ -828,8 +809,8 @@ _CSV_COLUMNS = ["tau", "x0", "x1", "x2", "x3", "u0", "u1", "u2", "u3",
 
 def _summary_reference(traj) -> bytes:
     """json.dump bytes of the summary payload; the summary holds no per-step records."""
-    sp = split_momentum(traj.g, traj.u[0], traj.c)
-    payload = {"g": traj.g.tolist(), "c": traj.c, "drift_summary": traj.drift_summary(),
+    sp = split_momentum(traj.g, traj.u[0])
+    payload = {"g": traj.g.tolist(), "drift_summary": traj.drift_summary(),
                "run": traj.params,
                "regime": {"mu0_defined": sp.mu0_defined, "g_square": sp.g_square}}
     summary = io.StringIO()
@@ -875,7 +856,7 @@ def test_json_summary_reports_run_and_regime(tmp_path, rng):
     traj.write_json(tmp_path / "t.json")
     payload = json.loads((tmp_path / "t.json").read_text())
     assert payload["run"] == {"steps": 20, "dtau": 0.01, "solver_tol": 1e-3}
-    sp = split_momentum(el.g, el.u, el.c)
+    sp = split_momentum(el.g, el.u)
     assert payload["regime"] == {"mu0_defined": True, "g_square": sp.g_square}
     assert set(payload["drift_summary"]) == {"u_norm", "frenkel", "spin_invariant",
                                              "closure_residual"}
@@ -894,7 +875,7 @@ def test_post_processing_holds_the_arrays_and_one_block(tmp_path):
     excess = []
     tracemalloc.start()
     try:
-        with mock.patch.object(weyssenhoff, "_rate", lambda y, g, c, gate: ([0.0] * 24, 0.0)):
+        with mock.patch.object(weyssenhoff, "_rate", lambda y, g, gate: ([0.0] * 24, 0.0)):
             for steps in (8 * weyssenhoff._WRITE_ROWS, 32 * weyssenhoff._WRITE_ROWS):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
