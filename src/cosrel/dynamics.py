@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import KinematicalState, jet_action, jet_slot_shapes, jet_slots, require_integrable
+from .kinematics import KinematicalState, jet_action, jet_slots, require_integrable
 from .lattice import Lattice
 from .minkowski import ETA
 
@@ -35,10 +35,6 @@ class DynamicalState:
                 raise ValueError(f"non-finite entries in {name}")
         self.lattice = lattice
         self.F, self.M, self.sigma, self.mu = F, M, sigma, mu
-
-    @classmethod
-    def zeros(cls, lattice: Lattice) -> "DynamicalState":
-        return cls(lattice, *map(np.zeros, jet_slot_shapes(lattice)))
 
 
 @dataclass

@@ -53,17 +53,18 @@ def prolong(lattice: Lattice, fn) -> KinematicalState:
     return KinematicalState(lattice, x, e, lattice.jets(x), lattice.jets(e))
 
 
-def is_integrable(s: KinematicalState, tol: float = 1e-6) -> tuple[bool, float]:
-    """Compare stored jets with stencil derivatives of the point coordinates."""
+def is_integrable(s: KinematicalState) -> tuple[bool, float]:
+    """Compare stored jets with stencil derivatives of the point coordinates:
+    (residual <= 1e-6, the max-norm residual)."""
     res_x = np.abs(s.xj - s.lattice.jets(s.x)).max()
     res_e = np.abs(s.ej - s.lattice.jets(s.e)).max()
     residual = float(np.maximum(res_x, res_e))
-    return residual <= tol, residual
+    return residual <= 1e-6, residual
 
 
 def require_integrable(s: KinematicalState):
     """Refuse a state whose stored jets differ from the stencil jets of its points by over 1e-6."""
-    ok, res = is_integrable(s, 1e-6)
+    ok, res = is_integrable(s)
     if not ok:
         raise ValueError(f"state is not integrable: residual {res:.3e} > 1.000e-06")
 

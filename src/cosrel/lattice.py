@@ -129,9 +129,6 @@ class FormField:
         self._check_compatible(other)
         return FormField(self.lattice, self.degree, self.data - other.data)
 
-    def __rmul__(self, t: float) -> "FormField":
-        return FormField(self.lattice, self.degree, t * self.data)
-
     def _check_compatible(self, other: "FormField"):
         if self.lattice != other.lattice or self.degree != other.degree \
                 or self.value_shape != other.value_shape:
@@ -155,13 +152,9 @@ def ext_d(f: FormField) -> FormField:
 
 
 def _pair_values(u: np.ndarray, us, v: np.ndarray, vs) -> tuple[np.ndarray, tuple]:
-    """Pointwise value pairing: scalar*any, elementwise vectors, matrix products."""
+    """Pointwise value pairing: a scalar times any value, a matrix times a matrix or vector."""
     if us == ():
         return u[(Ellipsis,) + (np.newaxis,) * len(vs)] * v, vs
-    if vs == ():
-        return u * v[(Ellipsis,) + (np.newaxis,) * len(us)], us
-    if us == (4,) and vs == (4,):
-        return u * v, (4,)  # componentwise scalar pairing
     if us == (4, 4) and vs == (4, 4):
         return u @ v, (4, 4)
     if us == (4, 4) and vs == (4,):

@@ -25,9 +25,10 @@ def four_vector(components) -> np.ndarray:
 
 
 def lorentz_adjoint(L) -> np.ndarray:
-    """eta L^T eta; equals L^-1 when L is Lorentz. Defined for any (..., 4, 4) stack."""
-    L = np.asarray(L, dtype=float)
-    return ETA @ np.swapaxes(L, -1, -2) @ ETA
+    """eta L^T eta; equals L^-1 when L is Lorentz. Defined for any (..., 4, 4) stack.
+
+    eta is diagonal, so eta M eta is M with entry (i, j) times eta_ii eta_jj."""
+    return np.swapaxes(np.asarray(L, dtype=float), -1, -2) * np.outer(np.diag(ETA), np.diag(ETA))
 
 
 def lorentz_defect(L) -> float:

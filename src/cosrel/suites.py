@@ -32,7 +32,8 @@ DEFAULT_DTAU = 0.01
 #: The forms suite's coarse and fine grid sizes unless options set them.
 DEFAULT_GRIDS = (17, 33)
 
-#: The errors a check may raise: each fails its own check, and the run goes on.
+#: The errors a check may raise: each fails its own check, and the run goes on.  Any
+#: other error, a TypeError say, is a fault of the program and stops the run.
 _FAILURES = (ArithmeticError, MemoryError, RuntimeError, ValueError)
 
 
@@ -233,8 +234,9 @@ def _random_algebra_form(lat: Lattice, rng) -> deformation.AlgebraForm:
     for a in range(p):
         for m in range(4):
             xi[..., a, m] = mode(0.1, 0.4)
-        for G in _BASIS_W[4:]:  # J1..J3, K1..K3
-            om[..., a, :, :] += mode(0.05, 0.25)[..., None, None] * G
+        # J1..J3, K1..K3, drawn in that order
+        om[..., a, :, :] = np.tensordot(np.stack([mode(0.05, 0.25) for _ in range(6)], axis=-1),
+                                        _BASIS_W[4:], 1)
     return deformation.AlgebraForm(FormField(lat, 1, xi), FormField(lat, 1, om))
 
 

@@ -80,8 +80,7 @@ class WeyssenhoffElement:
 class SplitMomentum:
     rho0: float
     pi_low: np.ndarray       # transverse momentum, covariant components
-    mu0: float               # NaN when g.g < 0 (flagged, not thrown)
-    mu0_defined: bool
+    mu0_defined: bool        # g.g >= 0: the rest-mass density mu0 = sqrt(g.g) exists
     g_square: float
 
 
@@ -92,9 +91,7 @@ def split_momentum(g, u) -> SplitMomentum:
     rho0 = float(g @ u)
     pi_low = g - rho0 * (ETA @ u)
     gsq = float(g @ ETA @ g)
-    defined = gsq >= 0.0
-    mu0 = math.sqrt(gsq) if defined else math.nan
-    return SplitMomentum(rho0, pi_low, mu0, defined, gsq)
+    return SplitMomentum(rho0, pi_low, gsq >= 0.0, gsq)
 
 
 @dataclass
@@ -511,7 +508,8 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float) ->
         states[i + 1] = y
     _, closure[n] = _rate(y, gl, gate)
     us, ss = states[:, 4:8], states[:, 8:].reshape(n + 1, 4, 4)
-    diag = {key: np.empty(n + 1) for key in ("u_norm", "frenkel", "spin_invariant")}
+    # NaN until its block fills it: a row the loop missed makes drift_summary NaN
+    diag = {key: np.full(n + 1, np.nan) for key in ("u_norm", "frenkel", "spin_invariant")}
     for rows in _blocks(n + 1):
         for key, value in _diagnostics(us[rows], ss[rows]).items():
             diag[key][rows] = value

@@ -7,7 +7,7 @@ from cosrel.dynamics import (DynamicalState, EulerianVariation, barred_moments,
                              cosserat_residual, direct_virtual_work, lagrangian_of,
                              poincare_invariance_residual, total_virtual_work,
                              virtual_work_density)
-from cosrel.kinematics import is_integrable, prolong
+from cosrel.kinematics import is_integrable, jet_slot_shapes, prolong
 from cosrel.lattice import Lattice
 from cosrel.minkowski import ETA
 
@@ -30,6 +30,10 @@ def _bump_state(lat):
                        + (0.1 * np.cos(r))[..., None, None] * K1)
         return x, e
     return prolong(lat, fn)
+
+
+def _zero_phi(lat):
+    return DynamicalState(lat, *map(np.zeros, jet_slot_shapes(lat)))
 
 
 def _canonical_state(lat):
@@ -96,7 +100,7 @@ def _barred_moment_loop_oracle(phi, s, idx):
 def test_barred_moments_zero_phi():
     lat = _unit_lattice(2, 5)
     s = _bump_state(lat)
-    Mbar, mubar = barred_moments(DynamicalState.zeros(lat), s)
+    Mbar, mubar = barred_moments(_zero_phi(lat), s)
     assert np.abs(Mbar).max() == 0.0 and np.abs(mubar).max() == 0.0
 
 
@@ -135,7 +139,7 @@ def test_virtual_work_zero_cases():
                              np.zeros(lat.shape + (2, 4)), np.zeros(lat.shape + (2, 4, 4)))
     assert np.abs(virtual_work_density(phi, s, zero)).max() == 0.0
     var = _random_variation(lat, rng)
-    assert np.abs(virtual_work_density(DynamicalState.zeros(lat), s, var)).max() == 0.0
+    assert np.abs(virtual_work_density(_zero_phi(lat), s, var)).max() == 0.0
 
 
 def test_virtual_work_picture_crosscheck():
@@ -154,7 +158,7 @@ def test_virtual_work_picture_crosscheck():
 def test_virtual_work_picture_mismatch_rejected():
     lat = _unit_lattice(2, 5)
     s = _bump_state(lat)
-    phi = DynamicalState.zeros(lat)
+    phi = _zero_phi(lat)
     with pytest.raises(TypeError):
         virtual_work_density(phi, s, "not a variation")
 
@@ -236,7 +240,7 @@ def test_invariant_construction_kills_force_and_moment():
 def test_constant_force_residual_reported():
     lat = _unit_lattice(2, 5)
     s = _bump_state(lat)
-    phi = DynamicalState.zeros(lat)
+    phi = _zero_phi(lat)
     phi.F[..., 2] = -1.5
     rF, _ = poincare_invariance_residual(phi, s)
     assert rF == pytest.approx(1.5, abs=1e-15)
@@ -345,7 +349,7 @@ def test_non_integrable_state_is_refused(balance):
     s.xj[:] += 1.0
     _, res = is_integrable(s)
     with pytest.raises(ValueError) as info:
-        balance(DynamicalState.zeros(lat), s)
+        balance(_zero_phi(lat), s)
     message = str(info.value)
     assert "state is not integrable" in message
     assert f"residual {res:.3e}" in message and "> 1.000e-06" in message

@@ -113,6 +113,17 @@ def _raises(*args):
     raise ValueError("computation failed")
 
 
+def test_a_programming_error_stops_the_run(monkeypatch):
+    # only the errors in _FAILURES fail their own check: a TypeError is a fault of the
+    # program, not a residual, so it surfaces from run_suite instead of a report
+    def planted(*args):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(algebra, "polarize", planted)
+    with pytest.raises(TypeError, match="planted"):
+        run_suite("all", options={"grids": (5, 9)})
+
+
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pooled"])
 def test_a_raising_field_fails_only_the_check_that_reads_it(monkeypatch, fork_pools, cpus):
     # forms.05 reads the two incompatibility fields alone; the dislocation fields after

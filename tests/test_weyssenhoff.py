@@ -111,7 +111,7 @@ def test_split_collinear_momentum():
     sp = split_momentum(el.g, el.u)
     assert sp.rho0 == pytest.approx(2.0, abs=1e-14)
     assert np.abs(sp.pi_low).max() <= 1e-14
-    assert sp.mu0 == pytest.approx(2.0, abs=1e-14)
+    assert sp.g_square == pytest.approx(4.0, abs=1e-13)
     assert sp.mu0_defined
 
 
@@ -133,14 +133,13 @@ def test_momentum_density_identity(rng):
         gg = float(el.g @ ETA @ el.g)
         assert gg == pytest.approx(sp.rho0 ** 2 + float(sp.pi_low @ pi_up), abs=1e-12)
         if sp.mu0_defined:
-            assert sp.mu0 <= sp.rho0 + 1e-12
+            assert math.sqrt(sp.g_square) <= sp.rho0 + 1e-12
 
 
 def test_mu0_flagged_when_momentum_spacelike():
     el = _rest_element(rho0=0.5, pis=(2.0, 0, 0), s12=0.0)
     sp = split_momentum(el.g, el.u)
     assert not sp.mu0_defined
-    assert math.isnan(sp.mu0)
     assert sp.g_square < 0
 
 
@@ -732,14 +731,15 @@ def test_kernel_is_bitwise_the_reference(seed, check, kind):
 
 
 def test_trajectory_is_bitwise_the_reference_kernel():
-    """500 steps through the scalar kernel against the RK4 loop over the reference kernel."""
+    """The scalar kernel against the RK4 loop over the reference kernel, and the blocked
+    diagnostics against one pass over every row.  256 and 257 steps record 1 and 2 rows
+    past the first _WRITE_ROWS block; 500 steps end inside the second."""
     el = _bounded_element(np.random.default_rng(0))
-    steps, dtau, g = 500, 0.005, el.g.tolist()
-    traj = integrate_worldline(el, steps, dtau)
+    dtau, g = 0.005, el.g.tolist()
     half, sixth = 0.5 * dtau, dtau / 6.0
     y = np.concatenate([el.x, el.u, el.s.ravel()]).tolist()
     states, residuals = [y], []
-    for _ in range(steps):
+    for _ in range(500):
         k1, residual = _rate_reference(y, g, math.inf)
         k2, _ = _rate_reference([v + half * k for v, k in zip(y, k1)], g, None)
         k3, _ = _rate_reference([v + half * k for v, k in zip(y, k2)], g, None)
@@ -748,11 +748,18 @@ def test_trajectory_is_bitwise_the_reference_kernel():
         states.append(y)
         residuals.append(residual)
     residuals.append(_rate_reference(y, g, math.inf)[1])
-    states = np.array(states)
-    assert traj.x.tobytes() == states[:, :4].tobytes()
-    assert traj.u.tobytes() == states[:, 4:8].tobytes()
-    assert traj.s.tobytes() == states[:, 8:].reshape(-1, 4, 4).tobytes()
-    assert traj.diagnostics["closure_residual"].tobytes() == np.array(residuals).tobytes()
+    states, residuals = np.array(states), np.array(residuals)
+    for steps in (weyssenhoff._WRITE_ROWS, weyssenhoff._WRITE_ROWS + 1, 500):
+        traj = integrate_worldline(el, steps, dtau)
+        ref = states[:steps + 1]
+        assert traj.x.tobytes() == ref[:, :4].tobytes()
+        assert traj.u.tobytes() == ref[:, 4:8].tobytes()
+        assert traj.s.tobytes() == ref[:, 8:].reshape(-1, 4, 4).tobytes()
+        diag = weyssenhoff._diagnostics(ref[:, 4:8], ref[:, 8:].reshape(-1, 4, 4))
+        diag["spin_invariant"] -= diag["spin_invariant"][0]
+        diag["closure_residual"] = residuals[:steps + 1]
+        assert {key: v.tobytes() for key, v in traj.diagnostics.items()} \
+            == {key: v.tobytes() for key, v in diag.items()}, steps
 
 
 def test_worldline_matches_oracle_rk4(rng):
