@@ -22,8 +22,7 @@ SIMULATION_KINDS = ("weyssenhoff-worldline",)
 #: the flags each mode refuses, because only the other mode reads them
 _UNREAD = {"suite": ("output",), "simulate": ("grid", "seed")}
 #: the keys a mode reads, by config section; any other section or key is refused
-_CONFIG_KEYS = {"worldline": ("c", "x", "u", "g", "rho0", "s", "steps", "dtau"),
-                "forms": ("grids",)}
+_CONFIG_KEYS = {"worldline": ("c", "x", "u", "g", "rho0", "s", "steps", "dtau")}
 
 
 def _load_config(path):
@@ -59,14 +58,14 @@ def _numbers(sec, key: str, count: int, default: str = None) -> list:
     return values
 
 
-def _grids(text: str, source: str) -> tuple:
-    """The (coarse, fine) refinement pair: two integer grid sizes >= 3, coarse below fine."""
+def _grids(text: str) -> tuple:
+    """--grid's (coarse, fine) refinement pair: two integer grid sizes >= 3, coarse below fine."""
     try:
         grids = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         grids = ()
     if len(grids) != 2 or not 3 <= grids[0] < grids[1]:
-        raise ValueError(f"{source} needs two integer grid sizes >= 3, coarse below fine, "
+        raise ValueError("--grid needs two integer grid sizes >= 3, coarse below fine, "
                          f"got {text!r}")
     return grids
 
@@ -100,17 +99,15 @@ def _run_length(cfg, args) -> dict:
     return options
 
 
-def _suite_options(cfg, args) -> dict:
+def _suite_options(args) -> dict:
     from . import suites  # here, not above: a run without a suite never compiles suites.py
     names = suites.SUITE_NAMES + ("all",)
     if args.suite not in names:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {names}")
     options = {"grids": suites.DEFAULT_GRIDS, "steps": suites.DEFAULT_STEPS,
                "dtau": suites.DEFAULT_DTAU}
-    if cfg.has_option("forms", "grids"):
-        options["grids"] = _grids(cfg.get("forms", "grids"), "[forms] grids")
     if args.grid is not None:
-        options["grids"] = _grids(args.grid, "--grid")
+        options["grids"] = _grids(args.grid)
     return options
 
 
@@ -222,7 +219,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         if args.suite:
-            draft, options = None, _suite_options(cfg, args)
+            draft, options = None, _suite_options(args)
             outputs = {"--json": args.json}
         else:
             draft, options = _element_from_config(args.simulate, cfg)

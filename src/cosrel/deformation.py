@@ -52,7 +52,7 @@ class GroupField:
         L = np.asarray(L, dtype=float)
         if a.shape != lattice.shape + (4,) or L.shape != lattice.shape + (4, 4):
             raise ValueError("field arrays do not match the lattice")
-        require_lorentz(L, 1e-8, "L field")
+        require_lorentz(L, "L field")
         self.lattice = lattice
         self.a = a
         self.L = L

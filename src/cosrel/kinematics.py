@@ -42,7 +42,7 @@ class KinematicalState:
 
     def __init__(self, lattice: Lattice, x, e, xj, ej):
         x, e, xj, ej = jet_slots(lattice, x, e, xj, ej, "state")
-        require_lorentz(e, 1e-8, "frame field")
+        require_lorentz(e, "frame field")
         self.lattice = lattice
         self.x, self.e, self.xj, self.ej = x, e, xj, ej
 

@@ -47,10 +47,15 @@ def lowered_antisymmetry_defect(w) -> float:
     return float(np.abs(low + np.swapaxes(low, -1, -2)).max())
 
 
-def require_lorentz(L, tol: float, what: str):
-    """Refuse a (..., 4, 4) stack unless every L is Lorentz within tol; a NaN defect is refused."""
+#: The largest Lorentz defect `require_lorentz` accepts.
+_LORENTZ_TOL = 1e-8
+
+
+def require_lorentz(L, what: str):
+    """Refuse a (..., 4, 4) stack unless every L is Lorentz within _LORENTZ_TOL; a NaN
+    defect is refused."""
     defect = lorentz_defect(L)
-    if not defect <= tol:
+    if not defect <= _LORENTZ_TOL:
         raise ValueError(f"{what} is not Lorentz (not a Lorentz matrix): "
-                         f"|L^T eta L - eta| = {defect:.3e} > {tol:.3e}")
+                         f"|L^T eta L - eta| = {defect:.3e} > {_LORENTZ_TOL:.3e}")
 

@@ -177,9 +177,8 @@ def _suite_algebra(rng, options):
 # forms suite
 
 
-#: Generators of the smooth fields below.
-_J1, _J3 = algebra.rotation_matrix_generator(1), algebra.rotation_matrix_generator(3)
-_K1 = algebra.boost_matrix_generator(1)
+#: Generators of the smooth fields below: the J1, J3 and K1 rows of the stacked basis.
+_J1, _J3, _K1 = _BASIS_W[4], _BASIS_W[6], _BASIS_W[7]
 
 
 def _smooth_group_field(lat: Lattice, which: int) -> deformation.GroupField:
@@ -486,10 +485,14 @@ def _suite_dirac(rng, options):
         return rep.max_residual(), {"points": rep.points}
 
     def duality():
+        # the round trip alone holds for a zero form too, so S_form is also read against
+        # ETA S, with S = u_lam S3 rebuilt from the spin current (dirac.05 reads tk.S)
         diffs = []
         for p, k, x in duals:
             tk = dirac.takabayasi(dirac.make_plane_wave(p, k), x)
-            diffs.append(dirac.spin_form_from_dual(tk.u, tk.S_hat) - tk.S_form)
+            S = np.einsum("l,lmn->mn", ETA @ tk.u, tk.S3)
+            diffs += [dirac.spin_form_from_dual(tk.u, tk.S_hat) - tk.S_form,
+                      tk.S_form - ETA @ S]
         return _worst(*diffs), {}
 
     yield ("dirac.01-clifford", "clifford-anticommutation", -math.inf, 1e-14,
@@ -540,18 +543,19 @@ def _suite_weyssenhoff(rng, options):
                                       for el in elements()])
 
     def antisymmetric_part():
+        # the bivector antisymmetrises pi's u part away, so u.pi is read on its own
         asym = []
         for el, st, sp in zip(elements(), stresses(), splits()):
             u_low = ETA @ el.u
-            asym.append(st.T_asym - 0.5 * (np.outer(sp.pi_low, u_low)
-                                           - np.outer(u_low, sp.pi_low)))
+            asym += [st.T_asym - 0.5 * (np.outer(sp.pi_low, u_low) - np.outer(u_low, sp.pi_low)),
+                     el.u @ sp.pi_low]
         return _worst(*asym), {}
 
     def split_rebuild():
         diffs = []
         for el, sp in zip(elements(), splits()):
-            a, _, _ = weyssenhoff._acceleration(el.u, el.s, el.g, 1e-6)
-            g2 = weyssenhoff.momentum_from_state(el, a, tol=1e-6)
+            a, _, _ = weyssenhoff._acceleration(el.u, el.s, el.g)
+            g2 = weyssenhoff.momentum_from_state(el, a)
             sp2 = weyssenhoff.split_momentum(g2, el.u)
             diffs += [sp2.rho0 - sp.rho0, sp2.pi_low - sp.pi_low]
         return _worst(*diffs), {}

@@ -112,20 +112,24 @@ def stress_tensors(element: WeyssenhoffElement) -> StressTensors:
     return StressTensors(T, S, 0.5 * (T_low - T_low.T), float(g @ u))
 
 
-def transverse_momentum(element: WeyssenhoffElement, a, tol: float = 1e-9) -> np.ndarray:
-    """pi^mu = -s^mu_nu a^nu for an acceleration transverse to u."""
+#: The largest |u.a| / max(1, max|a|) that `transverse_momentum` accepts as transverse.
+_TRANSVERSE_TOL = 1e-9
+
+
+def transverse_momentum(element: WeyssenhoffElement, a) -> np.ndarray:
+    """pi^mu = -s^mu_nu a^nu for an acceleration transverse to u (within _TRANSVERSE_TOL)."""
     a = np.asarray(a, dtype=float)
     ua = float(element.u @ ETA @ a)
     scale = max(1.0, float(np.abs(a).max()))
-    if abs(ua) > tol * scale:
+    if abs(ua) > _TRANSVERSE_TOL * scale:
         raise ValueError(f"acceleration not transverse to u: u.a = {ua:.3e}")
     return -(element.s @ a)
 
 
-def momentum_from_state(element: WeyssenhoffElement, a, tol: float = 1e-9) -> np.ndarray:
+def momentum_from_state(element: WeyssenhoffElement, a) -> np.ndarray:
     """Covariant momentum density rho0 u_mu + pi_mu rebuilt from spin and acceleration."""
     rho0 = split_momentum(element.g, element.u).rho0
-    pi = transverse_momentum(element, a, tol)
+    pi = transverse_momentum(element, a)
     return rho0 * (ETA @ element.u) + ETA @ pi
 
 
@@ -314,9 +318,9 @@ def _closure(s, rhs) -> list:
             alpha1 * p2 + alpha2 * t2, alpha1 * p3 + alpha2 * t3]
 
 
-def _closure_gate(solver_tol, pi_low) -> float:
-    """The largest closure residual a state may have: solver_tol * max(1, max|pi|)."""
-    return solver_tol * max(1.0, float(np.abs(pi_low).max()))
+def _closure_gate(pi_low) -> float:
+    """The largest closure residual a state may have: _SOLVER_TOL * max(1, max|pi|)."""
+    return _SOLVER_TOL * max(1.0, float(np.abs(pi_low).max()))
 
 
 def _rate(y, g, gate):
@@ -375,13 +379,12 @@ def _rate(y, g, gate):
             p3 * u0 - u3 * l0, p3 * v1 - u3 * l1, p3 * v2 - u3 * l2, p3 * v3 - u3 * l3], residual
 
 
-def _acceleration(u, s, g, solver_tol=None):
-    """(a, pi, pi_low) of one state through `_rate`; a solver_tol gates it (`_closure_gate`)."""
+def _acceleration(u, s, g):
+    """(a, pi, pi_low) of one state through `_rate`, ungated."""
     u = np.asarray(u, dtype=float)
     pi_low = split_momentum(g, u).pi_low
-    gate = None if solver_tol is None else _closure_gate(solver_tol, pi_low)
     y = [0.0] * 4 + u.tolist() + np.asarray(s, dtype=float).ravel().tolist()
-    rate, _ = _rate(y, np.asarray(g, dtype=float).tolist(), gate)
+    rate, _ = _rate(y, np.asarray(g, dtype=float).tolist(), None)
     return np.array(rate[4:8]), ETA @ pi_low, pi_low
 
 
@@ -492,7 +495,7 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float) ->
     tau = tau_grid(steps, dtau)
     g = initial.g.copy()
     gl = g.tolist()
-    gate = _closure_gate(_SOLVER_TOL, split_momentum(g, initial.u).pi_low)
+    gate = _closure_gate(split_momentum(g, initial.u).pi_low)
     n = int(steps)
     states = np.empty((n + 1, 24))
     closure = np.empty(n + 1)

@@ -88,36 +88,48 @@ def _random_lorentz(rng, scale=1.0):
 def test_validated_lorentz_preserves_inner(rng):
     for _ in range(50):
         L = _random_lorentz(rng)
-        require_lorentz(L, 1e-9, "matrix")
+        require_lorentz(L, "matrix")
         v, w = rng.standard_normal(4), rng.standard_normal(4)
         assert abs(_inner(L @ v, L @ w) - _inner(v, w)) <= 1e-8
 
 
 def test_lorentz_matrix_rejects_non_lorentz(rng):
     with pytest.raises(ValueError):
-        require_lorentz(np.diag([2.0, 1.0, 1.0, 1.0]), 1e-9, "matrix")
+        require_lorentz(np.diag([2.0, 1.0, 1.0, 1.0]), "matrix")
     # on a stack the defect is the worst slice's
     stack = np.stack([_random_lorentz(rng) for _ in range(5)])
-    require_lorentz(stack, 1e-9, "matrix")
+    require_lorentz(stack, "matrix")
     stack[3] = np.diag([2.0, 1.0, 1.0, 1.0])
     assert lorentz_defect(stack) == lorentz_defect(stack[3]) == 3.0
     with pytest.raises(ValueError):
-        require_lorentz(stack, 1e-9, "matrix")
+        require_lorentz(stack, "matrix")
+
+
+@pytest.mark.parametrize("defect, accepted", [(5e-9, True), (2e-8, False)])
+def test_lorentz_threshold_is_1e_8(defect, accepted):
+    L = np.eye(4)
+    L[1, 1] = np.sqrt(1.0 + defect)               # |L^T eta L - eta| = defect, at (1, 1)
+    assert lorentz_defect(L) == pytest.approx(defect, rel=1e-6)
+    if accepted:
+        require_lorentz(L, "matrix")
+    else:
+        with pytest.raises(ValueError, match="> 1.000e-08"):
+            require_lorentz(L, "matrix")
 
 
 def test_proper_isochronous_rejects_non_lorentz_input():
     with pytest.raises(ValueError):
-        require_lorentz(np.ones((4, 4)), 1e-9, "matrix")
+        require_lorentz(np.ones((4, 4)), "matrix")
 
 
 def test_proper_isochronous_rejects_nan_input():
-    # a NaN defect must not pass `defect > tol`: the refusal reads `not defect <= tol`
+    # a NaN must not slip past `defect > limit`: the refusal reads `not defect <= limit`
     L = np.eye(4)
     L[1, 1] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not a Lorentz matrix"):
-            require_lorentz(L, 1e-9, "matrix")
+            require_lorentz(L, "matrix")
 
 
 def _group_field(lat, L):

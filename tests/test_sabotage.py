@@ -19,6 +19,7 @@ import pytest
 
 from cosrel import algebra, deformation, dirac, lattice, suites, weyssenhoff
 from cosrel.lattice import ext_d, wedge
+from cosrel.minkowski import ETA
 from cosrel.suites import run_suite
 
 #: small forms grids: a full five-suite run takes a fraction of a second
@@ -113,6 +114,22 @@ def _pi_unlowered(g, u):
     return dataclasses.replace(sp, pi_low=np.asarray(g, dtype=float) - sp.rho0 * np.asarray(u))
 
 
+def _pi_plus_u(g, u):
+    """split_momentum with pi_low = g + rho0 u_low: the u part added, not removed."""
+    sp = _split_momentum(g, u)
+    g = np.asarray(g, dtype=float)
+    return dataclasses.replace(sp, pi_low=g + sp.rho0 * (ETA @ np.asarray(u, dtype=float)))
+
+
+def _spin_form_symmetrised(state, x):
+    """The Takabayasi record with the lowered spin form symmetrised, not antisymmetrised:
+    S_form and S_hat go to ~0, and the duality round trip alone still closes."""
+    tk = _takabayasi(state, x)
+    S_low = ETA @ tk.S
+    S_low = 0.5 * (S_low + S_low.T)
+    return dataclasses.replace(tk, S_form=S_low, S_hat=dirac.dual_of_spin_form(tk.u, S_low))
+
+
 _closure = weyssenhoff._closure
 _rate = weyssenhoff._rate
 _stress_tensors = weyssenhoff.stress_tensors
@@ -151,22 +168,27 @@ SABOTAGE = {
     # forms.01 and .06 both read 1.0e-9
     "ext-d-plus-1e-9": (_EXT_D_OWNERS, "ext_d", _ext_d_plus_1e9,
                         {"forms.01-dd-zero", "forms.06-hand-dislocation"}),
-    # weyssenhoff.03's closure solves and .05's integration raise ClosureError (residuals
-    # 7.461e-03 and 2.276e-02); .04's element has pi = 0, so it cannot see the closure
+    # weyssenhoff.03's ungated closure solves read a rebuild error of 4.77e-2, and .05's
+    # integration raises ClosureError (residual 2.276e-02); .04's element has pi = 0, so it
+    # cannot see the closure
     "closure-times-1.01": (weyssenhoff, "_closure",
                            lambda s, rhs: [1.01 * a for a in _closure(s, rhs)],
                            {"weyssenhoff.03-split-rebuild", "weyssenhoff.05-drift-order"}),
     # weyssenhoff.01 reads 1.96e-9 at seed 0
     "stress-trace-times-1+1e-9": (weyssenhoff, "stress_tensors", _trace_off_by_1e9,
                                   {"weyssenhoff.01-trace-identity"}),
-    # weyssenhoff.02 reads 0.886 at seed 0; .03 rebuilds through the same split, and the
+    # weyssenhoff.02 reads 1.48 at seed 0; .03 rebuilds through the same split, and the
     # worldline's `_rate` splits g itself
     "pi-unlowered": (weyssenhoff, "split_momentum", _pi_unlowered,
                      {"weyssenhoff.02-antisymmetric-part"}),
-    # .03 raises (residual 2.299e-06); .05 runs through with an order of 4.9e-4
+    # .03 reads a rebuild error of 4.77e-6; .05 runs through with an order of 4.9e-4
     "closure-times-1+1e-6": (weyssenhoff, "_closure",
                              lambda s, rhs: [(1 + 1e-6) * a for a in _closure(s, rhs)],
                              {"weyssenhoff.03-split-rebuild", "weyssenhoff.05-drift-order"}),
+    # weyssenhoff.02 reads 3.915 at seed 0, its largest u.pi = 2 rho0; .03 rebuilds
+    # through the same split
+    "pi-plus-u": (weyssenhoff, "split_momentum", _pi_plus_u,
+                  {"weyssenhoff.02-antisymmetric-part"}),
     # weyssenhoff.04 reads 4.0e-6 at seed 0: its inertial worldline no longer moves at u;
     # no other rate reads x, so .05 still reads 3.98
     "position-rate-times-1+1e-6": (weyssenhoff, "_rate", _position_rate_off_by_1e6,
@@ -204,12 +226,16 @@ SABOTAGE = {
     "residual-mass-sign-flipped": (dirac, "dirac_residual", _residual_mass_flipped,
                                    {"dirac.03-planewave-residual"}),
     "spin-with-raised-u": (dirac, "takabayasi", _spin_with_raised_u, {"dirac.05-frenkel"}),
+    # dirac.08 reads 0.25 at seed 0, from S_form against ETA S; its round trip alone
+    # passes on the ~0 form
+    "spin-form-symmetrised": (dirac, "takabayasi", _spin_form_symmetrised,
+                              {"dirac.08-duality-roundtrip"}),
 }
 
 #: rows whose defect reaches only the dirac suite, which they run alone
 DIRAC_ROWS = {"omega-times-1+1e-9", "eps-up-is-eps-low", "gamma-dn-1-times-i",
               "gamma-up-1-times-i", "residual-mass-sign-flipped", "spin-with-raised-u",
-              "spin-product-times-1+1e-6"}
+              "spin-product-times-1+1e-6", "spin-form-symmetrised"}
 
 
 def _run(suite) -> tuple:

@@ -78,8 +78,9 @@ _WEYSSENHOFF_IDS = ["weyssenhoff.01-trace-identity", "weyssenhoff.02-antisymmetr
 
 
 def test_a_raising_suite_is_a_failed_check_and_the_run_goes_on(monkeypatch):
-    # a 1% error in the spin closure makes the closure solves of weyssenhoff.03 and .05
-    # raise; .01, .02 and .04 do not solve the closure, and every other suite runs
+    # a 1% error in the spin closure makes weyssenhoff.05's gated worldline raise; .03's
+    # ungated solves read the error as a rebuilt momentum 1% off; .01, .02 and .04 do not
+    # solve the closure, and every other suite runs
     monkeypatch.setattr(weyssenhoff, "_closure", _scaled_closure)
     reports = run_suite("all", seed=0, options={"grids": (9, 17), "steps": 150, "dtau": 0.02})
     assert [r.suite for r in reports] == list(SUITE_NAMES)
@@ -87,11 +88,11 @@ def test_a_raising_suite_is_a_failed_check_and_the_run_goes_on(monkeypatch):
     checks = reports[-1].checks
     assert [c.check_id for c in checks] == _WEYSSENHOFF_IDS
     assert [c.passed for c in checks] == [True, True, False, True, False]
-    for check, law, tol, residual in ((checks[2], "momentum-split-roundtrip", 1e-12, "7.461e-03"),
-                                      (checks[4], "integrator-constraint-drift", 100.0,
-                                       "2.276e-02")):
-        assert (check.law, check.tolerance) == (law, tol) and math.isnan(check.value)
-        assert check.extra == {"error": f"ClosureError: spin closure unsolvable: residual {residual}"}
+    assert checks[2].value == pytest.approx(4.770e-2, rel=1e-3) and checks[2].extra == {}
+    check = checks[4]
+    assert (check.law, check.tolerance) == ("integrator-constraint-drift", 100.0)
+    assert math.isnan(check.value)
+    assert check.extra == {"error": "ClosureError: spin closure unsolvable: residual 2.276e-02"}
     assert checks[3].value < 1e-13      # the aligned element has pi = 0: no closure term to scale
 
 

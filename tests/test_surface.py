@@ -1,4 +1,5 @@
-"""Every public top-level name in src/cosrel is reached from the CLI or the benchmark.
+"""Every public top-level name in src/cosrel is reached from the CLI or the benchmark,
+and no public function takes a tolerance.
 
 The reference graph is name-level: a top-level definition reaches every name it
 reads, every name it imports with `from ... import`, and every attribute it reads
@@ -80,3 +81,26 @@ def test_every_public_name_is_reached():
     reached = _reached(edges, _roots())
     assert sorted(n for n in public if n.split(".")[1] not in reached) == []
 
+
+
+def _is_public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_public_function_takes_a_tolerance():
+    """Each gate's threshold is a constant of the module that applies it: no public
+    function or method of a public class has a parameter whose name ends in `tol`."""
+    found = []
+    for path in sorted((ROOT / "src" / "cosrel").glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        functions = [(node.name, node) for node in body if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{cls.name}.{node.name}", node) for cls in body
+                       if isinstance(cls, ast.ClassDef) and _is_public(cls.name)
+                       for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for name, node in functions:
+            if not _is_public(name.rsplit(".", 1)[-1]):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            found += [f"{path.stem}.{name}({p.arg})" for p in params if p.arg.endswith("tol")]
+    assert found == []

@@ -194,6 +194,11 @@ def test_transverse_momentum_requires_orthogonal_acceleration():
     el = _rest_element()
     with pytest.raises(ValueError):
         transverse_momentum(el, np.array([1.0, 0, 0, 0]))
+    # the threshold is 1e-9 of max(1, max|a|): u.a = a^0 in the rest frame
+    transverse_momentum(el, np.array([0.9e-9, 0.3, 0, 0]))
+    transverse_momentum(el, np.array([1.8e-9, 2.0, 0, 0]))
+    with pytest.raises(ValueError, match="u.a = 1.100e-09"):
+        transverse_momentum(el, np.array([1.1e-9, 0.3, 0, 0]))
 
 
 def test_momentum_from_state_roundtrip(rng):
@@ -512,13 +517,23 @@ def test_closure_matches_svd_oracle(seed, kind, size):
     assert fallback.called == (kind == "rank-4")
 
 
+def _gated_rate(u, s, g, gate):
+    """`_rate` of one state at x = 0 under a closure gate: (rate, residual)."""
+    y = [0.0] * 4 + list(u) + np.asarray(s, dtype=float).ravel().tolist()
+    return weyssenhoff._rate(y, list(g), gate)
+
+
 def test_closure_zero_spin():
     u = np.array([1.0, 0, 0, 0])
-    a, pi, _ = weyssenhoff._acceleration(u, np.zeros((4, 4)), 1.3 * (ETA @ u), 1e-3)
+    a, pi, _ = weyssenhoff._acceleration(u, np.zeros((4, 4)), 1.3 * (ETA @ u))
     assert np.abs(pi).max() == 0.0
     assert np.array_equal(a, np.zeros(4))
+    assert _gated_rate(u, np.zeros((4, 4)), 1.3 * (ETA @ u), 0.0)[1] == 0.0
+    g = np.array([1.3, 0.2, 0, 0])
+    gate = weyssenhoff._closure_gate(split_momentum(g, u).pi_low)
+    assert gate == weyssenhoff._SOLVER_TOL              # max|pi| = 0.2 is below the floor 1
     with pytest.raises(ClosureError):
-        weyssenhoff._acceleration(u, np.zeros((4, 4)), np.array([1.3, 0.2, 0, 0]), 1e-3)
+        _gated_rate(u, np.zeros((4, 4)), g, gate)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -527,10 +542,13 @@ def test_closure_gate_scales_by_the_largest_rhs_entry(m):
     g = [1.3, 0.5, 0.5, 0.5]
     g[m] = 2.0
     u, s = [1.0, 0.0, 0.0, 0.0], np.zeros((4, 4))
-    weyssenhoff._acceleration(u, s, g, 1.0)       # residual 2.0 at the gate 1.0 * 2.0
-    with pytest.raises(ClosureError) as exc:
-        weyssenhoff._acceleration(u, s, g, 0.999)
-    assert exc.value.residual == 2.0
+    gate = weyssenhoff._closure_gate(split_momentum(g, u).pi_low)
+    assert gate == weyssenhoff._SOLVER_TOL * 2.0
+    assert _gated_rate(u, s, g, 2.0)[1] == 2.0     # a residual at the gate passes
+    for below in (np.nextafter(2.0, 0.0), gate):
+        with pytest.raises(ClosureError) as exc:
+            _gated_rate(u, s, g, below)
+        assert exc.value.residual == 2.0
 
 
 def test_closure_error_survives_pickling():
@@ -547,7 +565,7 @@ def test_closure_rank_four_takes_fallback(rng):
     s = ETA @ (raw - raw.T)                     # generic antisymmetric: Pfaffian != 0
     assert np.linalg.svd(s, compute_uv=False)[3] > 1e-3
     with _fallback_calls() as fallback:
-        a = weyssenhoff._acceleration(el.u, s, el.g, 1e-3)[0]
+        a = weyssenhoff._acceleration(el.u, s, el.g)[0]
     assert fallback.call_count == 1
     oracle = _oracle_acceleration(el.u, s, el.g)
     assert np.abs(a - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -576,9 +594,9 @@ def test_closure_solves_every_accepted_spin_as_rank_two(magnitude):
     noisy, clean = _noisy_spin_element(np.random.default_rng(7), magnitude, 0.9e-9)
     noisy.validate()
     with _fallback_calls() as fallback:
-        a = weyssenhoff._acceleration(noisy.u, noisy.s, noisy.g, 1e-3)[0]
+        a = weyssenhoff._acceleration(noisy.u, noisy.s, noisy.g)[0]
     assert not fallback.called
-    a_clean = weyssenhoff._acceleration(clean.u, clean.s, clean.g, 1e-3)[0]
+    a_clean = weyssenhoff._acceleration(clean.u, clean.s, clean.g)[0]
     assert np.abs(a - a_clean).max() <= 1e-6 * np.abs(a_clean).max()
     traj = integrate_worldline(noisy, 1000, 0.002 * magnitude)
     assert traj.drift_summary()["frenkel"] <= 2e-9
@@ -629,7 +647,7 @@ def test_nan_spin_goes_through_the_fallback():
     s = el.s.copy()
     s[1, 2] = np.nan
     with _fallback_calls() as fallback, pytest.raises(np.linalg.LinAlgError):
-        weyssenhoff._acceleration(el.u, s, el.g, 1e-3)
+        weyssenhoff._acceleration(el.u, s, el.g)
     assert fallback.call_count == 1
 
 
@@ -638,7 +656,7 @@ def test_nan_spin_outside_a_zero_first_column_is_refused():
     s = np.zeros((4, 4))
     s[2, 1] = np.nan
     with _fallback_calls() as fallback, pytest.raises(np.linalg.LinAlgError):
-        weyssenhoff._acceleration((1.0, 0, 0, 0), s, (1.3, 0, 0, 0), 1e-3)
+        weyssenhoff._acceleration((1.0, 0, 0, 0), s, (1.3, 0, 0, 0))
     assert fallback.call_count == 1
 
 
