@@ -176,8 +176,14 @@ def _run_suites(args, seed: int, options: dict) -> int:
 
 
 def _run_simulation(element, params: dict, out, summary_path) -> int:
-    traj = weyssenhoff.integrate_worldline(element, **params)
-    traj.write_csv(out)
+    # a forked writer formats the CSV table while the steps run; without one it is
+    # formatted here after the last step
+    with weyssenhoff.forked_csv(out, **params) as writer:
+        traj = weyssenhoff.integrate_worldline(element, **params, on_block=writer)
+        if writer is None:
+            traj.write_csv(out)
+        else:
+            writer.commit()
     traj.write_json(summary_path)
     print(f"wrote {len(traj.tau)} records to {out}; diagnostics in {summary_path}")
     print(f"drift summary: {traj.drift_summary()}")

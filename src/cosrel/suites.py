@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -239,14 +238,6 @@ def _random_algebra_form(lat: Lattice, rng) -> deformation.AlgebraForm:
     return deformation.AlgebraForm(FormField(lat, 1, xi), FormField(lat, 1, om))
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 #: in a worker process, the calls of the pool that forked it, inherited at fork
 _worker_calls = None
 
@@ -267,24 +258,19 @@ def _forked_results(calls: list):
     The forms suite computes its lattice fields here.  With more than one available
     CPU and more than one call, up to one worker process per CPU is forked on entry,
     inherits calls and is given all of them at once.  On one CPU, beside other
-    threads, in a daemon process or where `fork` is not available, no worker starts
-    and each call runs in this process when its reader is first called.  A call's
-    exception is raised by its reader, every time it is called; a broken pool fails
-    every call it has not finished.  The workers are joined when the block is left,
+    threads, in a daemon process or where `fork` is not available (see
+    `weyssenhoff._may_fork`), no worker starts and each call runs in this process
+    when its reader is first called.  A call's exception is raised by its reader,
+    every time it is called; a broken pool fails every call it has not finished.  The workers are joined when the block is left,
     by an exception too.
     """
-    workers = min(_cpus(), len(calls))
+    workers = min(weyssenhoff._cpus(), len(calls))
     pool = None
-    if workers > 1:
+    if workers > 1 and weyssenhoff._may_fork():
         import multiprocessing
-        import threading
         from concurrent.futures import ProcessPoolExecutor
-        # fork is unsafe beside other threads and missing on some platforms, and a
-        # daemon process may not start children
-        if (threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_inherit, initargs=(calls,))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_inherit, initargs=(calls,))
     try:
         if pool is None:
             yield [functools.cache(call) for call in calls]
@@ -429,15 +415,16 @@ def _suite_cosserat(rng, options):
            1e-12, pictures)
 
     @functools.cache
-    def manufactured(n):
-        """The state on grid n and the form whose barred moments are the analytic targets."""
+    def grid(n):
+        """The state on grid n, the analytic sigma and mubar and their divergences."""
         lat = _lattice(2, n)
-        s = _bump_state(lat)
-        return s, _phi_realizing(s, *_manufactured_standard(lat))
+        return _bump_state(lat), _manufactured_standard(lat)
 
     def manufactured_order():
         norm = []
-        for s, phi in map(manufactured, grids):
+        for n in grids:  # the balanced form: its barred moments are the analytic targets
+            s, (sigma, div_sigma, mubar, div_mubar) = grid(n)
+            phi = _phi_realizing(s, sigma, div_sigma, mubar, div_mubar)
             sel = s.lattice.interior()
             norm.append(_worst(*(r[sel] for r in dynamics.cosserat_residual(phi, s))))
         return _order(*norm), {"field": "balance-residual", "grid": list(grids), "norm": norm[1]}
@@ -445,7 +432,9 @@ def _suite_cosserat(rng, options):
 
     def integration_by_parts():
         mism = []
-        for s, phi in map(manufactured, grids):
+        for n in grids:  # F = 0 and Mbar = 0: the bulk term reads the balance operator
+            s, (sigma, div_sigma, mubar, _) = grid(n)
+            phi = _phi_realizing(s, sigma, np.zeros_like(div_sigma), mubar, 0.0)
             coords = s.lattice.coords()
             dxi0 = np.stack([np.sin(coords[0]), np.cos(0.7 * coords[1]),
                              coords[0] * coords[1], 0.5 * np.ones(s.lattice.shape)], axis=-1)

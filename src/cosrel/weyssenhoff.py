@@ -9,9 +9,16 @@ the momentum split is g = rho0 u + pi.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
+import os
+import pickle
+import shutil
+import sys
+import tempfile
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -397,17 +404,25 @@ def _diagnostics(u, s) -> dict:
 
 
 #: trajectory rows per block of the post-processing: the diagnostics,
-#: `Trajectory.drift_summary` and `Trajectory.write_csv` each hold the temporaries of one
+#: `Trajectory.drift_summary` and the CSV formatter each hold the temporaries of one
 #: block at a time, so a run holds its returned arrays plus one block
 _WRITE_ROWS = 256
-_CSV_HEADER = (["tau"] + [f"x{m}" for m in range(4)] + [f"u{m}" for m in range(4)]
-               + [f"s{m}{n}" for m, n in SPIN_COMPONENTS]
-               + ["drift_u2", "drift_frenkel", "spin_invariant"])
+_CSV_HEAD = ",".join(["tau"] + [f"x{m}" for m in range(4)] + [f"u{m}" for m in range(4)]
+                     + [f"s{m}{n}" for m, n in SPIN_COMPONENTS]
+                     + ["drift_u2", "drift_frenkel", "spin_invariant"]) + "\r\n"
 
 
 def _blocks(n: int):
     """Row slices of at most _WRITE_ROWS rows that cover rows 0..n-1 in order."""
     return (slice(start, start + _WRITE_ROWS) for start in range(0, n, _WRITE_ROWS))
+
+
+def _csv_rows(tau, x, u, s, u_norm, frenkel, spin_invariant) -> str:
+    """The CSV rows of one block of records, each float through repr once: csv.writer's bytes."""
+    m, n = np.array(SPIN_COMPONENTS).T
+    block = np.column_stack([tau, x, u, (ETA @ s)[:, m, n], u_norm, frenkel,
+                             spin_invariant]).tolist()
+    return "".join([",".join(map(repr, row)) + "\r\n" for row in block])
 
 
 @dataclass
@@ -428,17 +443,14 @@ class Trajectory:
     def write_csv(self, path):
         """The per-step table: tau, x, u, the six lowered spin components, the drift columns.
 
-        Built and written in blocks of _WRITE_ROWS rows, each float through repr
-        once: csv.writer's bytes."""
-        m, n = np.array(SPIN_COMPONENTS).T
+        Formatted and written in blocks of _WRITE_ROWS rows (see `_csv_rows`)."""
         d = self.diagnostics
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(_CSV_HEADER) + "\r\n")
+            fh.write(_CSV_HEAD)
             for rows in _blocks(len(self.tau)):
-                block = np.column_stack([self.tau[rows], self.x[rows], self.u[rows],
-                                         (ETA @ self.s[rows])[:, m, n], d["u_norm"][rows],
-                                         d["frenkel"][rows], d["spin_invariant"][rows]]).tolist()
-                fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
+                fh.write(_csv_rows(self.tau[rows], self.x[rows], self.u[rows], self.s[rows],
+                                   d["u_norm"][rows], d["frenkel"][rows],
+                                   d["spin_invariant"][rows]))
 
     def regime(self) -> dict:
         """The momentum regime: whether mu0 is defined (g.g >= 0), and g.g."""
@@ -475,7 +487,8 @@ def tau_grid(steps, dtau) -> np.ndarray:
     return tau
 
 
-def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float) -> Trajectory:
+def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
+                        on_block=None) -> Trajectory:
     """Classical RK4 worldline of a single spinning element with g held constant.
 
     The energy-momentum density is conserved exactly (particle reduction with
@@ -490,6 +503,12 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float) ->
     _SOLVER_TOL * max(1, max|pi|), with pi taken at the initial state, or
     ClosureError is raised: a runaway, whose |pi| grows with it, cannot widen its
     own gate.  Bad `steps` or `dtau` raise ValueError (see tau_grid).
+
+    The steps run block by block: `on_block`, if given, is called with each block of
+    _WRITE_ROWS recorded states (the last block may be shorter) as soon as its last
+    state is recorded, as a C-contiguous (rows, 24) array of x, u and s (row-major).
+    That last state is gated by the step after it, so a block handed on may still
+    hold the state that fails the gate.
     """
     initial.validate()
     tau = tau_grid(steps, dtau)
@@ -502,13 +521,17 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float) ->
     y = np.concatenate([initial.x, initial.u, initial.s.ravel()]).tolist()
     states[0] = y
     half, sixth = 0.5 * dtau, dtau / 6.0
-    for i in range(n):
-        k1, closure[i] = _rate(y, gl, gate)
-        k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, None)
-        k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, None)
-        k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, None)
-        y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
-        states[i + 1] = y
+    for rows in _blocks(n + 1):
+        # the steps that record this block's states, from the state before its first
+        for i in range(max(rows.start - 1, 0), min(rows.stop, n + 1) - 1):
+            k1, closure[i] = _rate(y, gl, gate)
+            k2, _ = _rate([v + half * k for v, k in zip(y, k1)], gl, None)
+            k3, _ = _rate([v + half * k for v, k in zip(y, k2)], gl, None)
+            k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, None)
+            y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
+            states[i + 1] = y
+        if on_block is not None:
+            on_block(states[rows])
     _, closure[n] = _rate(y, gl, gate)
     us, ss = states[:, 4:8], states[:, 8:].reshape(n + 1, 4, 4)
     # NaN until its block fills it: a row the loop missed makes drift_summary NaN
@@ -520,3 +543,153 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float) ->
     diag["closure_residual"] = closure
     params = {"steps": n, "dtau": float(dtau), "solver_tol": _SOLVER_TOL}
     return Trajectory(tau, states[:, :4], us, ss, g, diag, params)
+
+
+# --------------------------------------------------------------------------
+# worker processes: the forms suite's pool and the worldline's CSV writer
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork a worker: it may run on more than one CPU, runs no
+    other thread (fork is unsafe beside one), has `fork` and is not a daemon (which may
+    not start children; a daemon is a multiprocessing child, so multiprocessing is loaded)."""
+    mp = sys.modules.get("multiprocessing")
+    return (_cpus() > 1 and threading.active_count() == 1 and hasattr(os, "fork")
+            and not (mp is not None and mp.current_process().daemon))
+
+
+#: the byte that follows a run's last block once the run has succeeded
+_COMMIT = b"\x01"
+
+
+def _csv_process(path, steps: int, dtau: float, data_fd: int, report_fd: int):
+    """The writer process's work (see `forked_csv`).
+
+    Reads the run's blocks of recorded states from data_fd, one at a time into one
+    buffer, and formats each with its tau and diagnostics into an unnamed temporary
+    file.  On the commit byte it copies the file to path and reports None to
+    report_fd; a fault is reported as it is raised.  At end of file before the
+    commit byte it returns without a report and path is left as it was.
+    """
+    error = None
+    with open(data_fd, "rb") as pipe:
+        try:
+            with tempfile.TemporaryFile() as stage:
+                stage.write(_CSV_HEAD.encode())
+                buffer = np.empty((_WRITE_ROWS, 24))
+                for rows in _blocks(steps + 1):
+                    states = buffer[:min(rows.stop, steps + 1) - rows.start]
+                    if pipe.readinto(states) < states.nbytes:
+                        return
+                    us, ss = states[:, 4:8], states[:, 8:].reshape(-1, 4, 4)
+                    diag = _diagnostics(us, ss)
+                    if rows.start == 0:
+                        spin0 = diag["spin_invariant"][0]
+                    stage.write(_csv_rows(dtau * np.arange(rows.start, rows.start + len(states)),
+                                          states[:, :4], us, ss, diag["u_norm"], diag["frenkel"],
+                                          diag["spin_invariant"] - spin0).encode())
+                if pipe.read(1) != _COMMIT:
+                    return
+                stage.seek(0)
+                with open(path, "wb") as out:
+                    shutil.copyfileobj(stage, out)
+        except Exception as exc:
+            error = exc
+    os.write(report_fd, pickle.dumps(error))
+
+
+class _CsvWriter:
+    """This process's end of a forked CSV writer (see `forked_csv`)."""
+
+    def __init__(self, path, pid: int, data_fd: int, report_fd: int):
+        self._path, self._pid, self._data, self._report = path, pid, data_fd, report_fd
+
+    def __call__(self, block):
+        """Hand one block of recorded states to the writer.  A writer that has stopped
+        (it reports why on commit) no longer reads them, and they are dropped."""
+        view = memoryview(block).cast("B")
+        try:
+            while view:
+                view = view[os.write(self._data, view):]
+        except BrokenPipeError:
+            pass
+
+    def commit(self):
+        """Signal success and wait for the table to reach its path; the writer's fault
+        (an OSError for a full device, say) is raised here."""
+        self(_COMMIT)
+        os.close(self._data)
+        self._data = None
+        with open(self._report, "rb") as fh:
+            self._report = None
+            report = fh.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if not report:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"the CSV writer exited with status {code} before writing "
+                                    f"{self._path}")
+        error = pickle.loads(report)
+        if error is not None:
+            raise error
+
+    def close(self):
+        """End the writer without a commit, if it was not committed, and reap it."""
+        for fd in (self._data, self._report):
+            if fd is not None:
+                os.close(fd)
+        if self._pid is not None:
+            os.waitpid(self._pid, 0)
+
+
+@contextlib.contextmanager
+def forked_csv(path, steps: int, dtau: float):
+    """A forked process that writes the CSV table of a run of `steps` steps of `dtau`
+    to path while the run goes on, or None where no worker may be forked (see
+    `_may_fork`) or the fork fails.
+
+    Pass the writer as `integrate_worldline`'s on_block: each block of recorded
+    states goes down a pipe as it is recorded, and the process formats it, tau and
+    diagnostics included, through the formatter of `Trajectory.write_csv` and into
+    an unnamed temporary file, holding one block at a time.  `writer.commit()`,
+    called once the run has succeeded, has the file copied to path and raises the
+    process's fault here.  Without a commit (the run raised, was interrupted or this
+    process died) the process reads end of file and exits, and path is left as it
+    was.  Leaving the block reaps the process.
+    """
+    writer = None
+    if _may_fork():
+        data_r, data_w = os.pipe()
+        report_r, report_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+            for fd in (data_r, data_w, report_r, report_w):
+                os.close(fd)
+        if pid == 0:
+            code = 1
+            try:
+                os.close(data_w)
+                os.close(report_r)
+                _csv_process(path, steps, dtau, data_r, report_w)
+                code = 0
+            finally:
+                os._exit(code)
+        if pid is not None:
+            os.close(data_r)
+            os.close(report_w)
+            writer = _CsvWriter(path, pid, data_w, report_r)
+    try:
+        yield writer
+    finally:
+        if writer is not None:
+            writer.close()

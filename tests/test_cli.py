@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -15,9 +17,12 @@ from cosrel.cli import _CONFIG_KEYS, build_parser, main
 from cosrel.lattice import Lattice
 from cosrel.minkowski import ETA
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import WorldlineLong, bounded_element  # noqa: E402
+
 
 def _run_python(*args, env=None):
-    import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -147,6 +152,124 @@ def test_last_state_above_the_closure_gate_exits_one(tmp_path, capsys):
     assert main(argv + [_runaway_config(tmp_path, 641)]) == 1
     assert capsys.readouterr().err == "error: spin closure unsolvable: residual 3.281e-03\n"
     assert not out.exists() and not Path(f"{out}.json").exists()
+
+
+def _simulate(tmp_path, monkeypatch, cpus, steps, out):
+    """Run the CLI on a bounded element with `cpus` CPUs; return its trajectory and
+    whether a forked writer took its blocks."""
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: cpus)
+    el = bounded_element(np.random.default_rng(4))
+    cfg = tmp_path / "bounded.ini"
+    u, g, s = (" ".join(map(repr, el[key].tolist())) for key in ("u", "g", "s"))
+    cfg.write_text(f"[worldline]\nu = {u}\ng = {g}\ns = {s}\ndtau = 0.005\n")
+    made = []
+    integrate = weyssenhoff.integrate_worldline
+
+    def keep(*args, **kwargs):
+        made.append((integrate(*args, **kwargs), kwargs["on_block"] is not None))
+        return made[-1][0]
+
+    with mock.patch.object(weyssenhoff, "integrate_worldline", keep):
+        assert main(["--simulate", "weyssenhoff-worldline", "--config", str(cfg),
+                     "--steps", str(steps), "--output", str(out)]) == 0
+    (run,) = made
+    return run
+
+
+@pytest.mark.parametrize("steps", [0, 1, 255, 256, 257, 500])
+def test_forked_csv_equals_the_in_process_csv(tmp_path, monkeypatch, steps):
+    """The forked writer's blocks meet the loop's on both sides of a block boundary:
+    its table is the in-process table and Trajectory.write_csv's, byte for byte."""
+    forked, one_cpu, ref = tmp_path / "forked.csv", tmp_path / "one.csv", tmp_path / "ref.csv"
+    traj, writer = _simulate(tmp_path, monkeypatch, 2, steps, forked)
+    assert writer
+    traj.write_csv(ref)
+    _, writer = _simulate(tmp_path, monkeypatch, 1, steps, one_cpu)
+    assert not writer
+    assert forked.read_bytes() == one_cpu.read_bytes() == ref.read_bytes()
+    assert len(forked.read_bytes().splitlines()) == steps + 2
+    assert (tmp_path / "forked.csv.json").read_bytes() == (tmp_path / "one.csv.json").read_bytes()
+
+
+def test_worldline_long_files_are_pinned(tmp_path, monkeypatch):
+    """The benchmark's worldline-long run at seed 0 writes the bytes the in-process
+    writer wrote before the CSV was formatted in a forked process."""
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
+    run = WorldlineLong(0, str(tmp_path))
+    assert run.steps[0].run() == 0
+    digests = [hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for path in (run.csv, run.csv + ".json")]
+    assert digests == ["4b60f40d70f0a5f957d61af7cabce4c84ac61ce3b59205a0e15717d3a8155510",
+                       "e473c06f7c0c973588b7a693510a33dd3532b182a37baedac5dde06dc5a2f32e"]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("old", [None, "old,table\r\n"], ids=["no-file", "existing-file"])
+@pytest.mark.parametrize("steps", [2000, 641], ids=["mid-run", "last-state"])
+def test_failed_run_leaves_the_output_as_it_was(tmp_path, monkeypatch, capsys, steps, old):
+    """State 641 is the first above its gate, mid-run or as the last state (where the
+    forked writer has already taken the block that holds it): no byte reaches --output
+    or the summary, and the writer is reaped."""
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
+    out = tmp_path / "t.csv"
+    if old is not None:
+        out.write_bytes(old.encode())
+    assert main(["--simulate", "weyssenhoff-worldline", "--config",
+                 _runaway_config(tmp_path, steps), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spin closure unsolvable: residual 3.281e-03\n"
+    assert (out.read_bytes() if out.exists() else None) == (old and old.encode())
+    assert not Path(f"{out}.json").exists()
+    _assert_no_child()
+
+
+def test_full_device_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """The writer's fault reaches the CLI as the OSError of an in-process write: exit 2."""
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
+    summary = tmp_path / "s.json"
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", _runaway_config(tmp_path, 300),
+                 "--output", "/dev/full", "--json", str(summary)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert captured.out == "" and not summary.exists()
+    _assert_no_child()
+
+
+def test_writer_that_dies_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """A writer that ends without a report fails the run with exit 2; the run's blocks
+    are dropped once nothing reads them, and the existing output stays."""
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
+    monkeypatch.setattr(weyssenhoff, "_csv_process", lambda *args: os._exit(3))
+    out = tmp_path / "t.csv"
+    out.write_text("old\n")
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", _runaway_config(tmp_path, 600),
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: the CSV writer exited with status 3 before "
+                                       f"writing {out}\n")
+    assert out.read_text() == "old\n" and not Path(f"{out}.json").exists()
+    _assert_no_child()
+
+
+def test_interrupted_run_leaves_no_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
+    rate, calls = weyssenhoff._rate, []
+
+    def interrupted(*args):
+        calls.append(None)
+        if len(calls) == 4 * 400:
+            raise KeyboardInterrupt
+        return rate(*args)
+
+    monkeypatch.setattr(weyssenhoff, "_rate", interrupted)
+    out = tmp_path / "t.csv"
+    with pytest.raises(KeyboardInterrupt):
+        main(["--simulate", "weyssenhoff-worldline", "--config", _runaway_config(tmp_path, 600),
+              "--output", str(out)])
+    assert not out.exists()
+    _assert_no_child()
 
 
 def test_raising_suite_writes_the_full_report_and_exits_one(tmp_path, capsys):
@@ -621,7 +744,7 @@ def test_unallocatable_forms_fields_fail_their_checks(tmp_path, cpus):
     """The fine fields of a 10^6-point grid (7 TiB and more) cannot be allocated: each check
     that reads one fails with the MemoryError, the others pass, and the report is whole."""
     out = tmp_path / "rep.json"
-    code = (f"import sys; from cosrel import cli, suites; suites._cpus = lambda: {cpus}; "
+    code = (f"import sys; from cosrel import cli, weyssenhoff; weyssenhoff._cpus = lambda: {cpus}; "
             f"sys.exit(cli.main(['--suite', 'forms', '--grid', '3,1000000', "
             f"'--json', {str(out)!r}]))")
     proc = _run_python("-c", code)
@@ -671,7 +794,7 @@ def test_import_loads_no_process_pool():
 def test_forms_suite_prints_the_same_bytes_pooled_and_in_process():
     """A line buffered before the workers fork is printed once, and the report lines
     are those of an in-process run."""
-    code = ("import sys; from cosrel import cli, suites; suites._cpus = lambda: {}; "
+    code = ("import sys; from cosrel import cli, weyssenhoff; weyssenhoff._cpus = lambda: {}; "
             "print('before the suite'); "
             "code = cli.main(['--suite', 'forms', '--grid', '9,17']); "
             "import multiprocessing; assert multiprocessing.active_children() == []; "

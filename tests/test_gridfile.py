@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import same_bits
-from cosrel import lattice, suites
+from cosrel import lattice, suites, weyssenhoff
 from cosrel.deformation import (AlgebraForm, GroupField, read_algebra_form, read_group_field,
                                 write_algebra_form, write_group_field)
 from cosrel.lattice import FormField, Lattice
@@ -232,7 +232,7 @@ def test_failed_pooled_read_leaves_no_process(tmp_path, monkeypatch, fork_pools,
     """The reader's faults reach the caller, and it starts no worker even where the forms
     suite would (two CPUs).  The reader sizes the file once; a body cut short after that
     is refused."""
-    monkeypatch.setattr(suites, "_cpus", lambda: 2)
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
     path = tmp_path / "g.grid"
     if fault == "truncated":
         path.write_bytes(_GROUP_BYTES[:-8])
@@ -254,7 +254,7 @@ def test_failed_pooled_read_leaves_no_process(tmp_path, monkeypatch, fork_pools,
 def test_failed_pooled_write_leaves_no_process(tmp_path, monkeypatch, fork_pools, fault, error):
     """The writer's faults reach the caller, and it starts no worker even where the forms
     suite would (two CPUs)."""
-    monkeypatch.setattr(suites, "_cpus", lambda: 2)
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
     path = tmp_path / "missing" / "g.grid"
     if fault == "device-full":
         if not os.path.exists("/dev/full"):

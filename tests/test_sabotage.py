@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cosrel import algebra, deformation, dirac, lattice, suites, weyssenhoff
+from cosrel import algebra, deformation, dirac, dynamics, lattice, suites, weyssenhoff
 from cosrel.lattice import ext_d, wedge
 from cosrel.minkowski import ETA
 from cosrel.suites import run_suite
@@ -130,6 +130,14 @@ def _spin_form_symmetrised(state, x):
     return dataclasses.replace(tk, S_form=S_low, S_hat=dirac.dual_of_spin_form(tk.u, S_low))
 
 
+def _bulk_couple_flipped(phi, s, dxi0, dI0):
+    """total_virtual_work with the sign of the couple term in its bulk density flipped:
+    the bulk is linear in the variation, and with dxi0 = 0 it is the couple term alone."""
+    bulk, boundary = _total_virtual_work(phi, s, dxi0, dI0)
+    couple, _ = _total_virtual_work(phi, s, np.zeros_like(dxi0), dI0)
+    return bulk - 2.0 * couple, boundary
+
+
 _closure = weyssenhoff._closure
 _rate = weyssenhoff._rate
 _stress_tensors = weyssenhoff.stress_tensors
@@ -138,6 +146,7 @@ _bracket = algebra.bracket
 _exp = algebra.exp
 _polarize = algebra.polarize
 _takabayasi = dirac.takabayasi
+_total_virtual_work = dynamics.total_virtual_work
 _gamma_dn_1_times_i = dirac.GAMMA_DN * np.array([1, 1j, 1, 1])[:, None, None]
 _gamma_up_1_times_i = dirac.GAMMA_UP * np.array([1, 1j, 1, 1])[:, None, None]
 
@@ -158,6 +167,11 @@ SABOTAGE = {
                                _DISLOCATION_CHECKS),
     "edge-order-one": (lattice.Lattice, "gradient", _edge_order_one_gradient,
                        {"cosserat.04-integration-by-parts"}),
+    # cosserat.04's state is unbalanced (F = 0, Mbar = 0), so its bulk term reads the
+    # balance operator (0.946 on grid 9); flipped, the mismatch reads 1.10 on grid 17
+    # and order -0.007 at seed 0
+    "bulk-couple-flipped": (dynamics, "total_virtual_work", _bulk_couple_flipped,
+                            {"cosserat.04-integration-by-parts"}),
     # forms.06 reads 0.600 on its (0.05, 0.08) lattice; every other suite lattice is a cube
     "gradient-spacing-0": (lattice.Lattice, "gradient", _spacing_0_gradient,
                            {"forms.06-hand-dislocation"}),
@@ -248,7 +262,7 @@ def _run(suite) -> tuple:
 def test_planted_defect_fails_exactly_its_checks(row, monkeypatch, fork_pools):
     owner, name, broken, expected = SABOTAGE[row]
     suite = "dirac" if row in DIRAC_ROWS else "all"
-    monkeypatch.setattr(suites, "_cpus", lambda: 2)    # the forms fields run in a worker
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)    # the forms fields run in a worker
     clean_ids, failing = _run(suite)
     assert failing == set()
     for one in owner if isinstance(owner, tuple) else (owner,):

@@ -129,7 +129,7 @@ def test_a_programming_error_stops_the_run(monkeypatch):
 def test_a_raising_field_fails_only_the_check_that_reads_it(monkeypatch, fork_pools, cpus):
     # forms.05 reads the two incompatibility fields alone; the dislocation fields after
     # them are still collected in order and their checks pass
-    monkeypatch.setattr(suites, "_cpus", lambda: cpus)
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: cpus)
     monkeypatch.setattr(suites, "_bianchi_norm", _raises)
     (rep,) = run_suite("forms", options={"grids": (5, 9)})
     assert [(c.check_id, c.passed) for c in rep.checks] == [
@@ -153,7 +153,7 @@ def test_a_failing_worker_fails_every_check_that_reads_its_fields(monkeypatch, f
     """A worker that raises, or dies and breaks the pool, fails the five checks that read
     worker fields, each with its extra.error; the suite's other checks pass, and no
     worker is left behind."""
-    monkeypatch.setattr(suites, "_cpus", lambda: 2)
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
     monkeypatch.setattr(suites, "_bianchi_norm", broken)
     monkeypatch.setattr(suites, "_dislocation_norm", broken)
     (rep,) = run_suite("forms", options={"grids": (5, 9)})
@@ -297,7 +297,7 @@ def test_pooled_forms_suite_equals_the_in_process_suite(monkeypatch, fork_pools,
     options = {"grids": grids} if grids else {}
     reports = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(suites, "_cpus", lambda: cpus)
+        monkeypatch.setattr(weyssenhoff, "_cpus", lambda: cpus)
         reports[cpus] = _strip_runtime([rep.as_dict() for rep in run_suite("forms", seed, options)])
         assert len(fork_pools) == cpus - 1
     assert reports[2] == reports[1]
