@@ -178,7 +178,7 @@ def _run_suites(args, seed: int, options: dict) -> int:
 def _run_simulation(element, params: dict, out, summary_path) -> int:
     # a forked writer formats the CSV table while the steps run; without one it is
     # formatted here after the last step
-    with weyssenhoff.forked_csv(out, **params) as writer:
+    with weyssenhoff.forked_csv(out) as writer:
         traj = weyssenhoff.integrate_worldline(element, **params, on_block=writer)
         if writer is None:
             traj.write_csv(out)

@@ -457,18 +457,22 @@ def _boosted_momentum(rng):
 
 
 def _suite_dirac(rng, options):
-    # 25 waves (momentum, spin, sign) at x, two momentum seeds, then 10 waves (momentum, spin) at x
+    # 25 waves (momentum, spin, sign) at x, two momentum seeds, then 10 waves (momentum, spin)
+    # at x; then one mass per state, by which its unit-mass momenta are scaled: the 25 waves,
+    # the two-wave pair (one mass, as superposed waves share it) and the 10 waves
     draws = [(_boosted_momentum(rng), int(rng.integers(2)), 1 if rng.uniform() < 0.5 else -1,
               rng.uniform(-1, 1, size=4)) for _ in range(25)]
     seeds = int(rng.integers(2 ** 31)), int(rng.integers(2 ** 31))
     duals = [(_boosted_momentum(rng), int(rng.integers(2)), rng.uniform(-1, 1, size=4))
              for _ in range(10)]
-    waves = functools.cache(lambda: [(dirac.make_plane_wave(p, k, sign), x)
-                                     for p, k, sign, x in draws])
+    masses = rng.uniform(0.5, 2.0, size=len(draws) + 1 + len(duals))
+    pair_mass, dual_masses = masses[len(draws)], masses[len(draws) + 1:]
+    waves = functools.cache(lambda: [(dirac.make_plane_wave(m * p, k, sign), x)
+                                     for m, (p, k, sign, x) in zip(masses, draws)])
     records = functools.cache(lambda: [(st, dirac.takabayasi(st, x)) for st, x in waves()])
 
     def two_waves():
-        p1, p2 = (_boosted_momentum(np.random.default_rng(seed)) for seed in seeds)
+        p1, p2 = (pair_mass * _boosted_momentum(np.random.default_rng(seed)) for seed in seeds)
         rep = dirac.conservation_report(
             dirac.superpose(dirac.make_plane_wave(p1, 0), dirac.make_plane_wave(p2, 1)))
         return rep.max_residual(), {"points": rep.points}
@@ -477,12 +481,25 @@ def _suite_dirac(rng, options):
         # the round trip alone holds for a zero form too, so S_form is also read against
         # ETA S, with S = u_lam S3 rebuilt from the spin current (dirac.05 reads tk.S)
         diffs = []
-        for p, k, x in duals:
-            tk = dirac.takabayasi(dirac.make_plane_wave(p, k), x)
+        for m, (p, k, x) in zip(dual_masses, duals):
+            tk = dirac.takabayasi(dirac.make_plane_wave(m * p, k), x)
             S = np.einsum("l,lmn->mn", ETA @ tk.u, tk.S3)
             diffs += [dirac.spin_form_from_dual(tk.u, tk.S_hat) - tk.S_form,
                       tk.S_form - ETA @ S]
         return _worst(*diffs), {}
+
+    def derivative_order():
+        # central differences of psi and d psi against the analytic d psi and d d psi
+        errors = []
+        for h in (1e-3, 5e-4):
+            diffs = []
+            for st, x in waves():
+                dpsi, d2psi = st.dpsi(x), st.d2psi(x)
+                for nu, e in enumerate(h * np.eye(4)):
+                    diffs += [(st.psi(x + e) - st.psi(x - e)) / (2 * h) - dpsi[:, nu],
+                              (st.dpsi(x + e) - st.dpsi(x - e)) / (2 * h) - d2psi[:, nu]]
+            errors.append(_worst(*diffs))
+        return _order(*errors), {"coarse": errors[0], "fine": errors[1]}
 
     yield ("dirac.01-clifford", "clifford-anticommutation", -math.inf, 1e-14,
            lambda: (dirac.clifford_defect(), {}))
@@ -499,6 +516,8 @@ def _suite_dirac(rng, options):
                              for _, tk in records()]), {}))
     yield "dirac.07-two-wave-conservation", "local-balance-laws", -math.inf, 1e-10, two_waves
     yield "dirac.08-duality-roundtrip", "spin-axis-duality", -math.inf, 1e-12, duality
+    yield ("dirac.09-derivative-order", "central-difference-order", 1.99, 2.01,
+           derivative_order)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import json
 import math
 import numbers
 import os
-import pickle
 import shutil
 import sys
 import tempfile
@@ -403,13 +402,14 @@ def _diagnostics(u, s) -> dict:
             "spin_invariant": np.einsum("imn,imn->i", s_low, ETA @ s_low @ ETA)}
 
 
-#: trajectory rows per block of the post-processing: the diagnostics,
-#: `Trajectory.drift_summary` and the CSV formatter each hold the temporaries of one
-#: block at a time, so a run holds its returned arrays plus one block
+#: trajectory rows per block: the worldline loop's diagnostics, `Trajectory.drift_summary`
+#: and the CSV writers each hold the temporaries of one block at a time, so a run holds
+#: its returned arrays plus one block
 _WRITE_ROWS = 256
-_CSV_HEAD = ",".join(["tau"] + [f"x{m}" for m in range(4)] + [f"u{m}" for m in range(4)]
-                     + [f"s{m}{n}" for m, n in SPIN_COMPONENTS]
-                     + ["drift_u2", "drift_frenkel", "spin_invariant"]) + "\r\n"
+_CSV_COLUMNS = (["tau"] + [f"x{m}" for m in range(4)] + [f"u{m}" for m in range(4)]
+                + [f"s{m}{n}" for m, n in SPIN_COMPONENTS]
+                + ["drift_u2", "drift_frenkel", "spin_invariant"])
+_CSV_HEAD = ",".join(_CSV_COLUMNS) + "\r\n"
 
 
 def _blocks(n: int):
@@ -417,12 +417,16 @@ def _blocks(n: int):
     return (slice(start, start + _WRITE_ROWS) for start in range(0, n, _WRITE_ROWS))
 
 
-def _csv_rows(tau, x, u, s, u_norm, frenkel, spin_invariant) -> str:
-    """The CSV rows of one block of records, each float through repr once: csv.writer's bytes."""
+def _csv_table(tau, x, u, s, u_norm, frenkel, spin_invariant) -> np.ndarray:
+    """The CSV values of one block of records, a C-contiguous row per record: tau, x, u,
+    the six lowered spin components and the three drift columns."""
     m, n = np.array(SPIN_COMPONENTS).T
-    block = np.column_stack([tau, x, u, (ETA @ s)[:, m, n], u_norm, frenkel,
-                             spin_invariant]).tolist()
-    return "".join([",".join(map(repr, row)) + "\r\n" for row in block])
+    return np.column_stack([tau, x, u, (ETA @ s)[:, m, n], u_norm, frenkel, spin_invariant])
+
+
+def _csv_rows(table) -> str:
+    """The CSV rows of a value table, each float through repr once: csv.writer's bytes."""
+    return "".join([",".join(map(repr, row)) + "\r\n" for row in table.tolist()])
 
 
 @dataclass
@@ -443,14 +447,14 @@ class Trajectory:
     def write_csv(self, path):
         """The per-step table: tau, x, u, the six lowered spin components, the drift columns.
 
-        Formatted and written in blocks of _WRITE_ROWS rows (see `_csv_rows`)."""
+        Formatted and written in blocks of _WRITE_ROWS rows (see `_csv_table`)."""
         d = self.diagnostics
         with open(path, "w", newline="") as fh:
             fh.write(_CSV_HEAD)
             for rows in _blocks(len(self.tau)):
-                fh.write(_csv_rows(self.tau[rows], self.x[rows], self.u[rows], self.s[rows],
-                                   d["u_norm"][rows], d["frenkel"][rows],
-                                   d["spin_invariant"][rows]))
+                fh.write(_csv_rows(_csv_table(self.tau[rows], self.x[rows], self.u[rows],
+                                              self.s[rows], d["u_norm"][rows],
+                                              d["frenkel"][rows], d["spin_invariant"][rows])))
 
     def regime(self) -> dict:
         """The momentum regime: whether mu0 is defined (g.g >= 0), and g.g."""
@@ -497,18 +501,19 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     space of s (minimum-norm only in the rest frame), the spin rate is the
     transverse-momentum bivector.  Constraint drift is recorded, never corrected:
     reporting it is the run's purpose.  Proper time starts at 0.  The state is
-    stepped as one flat list of floats (see `_rate`); the diagnostics are computed
-    after the last step, on blocks of _WRITE_ROWS recorded states.
+    stepped as one flat list of floats (see `_rate`).
     Every recorded state, the last one too, must pass the closure gate
     _SOLVER_TOL * max(1, max|pi|), with pi taken at the initial state, or
     ClosureError is raised: a runaway, whose |pi| grows with it, cannot widen its
     own gate.  Bad `steps` or `dtau` raise ValueError (see tau_grid).
 
-    The steps run block by block: `on_block`, if given, is called with each block of
-    _WRITE_ROWS recorded states (the last block may be shorter) as soon as its last
-    state is recorded, as a C-contiguous (rows, 24) array of x, u and s (row-major).
-    That last state is gated by the step after it, so a block handed on may still
-    hold the state that fails the gate.
+    The steps run in blocks of _WRITE_ROWS recorded states (the last block may be
+    shorter), and each block's diagnostics are computed as soon as its last state is
+    recorded, the spin invariant as its offset from the initial state's.  `on_block`,
+    if given, is then called with the block's CSV columns: tau, x, u, s and the
+    u_norm, frenkel and spin_invariant diagnostics, row slices of the returned
+    arrays (see `_csv_table`).  That last state is gated by the step after it, so a
+    block handed on may still hold the state that fails the gate.
     """
     initial.validate()
     tau = tau_grid(steps, dtau)
@@ -517,7 +522,10 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
     gate = _closure_gate(split_momentum(g, initial.u).pi_low)
     n = int(steps)
     states = np.empty((n + 1, 24))
+    x, us, ss = states[:, :4], states[:, 4:8], states[:, 8:].reshape(n + 1, 4, 4)
     closure = np.empty(n + 1)
+    # NaN until its block fills it: a row the loop missed makes drift_summary NaN
+    diag = {key: np.full(n + 1, np.nan) for key in ("u_norm", "frenkel", "spin_invariant")}
     y = np.concatenate([initial.x, initial.u, initial.s.ravel()]).tolist()
     states[0] = y
     half, sixth = 0.5 * dtau, dtau / 6.0
@@ -530,19 +538,18 @@ def integrate_worldline(initial: WeyssenhoffElement, steps: int, dtau: float,
             k4, _ = _rate([v + dtau * k for v, k in zip(y, k3)], gl, None)
             y = [v + sixth * (p + 2 * q + 2 * r + t) for v, p, q, r, t in zip(y, k1, k2, k3, k4)]
             states[i + 1] = y
-        if on_block is not None:
-            on_block(states[rows])
-    _, closure[n] = _rate(y, gl, gate)
-    us, ss = states[:, 4:8], states[:, 8:].reshape(n + 1, 4, 4)
-    # NaN until its block fills it: a row the loop missed makes drift_summary NaN
-    diag = {key: np.full(n + 1, np.nan) for key in ("u_norm", "frenkel", "spin_invariant")}
-    for rows in _blocks(n + 1):
         for key, value in _diagnostics(us[rows], ss[rows]).items():
             diag[key][rows] = value
-    diag["spin_invariant"] -= diag["spin_invariant"][0]
+        if rows.start == 0:
+            spin0 = diag["spin_invariant"][0]
+        diag["spin_invariant"][rows] -= spin0
+        if on_block is not None:
+            on_block(tau[rows], x[rows], us[rows], ss[rows], diag["u_norm"][rows],
+                     diag["frenkel"][rows], diag["spin_invariant"][rows])
+    _, closure[n] = _rate(y, gl, gate)
     diag["closure_residual"] = closure
     params = {"steps": n, "dtau": float(dtau), "solver_tol": _SOLVER_TOL}
-    return Trajectory(tau, states[:, :4], us, ss, g, diag, params)
+    return Trajectory(tau, x, us, ss, g, diag, params)
 
 
 # --------------------------------------------------------------------------
@@ -566,130 +573,93 @@ def _may_fork() -> bool:
             and not (mp is not None and mp.current_process().daemon))
 
 
-#: the byte that follows a run's last block once the run has succeeded
-_COMMIT = b"\x01"
-
-
-def _csv_process(path, steps: int, dtau: float, data_fd: int, report_fd: int):
-    """The writer process's work (see `forked_csv`).
-
-    Reads the run's blocks of recorded states from data_fd, one at a time into one
-    buffer, and formats each with its tau and diagnostics into an unnamed temporary
-    file.  On the commit byte it copies the file to path and reports None to
-    report_fd; a fault is reported as it is raised.  At end of file before the
-    commit byte it returns without a report and path is left as it was.
-    """
-    error = None
+def _csv_process(data_fd: int, stage):
+    """The writer process's work (see `forked_csv`): reads each block's CSV value table
+    from data_fd into one buffer, formats it into the staging file and returns at end
+    of file."""
     with open(data_fd, "rb") as pipe:
-        try:
-            with tempfile.TemporaryFile() as stage:
-                stage.write(_CSV_HEAD.encode())
-                buffer = np.empty((_WRITE_ROWS, 24))
-                for rows in _blocks(steps + 1):
-                    states = buffer[:min(rows.stop, steps + 1) - rows.start]
-                    if pipe.readinto(states) < states.nbytes:
-                        return
-                    us, ss = states[:, 4:8], states[:, 8:].reshape(-1, 4, 4)
-                    diag = _diagnostics(us, ss)
-                    if rows.start == 0:
-                        spin0 = diag["spin_invariant"][0]
-                    stage.write(_csv_rows(dtau * np.arange(rows.start, rows.start + len(states)),
-                                          states[:, :4], us, ss, diag["u_norm"], diag["frenkel"],
-                                          diag["spin_invariant"] - spin0).encode())
-                if pipe.read(1) != _COMMIT:
-                    return
-                stage.seek(0)
-                with open(path, "wb") as out:
-                    shutil.copyfileobj(stage, out)
-        except Exception as exc:
-            error = exc
-    os.write(report_fd, pickle.dumps(error))
+        stage.write(_CSV_HEAD.encode())
+        table = np.empty((_WRITE_ROWS, len(_CSV_COLUMNS)))
+        while rows := pipe.readinto(table) // table[0].nbytes:
+            stage.write(_csv_rows(table[:rows]).encode())
+    stage.flush()
 
 
 class _CsvWriter:
     """This process's end of a forked CSV writer (see `forked_csv`)."""
 
-    def __init__(self, path, pid: int, data_fd: int, report_fd: int):
-        self._path, self._pid, self._data, self._report = path, pid, data_fd, report_fd
+    def __init__(self, path, pid: int, data_fd: int, stage):
+        self._path, self._pid, self._data, self._stage = path, pid, data_fd, stage
+        self._code = None
 
-    def __call__(self, block):
-        """Hand one block of recorded states to the writer.  A writer that has stopped
-        (it reports why on commit) no longer reads them, and they are dropped."""
-        view = memoryview(block).cast("B")
+    def __call__(self, *columns):
+        """Hand one block's CSV columns to the writer as their value table.  A writer
+        that has stopped (commit says so) no longer reads them, and they are dropped."""
+        view = memoryview(_csv_table(*columns)).cast("B")
         try:
             while view:
                 view = view[os.write(self._data, view):]
         except BrokenPipeError:
             pass
 
+    def reap(self) -> int:
+        """Close the pipe and wait for the writer, once; its exit code."""
+        if self._data is not None:
+            os.close(self._data)
+            self._data = None
+        if self._code is None:
+            self._code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        return self._code
+
     def commit(self):
-        """Signal success and wait for the table to reach its path; the writer's fault
-        (an OSError for a full device, say) is raised here."""
-        self(_COMMIT)
-        os.close(self._data)
-        self._data = None
-        with open(self._report, "rb") as fh:
-            self._report = None
-            report = fh.read()
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        if not report:
-            code = os.waitstatus_to_exitcode(status)
+        """Close the pipe, reap the writer and copy its staged table to the path; a
+        writer that exited with a nonzero status raises ChildProcessError."""
+        code = self.reap()
+        if code != 0:
             raise ChildProcessError(f"the CSV writer exited with status {code} before writing "
                                     f"{self._path}")
-        error = pickle.loads(report)
-        if error is not None:
-            raise error
-
-    def close(self):
-        """End the writer without a commit, if it was not committed, and reap it."""
-        for fd in (self._data, self._report):
-            if fd is not None:
-                os.close(fd)
-        if self._pid is not None:
-            os.waitpid(self._pid, 0)
+        self._stage.seek(0)
+        with open(self._path, "wb") as out:
+            shutil.copyfileobj(self._stage, out)
 
 
 @contextlib.contextmanager
-def forked_csv(path, steps: int, dtau: float):
-    """A forked process that writes the CSV table of a run of `steps` steps of `dtau`
-    to path while the run goes on, or None where no worker may be forked (see
-    `_may_fork`) or the fork fails.
+def forked_csv(path):
+    """A forked process that formats a run's CSV table while the run goes on, for path,
+    or None where no worker may be forked (see `_may_fork`) or the fork fails.
 
-    Pass the writer as `integrate_worldline`'s on_block: each block of recorded
-    states goes down a pipe as it is recorded, and the process formats it, tau and
-    diagnostics included, through the formatter of `Trajectory.write_csv` and into
-    an unnamed temporary file, holding one block at a time.  `writer.commit()`,
-    called once the run has succeeded, has the file copied to path and raises the
-    process's fault here.  Without a commit (the run raised, was interrupted or this
-    process died) the process reads end of file and exits, and path is left as it
-    was.  Leaving the block reaps the process.
+    Pass the writer as `integrate_worldline`'s on_block: this process turns each
+    block's columns into their value table (see `_csv_table`) and writes its raw
+    float64 bytes down one pipe, and the writer process formats them, through the
+    formatter of `Trajectory.write_csv`, into an unnamed temporary file that this
+    process created before the fork; it holds one block of values and its text.
+    `writer.commit()`, called once the run has succeeded, waits for the writer and
+    copies the file to path, so a full device is this process's OSError.  Without a
+    commit (the run raised or was interrupted) path is left as it was.  Leaving the
+    block reaps the process.
     """
-    writer = None
-    if _may_fork():
+    if not _may_fork():
+        yield None
+        return
+    with tempfile.TemporaryFile() as stage:
         data_r, data_w = os.pipe()
-        report_r, report_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
             pid = None
-            for fd in (data_r, data_w, report_r, report_w):
-                os.close(fd)
+            os.close(data_w)
         if pid == 0:
             code = 1
             try:
                 os.close(data_w)
-                os.close(report_r)
-                _csv_process(path, steps, dtau, data_r, report_w)
+                _csv_process(data_r, stage)
                 code = 0
             finally:
                 os._exit(code)
-        if pid is not None:
-            os.close(data_r)
-            os.close(report_w)
-            writer = _CsvWriter(path, pid, data_w, report_r)
-    try:
-        yield writer
-    finally:
-        if writer is not None:
-            writer.close()
+        os.close(data_r)
+        writer = None if pid is None else _CsvWriter(path, pid, data_w, stage)
+        try:
+            yield writer
+        finally:
+            if writer is not None:
+                writer.reap()

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -208,6 +210,43 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("past", [1, 255, 256, 257])
+def test_forked_csv_writes_special_values_as_write_csv(tmp_path, monkeypatch, past):
+    """NaN, infinities, -0.0 and the least subnormal in every block, 1 to 257 records
+    past the first _WRITE_ROWS block, go down the pipe as raw floats and come out as
+    Trajectory.write_csv formats them, byte for byte."""
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
+    n = weyssenhoff._WRITE_ROWS + past
+    rng = np.random.default_rng(past)
+    diag = {key: rng.standard_normal(n) for key in ("u_norm", "frenkel", "spin_invariant")}
+    traj = weyssenhoff.Trajectory(0.01 * np.arange(n), rng.standard_normal((n, 4)),
+                                  rng.standard_normal((n, 4)), rng.standard_normal((n, 4, 4)),
+                                  np.zeros(4), diag)
+    for row in {0, weyssenhoff._WRITE_ROWS - 1, weyssenhoff._WRITE_ROWS, n - 1}:
+        traj.tau[row] = -0.0
+        traj.x[row] = [np.nan, np.inf, -np.inf, -0.0]
+        traj.u[row] = [5e-324, -0.0, -5e-324, np.nan]
+        traj.s[row, 1, 2], traj.s[row, 0, 3] = np.inf, np.nan
+        diag["u_norm"][row], diag["frenkel"][row] = -0.0, np.inf
+        diag["spin_invariant"][row] = 5e-324
+    forked, ref = tmp_path / "forked.csv", tmp_path / "ref.csv"
+    with np.errstate(invalid="ignore"):     # 0 * inf in the spin lowering
+        traj.write_csv(ref)
+        with weyssenhoff.forked_csv(forked) as writer:
+            assert writer is not None
+            for rows in weyssenhoff._blocks(n):
+                writer(traj.tau[rows], traj.x[rows], traj.u[rows], traj.s[rows],
+                       diag["u_norm"][rows], diag["frenkel"][rows], diag["spin_invariant"][rows])
+            writer.commit()
+    table = forked.read_bytes()
+    assert table == ref.read_bytes()
+    lines = table.decode().splitlines()
+    assert len(lines) == n + 1
+    for row in {0, weyssenhoff._WRITE_ROWS - 1, weyssenhoff._WRITE_ROWS, n - 1}:
+        assert {"nan", "inf", "-inf", "-0.0", "5e-324"} <= set(lines[row + 1].split(","))
+    _assert_no_child()
+
+
 @pytest.mark.parametrize("old", [None, "old,table\r\n"], ids=["no-file", "existing-file"])
 @pytest.mark.parametrize("steps", [2000, 641], ids=["mid-run", "last-state"])
 def test_failed_run_leaves_the_output_as_it_was(tmp_path, monkeypatch, capsys, steps, old):
@@ -250,6 +289,26 @@ def test_writer_that_dies_is_one_error_line(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (f"error: the CSV writer exited with status 3 before "
                                        f"writing {out}\n")
     assert out.read_text() == "old\n" and not Path(f"{out}.json").exists()
+    _assert_no_child()
+
+
+def test_unstageable_table_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """The staging file is made before the fork: when it cannot be made, the run is
+    exit 2 with the OSError's line, and the existing output stays."""
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
+
+    def full_device(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", full_device)
+    out = tmp_path / "t.csv"
+    out.write_bytes(b"old,table\r\n")
+    assert main(["--simulate", "weyssenhoff-worldline", "--config", _runaway_config(tmp_path, 300),
+                 "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert captured.out == ""
+    assert out.read_bytes() == b"old,table\r\n" and not Path(f"{out}.json").exists()
     _assert_no_child()
 
 
