@@ -110,22 +110,28 @@ class PlaneWaveState:
         object.__setattr__(self, "sign", sign.astype(int))
 
     def _waves(self, x):
-        """Per wave in order: its psi_k(x) and -i s_k p_k with p_k lowered."""
+        """(psi_k(x), k) for the waves k in order at a stack of points x (..., 4): psi_k
+        laid out [..., k, component] and k = -i s_k p_k with p_k lowered, laid out [k, nu]."""
         x = np.asarray(x, dtype=float)
-        for p, w, s in zip(self.p, self.amplitude, self.sign.tolist()):
-            p_low = ETA @ p
-            yield w * np.exp(-1j * s * float(p_low @ x)), -1j * s * p_low
+        p_low = self.p @ ETA
+        # one 4-term dot per point and wave, as a single point's p_low @ x sums it
+        phase = (x[..., None, None, :] @ p_low[:, :, None])[..., 0, 0]
+        k = -1j * self.sign[:, None] * p_low
+        return self.amplitude * np.exp(-1j * self.sign * phase)[..., None], k
 
     def psi(self, x) -> np.ndarray:
-        return sum(psi for psi, _ in self._waves(x))
+        """psi at a stack of points x (..., 4), laid out [..., component]."""
+        return self._waves(x)[0].sum(axis=-2)
 
     def dpsi(self, x) -> np.ndarray:
-        """Analytic d_nu psi, laid out [component, nu]."""
-        return sum(np.einsum("a,n->an", psi, k) for psi, k in self._waves(x))
+        """Analytic d_nu psi, laid out [..., component, nu]."""
+        psi, k = self._waves(x)
+        return np.einsum("...ka,kn->...an", psi, k)
 
     def d2psi(self, x) -> np.ndarray:
-        """Analytic d_nu d_mu psi, laid out [component, nu, mu]."""
-        return sum(np.einsum("a,n,m->anm", psi, k, k) for psi, k in self._waves(x))
+        """Analytic d_nu d_mu psi, laid out [..., component, nu, mu]."""
+        psi, k = self._waves(x)
+        return np.einsum("...ka,kn,km->...anm", psi, k, k)
 
 
 def superpose(*states) -> PlaneWaveState:

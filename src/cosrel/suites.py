@@ -489,15 +489,16 @@ def _suite_dirac(rng, options):
         return _worst(*diffs), {}
 
     def derivative_order():
-        # central differences of psi and d psi against the analytic d psi and d d psi
+        # central differences of psi and d psi against the analytic d psi and d d psi, each
+        # evaluated once per wave and step on the stacks x + h e_nu and x - h e_nu (row nu)
         errors = []
         for h in (1e-3, 5e-4):
             diffs = []
             for st, x in waves():
-                dpsi, d2psi = st.dpsi(x), st.d2psi(x)
-                for nu, e in enumerate(h * np.eye(4)):
-                    diffs += [(st.psi(x + e) - st.psi(x - e)) / (2 * h) - dpsi[:, nu],
-                              (st.dpsi(x + e) - st.dpsi(x - e)) / (2 * h) - d2psi[:, nu]]
+                fwd, back = x + h * np.eye(4), x - h * np.eye(4)
+                diffs += [(st.psi(fwd) - st.psi(back)) / (2 * h) - st.dpsi(x).T,
+                          (st.dpsi(fwd) - st.dpsi(back)) / (2 * h)
+                          - st.d2psi(x).transpose(1, 0, 2)]
             errors.append(_worst(*diffs))
         return _order(*errors), {"coarse": errors[0], "fine": errors[1]}
 

@@ -9,7 +9,6 @@ the momentum split is g = rho0 u + pi.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import numbers
@@ -574,7 +573,7 @@ def _may_fork() -> bool:
 
 
 def _csv_process(data_fd: int, stage):
-    """The writer process's work (see `forked_csv`): reads each block's CSV value table
+    """The writer process's work (see `simulate`): reads each block's CSV value table
     from data_fd into one buffer, formats it into the staging file and returns at end
     of file."""
     with open(data_fd, "rb") as pipe:
@@ -585,69 +584,30 @@ def _csv_process(data_fd: int, stage):
     stage.flush()
 
 
-class _CsvWriter:
-    """This process's end of a forked CSV writer (see `forked_csv`)."""
+def simulate(initial: WeyssenhoffElement, steps: int, dtau: float, path) -> Trajectory:
+    """`integrate_worldline`'s run, with its CSV table (see `Trajectory.write_csv`) written
+    to path once the run has succeeded; a run that raises leaves path as it was.
 
-    def __init__(self, path, pid: int, data_fd: int, stage):
-        self._path, self._pid, self._data, self._stage = path, pid, data_fd, stage
-        self._code = None
-
-    def __call__(self, *columns):
-        """Hand one block's CSV columns to the writer as their value table.  A writer
-        that has stopped (commit says so) no longer reads them, and they are dropped."""
-        view = memoryview(_csv_table(*columns)).cast("B")
-        try:
-            while view:
-                view = view[os.write(self._data, view):]
-        except BrokenPipeError:
-            pass
-
-    def reap(self) -> int:
-        """Close the pipe and wait for the writer, once; its exit code."""
-        if self._data is not None:
-            os.close(self._data)
-            self._data = None
-        if self._code is None:
-            self._code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        return self._code
-
-    def commit(self):
-        """Close the pipe, reap the writer and copy its staged table to the path; a
-        writer that exited with a nonzero status raises ChildProcessError."""
-        code = self.reap()
-        if code != 0:
-            raise ChildProcessError(f"the CSV writer exited with status {code} before writing "
-                                    f"{self._path}")
-        self._stage.seek(0)
-        with open(self._path, "wb") as out:
-            shutil.copyfileobj(self._stage, out)
-
-
-@contextlib.contextmanager
-def forked_csv(path):
-    """A forked process that formats a run's CSV table while the run goes on, for path,
-    or None where no worker may be forked (see `_may_fork`) or the fork fails.
-
-    Pass the writer as `integrate_worldline`'s on_block: this process turns each
-    block's columns into their value table (see `_csv_table`) and writes its raw
-    float64 bytes down one pipe, and the writer process formats them, through the
-    formatter of `Trajectory.write_csv`, into an unnamed temporary file that this
-    process created before the fork; it holds one block of values and its text.
-    `writer.commit()`, called once the run has succeeded, waits for the writer and
-    copies the file to path, so a full device is this process's OSError.  Without a
-    commit (the run raised or was interrupted) path is left as it was.  Leaving the
-    block reaps the process.
+    Where a worker may be forked (see `_may_fork`), a forked process formats the table
+    while the steps run: this process turns each block's columns into their value table
+    (see `_csv_table`) and writes its raw float64 bytes down one pipe, and the writer
+    process formats them, through the formatter of `Trajectory.write_csv`, into an
+    unnamed temporary file that this process created before the fork; it holds one block
+    of values and its text.  Once the run ends, by an exception too, the pipe is closed
+    and the writer reaped; a writer that exited with a nonzero status raises
+    ChildProcessError, and otherwise the file is copied to path, so a full device is this
+    process's OSError.  Where no worker may be forked, or the fork fails, the table is
+    written here after the last step.
     """
-    if not _may_fork():
-        yield None
-        return
-    with tempfile.TemporaryFile() as stage:
+    pid = None
+    if _may_fork():
+        stage = tempfile.TemporaryFile()
         data_r, data_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            pid = None
             os.close(data_w)
+            stage.close()
         if pid == 0:
             code = 1
             try:
@@ -657,9 +617,30 @@ def forked_csv(path):
             finally:
                 os._exit(code)
         os.close(data_r)
-        writer = None if pid is None else _CsvWriter(path, pid, data_w, stage)
+    if pid is None:
+        traj = integrate_worldline(initial, steps, dtau, on_block=None)
+        traj.write_csv(path)
+        return traj
+
+    def on_block(*columns):
+        # a writer that has stopped no longer reads the blocks, and they are dropped
+        view = memoryview(_csv_table(*columns)).cast("B")
         try:
-            yield writer
+            while view:
+                view = view[os.write(data_w, view):]
+        except BrokenPipeError:
+            pass
+
+    with stage:
+        try:
+            traj = integrate_worldline(initial, steps, dtau, on_block=on_block)
         finally:
-            if writer is not None:
-                writer.reap()
+            os.close(data_w)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            raise ChildProcessError(f"the CSV writer exited with status {code} before writing "
+                                    f"{path}")
+        stage.seek(0)
+        with open(path, "wb") as out:
+            shutil.copyfileobj(stage, out)
+    return traj

@@ -2,11 +2,13 @@ import errno
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -213,8 +215,8 @@ def _assert_no_child():
 @pytest.mark.parametrize("past", [1, 255, 256, 257])
 def test_forked_csv_writes_special_values_as_write_csv(tmp_path, monkeypatch, past):
     """NaN, infinities, -0.0 and the least subnormal in every block, 1 to 257 records
-    past the first _WRITE_ROWS block, go down the pipe as raw floats and come out as
-    Trajectory.write_csv formats them, byte for byte."""
+    past the first _WRITE_ROWS block, go down simulate's pipe as raw floats and come out
+    as Trajectory.write_csv formats them, byte for byte."""
     monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
     n = weyssenhoff._WRITE_ROWS + past
     rng = np.random.default_rng(past)
@@ -229,15 +231,20 @@ def test_forked_csv_writes_special_values_as_write_csv(tmp_path, monkeypatch, pa
         traj.s[row, 1, 2], traj.s[row, 0, 3] = np.inf, np.nan
         diag["u_norm"][row], diag["frenkel"][row] = -0.0, np.inf
         diag["spin_invariant"][row] = 5e-324
+
+    def integrate(initial, steps, dtau, on_block):
+        # the run's blocks, handed on as integrate_worldline hands them
+        assert on_block is not None and steps == n - 1
+        for rows in weyssenhoff._blocks(n):
+            on_block(traj.tau[rows], traj.x[rows], traj.u[rows], traj.s[rows],
+                     diag["u_norm"][rows], diag["frenkel"][rows], diag["spin_invariant"][rows])
+        return traj
+
+    monkeypatch.setattr(weyssenhoff, "integrate_worldline", integrate)
     forked, ref = tmp_path / "forked.csv", tmp_path / "ref.csv"
     with np.errstate(invalid="ignore"):     # 0 * inf in the spin lowering
         traj.write_csv(ref)
-        with weyssenhoff.forked_csv(forked) as writer:
-            assert writer is not None
-            for rows in weyssenhoff._blocks(n):
-                writer(traj.tau[rows], traj.x[rows], traj.u[rows], traj.s[rows],
-                       diag["u_norm"][rows], diag["frenkel"][rows], diag["spin_invariant"][rows])
-            writer.commit()
+        assert weyssenhoff.simulate(None, n - 1, 0.01, forked) is traj
     table = forked.read_bytes()
     assert table == ref.read_bytes()
     lines = table.decode().splitlines()
@@ -245,6 +252,57 @@ def test_forked_csv_writes_special_values_as_write_csv(tmp_path, monkeypatch, pa
     for row in {0, weyssenhoff._WRITE_ROWS - 1, weyssenhoff._WRITE_ROWS, n - 1}:
         assert {"nan", "inf", "-inf", "-0.0", "5e-324"} <= set(lines[row + 1].split(","))
     _assert_no_child()
+
+
+def test_failed_fork_writes_the_csv_in_process(tmp_path, monkeypatch):
+    """Where the fork fails, the run goes on without a writer: exit 0, write_csv's bytes,
+    both pipe ends and the staging file closed, and no child."""
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+    fds = os.listdir("/proc/self/fd")
+    traj, writer = _simulate(tmp_path, monkeypatch, 2, 300, out)
+    assert len(os.listdir("/proc/self/fd")) == len(fds)
+    assert not writer
+    traj.write_csv(ref)
+    assert out.read_bytes() == ref.read_bytes()
+    _assert_no_child()
+
+
+def test_no_writer_is_forked_beside_another_thread(tmp_path, monkeypatch, fork_pools):
+    """With two CPUs and a second thread running, the CSV is written in-process and the
+    forms suite starts no pool: fork is unsafe beside a thread."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        _, writer = _simulate(tmp_path, monkeypatch, 2, 10, tmp_path / "t.csv")
+        (rep,) = suites.run_suite("forms", options={"grids": (5, 9)})
+    finally:
+        stop.set()
+        thread.join()
+    assert not writer
+    assert rep.passed and fork_pools == []
+    _assert_no_child()
+
+
+def _report_may_fork(queue):
+    queue.put(weyssenhoff._may_fork())
+
+
+def test_a_daemon_may_not_fork(monkeypatch):
+    """A daemon process may not start children, so it forks no worker."""
+    monkeypatch.setattr(weyssenhoff, "_cpus", lambda: 2)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.SimpleQueue()
+    proc = ctx.Process(target=_report_may_fork, args=(queue,), daemon=True)
+    proc.start()
+    proc.join(60)
+    assert proc.exitcode == 0
+    assert queue.get() is False
+    assert weyssenhoff._may_fork()
 
 
 @pytest.mark.parametrize("old", [None, "old,table\r\n"], ids=["no-file", "existing-file"])

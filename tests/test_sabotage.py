@@ -134,9 +134,10 @@ def _waves_phase_conjugated(self, x):
     """PlaneWaveState._waves with psi_k = w_k exp(+i s_k p_k.x); the declared derivative
     factor -i s_k p_k is kept."""
     x = np.asarray(x, dtype=float)
-    for p, w, s in zip(self.p, self.amplitude, self.sign.tolist()):
-        p_low = ETA @ p
-        yield w * np.exp(1j * s * float(p_low @ x)), -1j * s * p_low
+    p_low = self.p @ ETA
+    phase = (x[..., None, None, :] @ p_low[:, :, None])[..., 0, 0]
+    return (self.amplitude * np.exp(1j * self.sign * phase)[..., None],
+            -1j * self.sign[:, None] * p_low)
 
 
 def _plane_wave_mass_reciprocal(p, spin_index, sign=1):

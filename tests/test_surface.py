@@ -40,19 +40,23 @@ def _mentions(node) -> set:
     return found
 
 
+def _defined_names(node) -> list:
+    """The top-level names a module-body statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def _definitions():
     """{name: the names its definitions mention} and the public names, as module.name."""
     edges, public = {}, set()
     for path in sorted((ROOT / "src" / "cosrel").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            for name in names:
+            for name in _defined_names(node):
                 edges.setdefault(name, set()).update(_mentions(node))
                 if not name.startswith("_"):
                     public.add(f"{path.stem}.{name}")
@@ -80,6 +84,22 @@ def test_every_public_name_is_reached():
     edges, public = _definitions()
     reached = _reached(edges, _roots())
     assert sorted(n for n in public if n.split(".")[1] not in reached) == []
+
+
+def test_every_top_level_name_is_read():
+    """Every top-level definition in src/cosrel, private ones included, is read by some
+    other statement of src/cosrel or bench/, or named by the benchmark's tracer: a
+    helper whose last caller was deleted goes with it.  Dunder names are read by tools."""
+    read = {part for t in TARGETS for part in t.attr.split(".")}
+    defined = set()
+    paths = sorted((ROOT / "src" / "cosrel").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            read |= _mentions(node) - set(_defined_names(node))
+            if path.parent.name == "cosrel":
+                defined |= {f"{path.stem}.{name}" for name in _defined_names(node)}
+    assert sorted(n for n in defined
+                  if n.split(".")[1] not in read and not n.split(".")[1].startswith("__")) == []
 
 
 
