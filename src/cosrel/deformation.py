@@ -97,8 +97,12 @@ def incompatibility(Om: AlgebraForm, E: AlgebraForm) -> AlgebraForm:
     if Om.degree != 2 or E.degree != 1:
         raise ValueError("expected a 2-form and a deformation 1-form")
     xi, om = E.tra, E.lor
-    psi_t = ext_d(Om.tra) + wedge(Om.lor, xi) - wedge(om, Om.tra)
-    psi_l = ext_d(Om.lor) + wedge(Om.lor, om) - wedge(om, Om.lor)
+    psi_t = ext_d(Om.tra)
+    psi_t.data += wedge(Om.lor, xi).data
+    psi_t.data -= wedge(om, Om.tra).data
+    psi_l = ext_d(Om.lor)
+    psi_l.data += wedge(Om.lor, om).data
+    psi_l.data -= wedge(om, Om.lor).data
     return AlgebraForm(psi_t, psi_l)
 
 

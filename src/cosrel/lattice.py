@@ -4,7 +4,9 @@ Forms are stored by strictly increasing multi-index: a k-form on a p-dimensional
 lattice holds C(p,k) independent components per point, each with scalar, 4-vector
 or 4x4-matrix values.  Derivatives use second-order central stencils on the
 interior and second-order one-sided stencils on the boundary (np.gradient with
-edge_order=2); identity checks are asserted on interior points only.
+edge_order=2); identity checks are asserted on interior points only.  The exterior
+derivative and the wedge product are one signed split-sum (`_split_sum`): each output
+component is a sum over the ways to split its index, signed by the merge parity.
 """
 
 from __future__ import annotations
@@ -121,18 +123,25 @@ class FormField:
     def max_norm(self) -> float:
         return float(np.abs(self.data).max())
 
-    def __add__(self, other: "FormField") -> "FormField":
-        self._check_compatible(other)
-        return FormField(self.lattice, self.degree, self.data + other.data)
 
-    def __sub__(self, other: "FormField") -> "FormField":
-        self._check_compatible(other)
-        return FormField(self.lattice, self.degree, self.data - other.data)
+def _merge_sign(A: tuple, B: tuple) -> int:
+    """Parity of merging the sorted tuples A, B into one sorted tuple."""
+    inversions = sum(1 for a in A for b in B if a > b)
+    return -1 if inversions % 2 else 1
 
-    def _check_compatible(self, other: "FormField"):
-        if self.lattice != other.lattice or self.degree != other.degree \
-                or self.value_shape != other.value_shape:
-            raise ValueError("incompatible form fields")
+
+def _split_sum(lat: Lattice, degree: int, k: int, value_shape: tuple, term) -> FormField:
+    """The degree-form whose component C sums _merge_sign(A, B) * term(A, B) over the
+    splits of C into a k-index A and the rest B, in combinations order."""
+    out = FormField.zeros(lat, degree, value_shape)
+    for ci, C in enumerate(out.indices):
+        acc = np.zeros(lat.shape + value_shape)
+        for positions in itertools.combinations(range(degree), k):
+            A = tuple(C[i] for i in positions)
+            B = tuple(C[i] for i in range(degree) if i not in positions)
+            acc += _merge_sign(A, B) * term(A, B)
+        out.data[(Ellipsis, ci) + (slice(None),) * len(value_shape)] = acc
+    return out
 
 
 def ext_d(f: FormField) -> FormField:
@@ -140,32 +149,20 @@ def ext_d(f: FormField) -> FormField:
     lat = f.lattice
     if f.degree >= lat.p:
         raise ValueError("exterior derivative of a top-degree form")
-    out = FormField.zeros(lat, f.degree + 1, f.value_shape)
-    src = {mi: f.component(mi) for mi in f.indices}
-    for ci, C in enumerate(out.indices):
-        acc = np.zeros(lat.shape + f.value_shape)
-        for j, axis in enumerate(C):
-            rest = C[:j] + C[j + 1:]
-            acc += (-1.0) ** j * lat.gradient(src[rest], axis)
-        out.data[(Ellipsis, ci) + (slice(None),) * len(f.value_shape)] = acc
-    return out
+    return _split_sum(lat, f.degree + 1, 1, f.value_shape,
+                      lambda A, B: lat.gradient(f.component(B), A[0]))
 
 
-def _pair_values(u: np.ndarray, us, v: np.ndarray, vs) -> tuple[np.ndarray, tuple]:
-    """Pointwise value pairing: a scalar times any value, a matrix times a matrix or vector."""
+def _pair_values(u: np.ndarray, us, v: np.ndarray, vs) -> np.ndarray:
+    """Pointwise value pairing: a scalar times any value, a matrix times a matrix or vector;
+    the product has v's value shape."""
     if us == ():
-        return u[(Ellipsis,) + (np.newaxis,) * len(vs)] * v, vs
+        return u[(Ellipsis,) + (np.newaxis,) * len(vs)] * v
     if us == (4, 4) and vs == (4, 4):
-        return u @ v, (4, 4)
+        return u @ v
     if us == (4, 4) and vs == (4,):
-        return (u @ v[..., None])[..., 0], (4,)
+        return (u @ v[..., None])[..., 0]
     raise ValueError(f"no value pairing for shapes {us} x {vs}")
-
-
-def _merge_sign(A: tuple, B: tuple) -> int:
-    """Parity of merging the sorted tuples A, B into one sorted tuple."""
-    inversions = sum(1 for a in A for b in B if a > b)
-    return -1 if inversions % 2 else 1
 
 
 def wedge(alpha: FormField, beta: FormField) -> FormField:
@@ -176,19 +173,9 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
     k, l = alpha.degree, beta.degree
     if k + l > lat.p:
         raise ValueError(f"degree {k}+{l} exceeds lattice dimension {lat.p}")
-    _, out_vs = _pair_values(np.zeros(alpha.value_shape), alpha.value_shape,
-                             np.zeros(beta.value_shape), beta.value_shape)
-    out = FormField.zeros(lat, k + l, out_vs)
-    for ci, C in enumerate(out.indices):
-        acc = np.zeros(lat.shape + out_vs)
-        for positions in itertools.combinations(range(k + l), k):
-            A = tuple(C[i] for i in positions)
-            B = tuple(C[i] for i in range(k + l) if i not in positions)
-            term, _ = _pair_values(alpha.component(A), alpha.value_shape,
-                                   beta.component(B), beta.value_shape)
-            acc += _merge_sign(A, B) * term
-        out.data[(Ellipsis, ci) + (slice(None),) * len(out_vs)] = acc
-    return out
+    return _split_sum(lat, k + l, k, beta.value_shape,
+                      lambda A, B: _pair_values(alpha.component(A), alpha.value_shape,
+                                                beta.component(B), beta.value_shape))
 
 
 # --- flat grid-file format -------------------------------------------------

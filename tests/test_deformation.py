@@ -148,6 +148,16 @@ def test_incompatibility_requires_three_dimensions():
         incompatibility(AlgebraForm.zeros(lat, 2), AlgebraForm.zeros(lat, 1))
 
 
+def test_incompatibility_refuses_two_lattices_then_wrong_degrees():
+    lat = _unit_lattice(3, 5)
+    for e_degree in (1, 2):     # the lattices are compared before the degrees
+        with pytest.raises(ValueError, match="2-form and deformation live on different lattices"):
+            incompatibility(AlgebraForm.zeros(lat, 2), AlgebraForm.zeros(_unit_lattice(3, 7), e_degree))
+    for om_degree, e_degree in ((1, 1), (2, 2), (3, 1)):
+        with pytest.raises(ValueError, match="expected a 2-form and a deformation 1-form"):
+            incompatibility(AlgebraForm.zeros(lat, om_degree), AlgebraForm.zeros(lat, e_degree))
+
+
 def test_closedness_residual_of_exact_form():
     # analytic differential of a potential: closed up to discretization error
     vals = {}

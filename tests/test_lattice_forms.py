@@ -5,7 +5,7 @@ import pytest
 
 from conftest import same_bits
 from cosrel.deformation import AlgebraForm, read_algebra_form, write_algebra_form
-from cosrel.lattice import FormField, Lattice, ext_d, multi_indices, wedge
+from cosrel.lattice import FormField, Lattice, _merge_sign, ext_d, multi_indices, wedge
 
 
 def test_lattice_validation():
@@ -97,7 +97,7 @@ def test_dd_zero_on_interior(rng):
 def test_ext_d_top_degree_rejected():
     lat = Lattice((5, 5), (0.1, 0.1))
     f = FormField.zeros(lat, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exterior derivative of a top-degree form"):
         ext_d(f)
 
 
@@ -144,7 +144,15 @@ def test_wedge_degree_overflow_rejected(rng):
     lat = Lattice((5, 5), (0.1, 0.1))
     a = FormField(lat, 1, rng.standard_normal(lat.shape + (2,)))
     b = FormField(lat, 2, rng.standard_normal(lat.shape + (1,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"degree 1\+2 exceeds lattice dimension 2"):
+        wedge(a, b)
+
+
+def test_wedge_on_two_lattices_rejected():
+    # equal shapes, different spacings: the forms are not on one lattice
+    a = FormField.zeros(Lattice((5, 5), (0.1, 0.1)), 1)
+    b = FormField.zeros(Lattice((5, 5), (0.1, 0.2)), 1)
+    with pytest.raises(ValueError, match="wedge of forms on different lattices"):
         wedge(a, b)
 
 
@@ -181,3 +189,60 @@ def test_four_dimensional_body(rng):
     assert len(top.indices) == 1
     with pytest.raises(ValueError):
         ext_d(top)
+
+
+def _index_loop_ext_d(f):
+    """Reference exterior derivative: the index loop ext_d was written as on its own."""
+    lat = f.lattice
+    out = FormField.zeros(lat, f.degree + 1, f.value_shape)
+    src = {mi: f.component(mi) for mi in f.indices}
+    for ci, C in enumerate(out.indices):
+        acc = np.zeros(lat.shape + f.value_shape)
+        for j, axis in enumerate(C):
+            rest = C[:j] + C[j + 1:]
+            acc += (-1.0) ** j * lat.gradient(src[rest], axis)
+        out.data[(Ellipsis, ci) + (slice(None),) * len(f.value_shape)] = acc
+    return out
+
+
+def _index_loop_wedge(alpha, beta):
+    """Reference wedge: the index loop wedge was written as on its own, with its pairings."""
+    lat, k, l = alpha.lattice, alpha.degree, beta.degree
+    us, vs = alpha.value_shape, beta.value_shape
+    out = FormField.zeros(lat, k + l, vs)
+    for ci, C in enumerate(out.indices):
+        acc = np.zeros(lat.shape + vs)
+        for positions in itertools.combinations(range(k + l), k):
+            A = tuple(C[i] for i in positions)
+            B = tuple(C[i] for i in range(k + l) if i not in positions)
+            u, v = alpha.component(A), beta.component(B)
+            if us == ():
+                pair = u[(Ellipsis,) + (np.newaxis,) * len(vs)] * v
+            elif vs == (4, 4):
+                pair = u @ v
+            else:
+                pair = (u @ v[..., None])[..., 0]
+            acc += _merge_sign(A, B) * pair
+        out.data[(Ellipsis, ci) + (slice(None),) * len(vs)] = acc
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_ext_d_and_wedge_are_bitwise_the_index_loops(p, rng):
+    # unequal spacings and a nonzero origin; every degree ext_d takes, every wedge degree
+    # pair that fits, for the pairings scalar x any, matrix x matrix and matrix x vector
+    lat = Lattice((5, 4, 6, 3)[:p], (0.1, 0.25, 0.15, 0.3)[:p], (0.5, -1.0, 0.25, 2.0)[:p])
+
+    def form(k, vs):
+        return FormField(lat, k, rng.standard_normal(lat.shape + (len(multi_indices(p, k)),) + vs))
+
+    for k in range(p):
+        for vs in ((), (4,), (4, 4)):
+            f = form(k, vs)
+            assert same_bits(ext_d(f).data, _index_loop_ext_d(f).data)
+    pairings = [((), ()), ((), (4,)), ((), (4, 4)), ((4, 4), (4, 4)), ((4, 4), (4,))]
+    for k in range(p + 1):
+        for l in range(p + 1 - k):
+            for us, vs in pairings:
+                alpha, beta = form(k, us), form(l, vs)
+                assert same_bits(wedge(alpha, beta).data, _index_loop_wedge(alpha, beta).data)
